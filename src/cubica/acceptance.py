@@ -114,7 +114,7 @@ def closure_menu(field):
 
 def random_split_places(model, field, rng, count, max_deg=2):
     places = []
-    if model.splitting_type(Place.infinity(field)).kind == "split":
+    if model.split_kind(Place.infinity(field)) == "split":
         places.append(Place.infinity(field))
     polys = []
     for d in range(1, max_deg + 1):
@@ -125,7 +125,7 @@ def random_split_places(model, field, rng, count, max_deg=2):
     rng.shuffle(polys)
     for poly in polys:
         p = Place.finite(poly, check=False)
-        if model.splitting_type(p).kind == "split":
+        if model.split_kind(p) == "split":
             places.append(p)
         if len(places) >= count + 3:
             break

@@ -10,6 +10,7 @@ X^3 - b normal form.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 
 class FieldError(ValueError):
@@ -103,7 +104,7 @@ class Element:
         return self.val == other.val
 
     def __hash__(self):
-        return hash((id(self.field), self._hash_val()))
+        return hash((self.field._hash, self._hash_val()))
 
     def _hash_val(self):
         v = self.val
@@ -140,12 +141,13 @@ class PrimeField:
         self.p = p
         self.char = p
         self.order = p
+        self._hash = hash(("Fp", p))
         self.zero = Element(self, 0)
         self.one = Element(self, 1)
 
     def __call__(self, v):
         if isinstance(v, Element):
-            if v.field is self:
+            if v.field == self:
                 return v
             if isinstance(v.field, RationalField):
                 fr = v.val
@@ -190,7 +192,7 @@ class PrimeField:
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("Fp", self.p))
+        return self._hash
 
     def __repr__(self):
         return f"F{self.p}"
@@ -217,13 +219,14 @@ class QuadraticField:
         self.p = p
         self.char = p
         self.order = p * p
+        self._hash = hash(("Fp2", p, self.a, self.b))
         self.zero = Element(self, (0, 0))
         self.one = Element(self, (1, 0))
         self.gen = Element(self, (0, 1))
 
     def __call__(self, v):
         if isinstance(v, Element):
-            if v.field is self:
+            if v.field == self:
                 return v
             if v.field == self.base:
                 return Element(self, (v.val, 0))
@@ -308,7 +311,7 @@ class QuadraticField:
                 and other.a == self.a and other.b == self.b)
 
     def __hash__(self):
-        return hash(("Fp2", self.p, self.a, self.b))
+        return self._hash
 
     def __repr__(self):
         return f"F{self.p}[t]/(t^2-{self.a}t-{self.b})"
@@ -320,6 +323,7 @@ class RationalField:
     def __init__(self):
         self.char = 0
         self.order = None
+        self._hash = hash("QQ")
         self.zero = Element(self, Fraction(0))
         self.one = Element(self, Fraction(1))
 
@@ -361,7 +365,7 @@ class RationalField:
         return isinstance(other, RationalField)
 
     def __hash__(self):
-        return hash("QQ")
+        return self._hash
 
     def __repr__(self):
         return "Q"
@@ -372,18 +376,29 @@ QQ = RationalField()
 
 def smallest_nonsquare(field):
     """The first non-square in the canonical element order of a finite field
-    of odd characteristic."""
+    of odd characteristic.
+
+    In F_{p^2} the p constants come first in that order and are all squares
+    (F_p^* lies in the squares of F_{p^2}^*, as (p^2 - 1)/2 is a multiple of
+    p - 1), so the scan starts after them."""
     if field.char == 2:
         raise FieldError("every element of a char-2 finite field is a square")
-    for e in field.elements():
+    elements = field.elements()
+    if isinstance(field, QuadraticField):
+        elements = islice(elements, field.p, None)
+    for e in elements:
         if not e.is_zero() and not is_square(e):
             return e
     raise FieldError("no non-square found")
 
 
 def is_square(e: Element) -> bool:
-    """Euler criterion e^((q-1)/2) in a finite field; in characteristic 2
-    squaring is a bijection so everything is a square."""
+    """Whether e is a square of a finite field F_q.
+
+    By the norm criterion chi_{p^k}(e) = chi_p(N(e)), with N the norm down
+    to F_p, one Legendre symbol in F_p decides it: in F_{p^2} this is
+    Euler's criterion on field.norm(e), in F_p on e itself.  In
+    characteristic 2 squaring is a bijection, so everything is a square."""
     field = e.field
     if field.order is None:
         raise FieldError("is_square is only decided over finite fields")
@@ -391,7 +406,10 @@ def is_square(e: Element) -> bool:
         return True
     if field.char == 2:
         return True
-    return (e ** ((field.order - 1) // 2)).is_one()
+    if isinstance(field, QuadraticField):
+        e = field.norm(e)
+    p = field.p
+    return pow(e.val, (p - 1) // 2, p) == 1
 
 
 def sqrt(e: Element) -> Element:

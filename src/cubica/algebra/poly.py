@@ -86,7 +86,7 @@ class Polynomial:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.field),) + tuple(c._hash_val() for c in self.coeffs))
+        return hash((self.field._hash,) + tuple(c._hash_val() for c in self.coeffs))
 
     def sort_key(self):
         return (self.degree, tuple(c.sort_key() for c in reversed(self.coeffs)))

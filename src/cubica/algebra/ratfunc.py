@@ -190,6 +190,7 @@ class FunctionField:
         self.name = name
         self.char = base.char
         self.order = None
+        self._hash = hash(("funcfield", hash(base)))
         self.zero = Element(self, RationalFunction.zero(base))
         self.one = Element(self, RationalFunction.one(base))
         self.gen = Element(self, RationalFunction.x(base))
@@ -238,7 +239,7 @@ class FunctionField:
         return isinstance(other, FunctionField) and other.base == self.base
 
     def __hash__(self):
-        return hash(("funcfield", hash(self.base)))
+        return self._hash
 
     def __repr__(self):
         return f"{self.base!r}({self.name})"

@@ -1,11 +1,13 @@
 """Residue fields k[x]/(m) for irreducible m, with the element operations
-needed by splitting tests: inverses, powers, Euler square tests, square
+needed by splitting tests: inverses, powers, norms, square tests, square
 roots, absolute traces (char 2) and minimal polynomials over k.
 """
 
 from __future__ import annotations
 
-from .fields import FieldError
+from itertools import islice, product
+
+from .fields import FieldError, is_square
 from .linalg import min_poly_of_powers
 from .poly import Polynomial, inverse_mod, pow_mod
 
@@ -69,15 +71,37 @@ class ResidueField:
             return self.pow(self.inverse(a), -n)
         return pow_mod(a, n, self.modulus)
 
+    def norm(self, a: Polynomial):
+        """The norm of a down to the coefficient field: N(a) = Res(m, a), the
+        product of a(alpha) over the roots alpha of the monic modulus m, by
+        Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) for
+        r = f mod g."""
+        f, g = self.modulus, a % self.modulus
+        acc = self.base.one
+        while g.degree > 0:
+            r = f % g
+            if r.is_zero():
+                return self.base.zero
+            if f.degree * g.degree % 2:
+                acc = -acc
+            acc = acc * g.leading() ** (f.degree - r.degree)
+            f, g = g, r
+        if g.is_zero():
+            return self.base.zero
+        return acc * g.coeffs[0] ** f.degree
+
     def is_square(self, a: Polynomial) -> bool:
-        """Euler criterion a^((q-1)/2); everything is a square in char 2."""
+        """Norm criterion: a is a square of F_{q^k} = F_q[x]/(m) iff N(a) is
+        a square of F_q, as chi_{q^k}(a) = chi_q(N(a)); one square test in
+        the base field replaces Euler's with exponent (q^k - 1)/2.
+        Everything is a square in characteristic 2."""
         if self.order is None:
             raise FieldError("squareness is only decided in finite residue fields")
         if a.is_zero():
             return True
         if self.char == 2:
             return True
-        return self.pow(a, (self.order - 1) // 2).is_one()
+        return is_square(self.norm(a))
 
     def sqrt(self, a: Polynomial) -> Polynomial:
         """Canonical square root (Tonelli-Shanks, smallest non-residue)."""
@@ -115,26 +139,22 @@ class ResidueField:
         return r
 
     def _smallest_nonsquare(self):
-        # enumerate residues in canonical order: constants first, then x-terms
-        for e in self._elements():
+        """The first non-square in the canonical order of residues, in which
+        the constant coefficient varies fastest, so the base constants come
+        first.  In even degree they are all squares (F_q lies in F_{q^2},
+        which lies in F_{q^k}, and every element of F_q is a square in
+        F_{q^2}), so the scan skips them; in odd degree a constant c has
+        norm c^k and is a square iff it is one in F_q."""
+        base_elems = list(self.base.elements())
+        # product varies its last factor fastest: reversed, the constant term
+        coeff_tuples = product(base_elems, repeat=self.deg)
+        if self.deg % 2 == 0:
+            coeff_tuples = islice(coeff_tuples, len(base_elems), None)
+        for coeffs in coeff_tuples:
+            e = Polynomial(self.base, coeffs[::-1])
             if not e.is_zero() and not self.is_square(e):
                 return e
         raise FieldError("no non-square in residue field")
-
-    def _elements(self):
-        base_elems = list(self.base.elements())
-
-        def rec(i):
-            if i == 0:
-                yield []
-                return
-            for rest in rec(i - 1):
-                for c in base_elems:
-                    yield rest + [c]
-
-        # low coefficients vary fastest so constants come first
-        for coeffs in rec(self.deg):
-            yield Polynomial(self.base, list(reversed(coeffs)))
 
     def trace_to_f2(self, a: Polynomial) -> int:
         """Absolute trace F_{2^k} -> F_2 (char 2 only): sum of a^(2^i)."""

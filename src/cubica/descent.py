@@ -70,7 +70,7 @@ def exists_descent(closure: QuadraticModel, places) -> bool:
     places = list(places)
     if not places:
         return False
-    return all(closure.splitting_type(p).kind == SPLIT for p in places)
+    return all(closure.split_kind(p) == SPLIT for p in places)
 
 
 def make_problem(closure: QuadraticModel, places, signs=None,

@@ -46,7 +46,7 @@ class Place:
 
     def __hash__(self):
         if self.infinite:
-            return hash((id(self.field), "inf"))
+            return hash((self.field, "inf"))
         return hash(self.poly)
 
     def sort_key(self):

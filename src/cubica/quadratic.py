@@ -390,32 +390,41 @@ class QuadraticModel:
 
     # -- splitting ---------------------------------------------------------------
 
-    def splitting_type(self, place: Place) -> SplittingResult:
+    def split_kind(self, place: Place) -> str:
+        """SPLIT, INERT or RAMIFIED at place, decided from squareness alone
+        (no square root is taken)."""
         if self.kind == "artin_schreier":
             cls = ASClass.of(self.gamma)
-            for b in cls.ramified_places():
-                if b == place:
-                    return SplittingResult(RAMIFIED)
-            return SplittingResult(cls.splits_at(place))
+            if place in cls.ramified_places():
+                return RAMIFIED
+            return cls.splits_at(place)
         f = self.f
         if place.infinite:
             if f.degree % 2 == 1:
-                return SplittingResult(RAMIFIED)
+                return RAMIFIED
             lc = f.leading()
-            if is_square(lc) if self.field.order is not None else _is_square_q(lc):
-                r = _sqrt_const(lc)
-                return SplittingResult(SPLIT, rho_minus=r, rho_plus=-r)
-            return SplittingResult(INERT)
+            square = is_square(lc) if self.field.order is not None else _is_square_q(lc)
+            return SPLIT if square else INERT
         R = ResidueField(place.poly, check=False)
         fbar = R(f)
         if fbar.is_zero():
-            return SplittingResult(RAMIFIED)
+            return RAMIFIED
         if self.field.order is None:
             raise FieldError("splitting over Q requires caller-certified data")
-        if R.is_square(fbar):
-            r = R.sqrt(fbar)
-            return SplittingResult(SPLIT, rho_minus=r, rho_plus=R.neg(r))
-        return SplittingResult(INERT)
+        return SPLIT if R.is_square(fbar) else INERT
+
+    def splitting_type(self, place: Place) -> SplittingResult:
+        """The splitting kind at place, with the two square roots rho of f
+        at it when a Kummer model splits there."""
+        kind = self.split_kind(place)
+        if kind != SPLIT or self.kind == "artin_schreier":
+            return SplittingResult(kind)
+        if place.infinite:
+            r = _sqrt_const(self.f.leading())
+            return SplittingResult(SPLIT, rho_minus=r, rho_plus=-r)
+        R = ResidueField(place.poly, check=False)
+        r = R.sqrt(R(self.f))
+        return SplittingResult(SPLIT, rho_minus=r, rho_plus=R.neg(r))
 
     def canonical_rho(self, place: Place):
         res = self.splitting_type(place)
@@ -447,14 +456,14 @@ class QuadraticModel:
 
 def _is_square_q(c: Element) -> bool:
     v = c.val
-    if v < 0:
-        return False
     n, d = v.numerator, v.denominator
     return _isqrt_exact(n) is not None and _isqrt_exact(d) is not None
 
 
 def _isqrt_exact(n: int):
     import math
+    if n < 0:
+        return None
     r = math.isqrt(n)
     return r if r * r == n else None
 

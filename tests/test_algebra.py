@@ -1,13 +1,14 @@
 """Field, polynomial and residue-field arithmetic against brute-force oracles."""
 
 import random
+from itertools import product
 
 import pytest
 
-from cubica.algebra import (Polynomial, PrimeField, QQ, QuadraticField,
-                            RationalFunction, ResidueField, is_irreducible,
-                            is_square, poly_factor, poly_gcd, smallest_nonsquare,
-                            sqrt, squarefree_decomposition)
+from cubica.algebra import (FunctionField, Polynomial, PrimeField, QQ,
+                            QuadraticField, RationalFunction, ResidueField,
+                            is_irreducible, is_square, poly_factor, poly_gcd,
+                            smallest_nonsquare, sqrt, squarefree_decomposition)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -207,3 +208,124 @@ def test_rational_function_normalization():
     # composition: (x^2)(x+1) = (x+1)^2
     sq = RationalFunction(x ** 2)
     assert sq.compose(RationalFunction(x + 1)) == RationalFunction((x + 1) ** 2)
+
+
+# -- norm criterion for squares, against Euler's criterion and the full scan ----
+
+
+def euler_is_square_residue(R, a):
+    """Reference: Euler's criterion a^((q^k - 1)/2) = 1 in F_q[x]/(m)."""
+    return a.is_zero() or R.pow(a, (R.order - 1) // 2).is_one()
+
+
+def euler_is_square(e):
+    """Reference: Euler's criterion e^((q - 1)/2) = 1 in F_p or F_{p^2}."""
+    return e.is_zero() or (e ** ((e.field.order - 1) // 2)).is_one()
+
+
+def full_scan_nonsquare_residue(R):
+    """Reference: the first non-square by Euler's criterion over every
+    residue, constant coefficient varying fastest, constants included."""
+    for coeffs in product(list(R.base.elements()), repeat=R.deg):
+        e = Polynomial(R.base, list(reversed(coeffs)))
+        if not e.is_zero() and not euler_is_square_residue(R, e):
+            return e
+
+
+def full_scan_nonsquare(field):
+    """Reference: the first non-square by Euler's criterion over every
+    element in canonical order, constants included."""
+    for e in field.elements():
+        if not e.is_zero() and not euler_is_square(e):
+            return e
+
+
+def random_irreducible(field, deg, rng):
+    while True:
+        m = Polynomial(field, [rng.randrange(field.p) for _ in range(deg)] + [1])
+        if is_irreducible(m):
+            return m
+
+
+def random_residue(R, rng):
+    return Polynomial(R.base, [rng.randrange(R.base.p) for _ in range(R.deg)])
+
+
+RESIDUE_CASES = [(p, d) for p in (5, 7, 11, 13, 101, 257) for d in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("p,deg", RESIDUE_CASES)
+def test_residue_norm_criterion_matches_euler(p, deg):
+    rng = random.Random(f"residue-squares:{p}:{deg}")
+    field = PrimeField(p)
+    R = ResidueField(random_irreducible(field, deg, rng), check=False)
+    for _ in range(10):
+        a = random_residue(R, rng)
+        assert R.is_square(a) == euler_is_square_residue(R, a)
+        # the square of a unit is a square; the norm is multiplicative
+        b = random_residue(R, rng)
+        if not b.is_zero():
+            sq = R.mul(b, b)
+            assert R.is_square(sq)
+            assert R.norm(R.mul(a, b)) == R.norm(a) * R.norm(b)
+
+
+@pytest.mark.parametrize("p,deg", RESIDUE_CASES)
+def test_residue_nonsquare_is_the_full_scan_element(p, deg):
+    rng = random.Random(f"residue-nonsquare:{p}:{deg}")
+    R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
+    assert R._smallest_nonsquare() == full_scan_nonsquare_residue(R)
+
+
+@pytest.mark.parametrize("p,deg", RESIDUE_CASES)
+def test_residue_sqrt_is_the_smaller_root(p, deg):
+    rng = random.Random(f"residue-sqrt:{p}:{deg}")
+    R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
+    for _ in range(4):
+        b = random_residue(R, rng)
+        a = R.mul(b, b)
+        r = R.sqrt(a)
+        assert R.mul(r, r) == a
+        assert r.sort_key() <= R.neg(r).sort_key()
+        assert r in (b, R.neg(b))
+
+
+def quadratic_field(p):
+    """F_{p^2} = F_p[t]/(t^2 - b) for the smallest non-square b of F_p."""
+    field = PrimeField(p)
+    return QuadraticField(field, 0, full_scan_nonsquare(field).val)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 257])
+def test_quadratic_field_norm_criterion(p):
+    rng = random.Random(f"fp2-squares:{p}")
+    Q = quadratic_field(p)
+    assert smallest_nonsquare(Q) == full_scan_nonsquare(Q)
+    assert smallest_nonsquare(Q.base) == full_scan_nonsquare(Q.base)
+    for _ in range(40):
+        e = Q((rng.randrange(p), rng.randrange(p)))
+        assert is_square(e) == euler_is_square(e)
+        sq = e * e
+        r = sqrt(sq)
+        assert r * r == sq
+        assert r.sort_key() <= (-r).sort_key()
+
+
+# -- the hash/eq contract across equal field instances --------------------------
+
+
+def test_equal_values_over_equal_fields_hash_alike():
+    assert len({PrimeField(5)(2), PrimeField(5)(2)}) == 1
+    assert len({Polynomial.x(PrimeField(5)), Polynomial.x(PrimeField(5))}) == 1
+    Q1, Q2 = QuadraticField(PrimeField(7), 0, 3), QuadraticField(PrimeField(7), 0, 3)
+    assert len({Q1((1, 2)), Q2((1, 2))}) == 1
+    assert len({FunctionField(QQ).gen, FunctionField(QQ).gen}) == 1
+
+
+def test_coercion_accepts_an_equal_field():
+    F13, G13 = PrimeField(13), PrimeField(13)
+    assert F13(G13(3)) == F13(3)
+    Q1, Q2 = QuadraticField(F13, 0, 2), QuadraticField(F13, 0, 2)
+    assert Q1(Q2((1, 4))) == Q1((1, 4))
+    with pytest.raises(Exception, match="cannot coerce"):
+        PrimeField(5)(F13(3))

@@ -96,3 +96,9 @@ def test_genus_rejects_inconsistent_data():
         genus_of_cubic([Place.finite(x)], [], 5)   # 2g-2 = -4 -> g < 0
     with pytest.raises(ArithmeticError):
         genus_of_cubic([Place.finite(x)], [Place.finite(x - 1)], 5)  # odd 2g-2
+
+
+def test_places_over_equal_fields_hash_alike():
+    F, G = PrimeField(5), PrimeField(5)
+    assert len({Place.finite(x_of(F) ** 2 + 2), Place.finite(x_of(G) ** 2 + 2)}) == 1
+    assert len({Place.infinity(F), Place.infinity(G)}) == 1

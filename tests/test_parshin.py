@@ -179,6 +179,17 @@ def test_find_ptilde_rationality_obstruction():
         find_Ptilde(W, threeE)
 
 
+def test_parshin_cover_refuses_negative_branch_square():
+    """On x^8 + x^6 - 4x^2 + 83 at (1, -9) the tripled class asks for the
+    square root of a negative rational: a typed refusal, not an isqrt
+    ValueError."""
+    from cubica.algebra import FieldError
+    x = Polynomial.x(QQ)
+    W = SplitCurve(x ** 8 + x ** 6 - 4 * x ** 2 + 83)
+    with pytest.raises(FieldError, match="not a rational square"):
+        parshin_cover(W, 1, -9)
+
+
 def test_parshin_cover_partner_orbit():
     """Running the pipeline from the same Qt always fixes the canonical
     orbit point, so verify instead that the partner gives the same branch

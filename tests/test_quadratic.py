@@ -81,6 +81,57 @@ def test_constant_extension_split_iff_even_degree():
         assert count > 0
 
 
+def places_up_to_degree_two(field):
+    """Infinity and every monic irreducible of degree 1 or 2 over F_p, the
+    quadratics x^2 + a x + b picked by a non-square discriminant."""
+    p = field.p
+    squares = {c * c % p for c in range(p)}
+    places = [Place.infinity(field)]
+    places += [Place.finite(Polynomial(field, [b, 1]), check=False) for b in range(p)]
+    places += [Place.finite(Polynomial(field, [b, a, 1]), check=False)
+               for a in range(p) for b in range(p) if (a * a - 4 * b) % p not in squares]
+    return places
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_split_kind_agrees_with_splitting_type(p):
+    """The squareness-only split test gives splitting_type's kind on every
+    place of degree <= 2; the closure menu over F_13, one model over F_101
+    (where each split place costs a residue square root)."""
+    from cubica.acceptance import closure_menu
+    field = PrimeField(p)
+    x = x_of(field)
+    models = closure_menu(field) if p == 13 else [QuadraticModel.kummer(x * (x - 1))]
+    places = places_up_to_degree_two(field)
+    assert len(places) == 1 + p + (p * p - p) // 2
+    for M in models:
+        for place in places:
+            res = M.splitting_type(place)
+            assert res.kind == M.split_kind(place)
+            assert (res.rho_minus is not None) == (res.kind == SPLIT)
+
+
+def test_split_kind_over_q():
+    x = x_of(QQ)
+    assert QuadraticModel.kummer(x * x + 1).split_kind(Place.infinity(QQ)) == SPLIT
+    assert QuadraticModel.kummer(-x * x + 1).split_kind(Place.infinity(QQ)) == INERT
+    assert QuadraticModel.kummer(x).split_kind(Place.infinity(QQ)) == RAMIFIED
+
+
+def test_negative_rational_is_not_a_square():
+    """A negative constant is refused with the typed error, not an isqrt
+    ValueError."""
+    from fractions import Fraction
+
+    from cubica.algebra import FieldError
+    from cubica.quadratic import _is_square_q, _isqrt_exact, _sqrt_const
+    assert _isqrt_exact(-4) is None and _isqrt_exact(9) == 3
+    assert not _is_square_q(QQ(Fraction(-9, 4)))
+    with pytest.raises(FieldError, match="not a rational square"):
+        _sqrt_const(QQ(Fraction(-9, 4)))
+    assert _sqrt_const(QQ(Fraction(9, 4))) == QQ(Fraction(3, 2))
+
+
 # -- parametrization ------------------------------------------------------------------
 
 
