@@ -5,10 +5,20 @@ around a payload (int residue, coefficient pair, or Fraction) whose
 arithmetic is delegated to the descriptor.  Characteristic 3 is rejected:
 all constructions downstream assume a separable cubic X^3 - 3X - a or
 X^3 - b normal form.
+
+The descriptors share one payload protocol: ``_add``, ``_sub``, ``_mul``,
+``_neg``, ``_inv``, ``_zero_val``, ``_one_val``, ``sort_key``, ``char`` and
+``order``; a finite field also has ``elements()`` in its canonical order and
+its degree ``deg`` over ``base``, and an extension ``_norm`` down to
+``base``.  ``residue.ResidueField`` follows it too, so ``is_square``,
+``sqrt``, ``smallest_nonsquare`` and ``trace_to_f2`` below serve every field
+of the library.  Over Q squares are decided by exact integer square roots
+of numerator and denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -76,14 +86,7 @@ class Element:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Element(self.field, _pow(self.field, self.val, n))
 
     def inverse(self):
         if self.is_zero():
@@ -132,6 +135,8 @@ def _is_prime(n):
 
 class PrimeField:
     """F_p for a prime p != 3.  Payload: int in [0, p)."""
+
+    deg = 1
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -219,6 +224,7 @@ class QuadraticField:
         self.p = p
         self.char = p
         self.order = p * p
+        self.deg = 2
         self._hash = hash(("Fp2", p, self.a, self.b))
         self.zero = Element(self, (0, 0))
         self.one = Element(self, (1, 0))
@@ -258,13 +264,15 @@ class QuadraticField:
         return ((-x[0]) % p, (-x[1]) % p)
 
     def _inv(self, x):
-        # norm(c0 + c1 t) = (c0 + c1 t)(c0 + c1(a - t)) = c0^2 + a c0 c1 - b c1^2
-        p, a, b = self.p, self.a, self.b
+        p = self.p
+        ninv = pow(self._norm(x), p - 2, p)
         c0, c1 = x
-        n = (c0 * c0 + a * c0 * c1 - b * c1 * c1) % p
-        ninv = pow(n, p - 2, p)
-        conj = ((c0 + a * c1) % p, (-c1) % p)
-        return ((conj[0] * ninv) % p, (conj[1] * ninv) % p)
+        return (((c0 + self.a * c1) * ninv) % p, (-c1 * ninv) % p)
+
+    def _norm(self, x):
+        # (c0 + c1 t)(c0 + c1(a - t)) = c0^2 + a c0 c1 - b c1^2
+        c0, c1 = x
+        return (c0 * c0 + self.a * c0 * c1 - self.b * c1 * c1) % self.p
 
     def conj(self, e: Element) -> Element:
         """The nontrivial automorphism over the base field, t -> a - t."""
@@ -273,12 +281,7 @@ class QuadraticField:
 
     def norm(self, e: Element) -> Element:
         """Norm down to the base field."""
-        c0, c1 = e.val
-        n = (c0 * c0 + self.a * c0 * c1 - self.b * c1 * c1) % self.p
-        return Element(self.base, n)
-
-    def from_base_pair(self, c0: Element, c1: Element) -> Element:
-        return Element(self, (c0.val, c1.val))
+        return Element(self.base, self._norm(e.val))
 
     def base_pair(self, e: Element):
         c0, c1 = e.val
@@ -374,18 +377,41 @@ class RationalField:
 QQ = RationalField()
 
 
+def _pow(field, v, n):
+    """v^n for a payload v and n >= 0, by square-and-multiply on payloads."""
+    result = field._one_val()
+    while n:
+        if n & 1:
+            result = field._mul(result, v)
+        v = field._mul(v, v)
+        n >>= 1
+    return result
+
+
+def _rational_sqrt(v: Fraction):
+    """The non-negative rational square root of v, or None."""
+    n, d = v.numerator, v.denominator
+    if n < 0:
+        return None
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        return None
+    return Fraction(rn, rd)
+
+
 def smallest_nonsquare(field):
     """The first non-square in the canonical element order of a finite field
     of odd characteristic.
 
-    In F_{p^2} the p constants come first in that order and are all squares
-    (F_p^* lies in the squares of F_{p^2}^*, as (p^2 - 1)/2 is a multiple of
-    p - 1), so the scan starts after them."""
+    That order starts with the elements of the base field.  In an extension
+    of even degree they are all squares (F_q^* lies in the squares of
+    F_{q^2}^*, as (q^2 - 1)/2 is a multiple of q - 1, and F_{q^2} lies in
+    F_{q^k} for even k), so the scan starts after them."""
     if field.char == 2:
         raise FieldError("every element of a char-2 finite field is a square")
     elements = field.elements()
-    if isinstance(field, QuadraticField):
-        elements = islice(elements, field.p, None)
+    if field.deg % 2 == 0:
+        elements = islice(elements, field.base.order, None)
     for e in elements:
         if not e.is_zero() and not is_square(e):
             return e
@@ -393,62 +419,89 @@ def smallest_nonsquare(field):
 
 
 def is_square(e: Element) -> bool:
-    """Whether e is a square of a finite field F_q.
+    """Whether e is a square of its field: a finite field or Q.
 
-    By the norm criterion chi_{p^k}(e) = chi_p(N(e)), with N the norm down
-    to F_p, one Legendre symbol in F_p decides it: in F_{p^2} this is
-    Euler's criterion on field.norm(e), in F_p on e itself.  In
-    characteristic 2 squaring is a bijection, so everything is a square."""
-    field = e.field
+    Over F_{p^k} by the norm criterion chi_{p^k}(e) = chi_p(N(e)): the norms
+    down the tower of bases reach F_p, where one Legendre symbol decides.
+    In characteristic 2 squaring is a bijection, so everything is a square.
+    Over Q by exact integer roots."""
+    field, v = e.field, e.val
+    if isinstance(field, RationalField):
+        return _rational_sqrt(v) is not None
     if field.order is None:
-        raise FieldError("is_square is only decided over finite fields")
-    if e.is_zero():
+        raise FieldError("squareness is only decided over finite fields and Q")
+    if field.char == 2 or v == field._zero_val():
         return True
-    if field.char == 2:
-        return True
-    if isinstance(field, QuadraticField):
-        e = field.norm(e)
+    while not isinstance(field, PrimeField):
+        v = field._norm(v)
+        field = field.base
     p = field.p
-    return pow(e.val, (p - 1) // 2, p) == 1
+    return pow(v, (p - 1) // 2, p) == 1
 
 
 def sqrt(e: Element) -> Element:
-    """A square root in a finite field (Tonelli-Shanks with the smallest
-    non-residue), canonicalized to the smaller of the two roots."""
-    field = e.field
+    """The square root of e that is smaller by sort_key.
+
+    Over Q the non-negative root, by exact integer roots.  Over F_q
+    Tonelli-Shanks with the smallest non-square, on payloads; in
+    characteristic 2 the unique root e^(q/2)."""
+    field, v = e.field, e.val
+    if isinstance(field, RationalField):
+        r = _rational_sqrt(v)
+        if r is None:
+            raise FieldError("constant is not a rational square")
+        return Element(field, r)
     if field.order is None:
-        raise FieldError("sqrt is only computed over finite fields")
+        raise FieldError("sqrt is only computed over finite fields and Q")
     if e.is_zero():
-        return field.zero
+        return e
     q = field.order
     if field.char == 2:
-        return e ** (q // 2)
+        return Element(field, _pow(field, v, q // 2))
     if not is_square(e):
         raise FieldError(f"{e} is not a square")
+    mul, one = field._mul, field._one_val()
     if q % 4 == 3:
-        r = e ** ((q + 1) // 4)
+        r = _pow(field, v, (q + 1) // 4)
     else:
         # Tonelli-Shanks: q - 1 = m * 2^s with m odd
         m, s = q - 1, 0
         while m % 2 == 0:
             m //= 2
             s += 1
-        z = smallest_nonsquare(field)
-        c = z ** m
-        r = e ** ((m + 1) // 2)
-        t = e ** m
-        while not t.is_one():
+        c = _pow(field, smallest_nonsquare(field).val, m)
+        r = _pow(field, v, (m + 1) // 2)
+        t = _pow(field, v, m)
+        while t != one:
             # find least i with t^(2^i) = 1
             i, tt = 0, t
-            while not tt.is_one():
-                tt = tt * tt
+            while tt != one:
+                tt = mul(tt, tt)
                 i += 1
-            b = c ** (1 << (s - i - 1))
-            r = r * b
-            c = b * b
-            t = t * c
+            b = _pow(field, c, 1 << (s - i - 1))
+            r = mul(r, b)
+            c = mul(b, b)
+            t = mul(t, c)
             s = i
-        # fallthrough below normalizes the sign
-    if (-r).sort_key() < r.sort_key():
-        r = -r
-    return r
+    neg = field._neg(r)
+    if field.sort_key(neg) < field.sort_key(r):
+        r = neg
+    return Element(field, r)
+
+
+def trace_to_f2(e: Element) -> int:
+    """Absolute trace of e in a finite field of characteristic 2 down to
+    F_2: the sum of the Frobenius powers e^(2^i)."""
+    field = e.field
+    if field.char != 2 or field.order is None:
+        raise FieldError("trace_to_f2 needs a finite field of characteristic 2")
+    zero = field._zero_val()
+    acc, t = zero, e.val
+    for _ in range(field.order.bit_length() - 1):
+        acc = field._add(acc, t)
+        t = field._mul(t, t)
+    if acc == zero:
+        return 0
+    if acc != field._one_val():
+        raise ArithmeticError("trace did not land in the prime field")
+    return 1

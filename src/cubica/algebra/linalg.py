@@ -52,11 +52,6 @@ def kernel_basis(rows, ncols, field):
     return basis
 
 
-def matrix_rank(rows, ncols):
-    work = [list(r) for r in rows]
-    return len(_rref(work, ncols))
-
-
 def solve(rows, rhs, ncols, field):
     """One solution of A x = b, or None when inconsistent."""
     work = [list(r) + [v] for r, v in zip(rows, rhs)]

@@ -9,6 +9,7 @@ sorted canonically so output never depends on the seed.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .fields import Element, FieldError, PrimeField, QuadraticField, RationalField
@@ -205,13 +206,6 @@ class Polynomial:
         if self.is_zero():
             return self
         return Polynomial(self.field, [self.field.zero] * n + self.coeffs)
-
-    def reverse(self, n=None) -> "Polynomial":
-        """Coefficient reversal x^n f(1/x); n defaults to deg f."""
-        if n is None:
-            n = self.degree
-        cs = [self[n - i] for i in range(n + 1)]
-        return Polynomial(self.field, cs)
 
     def map_coeffs(self, fn, field=None) -> "Polynomial":
         return Polynomial(field or self.field, [fn(c) for c in self.coeffs])
@@ -505,11 +499,11 @@ def _is_irreducible_over_q(f: Polynomial) -> bool:
     # clear denominators to a primitive integer polynomial
     den = 1
     for c in f.coeffs:
-        den = den * c.val.denominator // _gcd_int(den, c.val.denominator)
+        den = math.lcm(den, c.val.denominator)
     ints = [int(c.val * den) for c in f.coeffs]
     g = 0
     for c in ints:
-        g = _gcd_int(g, abs(c))
+        g = math.gcd(g, c)
     ints = [c // g for c in ints]
     if ints[0] == 0:
         return False  # x divides f
@@ -528,12 +522,6 @@ def _is_irreducible_over_q(f: Polynomial) -> bool:
         if poly_gcd(fbar, fbar.derivative()).is_one() and is_irreducible(fbar):
             return True
     raise FieldError("no irreducibility certificate found over Q; certify the input")
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -121,10 +121,6 @@ class KummerRing:
         """(P, Q) with e = P + Q*r, r^2 = f."""
         return e.a, e.b
 
-    def generator_minpoly(self):
-        """(a, b) with r satisfying r^2 = a r + b: here (0, f)."""
-        return RationalFunction.zero(self.field), self.f_rat
-
 
 class ConstantRing:
     """q(x) over k(x) for the constant quadratic extension q/k; elements are
@@ -137,10 +133,7 @@ class ConstantRing:
         if is_square(d):
             raise FieldError("constant quadratic extension needs a non-square")
         self.d = d
-        self.root_d = self._sqrt_in_q(d)
-
-    def _sqrt_in_q(self, d: Element) -> Element:
-        return sqrt(self.qfield(d.val))
+        self.root_d = sqrt(self.qfield(d.val))
 
     def element(self, rf: RationalFunction) -> RationalFunction:
         if rf.field != self.qfield:
@@ -177,8 +170,3 @@ class ConstantRing:
         p_part = self._descend((e + conj_e) / two)
         q_part = self._descend((e - conj_e) / (two * self.root_d))
         return p_part, q_part
-
-    def generator_minpoly(self):
-        """r = sqrt(d) satisfies r^2 = 0*r + d."""
-        return (RationalFunction.zero(self.base),
-                RationalFunction.from_const(self.base, self.d))

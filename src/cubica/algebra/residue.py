@@ -1,13 +1,19 @@
 """Residue fields k[x]/(m) for irreducible m, with the element operations
 needed by splitting tests: inverses, powers, norms, square tests, square
-roots, absolute traces (char 2) and minimal polynomials over k.
+roots and minimal polynomials over k.
+
+A ResidueField follows the payload protocol of the fields in ``.fields``
+(``_add``/``_mul``/``_inv``/``_norm``/``elements``/``order``/...) with the
+reduced Polynomial as payload, so ``fields.is_square``, ``sqrt``,
+``smallest_nonsquare`` and ``trace_to_f2`` serve it through
+``Element(R, a)``; its own methods take and return Polynomials.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 
-from .fields import FieldError, is_square
+from .fields import Element, FieldError, is_square, sqrt
 from .linalg import min_poly_of_powers
 from .poly import Polynomial, inverse_mod, pow_mod
 
@@ -42,139 +48,88 @@ class ResidueField:
     def xbar(self) -> Polynomial:
         return self(Polynomial.x(self.base))
 
-    def zero(self):
+    # -- payload protocol ------------------------------------------------------
+
+    def _zero_val(self):
         return Polynomial.zero(self.base)
 
-    def one(self):
+    def _one_val(self):
         return Polynomial.one(self.base)
 
-    def add(self, a, b):
-        return self(a + b)
+    def _add(self, a, b):
+        return (a + b) % self.modulus
 
-    def sub(self, a, b):
-        return self(a - b)
+    def _sub(self, a, b):
+        return (a - b) % self.modulus
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         return (a * b) % self.modulus
 
-    def neg(self, a):
-        return self(-a)
+    def _neg(self, a):
+        return (-a) % self.modulus
 
-    def inverse(self, a):
+    def _inv(self, a):
         return inverse_mod(a, self.modulus)
 
-    def div(self, a, b):
-        return self.mul(a, self.inverse(b))
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inverse(a), -n)
-        return pow_mod(a, n, self.modulus)
-
-    def norm(self, a: Polynomial):
-        """The norm of a down to the coefficient field: N(a) = Res(m, a), the
-        product of a(alpha) over the roots alpha of the monic modulus m, by
-        Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) for
-        r = f mod g."""
+    def _norm(self, a):
+        """N(a) = Res(m, a), the product of a(alpha) over the roots alpha of
+        the monic modulus m, by Res(f, g) = (-1)^(deg f deg g)
+        lc(g)^(deg f - deg r) Res(g, r) for r = f mod g; a base payload."""
         f, g = self.modulus, a % self.modulus
         acc = self.base.one
         while g.degree > 0:
             r = f % g
             if r.is_zero():
-                return self.base.zero
+                return self.base._zero_val()
             if f.degree * g.degree % 2:
                 acc = -acc
             acc = acc * g.leading() ** (f.degree - r.degree)
             f, g = g, r
         if g.is_zero():
-            return self.base.zero
-        return acc * g.coeffs[0] ** f.degree
+            return self.base._zero_val()
+        return (acc * g.coeffs[0] ** f.degree).val
 
-    def is_square(self, a: Polynomial) -> bool:
-        """Norm criterion: a is a square of F_{q^k} = F_q[x]/(m) iff N(a) is
-        a square of F_q, as chi_{q^k}(a) = chi_q(N(a)); one square test in
-        the base field replaces Euler's with exponent (q^k - 1)/2.
-        Everything is a square in characteristic 2."""
-        if self.order is None:
-            raise FieldError("squareness is only decided in finite residue fields")
-        if a.is_zero():
-            return True
-        if self.char == 2:
-            return True
-        return is_square(self.norm(a))
+    def sort_key(self, a):
+        return a.sort_key()
 
-    def sqrt(self, a: Polynomial) -> Polynomial:
-        """Canonical square root (Tonelli-Shanks, smallest non-residue)."""
-        if a.is_zero():
-            return self.zero()
-        q = self.order
-        if self.char == 2:
-            return self.pow(a, q // 2)
-        if not self.is_square(a):
-            raise FieldError("not a square in the residue field")
-        if q % 4 == 3:
-            r = self.pow(a, (q + 1) // 4)
-        else:
-            m, s = q - 1, 0
-            while m % 2 == 0:
-                m //= 2
-                s += 1
-            z = self._smallest_nonsquare()
-            c = self.pow(z, m)
-            r = self.pow(a, (m + 1) // 2)
-            t = self.pow(a, m)
-            while not t.is_one():
-                i, tt = 0, t
-                while not tt.is_one():
-                    tt = self.mul(tt, tt)
-                    i += 1
-                b = self.pow(c, 1 << (s - i - 1))
-                r = self.mul(r, b)
-                c = self.mul(b, b)
-                t = self.mul(t, c)
-                s = i
-        other = self.neg(r)
-        if other.sort_key() < r.sort_key():
-            r = other
-        return r
-
-    def _smallest_nonsquare(self):
-        """The first non-square in the canonical order of residues, in which
-        the constant coefficient varies fastest, so the base constants come
-        first.  In even degree they are all squares (F_q lies in F_{q^2},
-        which lies in F_{q^k}, and every element of F_q is a square in
-        F_{q^2}), so the scan skips them; in odd degree a constant c has
-        norm c^k and is a square iff it is one in F_q."""
+    def elements(self):
+        """All residues, the constant coefficient varying fastest, so the
+        base constants come first."""
         base_elems = list(self.base.elements())
         # product varies its last factor fastest: reversed, the constant term
-        coeff_tuples = product(base_elems, repeat=self.deg)
-        if self.deg % 2 == 0:
-            coeff_tuples = islice(coeff_tuples, len(base_elems), None)
-        for coeffs in coeff_tuples:
-            e = Polynomial(self.base, coeffs[::-1])
-            if not e.is_zero() and not self.is_square(e):
-                return e
-        raise FieldError("no non-square in residue field")
+        for coeffs in product(base_elems, repeat=self.deg):
+            yield Element(self, Polynomial(self.base, coeffs[::-1]))
 
-    def trace_to_f2(self, a: Polynomial) -> int:
-        """Absolute trace F_{2^k} -> F_2 (char 2 only): sum of a^(2^i)."""
-        if self.char != 2:
-            raise FieldError("absolute trace to F_2 needs characteristic 2")
-        k = self.order.bit_length() - 1
-        acc = self.zero()
-        t = a
-        for _ in range(k):
-            acc = self.add(acc, t)
-            t = self.mul(t, t)
-        if not acc.is_constant():
-            raise ArithmeticError("trace did not land in the prime field")
-        c = acc.constant_coeff()
-        return 0 if c.is_zero() else 1
+    def format_element(self, a):
+        return repr(a)
+
+    # -- Polynomial in, Polynomial out -----------------------------------------
+
+    add, mul, neg = _add, _mul, _neg
+
+    def div(self, a, b):
+        return self._mul(a, self._inv(b))
+
+    def pow(self, a, n):
+        if n < 0:
+            return self.pow(self._inv(a), -n)
+        return pow_mod(a, n, self.modulus)
+
+    def norm(self, a: Polynomial) -> Element:
+        """The norm of a down to the coefficient field."""
+        return Element(self.base, self._norm(a))
+
+    def is_square(self, a: Polynomial) -> bool:
+        return is_square(Element(self, a))
+
+    def sqrt(self, a: Polynomial) -> Polynomial:
+        """The square root smaller by sort_key (fields.sqrt)."""
+        return sqrt(Element(self, a)).val
 
     def min_poly(self, a: Polynomial) -> Polynomial:
         """Monic minimal polynomial of a over the coefficient field."""
         powers = []
-        t = self.one()
+        t = self._one_val()
         for _ in range(self.deg + 1):
             powers.append([t[i] for i in range(self.deg)])
             t = self.mul(t, a)

@@ -12,7 +12,7 @@ Artin-Schreier closure class c^3/alpha^2 (characteristic 2).
 from __future__ import annotations
 
 from .algebra import FieldError, Polynomial, RationalFunction, poly_factor
-from .function_field import Place, genus_of_cubic, valuation
+from .function_field import Place, genus_of_cubic
 from .models import CubicModel, RamificationReport, sorted_places
 from .quadratic import ASClass
 
@@ -123,7 +123,3 @@ def pole_orders_of_alpha(model: CubicModel, seed: int = 0, hints=None):
     if v_inf < 0:
         out[Place.infinity(model.base)] = -v_inf
     return out
-
-
-def valuation_of_alpha(model: CubicModel, place: Place) -> int:
-    return valuation(model.alpha, place)

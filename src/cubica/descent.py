@@ -287,14 +287,8 @@ def _mirror_function(par, ring, kappa_minus: Place, kappa_plus: Place):
     c0 = c0_rf.constant_value()
     c_target = canonical_square_const(c0)
     ratio = c_target / c0
-    g = sqrt(ratio) if field.order is not None else _sqrt_rational(ratio)
-    ell_elt = ell_elt * g
+    ell_elt = ell_elt * sqrt(ratio)
     return ell_elt, c_target
-
-
-def _sqrt_rational(e: Element) -> Element:
-    from .quadratic import _sqrt_const
-    return _sqrt_const(e)
 
 
 def _unit_form_case_2b(problem, par, ring, base_net, eta, deg_t) -> CubicModel:

@@ -82,9 +82,6 @@ class Divisor:
     def items(self):
         return sorted(self._m.items(), key=lambda t: t[0].sort_key())
 
-    def support(self):
-        return [p for p, _ in self.items()]
-
     @property
     def degree(self):
         return sum(p.degree * m for p, m in self._m.items())

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (Element, FieldError, Polynomial, RationalFunction,
-                      inverse_mod, poly_gcd, poly_xgcd)
+                      inverse_mod, poly_gcd, poly_xgcd, sqrt)
 from .algebra.linalg import kernel_basis
 
 
@@ -176,9 +176,6 @@ class MumfordClass:
 
     def degree_check(self):
         return self.u.degree + self.n_plus + self.n_minus
-
-    def affine_degree(self):
-        return self.u.degree
 
 
 def identity_class(curve: SplitCurve) -> MumfordClass:
@@ -577,17 +574,9 @@ def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     if not rem.is_constant():
         raise ArithmeticError("even-model reduction failed")
     val = rem.constant_coeff()
-    b0 = _const_sqrt(field, val)
+    b0 = sqrt(val)
     for cand in (b0, -b0):
         candidate = MumfordClass(u_s, Polynomial.constant(field, cand), -1, -1)
         if classes_equal(curve, D, candidate):
             return candidate
     raise ArithmeticError("no matching square root for the symmetric form")
-
-
-def _const_sqrt(field, val: Element) -> Element:
-    if field.order is not None:
-        from .algebra import sqrt
-        return sqrt(val)
-    from .quadratic import _sqrt_const
-    return _sqrt_const(val)

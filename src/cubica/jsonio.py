@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       QuadraticField, QQ, RationalFunction)
-from .function_field import Divisor, Place
+from .function_field import Place
 from .models import CubicModel, RamificationReport
 from .quadratic import QuadraticModel
 
@@ -135,10 +135,6 @@ def decode_places(field, data, seed=0) -> list:
     if not isinstance(data, list):
         raise SchemaError("places must be a list")
     return [decode_place(field, d, seed=seed) for d in data]
-
-
-def encode_divisor(d: Divisor) -> list:
-    return [{"place": encode_place(p), "mult": m} for p, m in d.items()]
 
 
 def encode_quadratic_model(m: QuadraticModel) -> dict:

@@ -13,15 +13,16 @@ Three constructions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import (Element, FieldError, FunctionField, Polynomial,
-                      QQ, RationalFunction, poly_gcd)
+                      QQ, RationalFunction, inverse_mod, is_square, poly_gcd,
+                      sqrt)
 from .algebra.linalg import kernel_basis
 from .hyper import (MumfordClass, SplitCurve, canonicalize_prym,
                     mumford_scalar, point_minus_i_point)
-from .quadratic import canonical_square_const, _sqrt_const
-from .algebra import sqrt as field_sqrt
+from .quadratic import canonical_square_const
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +39,6 @@ class Genus1Family:
     Z_rhs: Polynomial          # t^2 = s(s^6 - lam s^3 + 1)
     Y_rhs: Polynomial          # v^2 = (u^2 - 4)(u^3 - 3u - lam)
     X_rhs: Polynomial          # y^2 = (x^2 - 4)(x - lam)
-
-    def psi_u(self):
-        """u = s + 1/s."""
-        field = self.field
-        s = Polynomial.x(field)
-        return RationalFunction(s * s + 1, s)
-
-    def phi_x(self):
-        """x = u^3 - 3u."""
-        field = self.field
-        u = Polynomial.x(field)
-        return RationalFunction(u ** 3 - 3 * u)
 
 
 def genus1_parshin(lam: Element) -> Genus1Family:
@@ -114,9 +103,9 @@ def genus1_sample_check(fam: Genus1Family, extension=None, count=20):
         if s0.is_zero():
             continue
         z_val = _eval_into(fam.Z_rhs, field, s0)
-        if not _is_square_in(field, z_val):
+        if not is_square(z_val):
             continue
-        t0 = field_sqrt(z_val)
+        t0 = sqrt(z_val)
         u0 = s0 + s0.inverse()
         v_den = u0
         if v_den.is_zero():
@@ -139,11 +128,6 @@ def _eval_into(poly: Polynomial, field, value: Element) -> Element:
     for c in reversed(poly.coeffs):
         acc = acc * value + field(c.val)
     return acc
-
-
-def _is_square_in(field, e: Element) -> bool:
-    from .algebra import is_square
-    return is_square(e)
 
 
 def phi_fibre_size(fam: Genus1Family, x0: Element) -> int:
@@ -236,8 +220,6 @@ class CurvePoint:
     x: Element
     y: Element
 
-    def pair(self):
-        return (self.x, self.y)
 
 
 @dataclass
@@ -260,13 +242,10 @@ def find_Ptilde(curve: SplitCurve, threeE: MumfordClass):
     if u.degree != 2 or not u[1].is_zero() or not v.is_constant():
         raise FieldError("class is not in symmetric anti-invariant form")
     a = -u[0]
-    if field.order is not None:
-        from .algebra import is_square
-        if not is_square(a):
-            raise FieldError("branch point is not rational (x-coordinate)")
-        rho = field_sqrt(a)
-    else:
-        rho = _sqrt_const(a)   # raises on a rationality obstruction
+    # over Q a non-square raises "constant is not a rational square"
+    if field.order is not None and not is_square(a):
+        raise FieldError("branch point is not rational (x-coordinate)")
+    rho = sqrt(a)
     b = v.constant_coeff()
     cands = sorted([rho, -rho], key=lambda e: e.sort_key())
     points = [CurvePoint(r, -b) for r in cands]
@@ -413,7 +392,7 @@ def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, m):
     if U_R.degree > 0 and not poly_gcd(hq, U_R).is_one():
         raise ArithmeticError("residual locus meets the y-coefficient")
     if U_R.degree > 0:
-        V_R = (-hp * __inv_mod(hq, U_R)) % U_R
+        V_R = (-hp * inverse_mod(hq % U_R, U_R)) % U_R
     else:
         V_R = Polynomial.zero(field)
 
@@ -444,16 +423,11 @@ def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, m):
     # class constant over a finite field), with G rescaled accordingly
     lam_c = canonical_square_const(lam)
     ratio = lam / lam_c
-    nu = field_sqrt(ratio) if field.order is not None else _sqrt_const(ratio)
+    nu = sqrt(ratio)
     nu_inv = nu.inverse()
     gp, gq = gp * nu_inv, gq * nu_inv
     lam = lam_c
     return InterpolatedFunction(gp=gp, gq=gq, hp=hp, hq=hq, lam=lam)
-
-
-def __inv_mod(f, m):
-    from .algebra import inverse_mod
-    return inverse_mod(f % m, m)
 
 
 def _compose_neg(p: Polynomial) -> Polynomial:
@@ -509,9 +483,6 @@ class ParshinCover:
     Pt: CurvePoint
     threeE: MumfordClass
     f: InterpolatedFunction
-
-    def alpha_repr(self):
-        return self.A, self.B, self.C
 
 
 def _even_part(p: Polynomial) -> Polynomial:
@@ -599,12 +570,12 @@ def _normalize_presentation(field, A, B, C):
         den_lcm = 1
         for poly in (A, B, C):
             for c in poly.coeffs:
-                den_lcm = _lcm(den_lcm, c.val.denominator)
+                den_lcm = math.lcm(den_lcm, c.val.denominator)
         A, B, C = (A * den_lcm, B * den_lcm, C * den_lcm)
         content = 0
         for poly in (A, B, C):
             for c in poly.coeffs:
-                content = _gcd(content, abs(c.val.numerator))
+                content = math.gcd(content, c.val.numerator)
         if content > 1:
             inv = Fraction(1, content)
             A, B, C = A * inv, B * inv, C * inv
@@ -617,16 +588,6 @@ def _normalize_presentation(field, A, B, C):
         lc = C.leading().inverse()
         A, B, C = A * lc, B * lc, C * lc
     return A, B, C
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 def verify_parshin_cover(cover: ParshinCover):
@@ -681,10 +642,7 @@ def _orders_on_x(field, X_rhs, A, B, C, x0):
     rhs_val = X_rhs.evaluate(x0)
     if rhs_val.is_zero():
         raise ArithmeticError("pole at a Weierstrass point is unexpected here")
-    if field.order is None:
-        y0 = _sqrt_const(rhs_val)
-    else:
-        y0 = field_sqrt(rhs_val)
+    y0 = sqrt(rhs_val)
     out = []
     prec = C.degree + 4
     from .hyper import _series_sqrt

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Element, FieldError, Polynomial, QuadraticField,
-                      RationalFunction, ResidueField, is_square,
-                      poly_factor, smallest_nonsquare, sqrt,
-                      squarefree_decomposition)
+from .algebra import (Element, FieldError, Polynomial, PrimeField,
+                      QuadraticField, RationalFunction, ResidueField,
+                      is_square, poly_factor, smallest_nonsquare, sqrt,
+                      squarefree_decomposition, trace_to_f2)
 from .algebra.quadring import ConstantRing, KummerRing
 from .function_field import Place
 from .models import CubicModel
@@ -110,9 +110,6 @@ class SquareClass:
     def __hash__(self):
         return hash((self.const._hash_val(), hash(self.poly)))
 
-    def representative(self) -> RationalFunction:
-        return RationalFunction(self.poly) * self.const
-
     def is_constant_class(self) -> bool:
         return self.poly.is_one()
 
@@ -123,24 +120,6 @@ class SquareClass:
 # ---------------------------------------------------------------------------
 # Artin-Schreier classes (characteristic 2)
 # ---------------------------------------------------------------------------
-
-
-def trace_to_f2(c: Element) -> int:
-    """Absolute trace of a char-2 finite-field constant down to F_2."""
-    field = c.field
-    if field.char != 2 or field.order is None:
-        raise FieldError("trace_to_f2 needs a finite field of characteristic 2")
-    k = field.order.bit_length() - 1
-    acc = field.zero
-    t = c
-    for _ in range(k):
-        acc = acc + t
-        t = t * t
-    return 0 if acc.is_zero() else 1
-
-
-def field_sqrt_char2(c: Element) -> Element:
-    return c ** (c.field.order // 2) if c.field.order > 2 else c
 
 
 def nonsplit_as_constant(field) -> Element:
@@ -223,10 +202,7 @@ class ASClass:
         if den_bar.is_zero():
             return "ramified"
         val = R.div(R(g.num), den_bar)
-        return "split" if R.trace_to_f2(val) == 0 else "inert"
-
-    def representative(self) -> RationalFunction:
-        return self.gamma
+        return "split" if trace_to_f2(Element(R, val)) == 0 else "inert"
 
     def __repr__(self):
         return f"asclass({self.gamma!r})"
@@ -267,7 +243,7 @@ def _as_reduce(gamma: RationalFunction, seed: int = 0) -> RationalFunction:
         d = polypart.degree
         if d <= 0 or d % 2 == 1:
             break
-        s = field_sqrt_char2(polypart.leading())
+        s = sqrt(polypart.leading())
         h = RationalFunction(Polynomial(field, [field.zero] * (d // 2) + [s]))
         gamma = gamma - (h * h + h)
     # constant normalization
@@ -329,7 +305,7 @@ class QuadraticModel:
                 for _, m in squarefree_decomposition(f):
                     if m > 1:
                         raise FieldError("f must be squarefree")
-            if f.degree == 0 and (field.order is not None) and is_square(f.constant_coeff()):
+            if f.degree == 0 and is_square(f.constant_coeff()):
                 raise FieldError("constant extension needs a non-square")
         elif kind == "artin_schreier":
             if field.char != 2:
@@ -402,9 +378,7 @@ class QuadraticModel:
         if place.infinite:
             if f.degree % 2 == 1:
                 return RAMIFIED
-            lc = f.leading()
-            square = is_square(lc) if self.field.order is not None else _is_square_q(lc)
-            return SPLIT if square else INERT
+            return SPLIT if is_square(f.leading()) else INERT
         R = ResidueField(place.poly, check=False)
         fbar = R(f)
         if fbar.is_zero():
@@ -420,7 +394,7 @@ class QuadraticModel:
         if kind != SPLIT or self.kind == "artin_schreier":
             return SplittingResult(kind)
         if place.infinite:
-            r = _sqrt_const(self.f.leading())
+            r = sqrt(self.f.leading())
             return SplittingResult(SPLIT, rho_minus=r, rho_plus=-r)
         R = ResidueField(place.poly, check=False)
         r = R.sqrt(R(self.f))
@@ -452,32 +426,6 @@ class QuadraticModel:
         if self.kind == "kummer":
             return f"y^2 = {self.f!r}"
         return f"y^2 + y = {self.gamma!r}"
-
-
-def _is_square_q(c: Element) -> bool:
-    v = c.val
-    n, d = v.numerator, v.denominator
-    return _isqrt_exact(n) is not None and _isqrt_exact(d) is not None
-
-
-def _isqrt_exact(n: int):
-    import math
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _sqrt_const(c: Element) -> Element:
-    field = c.field
-    if field.order is not None:
-        return sqrt(c)
-    v = c.val
-    rn = _isqrt_exact(v.numerator)
-    rd = _isqrt_exact(v.denominator)
-    if rn is None or rd is None:
-        raise FieldError("constant is not a rational square")
-    return field(Fraction(rn, rd))
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +480,9 @@ class ConicParametrization:
             self.Y = RationalFunction(x)
             self.sigma = Moebius(-field.one, field.zero, field.zero, field.one)
             self.m_expr = self.ring.gen()
-        elif _lc_is_square(f):
+        elif is_square(f.leading()):
             # m = y - s x with s^2 = lc(f); x = (f0 - m^2)/(2 s m - f1)
-            s = _sqrt_const(f.leading())
+            s = sqrt(f.leading())
             f1, f0 = f[1], f[0]
             two_s = field(2) * s
             self.X = RationalFunction(-(x * x) + f0, Polynomial(field, [-f1, two_s]))
@@ -629,18 +577,11 @@ class ConicParametrization:
             # c m^2 + (d - a) m - b = 0
             a, b, c, d = s.a, s.b, s.c, s.d
             disc = (d - a) * (d - a) + field(4) * c * b
-            if self.field.order is not None:
-                if is_square(disc):
-                    r = sqrt(disc)
-                    for sgn in (r, -r):
-                        v = (a - d + sgn) / (field(2) * c)
-                        out.append((v, _value_at(self.X, v)))
-            else:
-                if _is_square_q(disc):
-                    r = _sqrt_const(disc)
-                    for sgn in (r, -r):
-                        v = (a - d + sgn) / (field(2) * c)
-                        out.append((v, _value_at(self.X, v)))
+            if is_square(disc):
+                r = sqrt(disc)
+                for sgn in (r, -r):
+                    v = (a - d + sgn) / (field(2) * c)
+                    out.append((v, _value_at(self.X, v)))
         return out
 
     def upstairs_place(self, place: Place, rho):
@@ -697,13 +638,6 @@ class ConicParametrization:
         return Place.finite(Polynomial(self.field, [-v, self.field.one]), check=False)
 
 
-def _lc_is_square(f: Polynomial) -> bool:
-    lc = f.leading()
-    if f.field.order is None:
-        return _is_square_q(lc)
-    return is_square(lc)
-
-
 def _factor_quadratic_over_q(den: Polynomial):
     """Factor a polynomial of degree <= 2 over Q by the quadratic formula."""
     field = den.field
@@ -711,8 +645,8 @@ def _factor_quadratic_over_q(den: Polynomial):
         return [(den.monic(), 1)]
     a, b, c = den[2], den[1], den[0]
     disc = b * b - field(4) * a * c
-    if _is_square_q(disc):
-        r = _sqrt_const(disc)
+    if is_square(disc):
+        r = sqrt(disc)
         m1 = (-b + r) / (field(2) * a)
         m2 = (-b - r) / (field(2) * a)
         if m1 == m2:
@@ -759,6 +693,8 @@ class ConstantParametrization:
         field = model.field
         self.model = model
         self.field = field
+        if not isinstance(field, PrimeField):
+            raise FieldError("quadratic extensions are only built over prime fields")
         d = model.f.constant_coeff()
         self.d = d
         a, b = _quadratic_ext_params(field)

@@ -1,14 +1,16 @@
 """Field, polynomial and residue-field arithmetic against brute-force oracles."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from cubica.algebra import (FunctionField, Polynomial, PrimeField, QQ,
                             QuadraticField, RationalFunction, ResidueField,
-                            is_irreducible, is_square, poly_factor, poly_gcd,
-                            smallest_nonsquare, sqrt, squarefree_decomposition)
+                            FieldError, is_irreducible, is_square, poly_factor,
+                            poly_gcd, smallest_nonsquare, sqrt,
+                            squarefree_decomposition, trace_to_f2)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -274,7 +276,7 @@ def test_residue_norm_criterion_matches_euler(p, deg):
 def test_residue_nonsquare_is_the_full_scan_element(p, deg):
     rng = random.Random(f"residue-nonsquare:{p}:{deg}")
     R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
-    assert R._smallest_nonsquare() == full_scan_nonsquare_residue(R)
+    assert smallest_nonsquare(R).val == full_scan_nonsquare_residue(R)
 
 
 @pytest.mark.parametrize("p,deg", RESIDUE_CASES)
@@ -309,6 +311,59 @@ def test_quadratic_field_norm_criterion(p):
         r = sqrt(sq)
         assert r * r == sq
         assert r.sort_key() <= (-r).sort_key()
+
+
+# -- one is_square / sqrt / trace_to_f2 for every kind of field -----------------
+
+
+def residue_field(p, coeffs):
+    F = PrimeField(p)
+    return ResidueField(Polynomial(F, [F(c) for c in coeffs]))
+
+
+FIELD_KINDS = {
+    "F2": PrimeField(2),
+    "F5": F5,
+    "F13": PrimeField(13),
+    "F4": QuadraticField(PrimeField(2), 1, 1),
+    "F25": QuadraticField(F5, 0, 2),
+    "F7[x]/(x-3)": residue_field(7, [-3, 1]),
+    "F5[x]/(x^2+2)": residue_field(5, [2, 0, 1]),
+    "F13[x]/(x^3-2)": residue_field(13, [-2, 0, 0, 1]),
+    "F2[x]/(x^3+x+1)": residue_field(2, [1, 1, 0, 1]),
+    "Q": QQ,
+}
+
+
+def sample_elements(name, field):
+    if field is QQ:
+        return [QQ(Fraction(n, d)) for n, d in ((0, 1), (1, 1), (-3, 2), (12, 35))]
+    elements = list(field.elements())
+    if len(elements) > 40:
+        elements = random.Random(f"field-kinds:{name}").sample(elements, 40)
+    return elements
+
+
+@pytest.mark.parametrize("name", list(FIELD_KINDS))
+def test_square_root_and_trace_on_every_field_kind(name):
+    field = FIELD_KINDS[name]
+    for b in sample_elements(name, field):
+        sq = b * b
+        assert is_square(sq)
+        r = sqrt(sq)
+        assert r in (b, -b)
+        assert r.sort_key() <= (-r).sort_key()
+        if field.char != 2:
+            with pytest.raises(FieldError):
+                trace_to_f2(b)
+            continue
+        # the sum of the Frobenius powers b^(2^i), 2^i < |field|
+        acc, t = b, b
+        for _ in range(field.order.bit_length() - 2):
+            t = t * t
+            acc = acc + t
+        assert acc.is_zero() or acc.is_one()
+        assert trace_to_f2(b) == (0 if acc.is_zero() else 1)
 
 
 # -- the hash/eq contract across equal field instances --------------------------

@@ -116,6 +116,10 @@ def test_schema_errors_exit_2(capsys):
     assert main(["descend", "--field", "5", "--closure", '{"kummer": ["2"]}',
                  "--places", '[{"poly": ["4", "0", "1"]}]']) == 2  # x^2-1 reducible
     capsys.readouterr()
+    # a square constant gives no quadratic extension, over Q as over F_p
+    assert main(["descend", "--field", "Q", "--closure", '{"kummer": ["4"]}',
+                 "--places", '[{"inf": true}]']) == 2
+    assert "non-square" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_1(capsys):

@@ -1,0 +1,52 @@
+"""Every function, method and class defined in `src/cubica` is named again
+somewhere in `src/`, `tests/` or `perfbench/`.
+
+A definition counts as used when its name occurs in that code as a name, an
+attribute, an imported name or a string constant (for lookups by name);
+only the definition itself does not count.  Dunder methods are called by
+Python and are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cubica"
+SEARCHED = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+
+
+def _definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_is_named_again():
+    refs = Counter()
+    for base in SEARCHED:
+        for path in base.rglob("*.py"):
+            refs.update(_references(ast.parse(path.read_text(), str(path))))
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, line in _definitions(tree):
+            if not refs[name]:
+                unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not unused, "defined but never named again:\n" + "\n".join(unused)

@@ -134,8 +134,8 @@ def test_interpolate_f_swapped_orbit():
     f = interpolate_f(W, Qt, Pt)
     f_swapped = interpolate_f(W, iQt, iPt)
     prod = f.lam * f_swapped.lam
-    from cubica.quadratic import _is_square_q
-    assert _is_square_q(prod)
+    from cubica.algebra import is_square
+    assert is_square(prod)
 
 
 def test_parshin_cover_golden():

@@ -11,7 +11,7 @@ from cubica.models import CubicModel
 from cubica.quadratic import (ASClass, ConicParametrization, INF_MARK,
                               QuadraticModel, SPLIT, INERT, RAMIFIED,
                               SquareClass, classify, complementary,
-                              purely_cubic_closure, resolvent, trace_to_f2)
+                              purely_cubic_closure, resolvent)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -123,13 +123,24 @@ def test_negative_rational_is_not_a_square():
     ValueError."""
     from fractions import Fraction
 
-    from cubica.algebra import FieldError
-    from cubica.quadratic import _is_square_q, _isqrt_exact, _sqrt_const
-    assert _isqrt_exact(-4) is None and _isqrt_exact(9) == 3
-    assert not _is_square_q(QQ(Fraction(-9, 4)))
+    from cubica.algebra import FieldError, is_square, sqrt
+    assert not is_square(QQ(-4)) and sqrt(QQ(9)) == QQ(3)
+    assert not is_square(QQ(3)) and not is_square(QQ(Fraction(4, 3)))
+    assert not is_square(QQ(Fraction(-9, 4)))
     with pytest.raises(FieldError, match="not a rational square"):
-        _sqrt_const(QQ(Fraction(-9, 4)))
-    assert _sqrt_const(QQ(Fraction(9, 4))) == QQ(Fraction(3, 2))
+        sqrt(QQ(Fraction(-9, 4)))
+    assert sqrt(QQ(Fraction(9, 4))) == QQ(Fraction(3, 2))
+
+
+def test_constant_model_over_q():
+    """A square constant is refused; a non-square one is refused by
+    parametrize, both with the typed error."""
+    from cubica.algebra import FieldError
+    with pytest.raises(FieldError, match="needs a non-square"):
+        QuadraticModel.constant(QQ, QQ(4))
+    M = QuadraticModel.constant(QQ, QQ(2))
+    with pytest.raises(FieldError, match="prime fields"):
+        M.parametrize()
 
 
 # -- parametrization ------------------------------------------------------------------
@@ -302,6 +313,7 @@ def test_as_class_reduction_and_triviality():
 
 
 def test_trace_to_f2():
+    from cubica.algebra import trace_to_f2
     F2 = PrimeField(2)
     assert trace_to_f2(F2.one) == 1
     from cubica.algebra import QuadraticField
