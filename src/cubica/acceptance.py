@@ -20,8 +20,10 @@ from .catalog import (R322, R3322, R33, R332_CHAR2, R32_CHAR2, R33_PURE3,
 from .descent import (construct, enumerate_descents, make_problem,
                       serre_count)
 from .function_field import Place, divisor_of
-from .pure_cubic import count_pure, recursion_iterate, recursion_pair
-from .quadratic import QuadraticModel, purely_cubic_closure
+from .pure_cubic import (count_pure, recursion_iterate, recursion_pair,
+                         smallest_irreducible)
+from .quadratic import (QuadraticModel, canonical_quadratic_field,
+                        purely_cubic_closure)
 
 
 @dataclass
@@ -93,15 +95,7 @@ def closure_menu(field):
     from .algebra import smallest_nonsquare
     x = Polynomial.x(field)
     eps = smallest_nonsquare(field)
-    irr = None
-    for b in field.elements():
-        for a in field.elements():
-            cand = x * x + a * x + b
-            if is_irreducible(cand):
-                irr = cand
-                break
-        if irr is not None:
-            break
+    irr = smallest_irreducible(field, 2)
     return [
         QuadraticModel.constant(field, eps),
         QuadraticModel.kummer(x),
@@ -329,9 +323,7 @@ def criterion_property_suite():
                                           37, 41, 43, 47)]
         fields.append(QuadraticField(PrimeField(2), 1, 1))
         fields.append(QuadraticField(PrimeField(5), 0, 2))
-        from .quadratic import _quadratic_ext_params
-        a7, b7 = _quadratic_ext_params(PrimeField(7))
-        fields.append(QuadraticField(PrimeField(7), a7, b7))
+        fields.append(canonical_quadratic_field(PrimeField(7)))
         for fld in fields:
             squares = {(e * e)._hash_val() for e in fld.elements()}
             for e in fld.elements():

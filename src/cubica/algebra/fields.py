@@ -10,9 +10,12 @@ The descriptors share one payload protocol: ``_add``, ``_sub``, ``_mul``,
 ``_neg``, ``_inv``, ``_zero_val``, ``_one_val``, ``sort_key``, ``char`` and
 ``order``; a finite field also has ``elements()`` in its canonical order and
 its degree ``deg`` over ``base``, and an extension ``_norm`` down to
-``base``.  ``residue.ResidueField`` follows it too, so ``is_square``,
-``sqrt``, ``smallest_nonsquare`` and ``trace_to_f2`` below serve every field
-of the library.  Over Q squares are decided by exact integer square roots
+``base``.  Every field, ``residue.ResidueField`` included, also has
+``zero``, ``one``, ``__eq__``/``__hash__`` by value and a ``__call__`` that
+returns an ``Element``, so elements of all of them compute, compare and
+serve as polynomial coefficients alike, and ``is_square``, ``sqrt``,
+``smallest_nonsquare`` and ``trace_to_f2`` below serve every field of the
+library.  Over Q squares are decided by exact integer square roots
 of numerator and denominator.
 """
 

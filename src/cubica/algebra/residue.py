@@ -1,25 +1,24 @@
-"""Residue fields k[x]/(m) for irreducible m, with the element operations
-needed by splitting tests: inverses, powers, norms, square tests, square
-roots and minimal polynomials over k.
+"""Residue fields k[x]/(m) for irreducible m.
 
-A ResidueField follows the payload protocol of the fields in ``.fields``
-(``_add``/``_mul``/``_inv``/``_norm``/``elements``/``order``/...) with the
-reduced Polynomial as payload, so ``fields.is_square``, ``sqrt``,
-``smallest_nonsquare`` and ``trace_to_f2`` serve it through
-``Element(R, a)``; its own methods take and return Polynomials.
+A ResidueField is a field like those in ``.fields``: ``R(v)`` returns an
+``Element`` whose payload is the Polynomial v reduced mod m, elements
+compute with the ``Element`` operators, and ``fields.is_square``, ``sqrt``,
+``smallest_nonsquare`` and ``trace_to_f2`` serve it through the payload
+protocol (``_add``/``_mul``/``_inv``/``_norm``/``elements``/``order``/...).
+``norm`` and ``min_poly`` take an Element and descend to k.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .fields import Element, FieldError, is_square, sqrt
+from .fields import Element, FieldError, sqrt
 from .linalg import min_poly_of_powers
-from .poly import Polynomial, inverse_mod, pow_mod
+from .poly import Polynomial, inverse_mod
 
 
 class ResidueField:
-    """F_q[x]/(m) (or Q[x]/(m)); elements are polynomials reduced mod m.
+    """F_q[x]/(m) (or Q[x]/(m)); payload: a polynomial reduced mod m.
 
     The modulus must be irreducible for this to be a field; pass check=False
     only for moduli already certified elsewhere (e.g. place polynomials)."""
@@ -39,14 +38,22 @@ class ResidueField:
         else:
             self.order = None
         self.char = self.base.char
+        self._hash = hash(("Res", self.modulus))
+        self.zero = Element(self, Polynomial.zero(self.base))
+        self.one = Element(self, Polynomial.one(self.base))
 
-    def __call__(self, f) -> Polynomial:
-        if not isinstance(f, Polynomial):
-            f = Polynomial.constant(self.base, self.base(f))
-        return f % self.modulus
+    def __call__(self, v) -> Element:
+        if isinstance(v, Element) and v.field == self:
+            return v
+        if not isinstance(v, Polynomial):
+            v = Polynomial.constant(self.base, self.base(v))
+        return Element(self, v % self.modulus)
 
-    def xbar(self) -> Polynomial:
-        return self(Polynomial.x(self.base))
+    def __eq__(self, other):
+        return isinstance(other, ResidueField) and other.modulus == self.modulus
+
+    def __hash__(self):
+        return self._hash
 
     # -- payload protocol ------------------------------------------------------
 
@@ -103,35 +110,19 @@ class ResidueField:
     def format_element(self, a):
         return repr(a)
 
-    # -- Polynomial in, Polynomial out -----------------------------------------
+    def norm(self, e: Element) -> Element:
+        """The norm of e down to the coefficient field."""
+        return Element(self.base, self._norm(e.val))
 
-    add, mul, neg = _add, _mul, _neg
+    def sqrt(self, e: Element) -> Element:
+        return sqrt(e)
 
-    def div(self, a, b):
-        return self._mul(a, self._inv(b))
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self._inv(a), -n)
-        return pow_mod(a, n, self.modulus)
-
-    def norm(self, a: Polynomial) -> Element:
-        """The norm of a down to the coefficient field."""
-        return Element(self.base, self._norm(a))
-
-    def is_square(self, a: Polynomial) -> bool:
-        return is_square(Element(self, a))
-
-    def sqrt(self, a: Polynomial) -> Polynomial:
-        """The square root smaller by sort_key (fields.sqrt)."""
-        return sqrt(Element(self, a)).val
-
-    def min_poly(self, a: Polynomial) -> Polynomial:
-        """Monic minimal polynomial of a over the coefficient field."""
+    def min_poly(self, e: Element) -> Polynomial:
+        """Monic minimal polynomial of e over the coefficient field."""
         powers = []
-        t = self._one_val()
+        t = self.one
         for _ in range(self.deg + 1):
-            powers.append([t[i] for i in range(self.deg)])
-            t = self.mul(t, a)
+            powers.append([t.val[i] for i in range(self.deg)])
+            t = t * e
         coeffs = min_poly_of_powers(powers, self.base)
         return Polynomial(self.base, coeffs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .algebra import (FieldError, Polynomial, RationalFunction,
                       is_irreducible, smallest_nonsquare)
 from .models import CubicModel
-from .pure_cubic import bitwist_reps_deg3
+from .pure_cubic import bitwist_reps_deg3, smallest_irreducible
 from .quadratic import nonsplit_as_constant
 
 R33 = "R33"
@@ -129,7 +129,7 @@ def enumerate_classes(tag: str, field) -> list:
         if field.char == 2:
             a0 = nonsplit_as_constant(field)
             return [trivial, family_member(R33_CHAR2_AS, field, a=a0.val)]
-        a, b = _smallest_irreducible_quadratic(field)
+        b, a, _ = smallest_irreducible(field, 2).coeffs
         return [trivial, family_member(R33, field, a=a.val, b=b.val)]
     if tag == R33_CHAR2_AS:
         return enumerate_classes(R33, field)
@@ -161,15 +161,6 @@ def enumerate_classes(tag: str, field) -> list:
                                          lam=lam.val, a=a.val))
         return out
     raise FieldError(f"no class enumeration for {tag!r}")
-
-
-def _smallest_irreducible_quadratic(field):
-    for b in field.elements():
-        for a in field.elements():
-            x = Polynomial.x(field)
-            if is_irreducible(x * x + a * x + b):
-                return a, b
-    raise FieldError("no irreducible quadratic found")
 
 
 def expected_signature(tag: str):

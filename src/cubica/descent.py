@@ -83,9 +83,7 @@ def make_problem(closure: QuadraticModel, places, signs=None,
     choices = []
     for p, s in zip(places, signs):
         rho = closure.canonical_rho(p)
-        if s < 0:
-            rho = closure.other_rho(p, rho)
-        choices.append(UpstairsChoice(p, rho))
+        choices.append(UpstairsChoice(p, rho if s > 0 else -rho))
     return DescentProblem(closure, choices, twist=twist)
 
 

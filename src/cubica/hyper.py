@@ -399,14 +399,9 @@ def _normalize_bundles(curve: SplitCurve, bundles):
                 break
     # merge identical (u, v)
     merged = {}
-    order = []
     for u, v, m in work:
-        key = (hash(u), hash(v))
-        if key not in merged:
-            merged[key] = [u, v, 0]
-            order.append(key)
-        merged[key][2] += m
-    return [tuple(merged[k]) for k in order if merged[k][2] != 0]
+        merged[u, v] = merged.get((u, v), 0) + m
+    return [(u, v, m) for (u, v), m in merged.items() if m != 0]
 
 
 @dataclass
@@ -435,6 +430,23 @@ def divisor_difference(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) ->
         bundles.append((D2.u, D2.v, -1))
     return WDivisor(_normalize_bundles(curve, bundles),
                     D1.n_plus - D2.n_plus, D1.n_minus - D2.n_minus)
+
+
+def coeff_vec(poly_for_a, poly_for_b, modulus, na, nb, cols):
+    """Rows of the conditions A*a + B*b = 0 mod modulus on a = sum a_i x^i
+    (i <= na) and b = sum b_i x^i (i <= nb), for A = poly_for_a and
+    B = poly_for_b: one row per x^d below deg modulus, columns a_i then b_i."""
+    field = modulus.field
+    rows = [[field.zero] * cols for _ in range(modulus.degree)]
+    for i in range(na + 1):
+        rem = (Polynomial(field, [field.zero] * i + [field.one]) * poly_for_a) % modulus
+        for d in range(modulus.degree):
+            rows[d][i] = rem[d]
+    for i in range(nb + 1):
+        rem = (Polynomial(field, [field.zero] * i + [field.one]) * poly_for_b) % modulus
+        for d in range(modulus.degree):
+            rows[d][na + 1 + i] = rem[d]
+    return rows
 
 
 def rr_space(curve: SplitCurve, div: WDivisor):
@@ -468,19 +480,6 @@ def rr_space(curve: SplitCurve, div: WDivisor):
     if cols <= 0:
         return []
 
-    def coeff_vec(poly_for_a, poly_for_b, modulus):
-        """Row entries of (a + b*V) mod modulus per basis monomial."""
-        rows = [[field.zero] * cols for _ in range(modulus.degree)]
-        for i in range(na + 1):
-            rem = (Polynomial(field, [field.zero] * i + [field.one]) * poly_for_a) % modulus
-            for d in range(modulus.degree):
-                rows[d][i] = rem[d]
-        for i in range(nb + 1 if nb >= 0 else 0):
-            rem = (Polynomial(field, [field.zero] * i + [field.one]) * poly_for_b) % modulus
-            for d in range(modulus.degree):
-                rows[d][na + 1 + i] = rem[d]
-        return rows
-
     rows = []
     one = Polynomial.one(field)
     for u, v, m in bundles:
@@ -493,15 +492,17 @@ def rr_space(curve: SplitCurve, div: WDivisor):
             ka = (k + 1) // 2
             kb = k // 2
             if ka > 0:
-                rows += coeff_vec(one, Polynomial.zero(field), u ** ka)
+                rows += coeff_vec(one, Polynomial.zero(field), u ** ka,
+                                  na, nb, cols)
             if kb > 0:
-                rows += coeff_vec(Polynomial.zero(field), one, u ** kb)
+                rows += coeff_vec(Polynomial.zero(field), one, u ** kb,
+                                  na, nb, cols)
             continue
         k = max(m, 0) + conj_mult(u, v) - m
         if k <= 0:
             continue
         vlift = curve.hensel_v(u, v, k)
-        rows += coeff_vec(one, vlift, u ** k)
+        rows += coeff_vec(one, vlift, u ** k, na, nb, cols)
     # infinity conditions
     for sign, weight in ((1, div.n_plus), (-1, div.n_minus)):
         w = -weight - den.degree

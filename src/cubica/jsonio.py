@@ -12,7 +12,7 @@ from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       QuadraticField, QQ, RationalFunction)
 from .function_field import Place
 from .models import CubicModel, RamificationReport
-from .quadratic import QuadraticModel
+from .quadratic import QuadraticModel, canonical_quadratic_field
 
 
 class SchemaError(ValueError):
@@ -35,17 +35,10 @@ def field_from_spec(spec) -> object:
             p, e = text.split("^")
             if int(e) != 2:
                 raise SchemaError("only quadratic extension fields are supported")
-            return _canonical_quadratic_field(int(p))
+            return canonical_quadratic_field(PrimeField(int(p)))
         return PrimeField(int(text))
     except (ValueError, FieldError) as exc:
         raise SchemaError(f"bad field spec: {exc}")
-
-
-def _canonical_quadratic_field(p: int) -> QuadraticField:
-    from .quadratic import _quadratic_ext_params
-    base = PrimeField(p)
-    a, b = _quadratic_ext_params(base)
-    return QuadraticField(base, a, b)
 
 
 def encode_element(e: Element) -> str:

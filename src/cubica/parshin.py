@@ -20,7 +20,7 @@ from .algebra import (Element, FieldError, FunctionField, Polynomial,
                       QQ, RationalFunction, inverse_mod, is_square, poly_gcd,
                       sqrt)
 from .algebra.linalg import kernel_basis
-from .hyper import (MumfordClass, SplitCurve, canonicalize_prym,
+from .hyper import (MumfordClass, SplitCurve, canonicalize_prym, coeff_vec,
                     mumford_scalar, point_minus_i_point)
 from .quadratic import canonical_square_const
 
@@ -290,20 +290,6 @@ def _point_conditions(curve, pt: CurvePoint, order, na, nb, cols):
     return rows
 
 
-def _modular_conditions(field, U, V, na, nb, cols):
-    """Rows forcing (a + b V) = 0 mod U."""
-    rows = [[field.zero] * cols for _ in range(U.degree)]
-    for i in range(na + 1):
-        rem = Polynomial(field, [field.zero] * i + [field.one]) % U
-        for d in range(U.degree):
-            rows[d][i] = rem[d]
-    for i in range(nb + 1):
-        rem = (Polynomial(field, [field.zero] * i + [field.one]) * V) % U
-        for d in range(U.degree):
-            rows[d][na + 1 + i] = rem[d]
-    return rows
-
-
 def _infinity_order(curve: SplitCurve, p: Polynomial, q: Polynomial, sign: int):
     """ord at inf+- of p + q y (scan the Laurent expansion downward)."""
     floor = -(max(p.degree, q.degree + curve.g + 1, 0) + curve.F.degree + 2)
@@ -400,7 +386,7 @@ def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, m):
         rows = (_point_conditions(curve, iP, 1, na, nb, cols)
                 + _point_conditions(curve, iQ, 3, na, nb, cols))
         if U_R.degree > 0:
-            rows += _modular_conditions(field, U_R, V_R, na, nb, cols)
+            rows += coeff_vec(Polynomial.one(field), V_R, U_R, na, nb, cols)
         return rows
 
     kern, na, nb = _solve_span(curve, g_conditions, m)

@@ -144,10 +144,11 @@ def twists_pure(model: CubicModel) -> list:
     return [CubicModel.pure(model.beta * u) for u in cube_class_reps(model.base)]
 
 
-def _smallest_irreducible(field, degree: int) -> Polynomial:
-    from itertools import product as iproduct
+def smallest_irreducible(field, degree: int) -> Polynomial:
+    """The first monic irreducible polynomial of the degree, scanning its
+    lower coefficients in element order, the constant term slowest."""
     elems = list(field.elements())
-    for low in iproduct(elems, repeat=degree):
+    for low in product(elems, repeat=degree):
         p = Polynomial(field, list(low) + [field.one])
         if is_irreducible(p):
             return p
@@ -162,8 +163,8 @@ def bitwist_reps_deg3(field) -> list:
     x = Polynomial.x(field)
     shapes = [
         x * (x - 1),
-        x * _smallest_irreducible(field, 2),
-        _smallest_irreducible(field, 3),
+        x * smallest_irreducible(field, 2),
+        smallest_irreducible(field, 3),
     ]
     out = []
     for f in shapes:

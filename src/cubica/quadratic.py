@@ -201,8 +201,7 @@ class ASClass:
         den_bar = R(g.den)
         if den_bar.is_zero():
             return "ramified"
-        val = R.div(R(g.num), den_bar)
-        return "split" if trace_to_f2(Element(R, val)) == 0 else "inert"
+        return "split" if trace_to_f2(R(g.num) / den_bar) == 0 else "inert"
 
     def __repr__(self):
         return f"asclass({self.gamma!r})"
@@ -224,12 +223,8 @@ def _as_reduce(gamma: RationalFunction, seed: int = 0) -> RationalFunction:
             m = mult // 2
             R = ResidueField(p, check=False)
             # leading coefficient of gamma at p: (gamma * p^(2m)) mod p
-            lead = R((gamma * RationalFunction(p ** (2 * m))).num) \
-                if (gamma * RationalFunction(p ** (2 * m))).den.is_one() else None
-            if lead is None:
-                scaled = gamma * RationalFunction(p ** (2 * m))
-                lead = R.div(R(scaled.num), R(scaled.den))
-            s = R.sqrt(lead)  # unique square root in char 2
+            scaled = gamma * RationalFunction(p ** (2 * m))
+            s = sqrt(R(scaled.num) / R(scaled.den)).val  # unique root in char 2
             h = RationalFunction(s, p ** m)
             gamma = gamma - (h * h + h)
             changed = True
@@ -278,7 +273,7 @@ RAMIFIED = "ramified"
 @dataclass(frozen=True)
 class SplittingResult:
     kind: str
-    rho_minus: object = None   # residue-field element (poly mod p) or Element at infinity
+    rho_minus: object = None   # Element of the residue field at p, or of k at infinity
     rho_plus: object = None
 
 
@@ -385,7 +380,7 @@ class QuadraticModel:
             return RAMIFIED
         if self.field.order is None:
             raise FieldError("splitting over Q requires caller-certified data")
-        return SPLIT if R.is_square(fbar) else INERT
+        return SPLIT if is_square(fbar) else INERT
 
     def splitting_type(self, place: Place) -> SplittingResult:
         """The splitting kind at place, with the two square roots rho of f
@@ -395,21 +390,15 @@ class QuadraticModel:
             return SplittingResult(kind)
         if place.infinite:
             r = sqrt(self.f.leading())
-            return SplittingResult(SPLIT, rho_minus=r, rho_plus=-r)
-        R = ResidueField(place.poly, check=False)
-        r = R.sqrt(R(self.f))
-        return SplittingResult(SPLIT, rho_minus=r, rho_plus=R.neg(r))
+        else:
+            r = sqrt(ResidueField(place.poly, check=False)(self.f))
+        return SplittingResult(SPLIT, rho_minus=r, rho_plus=-r)
 
     def canonical_rho(self, place: Place):
         res = self.splitting_type(place)
         if res.kind != SPLIT:
             raise FieldError(f"{place!r} does not split")
         return res.rho_minus
-
-    def other_rho(self, place: Place, rho):
-        if place.infinite or isinstance(rho, Element):
-            return -rho
-        return ResidueField(place.poly, check=False).neg(rho)
 
     # -- parametrization -----------------------------------------------------------
 
@@ -604,7 +593,7 @@ class ConicParametrization:
         if ad.is_zero() or bd.is_zero():
             # m has its single pole above this place; only possible in degree 1
             return self._upstairs_degree_one_special(place, rho)
-        mbar = R.add(R.div(R(a_num), ad), R.mul(R.div(R(b_num), bd), R(rho)))
+        mbar = R(a_num) / ad + R(b_num) / bd * rho
         mp = R.min_poly(mbar)
         if mp.degree != place.degree:
             raise ArithmeticError("residue of m does not generate the residue field")
@@ -618,8 +607,7 @@ class ConicParametrization:
         field = self.field
         x0 = -place.poly[0]
         y0 = -self.m_expr.a.num.evaluate(x0)
-        rho_c = rho.constant_coeff() if isinstance(rho, Polynomial) else rho
-        if rho_c == y0:
+        if rho.val.constant_coeff() == y0:
             # 0/0 at the center of projection: the tangent slope f'(x0)/(2 y0)
             val = self.model.f.derivative().evaluate(x0) / (field(2) * y0)
             return Place.finite(Polynomial(field, [-val, field.one]), check=False)
@@ -679,9 +667,9 @@ def _value_at_place(rf: RationalFunction, place: Place):
     den = R(rf.den)
     if den.is_zero():
         return None
-    val = R.div(R(rf.num), den)
+    val = R(rf.num) / den
     if place.degree == 1:
-        return val.constant_coeff() if not val.is_zero() else place.field.zero
+        return val.val.constant_coeff()
     return val
 
 
@@ -697,8 +685,7 @@ class ConstantParametrization:
             raise FieldError("quadratic extensions are only built over prime fields")
         d = model.f.constant_coeff()
         self.d = d
-        a, b = _quadratic_ext_params(field)
-        self.qfield = QuadraticField(field, a, b)
+        self.qfield = canonical_quadratic_field(field)
         self.ring = ConstantRing(self.qfield, d)
 
     def upstairs_place(self, place: Place, rho) -> Polynomial:
@@ -707,8 +694,8 @@ class ConstantParametrization:
         if place.infinite:
             raise FieldError("infinity is inert in a constant extension")
         q = self.qfield
-        pq = place.poly.map_coeffs(lambda c: q(c.val), q)
-        rho_lift = rho.map_coeffs(lambda c: q(c.val), q)
+        pq = place.poly.map_coeffs(q, q)
+        rho_lift = rho.val.map_coeffs(q, q)
         from .algebra.poly import poly_gcd
         g = poly_gcd(pq, rho_lift - Polynomial.constant(q, self.ring.root_d))
         if 2 * g.degree != place.degree:
@@ -732,18 +719,16 @@ class ArtinSchreierParametrization:
         self.sigma = Moebius(field.one, field.one, field.zero, field.one)
 
 
-def _quadratic_ext_params(field):
-    """Deterministic (a, b) with t^2 - a t - b irreducible over F_p."""
-    p = field.p
-    for a in range(p):
-        for b in range(p):
-            ok = True
-            for t in range(p):
-                if (t * t - a * t - b) % p == 0:
-                    ok = False
-                    break
-            if ok:
-                return a, b
+def canonical_quadratic_field(field: PrimeField) -> QuadraticField:
+    """F_p[t]/(t^2 - a t - b) for the first irreducible t^2 - a t - b, b
+    varying fastest: the F_{p^2} of a 'p^2' field spec and of a constant
+    extension."""
+    for a in range(field.p):
+        for b in range(field.p):
+            try:
+                return QuadraticField(field, a, b)
+            except FieldError:
+                pass
     raise FieldError("no irreducible quadratic found")
 
 

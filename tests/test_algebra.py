@@ -6,10 +6,11 @@ from itertools import product
 
 import pytest
 
-from cubica.algebra import (FunctionField, Polynomial, PrimeField, QQ,
-                            QuadraticField, RationalFunction, ResidueField,
-                            FieldError, is_irreducible, is_square, poly_factor,
-                            poly_gcd, smallest_nonsquare, sqrt,
+from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
+                            QuadraticField, RationalField, RationalFunction,
+                            ResidueField, FieldError, is_irreducible,
+                            is_square, poly_factor, poly_gcd, pow_mod,
+                            smallest_nonsquare, sqrt,
                             squarefree_decomposition, trace_to_f2)
 
 F5 = PrimeField(5)
@@ -160,13 +161,13 @@ def test_residue_field_ops():
     x = Polynomial.x(F5)
     R = ResidueField(x ** 2 + 2)
     # 2 is a square in F_25 (Euler: 2^12 = 1)
-    assert R.is_square(R(2))
-    r = R.sqrt(R(2))
-    assert R.mul(r, r) == R(2)
+    assert is_square(R(2))
+    r = sqrt(R(2))
+    assert r * r == R(2)
     # the residue xbar has xbar^2 = -2 = 3
-    xb = R.xbar()
-    assert R.mul(xb, xb) == R(3)
-    assert R.is_square(xb) == (R.pow(xb, 12).is_one())
+    xb = R(x)
+    assert xb * xb == R(3)
+    assert is_square(xb) == pow_mod(xb.val, 12, R.modulus).is_one()
     # evaluation residue field at x - 1 is F5 itself
     R1 = ResidueField(x - 1)
     assert R1.deg == 1 and R1.order == 5
@@ -175,7 +176,7 @@ def test_residue_field_ops():
 def test_residue_min_poly():
     x = Polynomial.x(F5)
     R = ResidueField(x ** 2 + 2)
-    xb = R.xbar()
+    xb = R(x)
     assert R.min_poly(xb) == x ** 2 + 2
     assert R.min_poly(R(3)) == x - 3
 
@@ -217,7 +218,7 @@ def test_rational_function_normalization():
 
 def euler_is_square_residue(R, a):
     """Reference: Euler's criterion a^((q^k - 1)/2) = 1 in F_q[x]/(m)."""
-    return a.is_zero() or R.pow(a, (R.order - 1) // 2).is_one()
+    return a.is_zero() or pow_mod(a.val, (R.order - 1) // 2, R.modulus).is_one()
 
 
 def euler_is_square(e):
@@ -229,7 +230,7 @@ def full_scan_nonsquare_residue(R):
     """Reference: the first non-square by Euler's criterion over every
     residue, constant coefficient varying fastest, constants included."""
     for coeffs in product(list(R.base.elements()), repeat=R.deg):
-        e = Polynomial(R.base, list(reversed(coeffs)))
+        e = R(Polynomial(R.base, list(reversed(coeffs))))
         if not e.is_zero() and not euler_is_square_residue(R, e):
             return e
 
@@ -250,7 +251,7 @@ def random_irreducible(field, deg, rng):
 
 
 def random_residue(R, rng):
-    return Polynomial(R.base, [rng.randrange(R.base.p) for _ in range(R.deg)])
+    return R(Polynomial(R.base, [rng.randrange(R.base.p) for _ in range(R.deg)]))
 
 
 RESIDUE_CASES = [(p, d) for p in (5, 7, 11, 13, 101, 257) for d in (1, 2, 3, 4)]
@@ -263,20 +264,20 @@ def test_residue_norm_criterion_matches_euler(p, deg):
     R = ResidueField(random_irreducible(field, deg, rng), check=False)
     for _ in range(10):
         a = random_residue(R, rng)
-        assert R.is_square(a) == euler_is_square_residue(R, a)
+        assert is_square(a) == euler_is_square_residue(R, a)
         # the square of a unit is a square; the norm is multiplicative
         b = random_residue(R, rng)
         if not b.is_zero():
-            sq = R.mul(b, b)
-            assert R.is_square(sq)
-            assert R.norm(R.mul(a, b)) == R.norm(a) * R.norm(b)
+            sq = b * b
+            assert is_square(sq)
+            assert R.norm(a * b) == R.norm(a) * R.norm(b)
 
 
 @pytest.mark.parametrize("p,deg", RESIDUE_CASES)
 def test_residue_nonsquare_is_the_full_scan_element(p, deg):
     rng = random.Random(f"residue-nonsquare:{p}:{deg}")
     R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
-    assert smallest_nonsquare(R).val == full_scan_nonsquare_residue(R)
+    assert smallest_nonsquare(R) == full_scan_nonsquare_residue(R)
 
 
 @pytest.mark.parametrize("p,deg", RESIDUE_CASES)
@@ -285,11 +286,11 @@ def test_residue_sqrt_is_the_smaller_root(p, deg):
     R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
     for _ in range(4):
         b = random_residue(R, rng)
-        a = R.mul(b, b)
-        r = R.sqrt(a)
-        assert R.mul(r, r) == a
-        assert r.sort_key() <= R.neg(r).sort_key()
-        assert r in (b, R.neg(b))
+        a = b * b
+        r = sqrt(a)
+        assert r * r == a
+        assert r.sort_key() <= (-r).sort_key()
+        assert r in (b, -b)
 
 
 def quadratic_field(p):
@@ -336,8 +337,8 @@ FIELD_KINDS = {
 
 
 def sample_elements(name, field):
-    if field is QQ:
-        return [QQ(Fraction(n, d)) for n, d in ((0, 1), (1, 1), (-3, 2), (12, 35))]
+    if field.order is None:
+        return [field(Fraction(n, d)) for n, d in ((0, 1), (1, 1), (-3, 2), (12, 35))]
     elements = list(field.elements())
     if len(elements) > 40:
         elements = random.Random(f"field-kinds:{name}").sample(elements, 40)
@@ -367,6 +368,37 @@ def test_square_root_and_trace_on_every_field_kind(name):
 
 
 # -- the hash/eq contract across equal field instances --------------------------
+
+
+PROTOCOL_FIELDS = {
+    "F5": lambda: PrimeField(5),
+    "F25": lambda: QuadraticField(PrimeField(5), 0, 2),
+    "F7[x]/(x-3)": lambda: residue_field(7, [-3, 1]),
+    "F5[x]/(x^2+2)": lambda: residue_field(5, [2, 0, 1]),
+    "F13[x]/(x^3-2)": lambda: residue_field(13, [-2, 0, 0, 1]),
+    "F2[x]/(x^3+x+1)": lambda: residue_field(2, [1, 1, 0, 1]),
+    "Q": RationalField,
+}
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL_FIELDS))
+def test_every_field_follows_the_element_protocol(name):
+    """Every field, residue fields included, returns Elements from F(v) that
+    compute with ints, hash and compare by value across equal instances, and
+    serve as polynomial coefficients."""
+    F, G = PROTOCOL_FIELDS[name](), PROTOCOL_FIELDS[name]()
+    assert F is not G and F == G and hash(F) == hash(G)
+    assert isinstance(F(1), Element)
+    assert F.zero + 1 == F.one
+    for a, b in zip(sample_elements(name, F), sample_elements(name, G)):
+        assert a.field is F and b.field is G
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert F(b) == a
+        coeffs = Polynomial(F, [1, a]).coeffs
+        assert all(isinstance(c, Element) and c.field == F for c in coeffs)
+        if isinstance(F, ResidueField):
+            sq = a * a
+            assert F.sqrt(F(sq.val)) == sqrt(sq)
 
 
 def test_equal_values_over_equal_fields_hash_alike():

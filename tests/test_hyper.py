@@ -175,6 +175,17 @@ def test_mixed_point_classes_and_oracle():
     assert R.degree_check() == 0
 
 
+def test_point_classes_with_colliding_hashes_stay_apart():
+    """Over Q, hash(Fraction(-1)) == hash(Fraction(-2)), so x - 1 and x - 2
+    hash alike; distinct points must still give distinct bundles."""
+    x = Polynomial.x(QQ)
+    W = SplitCurve((x - 1) * (x - 2) * (x ** 2 + 1) + 1)   # genus 1
+    P, Q = point_class(W, 1, 1), point_class(W, 2, 1)
+    assert hash(P.u) == hash(Q.u)
+    assert len(divisor_difference(W, P, Q).bundles) == 2
+    assert not classes_equal(W, P, Q)
+
+
 def test_rr_space_dimensions():
     """L(n(inf+ + inf-)) has dimension 2n - g + 1 for n >= g (Riemann-Roch),
     here g = 3."""

@@ -189,7 +189,7 @@ def test_upstairs_place_split():
     p = Place.finite(x - 1)
     rho = M.canonical_rho(p)
     up = par.upstairs_place(p, rho)
-    up2 = par.upstairs_place(p, M.other_rho(p, rho))
+    up2 = par.upstairs_place(p, -rho)
     assert up != up2
     assert up.degree == 1 and up2.degree == 1
     # the two places are swapped by sigma
