@@ -10,6 +10,7 @@ import random
 import time
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .algebra import (Polynomial, PrimeField, QQ, QuadraticField,
@@ -106,19 +107,26 @@ def closure_menu(field):
     ]
 
 
+@lru_cache(maxsize=16)
+def _finite_places(field, max_deg):
+    """The finite places of F_p of degree <= max_deg, by degree, then by
+    low coefficients as `product` lists them; computed once per field."""
+    out = []
+    for d in range(1, max_deg + 1):
+        for low in product(range(field.p), repeat=d):
+            poly = Polynomial(field, list(low) + [1])
+            if is_irreducible(poly):
+                out.append(Place.finite(poly, check=False))
+    return tuple(out)
+
+
 def random_split_places(model, field, rng, count, max_deg=2):
     places = []
     if model.split_kind(Place.infinity(field)) == "split":
         places.append(Place.infinity(field))
-    polys = []
-    for d in range(1, max_deg + 1):
-        for low in product(range(field.p), repeat=d):
-            poly = Polynomial(field, [field(c) for c in low] + [field.one])
-            if is_irreducible(poly):
-                polys.append(poly)
-    rng.shuffle(polys)
-    for poly in polys:
-        p = Place.finite(poly, check=False)
+    candidates = list(_finite_places(field, max_deg))
+    rng.shuffle(candidates)
+    for p in candidates:
         if model.split_kind(p) == "split":
             places.append(p)
         if len(places) >= count + 3:

@@ -1,43 +1,162 @@
 """Dense univariate polynomials over any of the exact fields.
 
-Coefficients are stored lowest degree first with a nonzero leading
-coefficient (the zero polynomial has an empty list).  Factorization over
-finite fields runs squarefree / distinct-degree / equal-degree splitting;
-the equal-degree stage is probabilistic but seeded, and the factor list is
-sorted canonically so output never depends on the seed.
+A Polynomial keeps its coefficients in ``vals`` as field payloads, lowest
+degree first with a nonzero leading coefficient (the zero polynomial has an
+empty list): an int in [0, p) over F_p, a pair over F_{p^2}, a Fraction over
+Q, a reduced Polynomial over a residue field, a RationalFunction over k(t).
+Arithmetic runs on these lists through the field's payload protocol
+(``_add``/``_sub``/``_mul``/``_inv``/``_zero_val``); over F_p, chosen by the
+field's type, the product and the long division run on raw ints with one
+reduction mod p per output coefficient.  ``Element``s appear only at the
+boundary: the constructor takes them, ``coeffs``, ``leading()``,
+``constant_coeff()``, ``f[i]`` and ``evaluate`` return them, and
+``map_coeffs`` hands them to its function.
+
+Factorization over finite fields runs squarefree / distinct-degree /
+equal-degree splitting; the equal-degree stage is probabilistic but seeded,
+and the factor list is sorted canonically so output never depends on the
+seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
-from .fields import Element, FieldError, PrimeField, QuadraticField, RationalField
+from .fields import (Element, FieldError, PrimeField, QuadraticField,
+                     RationalField, _pow)
+
+
+# -- the kernel: payload lists, lowest degree first -------------------------------
+#
+# Inputs are trimmed lists that are never mutated, so Polynomials may share
+# them; every list a kernel returns is trimmed.
+
+
+def _trim(cs, zero):
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return cs
+
+
+def _add(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    add = F._add
+    out = [add(x, y) for x, y in zip(a, b)]
+    if len(a) > len(b):
+        return out + a[len(b):]
+    return _trim(out, F._zero_val())
+
+
+def _sub(F, a, b):
+    return _add(F, a, _neg(F, b))
+
+
+def _neg(F, a):
+    neg = F._neg
+    return [neg(x) for x in a]
+
+
+def _monic(F, a):
+    if not a or a[-1] == F._one_val():
+        return a
+    return _mul(F, a, [F._inv(a[-1])])
+
+
+def _mul(F, a, b):
+    if not a or not b:
+        return []
+    if isinstance(F, PrimeField):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = F.p
+        return [c % p for c in out]
+    add, mul, zero = F._add, F._mul, F._zero_val()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _divmod(F, a, b):
+    """(quotient, remainder) of a by the nonzero b, by long division."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], a
+    r, low, inv = list(a), b[:-1], F._inv(b[-1])
+    if isinstance(F, PrimeField):
+        p = F.p
+        q = [0] * (len(a) - n)
+        for k in range(len(a) - n - 1, -1, -1):
+            c = r[k + n] * inv % p
+            if c:
+                q[k] = c
+                for i, y in enumerate(low, k):
+                    r[i] -= c * y
+        return q, _trim([x % p for x in r[:n]], 0)
+    sub, mul, zero = F._sub, F._mul, F._zero_val()
+    q = [zero] * (len(a) - n)
+    for k in range(len(a) - n - 1, -1, -1):
+        if r[k + n] != zero:
+            c = q[k] = mul(r[k + n], inv)
+            for i, y in enumerate(low, k):
+                r[i] = sub(r[i], mul(c, y))
+    return q, _trim(r[:n], zero)
+
+
+def _rem(F, a, b):
+    return _divmod(F, a, b)[1]
+
+
+def _field_of(f, g):
+    if f.field is not g.field and f.field != g.field:
+        raise FieldError("polynomials over different fields")
+    return f.field
+
+
+def _poly(field, vals):
+    """The Polynomial on a trimmed payload list, taken over as it is."""
+    f = object.__new__(Polynomial)
+    f.field = field
+    f.vals = vals
+    return f
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    """A polynomial over a field that follows the payload protocol of
+    ``.fields`` (residue fields and ``FunctionField`` included).
+
+    ``vals`` holds the coefficients as the field's payloads, lowest degree
+    first and trimmed; the constructor accepts Elements, ints and Fractions,
+    and ``coeffs`` is the read-only list of the coefficients as Elements."""
+
+    __slots__ = ("field", "vals")
 
     def __init__(self, field, coeffs):
         self.field = field
-        cs = [c if isinstance(c, Element) else field(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
+        self.vals = _trim([c.val if isinstance(c, Element) and c.field is field
+                           else field(c).val for c in coeffs], field._zero_val())
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def zero(field):
-        return Polynomial(field, [])
+        return _poly(field, [])
 
     @staticmethod
     def one(field):
-        return Polynomial(field, [field.one])
+        return _poly(field, [field._one_val()])
 
     @staticmethod
     def x(field):
-        return Polynomial(field, [field.zero, field.one])
+        return _poly(field, [field._zero_val(), field._one_val()])
 
     @staticmethod
     def constant(field, c):
@@ -46,70 +165,71 @@ class Polynomial:
     # -- basics ----------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as Elements, lowest degree first (a new list)."""
+        field = self.field
+        return [Element(field, v) for v in self.vals]
+
+    @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.vals) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.vals
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return len(self.vals) == 1 and self.vals[0] == self.field._one_val()
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.vals) <= 1
 
     def leading(self):
-        if self.is_zero():
+        if not self.vals:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Element(self.field, self.vals[-1])
 
     def constant_coeff(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero
+        return self[0]
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i <= self.degree else self.field.zero
+        if 0 <= i < len(self.vals):
+            return Element(self.field, self.vals[i])
+        return self.field.zero
 
     def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.leading()
-        if lc.is_one():
-            return self
-        inv = lc.inverse()
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
+        vals = _monic(self.field, self.vals)
+        return self if vals is self.vals else _poly(self.field, vals)
 
     def __eq__(self, other):
         if isinstance(other, (int,)):
             other = Polynomial.constant(self.field, self.field(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.vals == other.vals
 
     def __hash__(self):
-        return hash((self.field._hash,) + tuple(c._hash_val() for c in self.coeffs))
+        return hash((self.field._hash,) + tuple(self.vals))
 
     def sort_key(self):
-        return (self.degree, tuple(c.sort_key() for c in reversed(self.coeffs)))
+        key = self.field.sort_key
+        return (self.degree, tuple(key(v) for v in reversed(self.vals)))
 
     # -- arithmetic --------------------------------------------------------------
 
     def _coerce(self, other):
-        from fractions import Fraction
         if isinstance(other, Polynomial):
-            if other.field != self.field:
-                raise FieldError("polynomials over different fields")
-            return other
+            _field_of(self, other)
+            return other.vals
         if isinstance(other, (Element, int, Fraction)):
-            return Polynomial.constant(self.field, self.field(other))
+            return Polynomial.constant(self.field, other).vals
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial(self.field, [self[i] + o[i] for i in range(n)])
+        return _poly(self.field, _add(self.field, self.vals, o))
 
     __radd__ = __add__
 
@@ -117,57 +237,41 @@ class Polynomial:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial(self.field, [self[i] - o[i] for i in range(n)])
+        return _poly(self.field, _sub(self.field, self.vals, o))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, _neg(self.field, self.vals))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return Polynomial.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        return _poly(self.field, _mul(self.field, self.vals, o))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = Polynomial.one(self.field)
-        base = self
+        F = self.field
+        result, base = [F._one_val()], self.vals
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _mul(F, result, base)
             n >>= 1
-        return result
+            if n:
+                base = _mul(F, base, base)
+        return _poly(F, result)
 
     def __divmod__(self, other):
         o = self._coerce(other)
-        if o.is_zero():
+        if o is NotImplemented:
+            return NotImplemented
+        if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero] * max(0, self.degree - o.degree + 1)
-        r = list(self.coeffs)
-        inv = o.leading().inverse()
-        while len(r) >= len(o.coeffs) and r:
-            k = len(r) - len(o.coeffs)
-            c = r[-1] * inv
-            q[k] = c
-            for i, b in enumerate(o.coeffs):
-                r[k + i] = r[k + i] - c * b
-            while r and r[-1].is_zero():
-                r.pop()
-        return Polynomial(self.field, q), Polynomial(self.field, r)
+        q, r = _divmod(self.field, self.vals, o)
+        return _poly(self.field, q), _poly(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -182,47 +286,61 @@ class Polynomial:
         return q
 
     def derivative(self):
-        field = self.field
-        return Polynomial(field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        F = self.field
+        out, i, one = [], F._zero_val(), F._one_val()
+        for c in self.vals[1:]:
+            i = F._add(i, one)
+            out.append(F._mul(c, i))
+        return _poly(F, _trim(out, F._zero_val()))
 
     def evaluate(self, x):
-        """Horner evaluation; x may be any object with ring operators
-        (a field Element, a Polynomial, a RationalFunction, ...)."""
-        if self.is_zero():
-            return x * 0 if not isinstance(x, Element) else self.field.zero
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
+        """The value at x, an element of the field (or an int), by Horner's
+        rule; ``compose`` substitutes a polynomial."""
+        F = self.field
+        if not isinstance(x, (Element, int, Fraction)):
+            raise TypeError("evaluate takes a field element; compose takes a polynomial")
+        if isinstance(x, Element) and x.field != F:
+            raise FieldError("element from a different field")
+        xv = F(x).val
+        acc = F._zero_val()
+        for c in reversed(self.vals):
+            acc = F._add(F._mul(acc, xv), c)
+        return Element(F, acc)
 
     def compose(self, g: "Polynomial") -> "Polynomial":
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * g + Polynomial.constant(self.field, c)
-        return acc
+        """self(g(x))."""
+        F, zero = self.field, self.field._zero_val()
+        acc = []
+        for c in reversed(self.vals):
+            acc = _add(F, _mul(F, acc, g.vals), [c] if c != zero else [])
+        return _poly(F, acc)
 
     def shift(self, n: int) -> "Polynomial":
         """Multiply by x^n."""
         if self.is_zero():
             return self
-        return Polynomial(self.field, [self.field.zero] * n + self.coeffs)
+        return _poly(self.field, [self.field._zero_val()] * n + self.vals)
 
     def map_coeffs(self, fn, field=None) -> "Polynomial":
+        """The polynomial with coefficients fn(c), fn taking and returning
+        Elements (of ``field``, when given)."""
         return Polynomial(field or self.field, [fn(c) for c in self.coeffs])
 
     def __repr__(self):
         if self.is_zero():
             return "0"
+        fmt, one, zero = (self.field.format_element, self.field._one_val(),
+                          self.field._zero_val())
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for i, c in enumerate(self.vals):
+            if c == zero:
                 continue
             if i == 0:
-                parts.append(f"{c!r}")
+                parts.append(fmt(c))
             elif i == 1:
-                parts.append("x" if c.is_one() else f"{c!r}*x")
+                parts.append("x" if c == one else f"{fmt(c)}*x")
             else:
-                parts.append(f"x^{i}" if c.is_one() else f"{c!r}*x^{i}")
+                parts.append(f"x^{i}" if c == one else f"{fmt(c)}*x^{i}")
         return " + ".join(parts)
 
 
@@ -231,31 +349,29 @@ class Polynomial:
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm."""
-    if f.field != g.field:
-        raise FieldError("gcd of polynomials over different fields")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    F = _field_of(f, g)
+    a, b = f.vals, g.vals
+    while b:
+        a, b = b, _rem(F, a, b)
+    return _poly(F, _monic(F, a))
 
 
 def poly_xgcd(f: Polynomial, g: Polynomial):
     """(g, s, t) with g = s f + t g monic."""
-    field = f.field
-    r0, r1 = f, g
-    s0, s1 = Polynomial.one(field), Polynomial.zero(field)
-    t0, t1 = Polynomial.zero(field), Polynomial.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
+    F = _field_of(f, g)
+    one = [F._one_val()]
+    r0, r1 = f.vals, g.vals
+    s0, s1 = one, []
+    t0, t1 = [], one
+    while r1:
+        q, r = _divmod(F, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = r0.leading().inverse()
-    return r0.monic(), s0 * inv, t0 * inv
+        s0, s1 = s1, _sub(F, s0, _mul(F, q, s1))
+        t0, t1 = t1, _sub(F, t0, _mul(F, q, t1))
+    if r0:
+        inv = [F._inv(r0[-1])]
+        r0, s0, t0 = _mul(F, r0, inv), _mul(F, s0, inv), _mul(F, t0, inv)
+    return _poly(F, r0), _poly(F, s0), _poly(F, t0)
 
 
 def inverse_mod(f: Polynomial, m: Polynomial) -> Polynomial:
@@ -266,14 +382,18 @@ def inverse_mod(f: Polynomial, m: Polynomial) -> Polynomial:
 
 
 def pow_mod(f: Polynomial, n: int, m: Polynomial) -> Polynomial:
-    result = Polynomial.one(f.field)
-    base = f % m
+    """f^n mod m by square-and-multiply (1 for n = 0)."""
+    F, mv = _field_of(f, m), m.vals
+    if not mv:
+        raise ZeroDivisionError("polynomial division by zero")
+    result, base = None, _rem(F, f.vals, mv)
     while n:
         if n & 1:
-            result = (result * base) % m
-        base = (base * base) % m
+            result = base if result is None else _rem(F, _mul(F, result, base), mv)
         n >>= 1
-    return result
+        if n:
+            base = _rem(F, _mul(F, base, base), mv)
+    return Polynomial.one(F) if result is None else _poly(F, result)
 
 
 # -- squarefree decomposition -------------------------------------------------
@@ -282,14 +402,10 @@ def pow_mod(f: Polynomial, n: int, m: Polynomial) -> Polynomial:
 def _pth_root(f: Polynomial) -> Polynomial:
     """p-th root of a polynomial in F_q[x^p] (q = p or p^2)."""
     field = f.field
-    p = field.char
-    q = field.order
-    cs = []
-    for i in range(0, f.degree + 1, p):
-        c = f[i]
-        # c^(q/p) is the p-th root of c in F_q
-        cs.append(c ** (q // p))
-    return Polynomial(field, cs)
+    e = field.order // field.char
+    # c^(q/p) is the p-th root of c in F_q
+    return _poly(field, [_pow(field, c, e) for c in f.vals[::field.char]])
+
 
 def squarefree_decomposition(f: Polynomial):
     """[(g_i, i)] with f = lc * prod g_i^i, the g_i squarefree, monic and
@@ -390,7 +506,8 @@ def _edf(f: Polynomial, d: int, rng: random.Random):
     if n == d:
         return [f]
     while True:
-        a = Polynomial(field, [_random_element(field, rng) for _ in range(n)])
+        a = _poly(field, _trim([_random_element(field, rng) for _ in range(n)],
+                               field._zero_val()))
         if a.degree < 1:
             continue
         g = poly_gcd(f, a)
@@ -414,15 +531,16 @@ def _edf(f: Polynomial, d: int, rng: random.Random):
 
 
 def _random_element(field, rng: random.Random):
+    """A uniform payload of F_p or F_{p^2}."""
     if isinstance(field, PrimeField):
-        return field(rng.randrange(field.p))
+        return rng.randrange(field.p)
     if isinstance(field, QuadraticField):
-        return field((rng.randrange(field.p), rng.randrange(field.p)))
+        return (rng.randrange(field.p), rng.randrange(field.p))
     raise FieldError("random elements only over finite fields")
 
 
 def _fingerprint(f: Polynomial):
-    return tuple(c._hash_val() for c in f.coeffs)
+    return tuple(f.vals)
 
 
 def poly_factor(f: Polynomial, seed: int = 0):
@@ -464,16 +582,17 @@ def is_irreducible(f: Polynomial, seed: int = 0) -> bool:
     n = f.degree
     if n == 1:
         return True
+    # f is irreducible iff x^(q^n) = x mod f and gcd(f, x^(q^d) - x) = 1 for
+    # d = n/r, r a prime divisor of n; x^(q^d) by iterating the Frobenius
     q = field.order
     x = Polynomial.x(field)
-    h = pow_mod(x, q ** n, f)
-    if not (h - x % f).is_zero():
-        return False
-    for d in {n // r for r in _prime_divisors(n)}:
-        h = pow_mod(x, q ** d, f)
-        if not poly_gcd(f, h - x).is_one():
+    coprime_at = {n // r for r in _prime_divisors(n)}
+    h = x
+    for d in range(1, n + 1):
+        h = pow_mod(h, q, f)
+        if d in coprime_at and not poly_gcd(f, h - x).is_one():
             return False
-    return True
+    return h == x
 
 
 def _prime_divisors(n):
@@ -491,16 +610,14 @@ def _prime_divisors(n):
 
 
 def _is_irreducible_over_q(f: Polynomial) -> bool:
-    from fractions import Fraction
-
     n = f.degree
     if n == 1:
         return True
     # clear denominators to a primitive integer polynomial
     den = 1
-    for c in f.coeffs:
-        den = math.lcm(den, c.val.denominator)
-    ints = [int(c.val * den) for c in f.coeffs]
+    for c in f.vals:
+        den = math.lcm(den, c.denominator)
+    ints = [int(c * den) for c in f.vals]
     g = 0
     for c in ints:
         g = math.gcd(g, c)
@@ -518,7 +635,7 @@ def _is_irreducible_over_q(f: Polynomial) -> bool:
         if ints[-1] % p == 0:
             continue
         fp = PrimeField(p)
-        fbar = Polynomial(fp, [fp(c) for c in ints])
+        fbar = Polynomial(fp, ints)
         if poly_gcd(fbar, fbar.derivative()).is_one() and is_irreducible(fbar):
             return True
     raise FieldError("no irreducibility certificate found over Q; certify the input")
@@ -537,8 +654,6 @@ def _divisors(n):
 
 
 def _rational_root_candidates(ints):
-    from fractions import Fraction
-
     for num in _divisors(ints[0]):
         for den in _divisors(ints[-1]):
             yield Fraction(num, den)

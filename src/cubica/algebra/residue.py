@@ -94,7 +94,7 @@ class ResidueField:
             f, g = g, r
         if g.is_zero():
             return self.base._zero_val()
-        return (acc * g.coeffs[0] ** f.degree).val
+        return (acc * g.constant_coeff() ** f.degree).val
 
     def sort_key(self, a):
         return a.sort_key()

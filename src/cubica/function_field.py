@@ -7,19 +7,20 @@ marker with degree 1.  Divisors are finite multiplicity maps.
 
 from __future__ import annotations
 
-from .algebra import (FieldError, Polynomial, RationalFunction, is_irreducible,
-                      poly_factor)
+from .algebra import (FieldError, Polynomial, RationalFunction, ResidueField,
+                      is_irreducible, poly_factor)
 
 
 class Place:
     """A place of k(x): monic irreducible polynomial, or infinity."""
 
-    __slots__ = ("field", "poly", "infinite")
+    __slots__ = ("field", "poly", "infinite", "_residue_field")
 
     def __init__(self, field, poly=None, infinite=False):
         self.field = field
         self.infinite = infinite
         self.poly = None if infinite else poly.monic()
+        self._residue_field = None
 
     @staticmethod
     def infinity(field):
@@ -36,6 +37,15 @@ class Place:
     @property
     def degree(self):
         return 1 if self.infinite else self.poly.degree
+
+    @property
+    def residue_field(self) -> ResidueField:
+        """k[x]/(poly) of a finite place, built on first use."""
+        if self.infinite:
+            raise FieldError("the residue field is built for finite places only")
+        if self._residue_field is None:
+            self._residue_field = ResidueField(self.poly, check=False)
+        return self._residue_field
 
     def __eq__(self, other):
         if not isinstance(other, Place):

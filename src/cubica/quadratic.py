@@ -197,7 +197,7 @@ class ASClass:
             else:
                 value_trace = trace_to_f2(g.num.leading() / g.den.leading())
             return "split" if value_trace == 0 else "inert"
-        R = ResidueField(place.poly, check=False)
+        R = place.residue_field
         den_bar = R(g.den)
         if den_bar.is_zero():
             return "ramified"
@@ -374,7 +374,7 @@ class QuadraticModel:
             if f.degree % 2 == 1:
                 return RAMIFIED
             return SPLIT if is_square(f.leading()) else INERT
-        R = ResidueField(place.poly, check=False)
+        R = place.residue_field
         fbar = R(f)
         if fbar.is_zero():
             return RAMIFIED
@@ -391,7 +391,7 @@ class QuadraticModel:
         if place.infinite:
             r = sqrt(self.f.leading())
         else:
-            r = sqrt(ResidueField(place.poly, check=False)(self.f))
+            r = sqrt(place.residue_field(self.f))
         return SplittingResult(SPLIT, rho_minus=r, rho_plus=-r)
 
     def canonical_rho(self, place: Place):
@@ -586,7 +586,7 @@ class ConicParametrization:
                 if val is not None and val == rho:
                     return cand
             raise ArithmeticError("no pole of X matches the sign choice at infinity")
-        R = ResidueField(place.poly, check=False)
+        R = place.residue_field
         a_num, a_den = self.m_expr.a.num, self.m_expr.a.den
         b_num, b_den = self.m_expr.b.num, self.m_expr.b.den
         ad, bd = R(a_den), R(b_den)
@@ -663,7 +663,7 @@ def _value_at_place(rf: RationalFunction, place: Place):
     if place.infinite:
         v = _value_at(rf, INF_MARK)
         return None if v == INF_MARK else v
-    R = ResidueField(place.poly, check=False)
+    R = place.residue_field
     den = R(rf.den)
     if den.is_zero():
         return None

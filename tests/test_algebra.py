@@ -9,8 +9,8 @@ import pytest
 from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
                             QuadraticField, RationalField, RationalFunction,
                             ResidueField, FieldError, is_irreducible,
-                            is_square, poly_factor, poly_gcd, pow_mod,
-                            smallest_nonsquare, sqrt,
+                            is_square, poly_factor, poly_gcd, poly_xgcd,
+                            pow_mod, smallest_nonsquare, sqrt,
                             squarefree_decomposition, trace_to_f2)
 
 F5 = PrimeField(5)
@@ -416,3 +416,202 @@ def test_coercion_accepts_an_equal_field():
     assert Q1(Q2((1, 4))) == Q1((1, 4))
     with pytest.raises(Exception, match="cannot coerce"):
         PrimeField(5)(F13(3))
+
+
+# -- the payload kernel against a schoolbook over boxed Elements ----------------
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def ref_at(F, cs, i):
+    return cs[i] if i < len(cs) else F.zero
+
+
+def ref_add(F, a, b):
+    return ref_trim([ref_at(F, a, i) + ref_at(F, b, i)
+                     for i in range(max(len(a), len(b)))])
+
+
+def ref_sub(F, a, b):
+    return ref_trim([ref_at(F, a, i) - ref_at(F, b, i)
+                     for i in range(max(len(a), len(b)))])
+
+
+def ref_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_trim(out)
+
+
+def ref_divmod(F, a, b):
+    q = [F.zero] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = q[k] = r[-1] / b[-1]
+        for i, y in enumerate(b):
+            r[k + i] = r[k + i] - c * y
+        r = ref_trim(r)
+    return ref_trim(q), r
+
+
+def ref_monic(a):
+    return [c / a[-1] for c in a]
+
+
+def ref_gcd(F, a, b):
+    while b:
+        a, b = b, ref_divmod(F, a, b)[1]
+    return ref_monic(a)
+
+
+def ref_xgcd(F, a, b):
+    r0, r1, s0, s1, t0, t1 = a, b, [F.one], [], [], [F.one]
+    while r1:
+        q, r = ref_divmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref_sub(F, s0, ref_mul(F, q, s1))
+        t0, t1 = t1, ref_sub(F, t0, ref_mul(F, q, t1))
+    if not r0:
+        return r0, s0, t0
+    inv = [r0[-1].inverse()]
+    return ref_monic(r0), ref_mul(F, s0, inv), ref_mul(F, t0, inv)
+
+
+def ref_pow_mod(F, a, n, m):
+    result, base = [F.one], ref_divmod(F, a, m)[1]
+    while n:
+        if n & 1:
+            result = ref_divmod(F, ref_mul(F, result, base), m)[1]
+        base = ref_divmod(F, ref_mul(F, base, base), m)[1]
+        n >>= 1
+    return result
+
+
+def ref_compose(F, a, b):
+    acc = []
+    for c in reversed(a):
+        acc = ref_add(F, ref_mul(F, acc, b), [c])
+    return acc
+
+
+def ref_derivative(a):
+    return ref_trim([a[i] * i for i in range(1, len(a))])
+
+
+KERNEL_FIELDS = {
+    "F2": PrimeField(2),
+    "F5": F5,
+    "F101": PrimeField(101),
+    "F(10^9+7)": PrimeField(10 ** 9 + 7),
+    "F25": QuadraticField(F5, 0, 2),
+    "F5[x]/(x^2+2)": residue_field(5, [2, 0, 1]),
+    "Q": QQ,
+}
+
+
+def kernel_element(F, rng):
+    if rng.random() < 0.25:
+        return F.zero
+    if F.order is None:
+        return F(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    if isinstance(F, ResidueField):
+        return F(Polynomial(F.base, [rng.randrange(5), rng.randrange(5)]))
+    if isinstance(F, QuadraticField):
+        return F((rng.randrange(F.p), rng.randrange(F.p)))
+    return F(rng.randrange(F.p))
+
+
+def kernel_pairs(name, F):
+    """Random coefficient lists (trailing zeros included) in pairs, with the
+    zero polynomial on either side, a polynomial against itself, and pairs
+    whose leading terms cancel in the sum and in the difference."""
+    rng = random.Random(f"kernel:{name}")
+    lists = [[kernel_element(F, rng) for _ in range(rng.randrange(0, 8))]
+             for _ in range(16)]
+    pairs = list(zip(lists[::2], lists[1::2]))
+    for a in lists[:4]:
+        low = [kernel_element(F, rng) for _ in range(max(len(a) - 1, 0))]
+        pairs += [(a, []), ([], a), (a, a), (a, [-c for c in a]),
+                  (a, ref_add(F, a, low)), (a, ref_sub(F, low, a))]
+    return pairs
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+def test_polynomial_kernel_matches_the_boxed_schoolbook(name):
+    F = KERNEL_FIELDS[name]
+    exps = (0, 1, 2, 5) if F.order is None else (0, 1, 2, 5, 13, F.order + 3)
+    for a, b in kernel_pairs(name, F):
+        f, g = Polynomial(F, a), Polynomial(F, b)
+        a, b = ref_trim(a), ref_trim(b)
+        assert f.coeffs == a and g.coeffs == b
+        assert f == Polynomial(F, a + [F.zero]) and (f == g) == (a == b)
+        assert hash(f) == hash((F._hash,) + tuple(c._hash_val() for c in a))
+        assert f.sort_key() == (len(a) - 1, tuple(c.sort_key() for c in reversed(a)))
+        assert (f + g).coeffs == ref_add(F, a, b)
+        assert (f - g).coeffs == ref_sub(F, a, b)
+        assert (-g).coeffs == ref_sub(F, [], b)
+        assert (f * g).coeffs == ref_mul(F, a, b)
+        assert f.derivative().coeffs == ref_derivative(a)
+        assert f.compose(g).coeffs == ref_compose(F, a, b)
+        if a:
+            assert f.monic().coeffs == ref_monic(a)
+        if a or b:
+            assert poly_gcd(f, g).coeffs == ref_gcd(F, a, b)
+            assert [h.coeffs for h in poly_xgcd(f, g)] == list(ref_xgcd(F, a, b))
+        x0 = kernel_element(F, random.Random(len(a)))
+        assert f.evaluate(x0) == sum((c * x0 ** i for i, c in enumerate(a)), F.zero)
+        if b:
+            q, r = divmod(f, g)
+            assert [q.coeffs, r.coeffs] == list(ref_divmod(F, a, b))
+            for n in exps:
+                assert pow_mod(f, n, g).coeffs == ref_pow_mod(F, a, n, g.coeffs)
+
+
+def monic_polys(F, degree):
+    elems = list(F.elements())
+    for low in product(elems, repeat=degree):
+        yield Polynomial(F, list(low) + [F.one])
+
+
+def random_monic(F, degree, rng):
+    if isinstance(F, QuadraticField):
+        low = [F((rng.randrange(F.p), rng.randrange(F.p))) for _ in range(degree)]
+    else:
+        low = [F(rng.randrange(F.p)) for _ in range(degree)]
+    return Polynomial(F, low + [F.one])
+
+
+@pytest.mark.parametrize("name", ["F5", "F4", "F101", "F25"])
+def test_is_irreducible_agrees_with_poly_factor(name):
+    """Every monic of degree <= 4 over F_5 and F_4, and seeded random monics
+    of degree <= 12 over F_101 and F_25."""
+    F = {"F5": F5, "F4": QuadraticField(PrimeField(2), 1, 1),
+         "F101": PrimeField(101), "F25": QuadraticField(F5, 0, 2)}[name]
+    if F.order < 10:
+        polys = [f for d in range(1, 5) for f in monic_polys(F, d)]
+    else:
+        rng = random.Random(f"irreducible:{name}")
+        polys = [random_monic(F, d, rng) for d in range(1, 13) for _ in range(8)]
+    for f in polys:
+        assert is_irreducible(f) == (poly_factor(f) == [(f, 1)])
+
+
+def test_evaluate_takes_field_elements_only():
+    x = Polynomial.x(F5)
+    f = x ** 2 + 1
+    assert f.evaluate(2) == F5(0) and f.evaluate(F5(3)) == F5(0)
+    with pytest.raises(TypeError):
+        f.evaluate(x + 1)
+    with pytest.raises(FieldError):
+        f.evaluate(F7(2))
+    assert f.compose(x + 1) == (x + 1) ** 2 + 1

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from cubica.algebra import Polynomial, PrimeField, RationalFunction, poly_factor
+from cubica.algebra import (FieldError, Polynomial, PrimeField, RationalFunction,
+                            ResidueField, poly_factor)
 from cubica.function_field import Place, divisor_of, genus_of_cubic, valuation
 
 F5 = PrimeField(5)
@@ -102,3 +103,13 @@ def test_places_over_equal_fields_hash_alike():
     F, G = PrimeField(5), PrimeField(5)
     assert len({Place.finite(x_of(F) ** 2 + 2), Place.finite(x_of(G) ** 2 + 2)}) == 1
     assert len({Place.infinity(F), Place.infinity(G)}) == 1
+
+
+def test_a_place_builds_its_residue_field_once():
+    x = x_of(F5)
+    p = Place.finite(x ** 2 + 2)
+    R = p.residue_field
+    assert R is p.residue_field and R == ResidueField(x ** 2 + 2)
+    assert R(x) * R(x) == R(-2)
+    with pytest.raises(FieldError):
+        Place.infinity(F5).residue_field
