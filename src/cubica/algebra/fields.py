@@ -409,7 +409,11 @@ def smallest_nonsquare(field):
     That order starts with the elements of the base field.  In an extension
     of even degree they are all squares (F_q^* lies in the squares of
     F_{q^2}^*, as (q^2 - 1)/2 is a multiple of q - 1, and F_{q^2} lies in
-    F_{q^k} for even k), so the scan starts after them."""
+    F_{q^k} for even k), so the scan starts after them.  The scan runs once
+    per field object, which keeps its result."""
+    found = getattr(field, "_nonsquare", None)
+    if found is not None:
+        return found
     if field.char == 2:
         raise FieldError("every element of a char-2 finite field is a square")
     elements = field.elements()
@@ -417,6 +421,7 @@ def smallest_nonsquare(field):
         elements = islice(elements, field.base.order, None)
     for e in elements:
         if not e.is_zero() and not is_square(e):
+            field._nonsquare = e
             return e
     raise FieldError("no non-square found")
 

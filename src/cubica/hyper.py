@@ -15,6 +15,12 @@ prescribed vanishing) provides principality tests - used as the independent
 oracle for the group law - and the canonical presentation of classes in the
 anti-invariant part of the Jacobian of the covering involution
 i(x, y) = (-x, -y).
+
+Local expansions take one path.  Vanishing to order k along (u, v) is the
+congruence a + b V = 0 mod u^k with V the Hensel lift of v (`hensel_v`,
+rows from `coeff_vec`).  At inf+- y = +-x^(g+1) S(1/x), where S comes from
+the one series square root `_series_sqrt` (a coefficient recurrence), and
+`y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S.
 """
 
 from __future__ import annotations
@@ -27,47 +33,24 @@ from .algebra.linalg import kernel_basis
 
 
 # ---------------------------------------------------------------------------
-# power-series helpers (coefficient lists in the local parameter, lowest first)
+# the one series square root (coefficient lists, lowest first)
 # ---------------------------------------------------------------------------
 
 
-def _series_mul(a, b, prec, field):
-    out = [field.zero] * prec
-    for i, ai in enumerate(a[:prec]):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b[:prec - i]):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _series_inv(a, prec, field):
-    if a[0].is_zero():
-        raise ZeroDivisionError("series has no inverse")
-    inv0 = a[0].inverse()
-    out = [inv0] + [field.zero] * (prec - 1)
-    for n in range(1, prec):
-        s = field.zero
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else field.zero
-            s = s + ak * out[n - k]
-        out[n] = -inv0 * s
-    return out
-
-
 def _series_sqrt(a, prec, field):
-    """sqrt of a series with a[0] = 1 (Newton iteration)."""
+    """The first prec coefficients of the square root s of a series a with
+    a[0] = 1, s[0] = 1, by the recurrence 2 s_n = a_n - sum_{0<k<n} s_k s_(n-k)
+    (no division by n, so it holds whatever the characteristic, 2 apart)."""
     if not a[0].is_one():
         raise FieldError("series sqrt needs constant term 1")
-    out = [field.one]
     half = field(2).inverse()
-    n = 1
-    while n < prec:
-        n = min(2 * n, prec)
-        cur = out + [field.zero] * (n - len(out))
-        quo = _series_mul(a, _series_inv(cur, n, field), n, field)
-        out = [(cur[i] + quo[i]) * half for i in range(n)]
-    return out + [field.zero] * (prec - len(out))
+    out = [field.one]
+    for n in range(1, prec):
+        acc = a[n] if n < len(a) else field.zero
+        for k in range(1, n):
+            acc = acc - out[k] * out[n - k]
+        out.append(acc * half)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +122,27 @@ class SplitCurve:
             raise ArithmeticError("Hensel lift failed")
         return cur
 
+    def y_coeff_at_infinity(self, i: int, j: int, sign: int, S) -> Element:
+        """Coefficient of x^j in x^i * y at inf+- (y = sign * x^(g+1) S(1/x)):
+        sign * S[i + g + 1 - j], zero beyond the series S."""
+        k = i + self.g + 1 - j
+        if not 0 <= k < len(S):
+            return self.field.zero
+        return S[k] if sign > 0 else -S[k]
+
     def expansion_at_infinity(self, a: Polynomial, b: Polynomial, sign: int,
                               low: int):
         """Laurent coefficients {j: c_j} of a + b*y at inf+- for x^j with
-        j >= low (y = sign * x^(g+1) S(1/x))."""
+        j >= low."""
         top = max(a.degree, b.degree + self.g + 1, low)
-        prec = top - low + 1
-        S = self.sqrt_series(prec + 1)
+        S = self.sqrt_series(top - low + 2)
         out = {}
         for j in range(low, top + 1):
-            c = a[j] if 0 <= j <= a.degree else self.field.zero
-            # b_m x^(m + g + 1) * s_k x^(-k) lands on x^j when m = j - g - 1 + k
-            for k in range(0, prec + 1):
-                m = j - self.g - 1 + k
-                if 0 <= m <= b.degree and k < len(S):
-                    bm = b[m]
-                    if not bm.is_zero():
-                        term = bm * S[k]
-                        c = c + (term if sign > 0 else -term)
+            c = a[j]
+            for m in range(b.degree + 1):
+                bm = b[m]
+                if not bm.is_zero():
+                    c = c + bm * self.y_coeff_at_infinity(m, j, sign, S)
             out[j] = c
         return out
 
@@ -513,13 +499,10 @@ def rr_space(curve: SplitCurve, div: WDivisor):
         S = curve.sqrt_series(top - jmin + curve.g + 3)
         for j in range(jmin, top + 1):
             row = [field.zero] * cols
-            for i in range(na + 1):
-                if i == j:
-                    row[i] = field.one
-            for i in range(nb + 1 if nb >= 0 else 0):
-                k = i + curve.g + 1 - j
-                if 0 <= k < len(S):
-                    row[na + 1 + i] = S[k] if sign > 0 else -S[k]
+            if 0 <= j <= na:
+                row[j] = field.one
+            for i in range(nb + 1):
+                row[na + 1 + i] = curve.y_coeff_at_infinity(i, j, sign, S)
             rows.append(row)
     kern = kernel_basis(rows, cols, field)
     out = []

@@ -9,6 +9,12 @@ Three constructions:
     anti-invariant part of Jac(W), locate the branch point, interpolate the
     descent function f with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, and push
     alpha = lam (f + i*f) down to X.
+
+The interpolation conditions are Riemann-Roch congruences: ord_P(a + b y)
+>= k at P = (x0, y0) is a + b V = 0 mod (x - x0)^k for the Hensel lift V
+of y0, the rows `hyper.coeff_vec` builds for `rr_space`.  Pole orders of
+alpha on X are read from y as a series in x - x0 through the same
+`hyper._series_sqrt`.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from .algebra import (Element, FieldError, FunctionField, Polynomial,
                       QQ, RationalFunction, inverse_mod, is_square, poly_gcd,
                       sqrt)
 from .algebra.linalg import kernel_basis
-from .hyper import (MumfordClass, SplitCurve, canonicalize_prym, coeff_vec,
-                    mumford_scalar, point_minus_i_point)
+from .hyper import (MumfordClass, SplitCurve, _series_sqrt, canonicalize_prym,
+                    coeff_vec, mumford_scalar, point_minus_i_point)
 from .quadratic import canonical_square_const
 
 
@@ -255,39 +261,16 @@ def find_Ptilde(curve: SplitCurve, threeE: MumfordClass):
     return points[0], points[1]
 
 
-def _y_series_at(curve: SplitCurve, pt: CurvePoint, prec: int):
-    """Coefficients of y as a series in (x - x0) at a non-Weierstrass point."""
+def _point_conditions(curve, pt: CurvePoint, order, na, nb, cols):
+    """Rows forcing ord_pt(a + b y) >= order for deg a <= na, deg b <= nb:
+    the Riemann-Roch congruence a + b V = 0 mod (x - x0)^order, with V the
+    Hensel lift of y0."""
     if pt.y.is_zero():
         raise FieldError("series expansion needs a non-Weierstrass point")
     field = curve.field
-    shifted = curve.F.compose(Polynomial(field, [pt.x, field.one]))
-    y0sq_inv = (pt.y * pt.y).inverse()
-    norm = [shifted[i] * y0sq_inv for i in range(prec + 1)]
-    from .hyper import _series_sqrt
-    S = _series_sqrt(norm, prec, field)
-    return [pt.y * s for s in S]
-
-
-def _point_conditions(curve, pt: CurvePoint, order, na, nb, cols):
-    """Rows forcing ord_pt(a + b y) >= order for deg a <= na, deg b <= nb."""
-    field = curve.field
-    yser = _y_series_at(curve, pt, order + 1)
-    shift = Polynomial(field, [pt.x, field.one])
-    rows = [[field.zero] * cols for _ in range(order)]
-    for i in range(na + 1):
-        mono = Polynomial(field, [field.zero] * i + [field.one]).compose(shift)
-        for d in range(order):
-            rows[d][i] = mono[d]
-    for i in range(nb + 1):
-        mono = Polynomial(field, [field.zero] * i + [field.one]).compose(shift)
-        # multiply the shifted monomial by the y-series, truncated
-        for d in range(order):
-            acc = field.zero
-            for k in range(d + 1):
-                if k <= mono.degree and d - k < len(yser):
-                    acc = acc + mono[k] * yser[d - k]
-            rows[d][na + 1 + i] = acc
-    return rows
+    u = Polynomial(field, [-pt.x, field.one])
+    V = curve.hensel_v(u, Polynomial.constant(field, pt.y), order)
+    return coeff_vec(Polynomial.one(field), V, u ** order, na, nb, cols)
 
 
 def _infinity_order(curve: SplitCurve, p: Polynomial, q: Polynomial, sign: int):
@@ -631,7 +614,6 @@ def _orders_on_x(field, X_rhs, A, B, C, x0):
     y0 = sqrt(rhs_val)
     out = []
     prec = C.degree + 4
-    from .hyper import _series_sqrt
     shifted = X_rhs.compose(Polynomial(field, [x0, field.one]))
     inv = (y0 * y0).inverse()
     S = _series_sqrt([shifted[i] * inv for i in range(prec + 1)], prec, field)

@@ -348,12 +348,8 @@ class QuadraticModel:
         if self.kind == "kummer":
             out = []
             if self.f.degree >= 1:
-                if self.field.order is not None:
-                    for p, _ in poly_factor(self.f):
-                        out.append(Place.finite(p, check=False))
-                else:
-                    for p, _ in _factor_quadratic_over_q(self.f):
-                        out.append(Place.finite(p, check=False))
+                for p, _ in _factor_low_degree(self.f):
+                    out.append(Place.finite(p, check=False))
             if self.f.degree % 2 == 1:
                 out.append(Place.infinity(self.field))
             return out
@@ -538,12 +534,8 @@ class ConicParametrization:
         out = {}
         den = self.X.den
         if den.degree >= 1:
-            if self.field.order is not None:
-                for p, m in poly_factor(den):
-                    out[Place.finite(p, check=False)] = m
-            else:
-                for p, m in _factor_quadratic_over_q(den):
-                    out[Place.finite(p, check=False)] = m
+            for p, m in _factor_low_degree(den):
+                out[Place.finite(p, check=False)] = m
         plus = self.X.num.degree - den.degree
         if plus > 0:
             out[Place.infinity(self.field)] = plus
@@ -626,12 +618,15 @@ class ConicParametrization:
         return Place.finite(Polynomial(self.field, [-v, self.field.one]), check=False)
 
 
-def _factor_quadratic_over_q(den: Polynomial):
-    """Factor a polynomial of degree <= 2 over Q by the quadratic formula."""
-    field = den.field
-    if den.degree <= 1:
-        return [(den.monic(), 1)]
-    a, b, c = den[2], den[1], den[0]
+def _factor_low_degree(poly: Polynomial):
+    """Factor poly into (monic factor, multiplicity) pairs: by `poly_factor`
+    over a finite field, else (degree <= 2 over Q) by the quadratic formula."""
+    field = poly.field
+    if field.order is not None:
+        return poly_factor(poly)
+    if poly.degree <= 1:
+        return [(poly.monic(), 1)]
+    a, b, c = poly[2], poly[1], poly[0]
     disc = b * b - field(4) * a * c
     if is_square(disc):
         r = sqrt(disc)
@@ -641,7 +636,7 @@ def _factor_quadratic_over_q(den: Polynomial):
             return [(Polynomial(field, [-m1, field.one]), 2)]
         return [(Polynomial(field, [-m1, field.one]), 1),
                 (Polynomial(field, [-m2, field.one]), 1)]
-    return [(den.monic(), 1)]
+    return [(poly.monic(), 1)]
 
 
 def _value_at(rf: RationalFunction, v):

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.algebra import Polynomial, PrimeField, QQ
-from cubica.hyper import (MumfordClass, SplitCurve, canonicalize_prym,
+from cubica.algebra import Polynomial, PrimeField, QQ, QuadraticField
+from cubica.hyper import (MumfordClass, SplitCurve, _series_sqrt,
+                          canonicalize_prym,
                           class_from_pair, classes_equal, divisor_difference,
                           divisor_of_class, i_star, identity_class,
                           is_principal, iota_star, mumford_add, mumford_neg,
@@ -34,6 +35,83 @@ def test_vplus_and_series():
             prod[i + j] = prod[i + j] + S[i] * S[j]
     assert prod[0].is_one() and prod[2] == QQ(4) and prod[4] == QQ(4)
     assert prod[1].is_zero() and prod[3].is_zero()
+
+
+def newton_series_sqrt(a, prec, field):
+    """Reference: the square root of a series with a[0] = 1 by Newton's
+    iteration s <- (s + a/s)/2, doubling the precision, on schoolbook
+    series products and inverses."""
+    def mul(u, v, n):
+        out = [field.zero] * n
+        for i, ui in enumerate(u[:n]):
+            for j, vj in enumerate(v[:n - i]):
+                out[i + j] = out[i + j] + ui * vj
+        return out
+
+    def inv(u, n):
+        out = [u[0].inverse()] + [field.zero] * (n - 1)
+        for m in range(1, n):
+            acc = field.zero
+            for k in range(1, m + 1):
+                acc = acc + (u[k] if k < len(u) else field.zero) * out[m - k]
+            out[m] = -out[0] * acc
+        return out
+
+    out, n, half = [field.one], 1, field(2).inverse()
+    while n < prec:
+        n = min(2 * n, prec)
+        cur = out + [field.zero] * (n - len(out))
+        quo = mul(a, inv(cur, n), n)
+        out = [(c + q) * half for c, q in zip(cur, quo)]
+    return out
+
+
+F25 = QuadraticField(PrimeField(5), 0, 2)
+
+
+@pytest.mark.parametrize("field", [PrimeField(13), PrimeField(1000000007),
+                                   F25, QQ], ids=repr)
+def test_series_sqrt_matches_newton(field):
+    """The recurrence gives Newton's coefficients at every precision 1-20,
+    also where p divides the index (F_13 at n = 13) and for a series shorter
+    or longer than the precision."""
+    rng = random.Random(7)
+
+    def draw():
+        if field is QQ:
+            return QQ(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if field is F25:
+            return F25((rng.randrange(5), rng.randrange(5)))
+        return field(rng.randrange(field.p))
+
+    for prec in range(1, 21):
+        for length in (prec, prec + 3, max(1, prec - 4)):
+            a = [field.one] + [draw() for _ in range(length - 1)]
+            s = _series_sqrt(a, prec, field)
+            assert s == newton_series_sqrt(a, prec, field), (prec, length)
+            square = [sum((s[k] * s[n - k] for k in range(n + 1)), field.zero)
+                      for n in range(prec)]
+            padded = a[:prec] + [field.zero] * (prec - len(a))
+            assert square == padded
+
+
+def test_infinite_points_are_told_apart():
+    """y = +-x^(g+1) S(1/x) at inf+-, so y - V+ is regular at inf+ and has a
+    pole of order g + 1 at inf-.  Neither point is a Weierstrass point, so
+    L(g P) holds only constants and L((g + 1) P) has dimension 2."""
+    W = example_curve(QQ)
+    g, zero, one = W.g, Polynomial.zero(QQ), Polynomial.one(QQ)
+    for sign in (1, -1):
+        assert W.expansion_at_infinity(zero, one, sign, 0)[g + 1] == sign
+    plus = W.expansion_at_infinity(-W.Vplus, one, 1, 0)
+    minus = W.expansion_at_infinity(-W.Vplus, one, -1, 0)
+    assert all(c.is_zero() for c in plus.values())
+    assert minus[g + 1] == -2
+    from cubica.hyper import WDivisor
+    for weights in ((g + 1, 0), (0, g + 1)):
+        assert len(rr_space(W, WDivisor([], *weights))) == 2
+    for weights in ((g, 0), (0, g)):
+        assert len(rr_space(W, WDivisor([], *weights))) == 1
 
 
 def test_golden_tripling_over_q():

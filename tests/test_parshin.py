@@ -1,18 +1,21 @@
 """Parshin covers: symbolic family identities, the Weierstrass construction,
 and the full worked pipeline over Q with its frozen golden values."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from cubica.algebra import (FunctionField, Polynomial, PrimeField, QQ,
-                            RationalFunction)
-from cubica.hyper import (SplitCurve, canonicalize_prym, classes_equal,
-                          divisor_difference, is_principal, mumford_scalar,
-                          point_minus_i_point)
-from cubica.parshin import (CurvePoint, find_Ptilde, genus1_parshin,
-                            genus1_sample_check, interpolate_f, parshin_cover,
-                            phi_fibre_size, verify_weierstrass_identity_generic,
+from cubica.algebra import (FieldError, FunctionField, Polynomial, PrimeField,
+                            QQ, RationalFunction, is_square, sqrt)
+from cubica.algebra.linalg import _rref
+from cubica.hyper import (SplitCurve, _series_sqrt, canonicalize_prym,
+                          classes_equal, divisor_difference, is_principal,
+                          mumford_scalar, point_minus_i_point)
+from cubica.parshin import (CurvePoint, _point_conditions, find_Ptilde,
+                            genus1_parshin, genus1_sample_check,
+                            interpolate_f, parshin_cover, phi_fibre_size,
+                            verify_weierstrass_identity_generic,
                             weierstrass_parshin, weierstrass_ramification_on_x)
 
 F7 = PrimeField(7)
@@ -205,3 +208,96 @@ def test_parshin_cover_partner_orbit():
     Qt = CurvePoint(QQ(1), QQ(2))
     f2 = interpolate_f(W, Qt, partner)
     assert f2.lam == QQ(5)
+
+
+# -- interpolation conditions at a point ------------------------------------------
+
+
+def series_point_conditions(curve, pt, order, na, nb, cols):
+    """Reference: the rows of ord_pt(a + b y) >= order read off the series
+    of y in (x - x0) and the shifted monomials (x0 + t)^i."""
+    field = curve.field
+    shift = Polynomial(field, [pt.x, field.one])
+    shifted = curve.F.compose(shift)
+    inv = (pt.y * pt.y).inverse()
+    S = _series_sqrt([shifted[i] * inv for i in range(order + 2)],
+                     order + 1, field)
+    yser = [pt.y * c for c in S]
+    rows = [[field.zero] * cols for _ in range(order)]
+    for i in range(na + 1):
+        mono = (Polynomial.x(field) ** i).compose(shift)
+        for d in range(order):
+            rows[d][i] = mono[d]
+    for i in range(nb + 1):
+        mono = (Polynomial.x(field) ** i).compose(shift)
+        for d in range(order):
+            rows[d][na + 1 + i] = sum((mono[k] * yser[d - k]
+                                       for k in range(d + 1)), field.zero)
+    return rows
+
+
+def reduced_rows(rows, cols):
+    work = [list(r) for r in rows]
+    return work[:len(_rref(work, cols))]
+
+
+def seeded_curve_points(p, seed, count):
+    """A seeded squarefree even octic over F_p and `count` of its affine
+    points off the Weierstrass locus."""
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    x = Polynomial.x(field)
+    while True:
+        c0, c2, c4, c6 = (rng.randrange(p) for _ in range(4))
+        try:
+            curve = SplitCurve(x ** 8 + c6 * x ** 6 + c4 * x ** 4
+                               + c2 * x ** 2 + c0)
+        except FieldError:
+            continue
+        break
+    points = []
+    while len(points) < count:
+        x0 = field(rng.randrange(p))
+        val = curve.F.evaluate(x0)
+        if not val.is_zero() and is_square(val):
+            points.append(CurvePoint(x0, sqrt(val)))
+    return curve, points
+
+
+def _conditions_cases():
+    for p in (101, 1000000007):
+        for seed in (1, 2, 3):
+            curve, points = seeded_curve_points(p, seed, 3)
+            for pt in points:
+                yield curve, pt
+    yield paper_curve(QQ), CurvePoint(QQ(1), QQ(2))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_point_conditions_span_the_series_rows(order):
+    """The Riemann-Roch congruence a + b V = 0 mod (x - x0)^order gives the
+    same row space as the series expansion of y, so the same RREF and the
+    same kernel for interpolate_f."""
+    for curve, pt in _conditions_cases():
+        for m in (4, 6):
+            na, nb = m, m - (curve.g + 1)
+            cols = na + nb + 2
+            new = _point_conditions(curve, pt, order, na, nb, cols)
+            ref = series_point_conditions(curve, pt, order, na, nb, cols)
+            assert len(new) == order
+            got = reduced_rows(new, cols)
+            assert len(got) == order
+            assert got == reduced_rows(ref, cols), (curve.F, pt, order, m)
+
+
+def test_interpolate_f_refuses_a_weierstrass_point():
+    """A point with y = 0 is refused with the typed error, at order 1 (Pt)
+    and at order 3 (Qt)."""
+    x = Polynomial.x(QQ)
+    W = SplitCurve((x ** 2 - 1) * (x ** 6 - 4))
+    weier, plain = CurvePoint(QQ(1), QQ(0)), CurvePoint(QQ(0), QQ(2))
+    assert W.on_curve(weier.x, weier.y) and W.on_curve(plain.x, plain.y)
+    with pytest.raises(FieldError, match="non-Weierstrass"):
+        interpolate_f(W, plain, weier)
+    with pytest.raises(FieldError, match="non-Weierstrass"):
+        interpolate_f(W, weier, plain)

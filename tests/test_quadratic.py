@@ -1,10 +1,12 @@
 """Quadratic models: splitting, parametrization, complementary extensions,
 purely cubic closure and resolvent."""
 
+from fractions import Fraction
+
 import pytest
 
 from cubica.algebra import (Polynomial, PrimeField, QQ, RationalFunction,
-                            is_irreducible)
+                            is_irreducible, poly_factor)
 from cubica.analyzer import analyze
 from cubica.function_field import Place
 from cubica.models import CubicModel
@@ -109,6 +111,24 @@ def test_split_kind_agrees_with_splitting_type(p):
             res = M.splitting_type(place)
             assert res.kind == M.split_kind(place)
             assert (res.rho_minus is not None) == (res.kind == SPLIT)
+
+
+def test_branch_places_follow_the_factorization():
+    """Over F_q the branch places are poly_factor's factors in its order,
+    over Q the quadratic formula's roots (+ first); odd degree adds inf."""
+    x = x_of(F7)
+    for f in ((x - 5) * (x - 3), x * x + 1, x - 3):
+        want = [Place.finite(p) for p, _ in poly_factor(f)]
+        if f.degree == 1:
+            want.append(Place.infinity(F7))
+        assert QuadraticModel.kummer(f).branch_places() == want
+    x = x_of(QQ)
+    assert QuadraticModel.kummer(x * x - 4).branch_places() == \
+        [Place.finite(x - 2), Place.finite(x + 2)]
+    assert QuadraticModel.kummer(-x * x - 1).branch_places() == \
+        [Place.finite(x * x + 1)]
+    assert QuadraticModel.kummer(2 * x + 1).branch_places() == \
+        [Place.finite(x + QQ(Fraction(1, 2))), Place.infinity(QQ)]
 
 
 def test_split_kind_over_q():
