@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 
 
 class FieldError(ValueError):
@@ -299,8 +298,10 @@ class QuadraticField:
     def sort_key(self, v):
         return (v[1], v[0])
 
-    def elements(self):
-        for c1 in range(self.p):
+    def elements(self, skip_base=False):
+        """c0 + c1 t, c0 varying fastest, so F_p comes first; with
+        `skip_base` all but F_p."""
+        for c1 in range(1 if skip_base else 0, self.p):
             for c0 in range(self.p):
                 yield Element(self, (c0, c1))
 
@@ -416,9 +417,10 @@ def smallest_nonsquare(field):
         return found
     if field.char == 2:
         raise FieldError("every element of a char-2 finite field is a square")
-    elements = field.elements()
     if field.deg % 2 == 0:
-        elements = islice(elements, field.base.order, None)
+        elements = field.elements(skip_base=True)
+    else:
+        elements = field.elements()
     for e in elements:
         if not e.is_zero() and not is_square(e):
             field._nonsquare = e

@@ -2,15 +2,17 @@
 
 Two shapes:
   * KummerRing: K' = K(y), y^2 = f(x) with f in k[x] (nonconstant model);
-    elements are pairs (A, B) of rational functions meaning A + B*y, the
-    conjugation sends y -> -y.
+    elements are pairs (A, B) of rational functions meaning A + B*y.  They
+    multiply but do not divide: the descent evaluates theta(m) and
+    sigma(theta)/theta as pairs of polynomials over k[x][y] and reduces
+    each part to normal form once (`descent._at_m`).
   * ConstantRing: K' = q(x) for q = F_{p^2}; elements are rational
     functions with q-coefficients, the conjugation is the coefficient-wise
     Frobenius.
 
-Both expose conj / trace / norm / as_pair with respect to a Kummer
-generator r (r = y, resp. r = sqrt(d) in q), so the descent machinery can
-treat them uniformly.
+Both expose trace / norm / as_pair with respect to a Kummer generator r
+(r = y, resp. r = sqrt(d) in q), so the descent machinery can treat them
+uniformly.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .ratfunc import RationalFunction
 
 
 class KummerRingElement:
+    """A + B*y with A, B in K, multiplied by ring elements and constants."""
     __slots__ = ("ring", "a", "b")
 
     def __init__(self, ring, a: RationalFunction, b: RationalFunction):
@@ -28,59 +31,14 @@ class KummerRingElement:
         self.a = a
         self.b = b
 
-    def _coerce(self, other):
-        if isinstance(other, KummerRingElement):
-            return other
-        if isinstance(other, RationalFunction):
-            return KummerRingElement(self.ring, other, RationalFunction.zero(self.ring.field))
-        if isinstance(other, (Element, int)):
-            return KummerRingElement(
-                self.ring,
-                RationalFunction.from_const(self.ring.field, self.ring.field(other)),
-                RationalFunction.zero(self.ring.field))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return KummerRingElement(self.ring, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return KummerRingElement(self.ring, self.a - o.a, self.b - o.b)
-
-    def __neg__(self):
-        return KummerRingElement(self.ring, -self.a, -self.b)
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        if isinstance(other, Element):
+            return KummerRingElement(self.ring, self.a * other, self.b * other)
         f = self.ring.f_rat
         return KummerRingElement(
             self.ring,
-            self.a * o.a + self.b * o.b * f,
-            self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def inverse(self):
-        n = self.ring.norm(self)
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of zero in quadratic ring")
-        c = self.ring.conj(self)
-        ninv = n.inverse()
-        return KummerRingElement(self.ring, c.a * ninv, c.b * ninv)
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        return self.a == o.a and self.b == o.b
+            self.a * other.a + self.b * other.b * f,
+            self.a * other.b + self.b * other.a)
 
     def __repr__(self):
         return f"({self.a!r}) + ({self.b!r})*r"
@@ -107,9 +65,6 @@ class KummerRing:
     def gen(self):
         return KummerRingElement(
             self, RationalFunction.zero(self.field), RationalFunction.one(self.field))
-
-    def conj(self, e):
-        return KummerRingElement(self, e.a, -e.b)
 
     def trace(self, e) -> RationalFunction:
         return self.field(2) * e.a

@@ -153,17 +153,25 @@ class RationalFunction:
         return n / d
 
     def compose(self, g: "RationalFunction") -> "RationalFunction":
-        """self(g(x)) as a rational function."""
+        """self(g(x)) as a rational function.
+
+        With g = a/b and n = max(deg num, deg den), both num(a/b) and
+        den(a/b) are multiplied through by b^n: the quotient of the
+        polynomials sum c_i a^i b^(n-i) is reduced to normal form once."""
         n = max(self.num.degree, self.den.degree, 0)
-        num = RationalFunction.zero(self.field)
-        den = RationalFunction.zero(self.field)
-        gn = RationalFunction(g.num)
-        gd = RationalFunction(g.den)
+        F = self.field
+        num = den = Polynomial.zero(F)
+        a_pow = Polynomial.one(F)
+        b_pows = [Polynomial.one(F)]
+        for _ in range(n):
+            b_pows.append(b_pows[-1] * g.den)
         for i in range(n + 1):
-            w = gn ** i * gd ** (n - i)
-            num = num + self.num[i] * w
-            den = den + self.den[i] * w
-        return num / den
+            if i:
+                a_pow = a_pow * g.num
+            w = a_pow * b_pows[n - i]
+            num = num + w * self.num[i]
+            den = den + w * self.den[i]
+        return RationalFunction(num, den)
 
     def map_coeffs(self, fn, field=None):
         return RationalFunction(self.num.map_coeffs(fn, field), self.den.map_coeffs(fn, field))

@@ -99,13 +99,18 @@ class ResidueField:
     def sort_key(self, a):
         return a.sort_key()
 
-    def elements(self):
+    def elements(self, skip_base=False):
         """All residues, the constant coefficient varying fastest, so the
-        base constants come first."""
+        base constants come first; with `skip_base` all but those, which are
+        not built."""
         base_elems = list(self.base.elements())
-        # product varies its last factor fastest: reversed, the constant term
-        for coeffs in product(base_elems, repeat=self.deg):
-            yield Element(self, Polynomial(self.base, coeffs[::-1]))
+        # product varies its last factor fastest; high = (c_{deg-1}, ..., c_1)
+        highs = product(base_elems, repeat=self.deg - 1)
+        if skip_base:
+            next(highs)
+        for high in highs:
+            for c in base_elems:
+                yield Element(self, Polynomial(self.base, (c,) + high[::-1]))
 
     def format_element(self, a):
         return repr(a)

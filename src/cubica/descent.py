@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import (Element, FieldError, Polynomial, RationalFunction,
-                      sqrt)
+                      poly_gcd, sqrt)
 from .function_field import Place
 from .models import CubicModel, sorted_places
 from .quadratic import (ConicParametrization, INF_MARK, QuadraticModel,
@@ -141,17 +141,49 @@ def _construct_constant(problem: DescentProblem) -> DescentResult:
 # ---------------------------------------------------------------------------
 
 
-def _eval_at_ring(rf: RationalFunction, elt, ring):
-    num = _eval_poly(rf.num, elt, ring)
-    den = _eval_poly(rf.den, elt, ring)
-    return num / den
+def _at_m(rf: RationalFunction, par: ConicParametrization):
+    """rf(m) for m = par.m_expr in K' = K(y), y^2 = f, as polynomials
+    (U, V, N) with rf(m) = (U + V y)/N.
+
+    Over one common denominator m = (P + Q y)/D.  With n = max(deg num,
+    deg den), num(m) and den(m) times D^n are the sums c_i (P + Q y)^i
+    D^(n-i); Horner's rule gives each as a pair A + B y of polynomials,
+    reducing y^2 = f.  Dividing by A_2 + B_2 y through its norm
+    N = A_2^2 - B_2^2 f leaves U = A_1 A_2 - B_1 B_2 f, V = B_1 A_2 - A_1 B_2.
+    Nothing is reduced to normal form on the way."""
+    f = par.ring.f_poly
+    a, b = par.m_expr.a, par.m_expr.b
+    g = poly_gcd(a.den, b.den)
+    P, Q = a.num * b.den.exact_div(g), b.num * a.den.exact_div(g)
+    D = a.den.exact_div(g) * b.den
+    Qf = Q * f
+    n = max(rf.num.degree, rf.den.degree, 0)
+    d_pows = [Polynomial.one(f.field)]
+    for _ in range(n):
+        d_pows.append(d_pows[-1] * D)
+
+    def homogenized(poly):
+        A = B = Polynomial.zero(f.field)
+        for i in range(poly.degree, -1, -1):
+            A, B = A * P + B * Qf + d_pows[n - i] * poly[i], A * Q + B * P
+        return A, B
+
+    a1, b1 = homogenized(rf.num)
+    a2, b2 = homogenized(rf.den)
+    return (a1 * a2 - b1 * b2 * f, b1 * a2 - a1 * b2,
+            a2 * a2 - b2 * b2 * f)
 
 
-def _eval_poly(poly: Polynomial, elt, ring):
-    acc = ring.element(RationalFunction.zero(ring.field))
-    for c in reversed(poly.coeffs):
-        acc = acc * elt + c
-    return acc
+def _ring_element(ring, U, V, N):
+    """(U + V y)/N as an element of the ring, each part in normal form."""
+    return ring.element(RationalFunction(U, N), RationalFunction(V, N))
+
+
+def _sigma_quotient(ring, U, V):
+    """f = sigma(theta)/theta for theta = (U + V y)/N: (U - V y)^2 over the
+    norm U^2 - V^2 f, in which N cancels."""
+    uu, vvf = U * U, V * V * ring.f_poly
+    return _ring_element(ring, uu + vvf, U * V * -2, uu - vvf)
 
 
 def _realize_theta(net, field) -> RationalFunction:
@@ -214,9 +246,9 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
                 _net_add(net, place, -e * mult)
             ell_elt, c = _mirror_function(par, ring, kappa_minus, kappa_plus)
 
-    theta = _realize_theta(net, field)
-    theta_elt = _eval_at_ring(theta, par.m_expr, ring)
-    f_elt = ring.conj(theta_elt) / theta_elt
+    U, V, N = _at_m(_realize_theta(net, field), par)
+    theta_elt = _ring_element(ring, U, V, N)
+    f_elt = _sigma_quotient(ring, U, V)
     if ell_elt is not None:
         f_elt = ell_elt * f_elt
     norm_f = ring.norm(f_elt)
@@ -278,7 +310,7 @@ def _mirror_function(par, ring, kappa_minus: Place, kappa_plus: Place):
         ell = RationalFunction(kappa_minus.poly)
     else:
         ell = RationalFunction(kappa_minus.poly, kappa_plus.poly)
-    ell_elt = _eval_at_ring(ell, par.m_expr, ring)
+    ell_elt = _ring_element(ring, *_at_m(ell, par))
     c0_rf = ring.norm(ell_elt)
     if not c0_rf.is_constant():
         raise ArithmeticError("l * sigma(l) is not constant (internal error)")
@@ -301,9 +333,8 @@ def _unit_form_case_2b(problem, par, ring, base_net, eta, deg_t) -> CubicModel:
     e = (deg_t - 3 * p1.place.degree) // 2
     for place, mult in eta.items():
         _net_add(net, place, -e * mult)
-    theta = _realize_theta(net, field)
-    theta_elt = _eval_at_ring(theta, par.m_expr, ring)
-    f_elt = ring.conj(theta_elt) / theta_elt
+    U, V, _ = _at_m(_realize_theta(net, field), par)
+    f_elt = _sigma_quotient(ring, U, V)
     nrm = ring.norm(f_elt)
     if not (nrm.is_constant() and nrm.constant_value().is_one()):
         raise ArithmeticError("unit-form f has nonunit norm (internal error)")

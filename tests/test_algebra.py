@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -213,6 +213,51 @@ def test_rational_function_normalization():
     assert sq.compose(RationalFunction(x + 1)) == RationalFunction((x + 1) ** 2)
 
 
+def ref_rf_compose(r, g):
+    """Reference: r(g) summed term by term, every partial sum in normal form."""
+    n = max(r.num.degree, r.den.degree, 0)
+    num = den = RationalFunction.zero(r.field)
+    gn, gd = RationalFunction(g.num), RationalFunction(g.den)
+    for i in range(n + 1):
+        w = gn ** i * gd ** (n - i)
+        num = num + r.num[i] * w
+        den = den + r.den[i] * w
+    return num / den
+
+
+def random_rf(field, rng, max_deg):
+    def coeff():
+        if field.order is None:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return rng.randrange(field.order)
+    while True:
+        num = Polynomial(field, [coeff() for _ in range(rng.randint(0, max_deg) + 1)])
+        den = Polynomial(field, [coeff() for _ in range(rng.randint(0, max_deg) + 1)])
+        if not den.is_zero():
+            return RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("field", [F5, PrimeField(101), QQ], ids=repr)
+def test_rational_compose_matches_the_term_by_term_sum(field):
+    rng = random.Random(f"rf-compose:{field!r}")
+    x = Polynomial.x(field)
+    cases = [(RationalFunction.from_const(field, 3),
+              RationalFunction(x + 1, x * x + 2)),
+             (RationalFunction(x * x + 1, x - 1),
+              RationalFunction(x * 2 + 1, x * x + x + 3))]
+    cases += [(random_rf(field, rng, 4), random_rf(field, rng, 3))
+              for _ in range(12)]
+    for r, g in cases:
+        try:
+            ref = ref_rf_compose(r, g)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                r.compose(g)
+            continue
+        out = r.compose(g)
+        assert (out.num.vals, out.den.vals) == (ref.num.vals, ref.den.vals)
+
+
 # -- norm criterion for squares, against Euler's criterion and the full scan ----
 
 
@@ -278,6 +323,16 @@ def test_residue_nonsquare_is_the_full_scan_element(p, deg):
     rng = random.Random(f"residue-nonsquare:{p}:{deg}")
     R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
     assert smallest_nonsquare(R) == full_scan_nonsquare_residue(R)
+
+
+@pytest.mark.parametrize("p,deg", [(5, 2), (5, 4), (7, 3), (13, 2)])
+def test_elements_past_the_base_are_the_tail_of_the_full_order(p, deg):
+    rng = random.Random(f"residue-skip:{p}:{deg}")
+    R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
+    assert list(R.elements(skip_base=True)) == list(islice(R.elements(), p, None))
+    if deg == 2:
+        q = quadratic_field(p)
+        assert list(q.elements(skip_base=True)) == list(islice(q.elements(), p, None))
 
 
 @pytest.mark.parametrize("p,deg", RESIDUE_CASES)
