@@ -8,8 +8,8 @@ into a temporary directory (the committed files, as the benchmark's driver
 checks them out; nothing is registered in the repository).  The change side
 is the tree this script sits in, uncommitted edits included.  Pair i runs
 `perfbench/run.py --trace 0` at seed `seeds[i % len(seeds)]` on both sides,
-the base first on even i and the change first on odd i, for
-`BENCHMARK.json`'s `run_seconds` unless `--seconds` says otherwise.
+the base first on even i and the change first on odd i, each run lasting
+`BENCHMARK.json`'s `run_seconds`.
 
 A run that is not `correct`, or a pair whose run and census digests differ
 between the sides, stops the script with exit status 1.  Otherwise the
@@ -118,12 +118,13 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seeds", default="501-510", help="e.g. 501-510 or 501,911")
-    ap.add_argument("--seconds", type=float, default=None)
     ap.add_argument("--out", required=True, help="JSON file to create or update")
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: quartiles need two values")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     seeds = _seeds(args.seeds)
     base_commit = _git("rev-parse", args.base)
