@@ -276,11 +276,6 @@ class QuadraticField:
         c0, c1 = x
         return (c0 * c0 + self.a * c0 * c1 - self.b * c1 * c1) % self.p
 
-    def conj(self, e: Element) -> Element:
-        """The nontrivial automorphism over the base field, t -> a - t."""
-        c0, c1 = e.val
-        return Element(self, ((c0 + self.a * c1) % self.p, (-c1) % self.p))
-
     def norm(self, e: Element) -> Element:
         """Norm down to the base field."""
         return Element(self.base, self._norm(e.val))

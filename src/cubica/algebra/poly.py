@@ -315,12 +315,6 @@ class Polynomial:
             acc = _add(F, _mul(F, acc, g.vals), [c] if c != zero else [])
         return _poly(F, acc)
 
-    def shift(self, n: int) -> "Polynomial":
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return _poly(self.field, [self.field._zero_val()] * n + self.vals)
-
     def map_coeffs(self, fn, field=None) -> "Polynomial":
         """The polynomial with coefficients fn(c), fn taking and returning
         Elements (of ``field``, when given)."""
@@ -450,25 +444,6 @@ def squarefree_decomposition(f: Polynomial):
     for g, m in out.items():
         merged[g] = merged.get(g, 0) + m
     return sorted(merged.items(), key=lambda t: (t[1], t[0].sort_key()))
-
-
-def squarefree_part(f: Polynomial) -> Polynomial:
-    """The monic product of the distinct irreducible factors of f."""
-    result = Polynomial.one(f.field)
-    for g, _ in squarefree_decomposition(f):
-        result = result * g
-    return result
-
-
-def radical_with_odd_part(f: Polynomial):
-    """(radical, odd) where odd is the product of factors of odd multiplicity."""
-    rad = Polynomial.one(f.field)
-    odd = Polynomial.one(f.field)
-    for g, m in squarefree_decomposition(f):
-        rad = rad * g
-        if m % 2 == 1:
-            odd = odd * g
-    return rad, odd
 
 
 # -- factorization over finite fields ----------------------------------------------

@@ -173,14 +173,6 @@ class RationalFunction:
             den = den + w * self.den[i]
         return RationalFunction(num, den)
 
-    def map_coeffs(self, fn, field=None):
-        return RationalFunction(self.num.map_coeffs(fn, field), self.den.map_coeffs(fn, field))
-
-    def derivative(self):
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
-
     def __repr__(self):
         if self.den.is_one():
             return f"({self.num!r})"

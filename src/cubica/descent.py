@@ -16,6 +16,10 @@ Three divisor shapes, by the parity of deg T and the stable points of K':
                    the generalized equation with c != 1 and simple poles
                    (the classical c = 1 form, which must carry one pole of
                    order 2, is attached as `unit_form`).
+
+Both closure shapes are K' = K(y) with y^2 = f, f the constant d for the
+constant closure qK, and the elements theta, f and l are carried as
+polynomial triples (U, V, N) over k[x], meaning (U + V y)/N.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import (Element, FieldError, Polynomial, RationalFunction,
-                      poly_gcd, sqrt)
+from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
 from .function_field import Place
 from .models import CubicModel, sorted_places
 from .quadratic import (ConicParametrization, INF_MARK, QuadraticModel,
@@ -44,7 +47,6 @@ class UpstairsChoice:
 class DescentProblem:
     closure: QuadraticModel
     choices: list
-    twist: Element = None
 
     @property
     def places(self):
@@ -73,8 +75,7 @@ def exists_descent(closure: QuadraticModel, places) -> bool:
     return all(closure.split_kind(p) == SPLIT for p in places)
 
 
-def make_problem(closure: QuadraticModel, places, signs=None,
-                 twist=None) -> DescentProblem:
+def make_problem(closure: QuadraticModel, places, signs=None) -> DescentProblem:
     """Problem with explicit sign choices; signs[i] in {+1, -1} relative to
     the canonical square root at each place (default all +1)."""
     places = list(places)
@@ -84,7 +85,7 @@ def make_problem(closure: QuadraticModel, places, signs=None,
     for p, s in zip(places, signs):
         rho = closure.canonical_rho(p)
         choices.append(UpstairsChoice(p, rho if s > 0 else -rho))
-    return DescentProblem(closure, choices, twist=twist)
+    return DescentProblem(closure, choices)
 
 
 def construct(problem: DescentProblem) -> DescentResult:
@@ -105,35 +106,73 @@ def construct(problem: DescentProblem) -> DescentResult:
 
 
 # ---------------------------------------------------------------------------
-# constant closure K' = qK
+# elements (U + V y)/N of K' = K(y), y^2 = f, as triples of polynomials
+# ---------------------------------------------------------------------------
+
+
+def _sigma_quotient(U, V, f):
+    """f = sigma(theta)/theta for theta = (U + V y)/N: (U - V y)^2 over the
+    norm U^2 - V^2 f, in which N cancels."""
+    uu, vvf = U * U, V * V * f
+    return uu + vvf, U * V * -2, uu - vvf
+
+
+def _times(s, t, f):
+    """The product s * t."""
+    (u1, v1, n1), (u2, v2, n2) = s, t
+    return u1 * u2 + v1 * v2 * f, u1 * v2 + v1 * u2, n1 * n2
+
+
+def _norm(t, f, message):
+    """The constant t * sigma(t) = (U^2 - V^2 f)/N^2; ArithmeticError(message)
+    when it is not constant."""
+    U, V, N = t
+    num, den = U * U - V * V * f, N * N
+    lam = num.leading() / den.leading()
+    if num != den * lam:
+        raise ArithmeticError(message)
+    return lam
+
+
+def _pair(t):
+    """(U/N, V/N), each in normal form."""
+    U, V, N = t
+    return RationalFunction(U, N), RationalFunction(V, N)
+
+
+def _finish(problem, case, theta, c, ell=None, unit_form=None) -> DescentResult:
+    """f = ell * sigma(theta)/theta, its norm checked against c, and the
+    model y^3 = 3c y + alpha with alpha = c (f + sigma f) = 2c U/N."""
+    closure = problem.closure
+    f = closure.f
+    f_t = _sigma_quotient(theta[0], theta[1], f)
+    if ell is not None:
+        f_t = _times(ell, f_t, f)
+    lam = _norm(f_t, f, "f * sigma(f) is not constant (internal error)")
+    if lam != c:
+        raise ArithmeticError("f * sigma(f) differs from the expected constant")
+    alpha = RationalFunction(f_t[0] * (closure.field(2) * c), f_t[2])
+    return DescentResult(model=CubicModel.impure(c, alpha), case=case, c=c,
+                         theta=_pair(theta), f_pair=_pair(f_t),
+                         closure=closure, problem=problem,
+                         unit_form=unit_form, lam=lam)
+
+
+# ---------------------------------------------------------------------------
+# constant closure K' = qK, q = k(sqrt(d)): theta = A + B sqrt(d) over k[x]
 # ---------------------------------------------------------------------------
 
 
 def _construct_constant(problem: DescentProblem) -> DescentResult:
-    closure = problem.closure
-    par = closure.parametrize()
-    ring = par.ring
-    q = par.qfield
-    theta_poly = Polynomial.one(q)
+    field = problem.closure.field
+    par = problem.closure.parametrize()
+    theta = Polynomial.one(par.qfield)
     for ch in problem.choices:
-        theta_poly = theta_poly * par.upstairs_place(ch.place, ch.rho)
-    theta = RationalFunction(theta_poly)
-    f = RationalFunction(par.conj_poly(theta_poly), theta_poly)
-    if problem.twist is not None:
-        u = q(problem.twist.val if isinstance(problem.twist, Element) else problem.twist)
-        if not q.norm(u).is_one():
-            raise FieldError("twist parameter must have norm 1")
-        f = f * u
-    norm_f = ring.norm(f)
-    if not (norm_f.is_constant() and norm_f.constant_value().is_one()):
-        raise ArithmeticError("f * sigma(f) is not 1 (internal error)")
-    alpha = ring.trace(f)
-    field = closure.field
-    model = CubicModel.impure(field.one, alpha)
-    return DescentResult(model=model, case="even", c=field.one,
-                         theta=ring.as_pair(ring.element(theta)),
-                         f_pair=ring.as_pair(ring.element(f)),
-                         closure=closure, problem=problem, lam=field.one)
+        theta = theta * par.upstairs_place(ch.place, ch.rho)
+    parts = [par.split(e) for e in theta.coeffs]
+    A = Polynomial(field, [a for a, _ in parts])
+    B = Polynomial(field, [b for _, b in parts])
+    return _finish(problem, "even", (A, B, Polynomial.one(field)), field.one)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +181,16 @@ def _construct_constant(problem: DescentProblem) -> DescentResult:
 
 
 def _at_m(rf: RationalFunction, par: ConicParametrization):
-    """rf(m) for m = par.m_expr in K' = K(y), y^2 = f, as polynomials
-    (U, V, N) with rf(m) = (U + V y)/N.
+    """rf(m) for m = (P + Q y)/D = par.m in K' = K(y), y^2 = f, as the
+    triple (U, V, N) with rf(m) = (U + V y)/N.
 
-    Over one common denominator m = (P + Q y)/D.  With n = max(deg num,
-    deg den), num(m) and den(m) times D^n are the sums c_i (P + Q y)^i
-    D^(n-i); Horner's rule gives each as a pair A + B y of polynomials,
-    reducing y^2 = f.  Dividing by A_2 + B_2 y through its norm
-    N = A_2^2 - B_2^2 f leaves U = A_1 A_2 - B_1 B_2 f, V = B_1 A_2 - A_1 B_2.
-    Nothing is reduced to normal form on the way."""
-    f = par.ring.f_poly
-    a, b = par.m_expr.a, par.m_expr.b
-    g = poly_gcd(a.den, b.den)
-    P, Q = a.num * b.den.exact_div(g), b.num * a.den.exact_div(g)
-    D = a.den.exact_div(g) * b.den
+    With n = max(deg num, deg den), num(m) and den(m) times D^n are the
+    sums c_i (P + Q y)^i D^(n-i); Horner's rule gives each as a pair A + B y
+    of polynomials, reducing y^2 = f.  Dividing by A_2 + B_2 y through its
+    norm N = A_2^2 - B_2^2 f leaves U = A_1 A_2 - B_1 B_2 f,
+    V = B_1 A_2 - A_1 B_2.  Nothing is reduced to normal form on the way."""
+    f = par.model.f
+    P, Q, D = par.m
     Qf = Q * f
     n = max(rf.num.degree, rf.den.degree, 0)
     d_pows = [Polynomial.one(f.field)]
@@ -172,18 +207,6 @@ def _at_m(rf: RationalFunction, par: ConicParametrization):
     a2, b2 = homogenized(rf.den)
     return (a1 * a2 - b1 * b2 * f, b1 * a2 - a1 * b2,
             a2 * a2 - b2 * b2 * f)
-
-
-def _ring_element(ring, U, V, N):
-    """(U + V y)/N as an element of the ring, each part in normal form."""
-    return ring.element(RationalFunction(U, N), RationalFunction(V, N))
-
-
-def _sigma_quotient(ring, U, V):
-    """f = sigma(theta)/theta for theta = (U + V y)/N: (U - V y)^2 over the
-    norm U^2 - V^2 f, in which N cancels."""
-    uu, vvf = U * U, V * V * ring.f_poly
-    return _ring_element(ring, uu + vvf, U * V * -2, uu - vvf)
 
 
 def _realize_theta(net, field) -> RationalFunction:
@@ -212,10 +235,7 @@ def _net_add(net, place, mult):
 def _construct_conic(problem: DescentProblem) -> DescentResult:
     closure = problem.closure
     field = closure.field
-    if problem.twist is not None:
-        raise FieldError("nonconstant closures admit no nontrivial twists")
     par = closure.parametrize()
-    ring = par.ring
     deg_t = sum(ch.place.degree for ch in problem.choices)
 
     net = {}
@@ -225,7 +245,8 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
 
     eta = par.infinity_pullback()
     fixed = par.sigma_fixed_points()
-    ell_elt = None
+    ell = None
+    unit_form = None
     c = field.one
     if deg_t % 2 == 0:
         case = "even"
@@ -244,30 +265,11 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
             _net_add(net, kappa_minus, 1)
             for place, mult in eta.items():
                 _net_add(net, place, -e * mult)
-            ell_elt, c = _mirror_function(par, ring, kappa_minus, kappa_plus)
+            ell, c = _mirror_function(par, kappa_minus, kappa_plus)
+            unit_form = _unit_form_case_2b(problem, par, base_net, eta, deg_t)
 
-    U, V, N = _at_m(_realize_theta(net, field), par)
-    theta_elt = _ring_element(ring, U, V, N)
-    f_elt = _sigma_quotient(ring, U, V)
-    if ell_elt is not None:
-        f_elt = ell_elt * f_elt
-    norm_f = ring.norm(f_elt)
-    if not norm_f.is_constant():
-        raise ArithmeticError("f * sigma(f) is not constant (internal error)")
-    lam = norm_f.constant_value()
-    if lam != c:
-        raise ArithmeticError("f * sigma(f) differs from the expected constant")
-    alpha = ring.trace(f_elt) * c
-    model = CubicModel.impure(c, alpha)
-
-    unit_form = None
-    if case == "case_2b":
-        unit_form = _unit_form_case_2b(problem, par, ring, base_net, eta, deg_t)
-
-    return DescentResult(model=model, case=case, c=c,
-                         theta=ring.as_pair(theta_elt), f_pair=ring.as_pair(f_elt),
-                         closure=closure, problem=problem,
-                         unit_form=unit_form, lam=lam)
+    theta = _at_m(_realize_theta(net, field), par)
+    return _finish(problem, case, theta, c, ell, unit_form)
 
 
 def _stable_degree_one(fixed, field):
@@ -299,32 +301,28 @@ def _choose_kappa(par: ConicParametrization, field):
     raise ArithmeticError("no moving rational point found")
 
 
-def _mirror_function(par, ring, kappa_minus: Place, kappa_plus: Place):
+def _mirror_function(par, kappa_minus: Place, kappa_plus: Place):
     """l with div(l) = kappa^- - kappa^+, rescaled so that the constant
     c = l * sigma(l) is the canonical square-class representative."""
-    field = ring.field
-    x = Polynomial.x(field)
+    field = par.field
     if kappa_minus.infinite:
         ell = RationalFunction(Polynomial.one(field), kappa_plus.poly)
     elif kappa_plus.infinite:
         ell = RationalFunction(kappa_minus.poly)
     else:
         ell = RationalFunction(kappa_minus.poly, kappa_plus.poly)
-    ell_elt = _ring_element(ring, *_at_m(ell, par))
-    c0_rf = ring.norm(ell_elt)
-    if not c0_rf.is_constant():
-        raise ArithmeticError("l * sigma(l) is not constant (internal error)")
-    c0 = c0_rf.constant_value()
+    U, V, N = _at_m(ell, par)
+    c0 = _norm((U, V, N), par.model.f,
+               "l * sigma(l) is not constant (internal error)")
     c_target = canonical_square_const(c0)
-    ratio = c_target / c0
-    ell_elt = ell_elt * sqrt(ratio)
-    return ell_elt, c_target
+    s = sqrt(c_target / c0)
+    return (U * s, V * s, N), c_target
 
 
-def _unit_form_case_2b(problem, par, ring, base_net, eta, deg_t) -> CubicModel:
+def _unit_form_case_2b(problem, par, base_net, eta, deg_t) -> CubicModel:
     """The classical c = 1 equation: theta gets a triple cancellation at the
     smallest odd-degree chosen place, producing a single pole of order 2."""
-    field = ring.field
+    field = par.field
     odd = [ch for ch in problem.choices if ch.place.degree % 2 == 1]
     odd.sort(key=lambda ch: (ch.place.degree,) + ch.place.sort_key())
     p1 = odd[0]
@@ -334,12 +332,11 @@ def _unit_form_case_2b(problem, par, ring, base_net, eta, deg_t) -> CubicModel:
     for place, mult in eta.items():
         _net_add(net, place, -e * mult)
     U, V, _ = _at_m(_realize_theta(net, field), par)
-    f_elt = _sigma_quotient(ring, U, V)
-    nrm = ring.norm(f_elt)
-    if not (nrm.is_constant() and nrm.constant_value().is_one()):
-        raise ArithmeticError("unit-form f has nonunit norm (internal error)")
-    alpha = ring.trace(f_elt)
-    return CubicModel.impure(field.one, alpha)
+    f_t = _sigma_quotient(U, V, par.model.f)
+    message = "unit-form f has nonunit norm (internal error)"
+    if not _norm(f_t, par.model.f, message).is_one():
+        raise ArithmeticError(message)
+    return CubicModel.impure(field.one, RationalFunction(f_t[0] * 2, f_t[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +386,12 @@ def twists_descent(result: DescentResult) -> list:
     if not closure.is_constant_extension():
         return [result.model]
     par = closure.parametrize()
-    ring = par.ring
-    q = par.qfield
-    p_rf, q_rf = result.f_pair
-    f = ring.element(p_rf.map_coeffs(lambda e: q(e.val), q)
-                     + q_rf.map_coeffs(lambda e: q(e.val), q)
-                     * Polynomial.constant(q, ring.root_d))
+    P, Q = result.f_pair
     out = []
-    for u in norm_one_cube_reps(q):
-        fu = f * u
-        alpha = ring.trace(fu)
+    for u in norm_one_cube_reps(par.qfield):
+        # f u = (P u0 + Q u1 d) + (P u1 + Q u0) sqrt(d) for u = u0 + u1 sqrt(d)
+        u0, u1 = par.split(u)
+        alpha = (P * u0 + Q * (u1 * par.d)) * 2
         out.append(CubicModel.impure(closure.field.one, alpha))
     return out
 

@@ -17,9 +17,8 @@ from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       QuadraticField, RationalFunction, ResidueField,
-                      is_square, poly_factor, smallest_nonsquare, sqrt,
-                      squarefree_decomposition, trace_to_f2)
-from .algebra.quadring import ConstantRing, KummerRing
+                      is_square, poly_factor, poly_gcd, smallest_nonsquare,
+                      sqrt, squarefree_decomposition, trace_to_f2)
 from .function_field import Place
 from .models import CubicModel
 
@@ -291,6 +290,7 @@ class QuadraticModel:
         self.field = field
         self.f = f
         self.gamma = gamma
+        self._par = None
         if kind == "kummer":
             if field.char == 2:
                 raise FieldError("Kummer quadratic model needs characteristic != 2")
@@ -399,13 +399,16 @@ class QuadraticModel:
     # -- parametrization -----------------------------------------------------------
 
     def parametrize(self, point=None):
+        """The parametrization of K'; the one through the default point is
+        built once per model."""
         if self.kind == "artin_schreier":
-            if self.gamma == RationalFunction.x(self.field):
-                return ArtinSchreierParametrization(self)
-            raise FieldError("only y^2 + y = x is parametrized in characteristic 2")
-        if self.is_constant_extension():
-            return ConstantParametrization(self)
-        return ConicParametrization(self, point=point)
+            raise FieldError("characteristic-2 models are not parametrized")
+        if point is not None and not self.is_constant_extension():
+            return ConicParametrization(self, point=point)
+        if self._par is None:
+            self._par = (ConstantParametrization(self) if self.is_constant_extension()
+                         else ConicParametrization(self))
+        return self._par
 
     def __repr__(self):
         if self.kind == "kummer":
@@ -448,14 +451,14 @@ class Moebius:
 class ConicParametrization:
     """K' = K(y), y^2 = f(x) with deg f in {1, 2}: an isomorphism K' = k(m)
     with x = X(m), y = Y(m), the involution sigma as a Moebius map in m and
-    m expressed back as an element of K[y]."""
+    m expressed back as m = (P + Q y)/D with P, Q, D in k[x], stored as the
+    triple `m`."""
 
     def __init__(self, model: QuadraticModel, point=None):
         field = model.field
         f = model.f
         self.model = model
         self.field = field
-        self.ring = KummerRing(f)
         one = Polynomial.one(field)
         x = Polynomial.x(field)
         if f.degree == 1:
@@ -464,7 +467,7 @@ class ConicParametrization:
             self.X = RationalFunction((x * x - f0) * f1.inverse())
             self.Y = RationalFunction(x)
             self.sigma = Moebius(-field.one, field.zero, field.zero, field.one)
-            self.m_expr = self.ring.gen()
+            self.m = (Polynomial.zero(field), one, one)
         elif is_square(f.leading()):
             # m = y - s x with s^2 = lc(f); x = (f0 - m^2)/(2 s m - f1)
             s = sqrt(f.leading())
@@ -473,9 +476,7 @@ class ConicParametrization:
             self.X = RationalFunction(-(x * x) + f0, Polynomial(field, [-f1, two_s]))
             self.Y = RationalFunction(x) + self.X * s
             self.sigma = Moebius(f1, -two_s * f0, two_s, -f1)
-            self.m_expr = self.ring.element(
-                RationalFunction(Polynomial(field, [field.zero, -s])),
-                RationalFunction(one))
+            self.m = (Polynomial(field, [field.zero, -s]), one, one)
         else:
             # slope parametrization through an affine point (x0, y0), y0 != 0
             x0, y0 = self._find_point(point)
@@ -487,10 +488,8 @@ class ConicParametrization:
             self.Y = RationalFunction(x) * t + y0
             self.sigma = Moebius(-fp, field(2) * f2 * y0, -field(2) * y0, fp)
             # m = (y - y0)/(x - x0)
-            self.m_expr = self.ring.element(
-                RationalFunction(Polynomial.constant(field, -y0),
-                                 Polynomial(field, [-x0, field.one])),
-                RationalFunction(one, Polynomial(field, [-x0, field.one])))
+            self.m = (Polynomial.constant(field, -y0), one,
+                      Polynomial(field, [-x0, field.one]))
         self._check()
 
     def _find_point(self, point):
@@ -579,13 +578,12 @@ class ConicParametrization:
                     return cand
             raise ArithmeticError("no pole of X matches the sign choice at infinity")
         R = place.residue_field
-        a_num, a_den = self.m_expr.a.num, self.m_expr.a.den
-        b_num, b_den = self.m_expr.b.num, self.m_expr.b.den
-        ad, bd = R(a_den), R(b_den)
-        if ad.is_zero() or bd.is_zero():
+        P, Q, D = self.m
+        dbar = R(D)
+        if dbar.is_zero():
             # m has its single pole above this place; only possible in degree 1
             return self._upstairs_degree_one_special(place, rho)
-        mbar = R(a_num) / ad + R(b_num) / bd * rho
+        mbar = (R(P) + R(Q) * rho) / dbar
         mp = R.min_poly(mbar)
         if mp.degree != place.degree:
             raise ArithmeticError("residue of m does not generate the residue field")
@@ -598,7 +596,7 @@ class ConicParametrization:
             raise ArithmeticError("m-pole above a place of degree > 1")
         field = self.field
         x0 = -place.poly[0]
-        y0 = -self.m_expr.a.num.evaluate(x0)
+        y0 = -self.m[0].evaluate(x0)
         if rho.val.constant_coeff() == y0:
             # 0/0 at the center of projection: the tangent slope f'(x0)/(2 y0)
             val = self.model.f.derivative().evaluate(x0) / (field(2) * y0)
@@ -669,8 +667,8 @@ def _value_at_place(rf: RationalFunction, place: Place):
 
 
 class ConstantParametrization:
-    """K' = qK for the constant quadratic extension q/k: the coordinate is x
-    itself and sigma acts on constants."""
+    """K' = qK for the constant quadratic extension q = k(sqrt(d)) of k: the
+    coordinate is x itself and sigma acts on constants."""
 
     def __init__(self, model: QuadraticModel):
         field = model.field
@@ -678,10 +676,16 @@ class ConstantParametrization:
         self.field = field
         if not isinstance(field, PrimeField):
             raise FieldError("quadratic extensions are only built over prime fields")
-        d = model.f.constant_coeff()
-        self.d = d
+        self.d = model.f.constant_coeff()
         self.qfield = canonical_quadratic_field(field)
-        self.ring = ConstantRing(self.qfield, d)
+        self.root_d = sqrt(self.qfield(self.d.val))
+
+    def split(self, e: Element):
+        """(e0, e1) over k with e = e0 + e1 sqrt(d) for e in q."""
+        c0, c1 = self.qfield.base_pair(e)
+        r0, r1 = self.qfield.base_pair(self.root_d)
+        e1 = c1 / r1
+        return c0 - e1 * r0, e1
 
     def upstairs_place(self, place: Place, rho) -> Polynomial:
         """The monic irreducible factor of the place polynomial over q picked
@@ -691,27 +695,10 @@ class ConstantParametrization:
         q = self.qfield
         pq = place.poly.map_coeffs(q, q)
         rho_lift = rho.val.map_coeffs(q, q)
-        from .algebra.poly import poly_gcd
-        g = poly_gcd(pq, rho_lift - Polynomial.constant(q, self.ring.root_d))
+        g = poly_gcd(pq, rho_lift - Polynomial.constant(q, self.root_d))
         if 2 * g.degree != place.degree:
             raise ArithmeticError("sign choice does not pick out a conjugate factor")
         return g
-
-    def conj_poly(self, poly: Polynomial) -> Polynomial:
-        return poly.map_coeffs(self.qfield.conj, self.qfield)
-
-
-class ArtinSchreierParametrization:
-    """y^2 + y = x in characteristic 2: m = y, x = m^2 + m, sigma(m) = m + 1."""
-
-    def __init__(self, model: QuadraticModel):
-        field = model.field
-        self.model = model
-        self.field = field
-        x = Polynomial.x(field)
-        self.X = RationalFunction(x * x + x)
-        self.Y = RationalFunction(x)
-        self.sigma = Moebius(field.one, field.one, field.zero, field.one)
 
 
 def canonical_quadratic_field(field: PrimeField) -> QuadraticField:

@@ -1,19 +1,27 @@
-"""theta(m) and f = sigma(theta)/theta on polynomial pairs, against the boxed
-reference: Horner's rule over A + B*y with rational-function parts (each
-step in normal form), then a division through the norm.
+"""theta(m) and f = sigma(theta)/theta on polynomial triples (U + V y)/N,
+against boxed references.
 
-Seeded rational functions of degree 0-6 in m, over F_5, F_13, F_101 and Q,
-on all three branches of `ConicParametrization`: deg f = 1, a square
-leading coefficient, and the slope through an affine point."""
+Nonconstant closures: Horner's rule over A + B*y with rational-function
+parts (each step in normal form), then a division through the norm; seeded
+rational functions of degree 0-6 in m, over F_5, F_13, F_101 and Q, on all
+three branches of `ConicParametrization`: deg f = 1, a square leading
+coefficient, and the slope through an affine point.
+
+Constant closures qK, q = k(sqrt(d)): the computation over q(x), where
+sigma is the coefficient-wise Frobenius: f = conj(theta)/theta, and each
+e = P + Q sqrt(d) split as P = (e + conj e)/2, Q = (e - conj e)/(2 sqrt(d));
+over F_5, F_13 and F_101, for theta, f and the twists."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from cubica.acceptance import random_split_places
 from cubica.algebra import (Polynomial, PrimeField, QQ, RationalFunction,
                             is_square, smallest_nonsquare)
-from cubica.descent import _at_m, _ring_element, _sigma_quotient
+from cubica.descent import (_at_m, _norm, _pair, _sigma_quotient, construct,
+                            make_problem, norm_one_cube_reps, twists_descent)
 from cubica.quadratic import QuadraticModel
 
 FIELDS = {"F5": PrimeField(5), "F13": PrimeField(13),
@@ -46,8 +54,9 @@ def ref_horner(field, poly, m, f_rat):
 
 
 def ref_at_m(rf, par):
-    field, f_rat = par.field, par.ring.f_rat
-    m = (par.m_expr.a, par.m_expr.b)
+    field, f_rat = par.field, RationalFunction(par.model.f)
+    P, Q, D = par.m
+    m = (RationalFunction(P, D), RationalFunction(Q, D))
     return ref_div(f_rat, ref_horner(field, rf.num, m, f_rat),
                    ref_horner(field, rf.den, m, f_rat))
 
@@ -131,12 +140,79 @@ def test_pair_evaluation_matches_the_boxed_horner(name, branch):
     # over Q one conic per branch: the boxed reference's gcds dominate there
     for _ in range(2 if field.order else 1):
         par = parametrization(field, branch, rng)
-        ring = par.ring
+        f = par.model.f
         for rf in rational_functions(field, rng):
             U, V, N = _at_m(rf, par)
-            theta = ring.as_pair(_ring_element(ring, U, V, N))
+            theta = _pair((U, V, N))
             ref = ref_at_m(rf, par)
             assert normal_form(theta) == normal_form(ref)
-            f_pair = ring.as_pair(_sigma_quotient(ring, U, V))
-            assert normal_form(f_pair) == normal_form(
-                ref_sigma_quotient(ref, ring.f_rat))
+            f_t = _sigma_quotient(U, V, f)
+            assert normal_form(_pair(f_t)) == normal_form(
+                ref_sigma_quotient(ref, RationalFunction(f)))
+            assert _norm(f_t, f, "f * sigma(f) is not constant").is_one()
+
+
+# -- constant closures: the reference over q(x) -----------------------------------
+
+
+def map_rf(e, fn, field):
+    return RationalFunction(e.num.map_coeffs(fn, field),
+                            e.den.map_coeffs(fn, field))
+
+
+def conj_rf(e):
+    """The coefficient-wise Frobenius of q = F_{p^2} over F_p."""
+    return map_rf(e, lambda c: c ** c.field.p, e.field)
+
+
+def descend(e, field):
+    """e in q(x) with coefficients in k, over k."""
+    def down(c):
+        c0, c1 = c.field.base_pair(c)
+        assert c1.is_zero()
+        return c0
+
+    return map_rf(e, down, field)
+
+
+def ref_split(e, par):
+    """(P, Q) over k(x) with e = P + Q sqrt(d)."""
+    two = par.qfield(2)
+    conj_e = conj_rf(e)
+    return (descend((e + conj_e) / two, par.field),
+            descend((e - conj_e) / (two * par.root_d), par.field))
+
+
+def lift(e, q):
+    return map_rf(e, q, q)
+
+
+@pytest.mark.parametrize("p", [5, 13, 101])
+def test_constant_closure_matches_the_q_reference(p):
+    field = PrimeField(p)
+    closure = QuadraticModel.constant(field, smallest_nonsquare(field))
+    par = closure.parametrize()
+    q = par.qfield
+    rng = random.Random(f"descent-eval:constant:{p}")
+    twisted = 0
+    for count in (1, 1, 2, 2, 3, 3, 4):
+        T = random_split_places(closure, field, rng, count)
+        res = construct(make_problem(closure, T, [rng.choice((1, -1)) for _ in T]))
+        theta = Polynomial.one(q)
+        for ch in res.problem.choices:
+            theta = theta * par.upstairs_place(ch.place, ch.rho)
+        theta = RationalFunction(theta)
+        f = conj_rf(theta) / theta
+        assert normal_form(res.theta) == normal_form(ref_split(theta, par))
+        assert normal_form(res.f_pair) == normal_form(ref_split(f, par))
+        P, Q = res.f_pair
+        f_lift = lift(P, q) + lift(Q, q) * par.root_d
+        assert f_lift == f
+        reps = norm_one_cube_reps(q)
+        ref_alphas = [descend(f * u + conj_rf(f * u), field) for u in reps]
+        assert res.model.alpha == ref_alphas[0]
+        twists = twists_descent(res)
+        assert ([normal_form((t.alpha,)) for t in twists]
+                == [normal_form((a,)) for a in ref_alphas])
+        twisted += len(reps) > 1
+    assert twisted == (7 if (p + 1) % 3 == 0 else 0)

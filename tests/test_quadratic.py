@@ -199,7 +199,24 @@ def test_parametrize_y2_eq_x():
 def test_parametrize_constant_is_triv():
     M = QuadraticModel.constant(F5, F5(2))
     par = M.parametrize()
-    assert par.ring.d == F5(2)
+    assert par.d == F5(2)
+    for e in par.qfield.elements():
+        e0, e1 = par.split(e)
+        assert e0.field == e1.field == F5
+        assert par.qfield(e0) + par.qfield(e1) * par.root_d == e
+
+
+@pytest.mark.parametrize("f", [[0, 1], [-2, 0, 1], [1, 1, 2], [2]])
+def test_parametrization_is_built_once_per_model(f):
+    M = QuadraticModel.kummer(Polynomial(F5, f))
+    assert M.parametrize() is M.parametrize()
+
+
+def test_parametrize_artin_schreier_is_refused():
+    from cubica.algebra import FieldError
+    M = QuadraticModel.artin_schreier_x(PrimeField(2))
+    with pytest.raises(FieldError, match="not parametrized"):
+        M.parametrize()
 
 
 def test_upstairs_place_split():
