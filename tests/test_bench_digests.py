@@ -1,9 +1,11 @@
-"""The descent workloads of `perfbench` give byte-identical outputs: the run
-digest of their first 100 ops at seed 501, driven through the benchmark's
-own harness and workloads as they are, is pinned to its recorded value, and
-so is a digest of the full `cubica descend --twists` documents of the same
-ops (theta, f, alpha, the report, the unit form and the twists), which the
-run digest does not cover."""
+"""The workloads of `perfbench` give byte-identical outputs: the run digest of
+their first 100 ops at seed 501, driven through the benchmark's own harness
+and workloads as they are, is pinned to its recorded value.  For the descent
+workloads so is a digest of the full `cubica descend --twists` documents of
+the same ops (theta, f, alpha, the report, the unit form and the twists),
+which the run digest does not cover; for the genus-2 workloads so is the
+digest of the untimed census, whose outcomes include the inputs the library
+fails on."""
 
 import hashlib
 import json
@@ -27,6 +29,15 @@ DIGESTS = {
     "descent_large_q":
         "3395930094d68b9d8872e2015135c06b2d5d73a82a91ba0e0f40cc4d4f6ce917",
 }
+# (run digest, census digest)
+GENUS2_DIGESTS = {
+    "genus2_fp": (
+        "91dd9e7a7e9c381a597226f2b0fbfcc8164b2d9643f0899e02fda466f85b2ae7",
+        "ae713fbf579127b3de6bf627ba2ec22d9c9d2da3b2d3fd151c02db3fc815e5d0"),
+    "genus2_q": (
+        "de69b996112932ac2651735d7f4469c5d8b9c9f988026094de0f92eaac3d654a",
+        "f01ee1b13739df6b5e4f2b45e143945fe4624863f1ed426dcb41cdf748d86747"),
+}
 DOC_DIGESTS = {
     "descent_small_q":
         "4b8004d82ccbdbc571f8912878207ba8562c45077a0ad10b82cf79f82f40e44e",
@@ -43,6 +54,20 @@ def test_descent_run_digest_is_pinned(name):
     assert res.attempted == harness.MIN_OPS == 100
     assert not res.check_problems
     assert res.digest == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GENUS2_DIGESTS))
+def test_genus2_digests_are_pinned(name):
+    run_digest, census_digest = GENUS2_DIGESTS[name]
+    wl = workloads.WORKLOADS[name]()
+    res = harness.run_ops(wl, SEED, harness.NullTracer(), FieldError,
+                          count=harness.MIN_OPS)
+    assert res.attempted == harness.MIN_OPS == 100
+    assert not res.check_problems
+    assert res.digest == run_digest
+    census = harness.run_census(wl, SEED, FieldError)
+    assert census.attempted == wl.CENSUS_OPS
+    assert census.digest == census_digest
 
 
 @pytest.mark.parametrize("name", sorted(DOC_DIGESTS))
