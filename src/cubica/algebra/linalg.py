@@ -1,31 +1,49 @@
-"""Small exact linear algebra over any field: kernels, solving, rank.
+"""Small exact linear algebra over any field: kernels, solving, minimal
+polynomials.
 
-Matrices are lists of rows of field Elements.  Everything is fraction-free
-in spirit but uses field division directly; sizes here are tiny.
+A matrix is a list of rows, each a list of the field's payloads (an int in
+[0, p) over F_p, a pair over F_{p^2}, a Fraction over Q, ...), the layout
+``poly.py`` keeps coefficients in; the vectors returned are payload lists
+too.  Over F_p, chosen by the field's type, elimination runs on raw ints
+with one reduction mod p per entry; other fields go through the payload
+protocol (``_sub``/``_mul``/``_inv``).  Sizes here are tiny, so this is
+plain Gauss-Jordan elimination with field division.
 """
 
 from __future__ import annotations
 
+from .fields import PrimeField
 
-def _rref(rows, ncols):
-    """Reduced row echelon form in place; returns pivot column list."""
+
+def _rref(F, rows, ncols):
+    """Reduced row echelon form of the payload rows in the first ncols
+    columns, in place; returns the pivot column list.  Rows are replaced,
+    never mutated, so the caller's row lists may be shared."""
+    zero = F._zero_val()
+    prime = isinstance(F, PrimeField)
+    sub, mul, p = F._sub, F._mul, F.p if prime else None
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != zero),
+                     None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if prime:
+            inv = pow(rows[r][c], p - 2, p)
+            prow = rows[r] = [e * inv % p for e in rows[r]]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+        else:
+            inv = F._inv(rows[r][c])
+            prow = rows[r] = [mul(e, inv) for e in rows[r]]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f != zero and i != r:
+                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -33,46 +51,49 @@ def _rref(rows, ncols):
     return pivots
 
 
-def kernel_basis(rows, ncols, field):
-    """Basis of the right kernel of the matrix (list of coefficient vectors).
+def kernel_basis(F, rows, ncols):
+    """Basis of the right kernel of the matrix, as payload vectors.
 
     The basis is the canonical one from reduced row echelon form (one vector
     per free column, deterministic)."""
-    work = [list(r) for r in rows]
-    pivots = _rref(work, ncols)
+    work = list(rows)
+    pivots = _rref(F, work, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    zero, one = F._zero_val(), F._one_val()
     basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+            vec[pc] = F._neg(work[r][fc])
         basis.append(vec)
     return basis
 
 
-def solve(rows, rhs, ncols, field):
-    """One solution of A x = b, or None when inconsistent."""
-    work = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = _rref(work, ncols)
-    for row in work:
-        if all(e.is_zero() for e in row[:-1]) and not row[-1].is_zero():
-            return None
-    x = [field.zero] * ncols
+def solve(F, rows, rhs, ncols):
+    """One solution of A x = b as a payload vector, or None when
+    inconsistent."""
+    work = [r + [v] for r, v in zip(rows, rhs)]
+    pivots = _rref(F, work, ncols)
+    zero = F._zero_val()
+    if any(row[-1] != zero for row in work[len(pivots):]):
+        return None
+    x = [zero] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = work[r][-1]
     return x
 
 
-def min_poly_of_powers(powers, field):
-    """Given 1, e, e^2, ... as coordinate vectors over `field`, the monic
-    minimal polynomial coefficients (lowest first) of e."""
+def min_poly_of_powers(F, powers):
+    """Given 1, e, e^2, ... as payload coordinate vectors over F, the monic
+    minimal polynomial of e as a payload list, lowest first."""
     n = len(powers[0])
     for d in range(1, len(powers)):
         rows = [[powers[j][i] for j in range(d)] for i in range(n)]
         rhs = [powers[d][i] for i in range(n)]
-        sol = solve(rows, rhs, d, field)
+        sol = solve(F, rows, rhs, d)
         if sol is not None:
-            return [-c for c in sol] + [field.one]
+            return [F._neg(c) for c in sol] + [F._one_val()]
     raise ArithmeticError("no linear dependency found")

@@ -14,7 +14,7 @@ from itertools import product
 
 from .fields import Element, FieldError, sqrt
 from .linalg import min_poly_of_powers
-from .poly import Polynomial, inverse_mod
+from .poly import Polynomial, _poly, inverse_mod
 
 
 class ResidueField:
@@ -124,10 +124,10 @@ class ResidueField:
 
     def min_poly(self, e: Element) -> Polynomial:
         """Monic minimal polynomial of e over the coefficient field."""
+        base, zero, ev = self.base, self.base._zero_val(), self(e).val
         powers = []
-        t = self.one
+        t = self._one_val()
         for _ in range(self.deg + 1):
-            powers.append([t.val[i] for i in range(self.deg)])
-            t = t * e
-        coeffs = min_poly_of_powers(powers, self.base)
-        return Polynomial(self.base, coeffs)
+            powers.append(t.vals + [zero] * (self.deg - len(t.vals)))
+            t = self._mul(t, ev)
+        return _poly(base, min_poly_of_powers(base, powers))

@@ -27,29 +27,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Element, FieldError, Polynomial, RationalFunction,
-                      inverse_mod, poly_gcd, poly_xgcd, sqrt)
+from .algebra import (Element, FieldError, Polynomial, PrimeField,
+                      RationalFunction, inverse_mod, poly_gcd, poly_xgcd, sqrt)
 from .algebra.linalg import kernel_basis
+from .algebra.poly import _poly, _rem, _trim
 
 
 # ---------------------------------------------------------------------------
-# the one series square root (coefficient lists, lowest first)
+# the one series square root (payload lists, lowest first)
 # ---------------------------------------------------------------------------
 
 
-def _series_sqrt(a, prec, field):
-    """The first prec coefficients of the square root s of a series a with
-    a[0] = 1, s[0] = 1, by the recurrence 2 s_n = a_n - sum_{0<k<n} s_k s_(n-k)
-    (no division by n, so it holds whatever the characteristic, 2 apart)."""
-    if not a[0].is_one():
+def _series_sqrt(F, a, prec):
+    """The first prec coefficients of the square root s of a payload series a
+    over F with a[0] = 1, s[0] = 1, by the recurrence
+    2 s_n = a_n - sum_{0<k<n} s_k s_(n-k) (no division by n, so it holds
+    whatever the characteristic, 2 apart); over F_p on raw ints."""
+    one, zero = F._one_val(), F._zero_val()
+    if a[0] != one:
         raise FieldError("series sqrt needs constant term 1")
-    half = field(2).inverse()
-    out = [field.one]
+    out = [one]
+    if isinstance(F, PrimeField):
+        p = F.p
+        half = pow(2, p - 2, p)
+        for n in range(1, prec):
+            acc = a[n] if n < len(a) else 0
+            for k in range(1, n):
+                acc -= out[k] * out[n - k]
+            out.append(acc * half % p)
+        return out
+    sub, mul = F._sub, F._mul
+    half = F._inv(F._add(one, one))
     for n in range(1, prec):
-        acc = a[n] if n < len(a) else field.zero
+        acc = a[n] if n < len(a) else zero
         for k in range(1, n):
-            acc = acc - out[k] * out[n - k]
-        out.append(acc * half)
+            acc = sub(acc, mul(out[k], out[n - k]))
+        out.append(mul(acc, half))
     return out
 
 
@@ -78,27 +91,19 @@ class SplitCurve:
     def _sqrt_poly_part(self) -> Polynomial:
         """V with deg V = g + 1 and deg(F - V^2) <= g (top coefficients of
         the square root at infinity)."""
-        S = self.sqrt_series(self.g + 2)
-        cs = [self.field.zero] * (self.g + 2)
-        for k, s in enumerate(S):
-            power = self.g + 1 - k
-            if power < 0:
-                break
-            cs[power] = s
-        V = Polynomial(self.field, cs)
+        # the coefficient of x^(g+1-k) is S[k]; S[0] = 1 leads
+        V = _poly(self.field, self.sqrt_series(self.g + 2)[::-1])
         if (self.F - V * V).degree > self.g:
             raise ArithmeticError("polynomial square-root truncation failed")
         return V
 
     def sqrt_series(self, prec: int):
-        """S(T) with S^2 = T^(2g+2) F(1/T), S(0) = 1; y = +-x^(g+1) S(1/x)
-        at the two infinite points."""
-        if prec in self._series_cache:
-            return self._series_cache[prec]
-        n = self.F.degree
-        G = [self.F[n - j] if n - j >= 0 else self.field.zero for j in range(prec)]
-        S = _series_sqrt(G, prec, self.field)
-        self._series_cache[prec] = S
+        """The payloads of S(T) with S^2 = T^(2g+2) F(1/T), S(0) = 1;
+        y = +-x^(g+1) S(1/x) at the two infinite points."""
+        S = self._series_cache.get(prec)
+        if S is None:
+            S = self._series_cache[prec] = _series_sqrt(
+                self.field, self.F.vals[::-1], prec)
         return S
 
     def is_even_model(self) -> bool:
@@ -122,28 +127,30 @@ class SplitCurve:
             raise ArithmeticError("Hensel lift failed")
         return cur
 
-    def y_coeff_at_infinity(self, i: int, j: int, sign: int, S) -> Element:
-        """Coefficient of x^j in x^i * y at inf+- (y = sign * x^(g+1) S(1/x)):
-        sign * S[i + g + 1 - j], zero beyond the series S."""
+    def y_coeff_at_infinity(self, i: int, j: int, sign: int, S):
+        """The payload of the coefficient of x^j in x^i * y at inf+-
+        (y = sign * x^(g+1) S(1/x)): sign * S[i + g + 1 - j], zero beyond
+        the payload series S."""
         k = i + self.g + 1 - j
         if not 0 <= k < len(S):
-            return self.field.zero
-        return S[k] if sign > 0 else -S[k]
+            return self.field._zero_val()
+        return S[k] if sign > 0 else self.field._neg(S[k])
 
     def expansion_at_infinity(self, a: Polynomial, b: Polynomial, sign: int,
                               low: int):
         """Laurent coefficients {j: c_j} of a + b*y at inf+- for x^j with
-        j >= low."""
+        j >= low, as Elements."""
+        F = self.field
+        add, mul, zero = F._add, F._mul, F._zero_val()
         top = max(a.degree, b.degree + self.g + 1, low)
         S = self.sqrt_series(top - low + 2)
         out = {}
         for j in range(low, top + 1):
-            c = a[j]
-            for m in range(b.degree + 1):
-                bm = b[m]
-                if not bm.is_zero():
-                    c = c + bm * self.y_coeff_at_infinity(m, j, sign, S)
-            out[j] = c
+            c = a.vals[j] if 0 <= j <= a.degree else zero
+            for m, bm in enumerate(b.vals):
+                if bm != zero:
+                    c = add(c, mul(bm, self.y_coeff_at_infinity(m, j, sign, S)))
+            out[j] = Element(F, c)
         return out
 
 
@@ -419,19 +426,22 @@ def divisor_difference(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) ->
 
 
 def coeff_vec(poly_for_a, poly_for_b, modulus, na, nb, cols):
-    """Rows of the conditions A*a + B*b = 0 mod modulus on a = sum a_i x^i
-    (i <= na) and b = sum b_i x^i (i <= nb), for A = poly_for_a and
-    B = poly_for_b: one row per x^d below deg modulus, columns a_i then b_i."""
-    field = modulus.field
-    rows = [[field.zero] * cols for _ in range(modulus.degree)]
-    for i in range(na + 1):
-        rem = (Polynomial(field, [field.zero] * i + [field.one]) * poly_for_a) % modulus
-        for d in range(modulus.degree):
-            rows[d][i] = rem[d]
-    for i in range(nb + 1):
-        rem = (Polynomial(field, [field.zero] * i + [field.one]) * poly_for_b) % modulus
-        for d in range(modulus.degree):
-            rows[d][na + 1 + i] = rem[d]
+    """Payload rows of the conditions A*a + B*b = 0 mod modulus on
+    a = sum a_i x^i (i <= na) and b = sum b_i x^i (i <= nb), for
+    A = poly_for_a and B = poly_for_b: one row per x^d below deg modulus,
+    columns a_i then b_i.  The column of x^i A is x times that of x^(i-1) A,
+    reduced mod modulus."""
+    F, m = modulus.field, modulus.vals
+    zero = F._zero_val()
+    rows = [[zero] * cols for _ in range(modulus.degree)]
+    for poly, first, count in ((poly_for_a, 0, na + 1),
+                               (poly_for_b, na + 1, nb + 1)):
+        rem = _rem(F, poly.vals, m)
+        for i in range(first, first + count):
+            if i > first and rem:
+                rem = _rem(F, [zero] + rem, m)
+            for d, c in enumerate(rem):
+                rows[d][i] = c
     return rows
 
 
@@ -467,7 +477,7 @@ def rr_space(curve: SplitCurve, div: WDivisor):
         return []
 
     rows = []
-    one = Polynomial.one(field)
+    one, zero = Polynomial.one(field), field._zero_val()
     for u, v, m in bundles:
         if v.is_zero():
             # Weierstrass bundle: den ord (point units) = 2*max(m,0);
@@ -498,17 +508,16 @@ def rr_space(curve: SplitCurve, div: WDivisor):
             continue
         S = curve.sqrt_series(top - jmin + curve.g + 3)
         for j in range(jmin, top + 1):
-            row = [field.zero] * cols
+            row = [zero] * cols
             if 0 <= j <= na:
-                row[j] = field.one
+                row[j] = field._one_val()
             for i in range(nb + 1):
                 row[na + 1 + i] = curve.y_coeff_at_infinity(i, j, sign, S)
             rows.append(row)
-    kern = kernel_basis(rows, cols, field)
     out = []
-    for vec in kern:
-        a = Polynomial(field, vec[:na + 1])
-        b = Polynomial(field, vec[na + 1:]) if nb >= 0 else Polynomial.zero(field)
+    for vec in kernel_basis(field, rows, cols):
+        a = _poly(field, _trim(vec[:na + 1], zero))
+        b = _poly(field, _trim(vec[na + 1:], zero))
         out.append((a, b, den))
     return out
 

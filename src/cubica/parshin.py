@@ -26,6 +26,7 @@ from .algebra import (Element, FieldError, FunctionField, Polynomial,
                       QQ, RationalFunction, inverse_mod, is_square, poly_gcd,
                       sqrt)
 from .algebra.linalg import kernel_basis
+from .algebra.poly import _add, _mul, _poly, _trim
 from .hyper import (MumfordClass, SplitCurve, _series_sqrt, canonicalize_prym,
                     coeff_vec, mumford_scalar, point_minus_i_point)
 from .quadratic import canonical_square_const
@@ -291,24 +292,25 @@ def _solve_span(curve, conditions_builder, m):
         nb = -1
     cols = (na + 1) + (nb + 1)
     rows = conditions_builder(na, nb, cols)
-    return kernel_basis(rows, cols, curve.field), na, nb
+    return kernel_basis(curve.field, rows, cols), na, nb
 
 
 def _pick_kernel_vector(curve, kern, na, nb):
     # the target divisors are never iota-symmetric, so p and q must both be
     # nonzero (a pure polynomial or pure y-multiple cannot work) and coprime
     field = curve.field
+    zero, sort_key = field._zero_val(), field.sort_key
     best = None
     for vec in kern:
-        p = Polynomial(field, vec[:na + 1])
-        q = Polynomial(field, vec[na + 1:])
+        p = _poly(field, _trim(vec[:na + 1], zero))
+        q = _poly(field, _trim(vec[na + 1:], zero))
         if p.is_zero() or q.is_zero():
             continue
         if not poly_gcd(p, q).is_one():
             continue
         key = (max(p.degree, q.degree + curve.g + 1),
-               tuple(c.sort_key() for c in reversed(p.coeffs)),
-               tuple(c.sort_key() for c in reversed(q.coeffs)))
+               tuple(sort_key(c) for c in reversed(p.vals)),
+               tuple(sort_key(c) for c in reversed(q.vals)))
         if best is None or key < best[0]:
             best = (key, p, q)
     if best is None:
@@ -614,35 +616,28 @@ def _orders_on_x(field, X_rhs, A, B, C, x0):
     y0 = sqrt(rhs_val)
     out = []
     prec = C.degree + 4
-    shifted = X_rhs.compose(Polynomial(field, [x0, field.one]))
-    inv = (y0 * y0).inverse()
-    S = _series_sqrt([shifted[i] * inv for i in range(prec + 1)], prec, field)
-    for sgn in (field.one, -field.one):
-        yser = [sgn * y0 * s for s in S]
-        num_ser = _poly_series_sum(field, A, B, yser, x0, prec)
-        ordv = _first_nonzero(num_ser)
-        den_ser = _poly_series_sum(field, C, Polynomial.zero(field), yser, x0, prec)
-        ordc = _first_nonzero(den_ser)
-        out.append(ordv - ordc)
-    return out
-
-
-def _poly_series_sum(field, A, B, yser, x0, prec):
     shift = Polynomial(field, [x0, field.one])
-    a = A.compose(shift)
-    b = B.compose(shift)
-    out = []
-    for d in range(prec):
-        acc = a[d] if d <= a.degree else field.zero
-        for k in range(d + 1):
-            if k <= b.degree and d - k < len(yser):
-                acc = acc + b[k] * yser[d - k]
-        out.append(acc)
+    mul, zero, inv = field._mul, field._zero_val(), (y0 * y0).inverse().val
+    S = _series_sqrt(field, [mul(c, inv) for c in
+                             X_rhs.compose(shift).vals[:prec + 1]], prec)
+    a, b, c = (_trim(P.compose(shift).vals[:prec], zero) for P in (A, B, C))
+    for sgn in (y0, -y0):
+        yser = _trim([mul(sgn.val, s) for s in S], zero)
+        ordv = _first_nonzero(field, _poly_series_sum(field, a, b, yser, prec))
+        out.append(ordv - _first_nonzero(field, c))
     return out
 
 
-def _first_nonzero(series):
+def _poly_series_sum(field, a, b, yser, prec):
+    """The payload series of a + b y below t^prec, for a, b and y given as
+    trimmed payload series in t."""
+    zero = field._zero_val()
+    return _add(field, a, _trim(_mul(field, b, yser)[:prec], zero))
+
+
+def _first_nonzero(field, series):
+    zero = field._zero_val()
     for i, c in enumerate(series):
-        if not c.is_zero():
+        if c != zero:
             return i
     raise ArithmeticError("series vanished beyond the working precision")
