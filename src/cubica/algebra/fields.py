@@ -109,6 +109,10 @@ class Element:
         return self.val == other.val
 
     def __hash__(self):
+        # as the constant Polynomial of the value, which compares equal:
+        # the zero Polynomial has no coefficients
+        if self.is_zero():
+            return hash((self.field._hash,))
         return hash((self.field._hash, self._hash_val()))
 
     def _hash_val(self):

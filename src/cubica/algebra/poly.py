@@ -202,8 +202,11 @@ class Polynomial:
         return self if vals is self.vals else _poly(self.field, vals)
 
     def __eq__(self, other):
-        if isinstance(other, (int,)):
-            other = Polynomial.constant(self.field, self.field(other))
+        if isinstance(other, (Element, int, Fraction)):
+            try:
+                other = Polynomial.constant(self.field, other)
+            except (FieldError, ZeroDivisionError):
+                return NotImplemented
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.field == other.field and self.vals == other.vals

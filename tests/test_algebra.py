@@ -464,6 +464,23 @@ def test_equal_values_over_equal_fields_hash_alike():
     assert len({FunctionField(QQ).gen, FunctionField(QQ).gen}) == 1
 
 
+def test_constant_polynomials_equal_their_constant():
+    """Equality coerces Elements, ints and Fractions as arithmetic does, and
+    the equal pairs hash alike; values that do not coerce stay unequal."""
+    for f, c in ((Polynomial.one(F5), F5(1)),
+                 (Polynomial.constant(F5, 3), F5(3)),
+                 (Polynomial.constant(QQ, QQ(Fraction(1, 2))), Fraction(1, 2)),
+                 (Polynomial.constant(QQ, QQ(Fraction(1, 2))), QQ(Fraction(1, 2))),
+                 (Polynomial.zero(F5), F5(0))):
+        assert f == c and c == f and not f != c
+        if isinstance(c, Element):
+            assert hash(f) == hash(c)
+    assert Polynomial.one(F5) == 1 and Polynomial.x(F5) != F5(1)
+    assert Polynomial.one(F5) != F7(1)
+    assert Polynomial.one(F5) != Fraction(1, 5)
+    assert Polynomial.constant(F5, 3) == Fraction(3, 6)
+
+
 def test_coercion_accepts_an_equal_field():
     F13, G13 = PrimeField(13), PrimeField(13)
     assert F13(G13(3)) == F13(3)
