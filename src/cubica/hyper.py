@@ -21,6 +21,13 @@ congruence a + b V = 0 mod u^k with V the Hensel lift of v (`hensel_v`,
 rows from `coeff_vec`).  At inf+- y = +-x^(g+1) S(1/x), where S comes from
 the one series square root `_series_sqrt` (a coefficient recurrence), and
 `y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S.
+
+The Riemann-Roch engine runs on payloads, like the kernel of
+`algebra.poly`: the series S (`sqrt_series` caches it), the condition rows
+of `coeff_vec` and of the infinite points, and the kernel vectors from
+`linalg.kernel_basis` are lists of field payloads, with raw int loops over
+F_p.  Elements and Polynomials appear only at the API: classes, the
+coefficients of `expansion_at_infinity` and the triples of `rr_space`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ The interpolation conditions are Riemann-Roch congruences: ord_P(a + b y)
 >= k at P = (x0, y0) is a + b V = 0 mod (x - x0)^k for the Hensel lift V
 of y0, the rows `hyper.coeff_vec` builds for `rr_space`.  Pole orders of
 alpha on X are read from y as a series in x - x0 through the same
-`hyper._series_sqrt`.
+`hyper._series_sqrt`.  Rows, kernel vectors and series are lists of field
+payloads, as in `hyper`; the covers and their witnesses hold Elements and
+Polynomials.
 """
 
 from __future__ import annotations
