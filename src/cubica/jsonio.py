@@ -55,7 +55,7 @@ def decode_element(field, data) -> Element:
             if "+" in data or "t" in data:
                 return _decode_quadratic_element(field, data)
             return field(int(data))
-        except (ValueError, FieldError) as exc:
+        except (ValueError, FieldError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad element {data!r}: {exc}")
     if isinstance(data, (list, tuple)) and isinstance(field, QuadraticField):
         return field((int(data[0]), int(data[1])))

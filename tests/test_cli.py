@@ -120,6 +120,13 @@ def test_schema_errors_exit_2(capsys):
     assert main(["descend", "--field", "Q", "--closure", '{"kummer": ["4"]}',
                  "--places", '[{"inf": true}]']) == 2
     assert "non-square" in capsys.readouterr().err
+    # a zero denominator in a point or a coefficient is malformed input
+    octic = '{"F": [1, 0, 0, 0, 0, 0, 0, 0, 1]}'
+    assert main(["parshin", "cover", "--curve", octic, "--point", '["1/0", "1"]']) == 2
+    assert "bad element '1/0'" in capsys.readouterr().err
+    assert main(["parshin", "cover", "--curve", '{"F": ["1/0", 0, 0, 0, 1]}',
+                 "--point", '["0", "1"]']) == 2
+    capsys.readouterr()
 
 
 def test_domain_errors_exit_1(capsys):

@@ -4,8 +4,8 @@ import pytest
 
 from cubica.algebra import Polynomial, PrimeField, QQ, RationalFunction
 from cubica.function_field import Place
-from cubica.jsonio import (SchemaError, decode_cubic_model, decode_place,
-                           decode_poly, decode_quadratic_model,
+from cubica.jsonio import (SchemaError, decode_cubic_model, decode_element,
+                           decode_place, decode_poly, decode_quadratic_model,
                            decode_ratfunc, encode_cubic_model, encode_place,
                            encode_poly, encode_quadratic_model,
                            encode_ratfunc, field_from_spec)
@@ -32,6 +32,17 @@ def test_poly_round_trip():
     xq = Polynomial.x(QQ)
     q = xq ** 2 - QQ(1) / 2 * xq
     assert decode_poly(QQ, encode_poly(q)) == q
+
+
+@pytest.mark.parametrize("field,text", [(QQ, "1/0"), (F5, "1/0"), (F5, "2/5"),
+                                        (F5, "-3/10")], ids=str)
+def test_malformed_rationals_are_schema_errors(field, text):
+    """A zero denominator, or one the characteristic divides, is bad input
+    (SchemaError), not an arithmetic failure of the library."""
+    with pytest.raises(SchemaError, match="bad element"):
+        decode_element(field, text)
+    with pytest.raises(SchemaError):
+        decode_poly(field, ["1", text])
 
 
 def test_ratfunc_round_trip():
