@@ -5,12 +5,16 @@ degree first with a nonzero leading coefficient (the zero polynomial has an
 empty list): an int in [0, p) over F_p, a pair over F_{p^2}, a Fraction over
 Q, a reduced Polynomial over a residue field, a RationalFunction over k(t).
 Arithmetic runs on these lists through the field's payload protocol
-(``_add``/``_sub``/``_mul``/``_inv``/``_zero_val``); over F_p, chosen by the
-field's type, the product and the long division run on raw ints with one
-reduction mod p per output coefficient.  ``Element``s appear only at the
-boundary: the constructor takes them, ``coeffs``, ``leading()``,
-``constant_coeff()``, ``f[i]`` and ``evaluate`` return them, and
-``map_coeffs`` hands them to its function.
+(``_add``/``_sub``/``_mul``/``_inv``/``_zero_val``).  Two field types get
+integer loops, chosen by the type: over F_p the product and the long
+division run on raw ints with one reduction mod p per output coefficient;
+over Q the product, the division (pseudo-division, Knuth's Algorithm R), the
+gcd and the extended gcd run on integer numerators over one common
+denominator, the layout of FLINT's ``fmpq_poly``, with one Fraction
+normalization per output coefficient; ``vals`` still holds lowest-terms
+Fractions.  ``Element``s appear only at the boundary: the constructor takes
+them, ``coeffs``, ``leading()``, ``constant_coeff()``, ``f[i]`` and
+``evaluate`` return them, and ``map_coeffs`` hands them to its function.
 
 Factorization over finite fields runs squarefree / distinct-degree /
 equal-degree splitting; the equal-degree stage is probabilistic but seeded,
@@ -38,6 +42,74 @@ def _trim(cs, zero):
     while cs and cs[-1] == zero:
         cs.pop()
     return cs
+
+
+# Over Q a kernel splits each input list once into integer numerators over
+# one denominator, runs the integer loops below, and normalizes each output
+# coefficient once.
+
+
+def _q_split(a):
+    """(numerators, d): the Fractions of a as integers over their least
+    common denominator d (1 for the empty list)."""
+    d = math.lcm(*[c.denominator for c in a])
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
+def _q_join(nums, d):
+    """The Fractions n/d, in lowest terms, of the integer numerators nums."""
+    return [Fraction(c, d) for c in nums]
+
+
+def _convolve(a, b):
+    """The product of two integer lists, unreduced ([] if one is empty)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _int_sub(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([x - y for x, y in zip(a, b)], 0)
+
+
+def _pdivmod(a, b):
+    """Pseudo-division of integer lists, b nonzero (Knuth, TAOCP 2,
+    4.6.1, Algorithm R): (q, r, c) with c a = q b + r, deg r < deg b and c a
+    nonzero integer.  A step scales by lc(b)/gcd(t, lc(b)) only, t the
+    coefficient it cancels, so c is 1 when b is monic over Z."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], list(a), 1
+    lc, low = b[-1], b[:-1]
+    r, q, c = list(a), [0] * (len(a) - n), 1
+    for k in range(len(a) - n - 1, -1, -1):
+        t = r[k + n]
+        if t:
+            g = math.gcd(t, lc)
+            s = lc // g
+            if s != 1:
+                r = [x * s for x in r[:k + n]]
+                q[k + 1:] = [x * s for x in q[k + 1:]]
+                c *= s
+            t = q[k] = t // g
+            for i, y in enumerate(low, k):
+                r[i] -= t * y
+    return q, _trim(r[:n], 0), c
+
+
+def _primitive(*lists):
+    """The integer lists divided by the gcd of all their entries."""
+    g = math.gcd(*[x for a in lists for x in a])
+    if g > 1:
+        return [[x // g for x in a] for a in lists]
+    return list(lists)
 
 
 def _add(F, a, b):
@@ -69,13 +141,11 @@ def _mul(F, a, b):
     if not a or not b:
         return []
     if isinstance(F, PrimeField):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
         p = F.p
-        return [c % p for c in out]
+        return [c % p for c in _convolve(a, b)]
+    if isinstance(F, RationalField):
+        (an, ad), (bn, bd) = _q_split(a), _q_split(b)
+        return _q_join(_convolve(an, bn), ad * bd)
     add, mul, zero = F._add, F._mul, F._zero_val()
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -90,6 +160,12 @@ def _divmod(F, a, b):
     n = len(b) - 1
     if len(a) <= n:
         return [], a
+    if isinstance(F, RationalField):
+        # c A = q B + r on the numerators A = ad a, B = bd b, so
+        # a = (q bd / (c ad)) b + r / (c ad)
+        (an, ad), (bn, bd) = _q_split(a), _q_split(b)
+        q, r, c = _pdivmod(an, bn)
+        return _q_join([x * bd for x in q], c * ad), _q_join(r, c * ad)
     r, low, inv = list(a), b[:-1], F._inv(b[-1])
     if isinstance(F, PrimeField):
         p = F.p
@@ -345,9 +421,15 @@ class Polynomial:
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm (over Q, on the primitive parts
+    of the integer numerators)."""
     F = _field_of(f, g)
     a, b = f.vals, g.vals
+    if isinstance(F, RationalField):
+        a, b = _q_split(a)[0], _q_split(b)[0]
+        while b:
+            a, b = b, _primitive(_pdivmod(a, b)[1])[0]
+        return _poly(F, _q_join(a, a[-1]) if a else [])
     while b:
         a, b = b, _rem(F, a, b)
     return _poly(F, _monic(F, a))
@@ -356,6 +438,8 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 def poly_xgcd(f: Polynomial, g: Polynomial):
     """(g, s, t) with g = s f + t g monic."""
     F = _field_of(f, g)
+    if isinstance(F, RationalField):
+        return _q_xgcd(F, f.vals, g.vals)
     one = [F._one_val()]
     r0, r1 = f.vals, g.vals
     s0, s1 = one, []
@@ -369,6 +453,24 @@ def poly_xgcd(f: Polynomial, g: Polynomial):
         inv = [F._inv(r0[-1])]
         r0, s0, t0 = _mul(F, r0, inv), _mul(F, s0, inv), _mul(F, t0, inv)
     return _poly(F, r0), _poly(F, s0), _poly(F, t0)
+
+
+def _q_xgcd(F, a, b):
+    """poly_xgcd over Q on integers: with A, B the numerators of a, b over
+    da, db, each triple keeps r = s A + t B; a pseudo-division step
+    c r0 = q r1 + r gives the next triple c (r0, s0, t0) - q (r1, s1, t1),
+    divided by the gcd of its entries.  The Fractions are formed once, from
+    the last nonzero triple over lc(r)."""
+    (r0, da), (r1, db) = _q_split(a), _q_split(b)
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r, c = _pdivmod(r0, r1)
+        s = _int_sub([c * x for x in s0], _convolve(q, s1))
+        t = _int_sub([c * x for x in t0], _convolve(q, t1))
+        r0, s0, t0, (r1, s1, t1) = r1, s1, t1, _primitive(r, s, t)
+    lc = r0[-1] if r0 else 1
+    return (_poly(F, _q_join(r0, lc)), _poly(F, _q_join([x * da for x in s0], lc)),
+            _poly(F, _q_join([x * db for x in t0], lc)))
 
 
 def inverse_mod(f: Polynomial, m: Polynomial) -> Polynomial:

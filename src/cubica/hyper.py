@@ -86,8 +86,7 @@ class SplitCurve:
             raise FieldError("leading coefficient must be 1")
         if F.field.char == 2:
             raise FieldError("characteristic 2 is unsupported here")
-        from .algebra import squarefree_decomposition
-        if any(m > 1 for _, m in squarefree_decomposition(F)):
+        if not poly_gcd(F, F.derivative()).is_one():
             raise FieldError("F must be squarefree")
         self.F = F
         self.field = F.field

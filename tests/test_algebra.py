@@ -12,6 +12,7 @@ from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
                             is_square, poly_factor, poly_gcd, poly_xgcd,
                             pow_mod, smallest_nonsquare, sqrt,
                             squarefree_decomposition, trace_to_f2)
+from cubica.algebra.poly import _divmod, _mul
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -687,3 +688,128 @@ def test_evaluate_takes_field_elements_only():
     with pytest.raises(FieldError):
         f.evaluate(F7(2))
     assert f.compose(x + 1) == (x + 1) ** 2 + 1
+
+
+# -- the Q kernel against the generic loops on Fractions --------------------------
+#
+# Over Q, `_mul`, `_divmod`, `poly_gcd` and `poly_xgcd` run on integer
+# numerators over one denominator.  The references are the generic payload
+# loops as they run on Fractions, one exact operation per coefficient.
+
+
+def fraction_trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def fraction_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return fraction_trim([x + y for x, y in zip(a, b)])
+
+
+def fraction_sub(a, b):
+    return fraction_add(a, [-y for y in b])
+
+
+def fraction_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != 0:
+            for j, y in enumerate(b, i):
+                out[j] = out[j] + x * y
+    return out
+
+
+def fraction_divmod(a, b):
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], a
+    r, low, inv = list(a), b[:-1], 1 / b[-1]
+    q = [Fraction(0)] * (len(a) - n)
+    for k in range(len(a) - n - 1, -1, -1):
+        if r[k + n] != 0:
+            c = q[k] = r[k + n] * inv
+            for i, y in enumerate(low, k):
+                r[i] = r[i] - c * y
+    return q, fraction_trim(r[:n])
+
+
+def fraction_xgcd(a, b):
+    r0, r1, s0, s1, t0, t1 = a, b, [Fraction(1)], [], [], [Fraction(1)]
+    while r1:
+        q, r = fraction_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, fraction_sub(s0, fraction_mul(q, s1))
+        t0, t1 = t1, fraction_sub(t0, fraction_mul(q, t1))
+    if r0:
+        inv = [1 / r0[-1]]
+        r0, s0, t0 = fraction_mul(r0, inv), fraction_mul(s0, inv), fraction_mul(t0, inv)
+    return r0, s0, t0
+
+
+Q_BITS = (1, 3, 20, 100, 400, 1500)
+
+
+def q_list(rng, degree, bits, den=None):
+    """degree + 1 random Fractions (a quarter of the lower ones zero, the
+    leading one nonzero) with numerators and denominators of up to `bits`
+    bits, over the one denominator `den` when given."""
+    out = []
+    for i in range(degree + 1):
+        num = rng.getrandbits(bits) * rng.choice((-1, 1))
+        if i == degree:
+            num = num or 1
+        elif rng.random() < 0.25:
+            num = 0
+        out.append(Fraction(num, den or rng.getrandbits(bits) or 1))
+    return out
+
+
+def q_kernel_pairs():
+    """Pairs (a, b) over Q: every degree gap 0..10 with non-monic b, at
+    heights of 1 to 1,500 bits, with independent denominators or one shared
+    one; b above a; and the zero and constant operands on either side."""
+    rng = random.Random("q-kernel")
+    pairs = []
+    for gap in range(11):
+        for bits in Q_BITS:
+            db = rng.randint(0, 5 if bits < 400 else 3)
+            den = rng.choice((None, rng.getrandbits(bits) or 1))
+            pairs.append((q_list(rng, db + gap, bits, den), q_list(rng, db, bits, den)))
+    for bits in Q_BITS:
+        a, c = q_list(rng, rng.randint(1, 6), bits), q_list(rng, 0, bits)
+        pairs += [(a, []), ([], a), (a, c), (c, a), (c, c), (c, []),
+                  (q_list(rng, 2, bits), q_list(rng, 5, bits))]
+    pairs.append(([Fraction(2, 3), Fraction(0), Fraction(1)], [Fraction(-1, 5), Fraction(1)]))
+    return pairs
+
+
+def max_bits(cs):
+    return max((max(abs(c.numerator), c.denominator).bit_length() for c in cs), default=0)
+
+
+def test_q_kernel_matches_the_generic_fraction_loops():
+    for a, b in q_kernel_pairs():
+        out = _mul(QQ, a, b)
+        assert out == fraction_mul(a, b)
+        assert all(type(c) is Fraction for c in out) and (not out or out[-1] != 0)
+        f, g = Polynomial(QQ, a), Polynomial(QQ, b)
+        assert (f * g).vals == out
+        if b:
+            q, r = _divmod(QQ, a, b)
+            assert (q, r) == fraction_divmod(a, b)
+            assert all(type(c) is Fraction for c in q + r)
+            assert (not q or q[-1] != 0) and (not r or r[-1] != 0) and len(r) < len(b)
+            assert fraction_add(fraction_mul(q, b), r) == a
+        # the reference's cofactors grow fast: degree times height is capped
+        if (a or b) and (len(a) + len(b)) * max_bits(a + b) <= 8000:
+            h, s, t = poly_xgcd(f, g)
+            assert (h.vals, s.vals, t.vals) == fraction_xgcd(a, b)
+            assert all(type(c) is Fraction for c in h.vals + s.vals + t.vals)
+            assert h.vals[-1] == 1
+            assert fraction_add(fraction_mul(s.vals, a), fraction_mul(t.vals, b)) == h.vals
+            assert poly_gcd(f, g) == h

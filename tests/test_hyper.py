@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.algebra import Element, Polynomial, PrimeField, QQ, QuadraticField
+from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
+                            QuadraticField, poly_gcd, squarefree_decomposition)
 from cubica.hyper import (MumfordClass, SplitCurve, _series_sqrt,
                           canonicalize_prym,
                           class_from_pair, classes_equal, divisor_difference,
@@ -129,6 +130,84 @@ def test_golden_tripling_over_q():
     # n = 0 and n = 1 sanity
     assert mumford_scalar(W, E, 0) == identity_class(W)
     assert mumford_scalar(W, E, 1) == E
+
+
+def even_octic_through(rng):
+    """A seeded split model x^8 + a x^6 + b x^4 + c x^2 + d over Q through a
+    rational point (x0, y0), and the point."""
+    while True:
+        a, b, c = (rng.randint(-9, 9) for _ in range(3))
+        x0 = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        y0 = Fraction(rng.randint(-9, 9), rng.choice((1, 2)))
+        s = x0 * x0
+        d = y0 * y0 - (((s + a) * s + b) * s + c) * s
+        F = Polynomial(QQ, [d, 0, c, 0, b, 0, a, 0, 1])
+        if poly_gcd(F, F.derivative()).is_one():
+            return SplitCurve(F), x0, y0
+
+
+@pytest.mark.parametrize("which", ["golden", "octic-1", "octic-2"])
+def test_group_law_over_q_past_the_benchmark_range(which):
+    """(n+1)E = nE + E for n <= 30 over Q, where the coefficients of 31E
+    reach about 10,000 bits on the seeded octics (the benchmark stops at
+    n = 12)."""
+    if which == "golden":
+        W, x0, y0 = example_curve(QQ), 1, 2
+    else:
+        rng = random.Random(f"group-law-q:{which}")
+        W, x0, y0 = even_octic_through(rng)
+    E = point_minus_i_point(W, x0, y0)
+    for n in range(1, 31):
+        nE = mumford_scalar(W, E, n)
+        assert classes_equal(W, mumford_scalar(W, E, n + 1), mumford_add(W, nE, E))
+
+
+def _squarefree_cases():
+    """Seeded monic octics over Q, F_13 and F_{13^2}, half of them G^2 H by
+    construction, and (x^2 + 1)^13 over F_13, whose derivative is zero."""
+    F13 = PrimeField(13)
+    fields = {"Q": QQ, "F13": F13, "F169": QuadraticField(F13, 0, 2)}
+    cases = []
+    for name, field in fields.items():
+        rng = random.Random(f"squarefree:{name}")
+
+        def elem():
+            if field is QQ:
+                return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if isinstance(field, QuadraticField):
+                return field((rng.randrange(13), rng.randrange(13)))
+            return field(rng.randrange(13))
+
+        def monic(deg):
+            return Polynomial(field, [elem() for _ in range(deg)] + [1])
+
+        for i in range(24):
+            if i % 2:
+                dg = rng.randint(1, 3)
+                G = monic(dg)
+                cases.append((name, G * G * monic(8 - 2 * dg)))
+            else:
+                cases.append((name, monic(8)))
+    x = Polynomial.x(F13)
+    cases.append(("F13", (x ** 2 + 1) ** 13))
+    return cases
+
+
+def test_split_curve_refuses_exactly_the_non_squarefree():
+    """SplitCurve's test gcd(F, F') = 1 refuses exactly the F whose
+    squarefree decomposition has a multiple factor."""
+    refused = 0
+    for name, F in _squarefree_cases():
+        multiple = any(m > 1 for _, m in squarefree_decomposition(F))
+        try:
+            SplitCurve(F)
+        except FieldError as exc:
+            assert str(exc) == "F must be squarefree", (name, F)
+            assert multiple, (name, F)
+            refused += 1
+        else:
+            assert not multiple, (name, F)
+    assert refused >= 36  # the G^2 H octics at least
 
 
 def test_double_is_consistent_with_oracle():
