@@ -62,7 +62,7 @@ def _q_join(nums, d):
 
 
 def _convolve(a, b):
-    """The product of two integer lists, unreduced ([] if one is empty)."""
+    """The product of two integer lists ([] if one is empty)."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -141,8 +141,13 @@ def _mul(F, a, b):
     if not a or not b:
         return []
     if isinstance(F, PrimeField):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
         p = F.p
-        return [c % p for c in _convolve(a, b)]
+        return [c % p for c in out]
     if isinstance(F, RationalField):
         (an, ad), (bn, bd) = _q_split(a), _q_split(b)
         return _q_join(_convolve(an, bn), ad * bd)
@@ -160,15 +165,8 @@ def _divmod(F, a, b):
     n = len(b) - 1
     if len(a) <= n:
         return [], a
-    if isinstance(F, RationalField):
-        # c A = q B + r on the numerators A = ad a, B = bd b, so
-        # a = (q bd / (c ad)) b + r / (c ad)
-        (an, ad), (bn, bd) = _q_split(a), _q_split(b)
-        q, r, c = _pdivmod(an, bn)
-        return _q_join([x * bd for x in q], c * ad), _q_join(r, c * ad)
-    r, low, inv = list(a), b[:-1], F._inv(b[-1])
     if isinstance(F, PrimeField):
-        p = F.p
+        r, low, inv, p = list(a), b[:-1], F._inv(b[-1]), F.p
         q = [0] * (len(a) - n)
         for k in range(len(a) - n - 1, -1, -1):
             c = r[k + n] * inv % p
@@ -177,6 +175,13 @@ def _divmod(F, a, b):
                 for i, y in enumerate(low, k):
                     r[i] -= c * y
         return q, _trim([x % p for x in r[:n]], 0)
+    if isinstance(F, RationalField):
+        # c A = q B + r on the numerators A = ad a, B = bd b, so
+        # a = (q bd / (c ad)) b + r / (c ad)
+        (an, ad), (bn, bd) = _q_split(a), _q_split(b)
+        q, r, c = _pdivmod(an, bn)
+        return _q_join([x * bd for x in q], c * ad), _q_join(r, c * ad)
+    r, low, inv = list(a), b[:-1], F._inv(b[-1])
     sub, mul, zero = F._sub, F._mul, F._zero_val()
     q = [zero] * (len(a) - n)
     for k in range(len(a) - n - 1, -1, -1):
