@@ -141,6 +141,8 @@ def _mul(F, a, b):
     if not a or not b:
         return []
     if isinstance(F, PrimeField):
+        # not through _convolve: on the tiny products of the descent a call
+        # more per product is a measurable share of the time
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
