@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import (Polynomial, PrimeField, QQ, QuadraticField,
-                      RationalFunction, is_irreducible, is_square, sqrt)
+from .algebra import (Polynomial, PrimeField, QQ, RationalFunction,
+                      is_irreducible, is_square, sqrt)
 from .analyzer import analyze, pole_orders_of_alpha
 from .catalog import (R322, R3322, R33, R332_CHAR2, R32_CHAR2, R33_PURE3,
                       class_count, enumerate_classes, expected_signature)
@@ -204,7 +204,7 @@ def criterion_descent_counts():
 def criterion_family_table():
     def body(failures):
         F2 = PrimeField(2)
-        F4 = QuadraticField(F2, 1, 1)
+        F4 = canonical_quadratic_field(F2)
         plan = []
         for q in (5, 7):
             field = PrimeField(q)
@@ -329,9 +329,7 @@ def criterion_property_suite():
         # Euler criterion against exhaustive squaring for every q <= 49
         fields = [PrimeField(p) for p in (2, 5, 7, 11, 13, 17, 19, 23, 29, 31,
                                           37, 41, 43, 47)]
-        fields.append(QuadraticField(PrimeField(2), 1, 1))
-        fields.append(QuadraticField(PrimeField(5), 0, 2))
-        fields.append(canonical_quadratic_field(PrimeField(7)))
+        fields += [canonical_quadratic_field(PrimeField(p)) for p in (2, 5, 7)]
         for fld in fields:
             squares = {(e * e)._hash_val() for e in fld.elements()}
             for e in fld.elements():

@@ -1,10 +1,11 @@
-"""Exact base fields: prime fields F_p, quadratic extensions F_p(t), and Q.
+"""Exact base fields: prime fields F_p and Q, and the shared element type.
 
 Every field is an immutable descriptor object; elements are thin wrappers
-around a payload (int residue, coefficient pair, or Fraction) whose
-arithmetic is delegated to the descriptor.  Characteristic 3 is rejected:
-all constructions downstream assume a separable cubic X^3 - 3X - a or
-X^3 - b normal form.
+around a payload (an int residue, a Fraction, or the coefficient tuple of a
+``residue.ResidueField``, the one finite-extension field, F_{p^2}
+included) whose arithmetic is delegated to the descriptor.  Characteristic
+3 is rejected: all constructions downstream assume a separable cubic
+X^3 - 3X - a or X^3 - b normal form.
 
 The descriptors share one payload protocol: ``_add``, ``_sub``, ``_mul``,
 ``_neg``, ``_inv``, ``_zero_val``, ``_one_val``, ``sort_key``, ``char`` and
@@ -207,120 +208,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"F{self.p}"
-
-
-class QuadraticField:
-    """F_{p^2} presented as F_p[t] / (t^2 - a t - b).
-
-    Payload: [c0, c1] for c0 + c1*t.  The nontrivial automorphism is
-    t -> a - t (the Frobenius x -> x^p).
-    """
-
-    def __init__(self, base: PrimeField, a, b):
-        if not isinstance(base, PrimeField):
-            raise FieldError("quadratic extensions are only built over prime fields")
-        self.base = base
-        p = base.p
-        self.a = a % p
-        self.b = b % p
-        # irreducibility of t^2 - a t - b over F_p
-        for t in range(p):
-            if (t * t - self.a * t - self.b) % p == 0:
-                raise FieldError("t^2 - a t - b is reducible over the base field")
-        self.p = p
-        self.char = p
-        self.order = p * p
-        self.deg = 2
-        self._hash = hash(("Fp2", p, self.a, self.b))
-        self.zero = Element(self, (0, 0))
-        self.one = Element(self, (1, 0))
-        self.gen = Element(self, (0, 1))
-
-    def __call__(self, v):
-        if isinstance(v, Element):
-            if v.field == self:
-                return v
-            if v.field == self.base:
-                return Element(self, (v.val, 0))
-            raise FieldError("cannot coerce element into quadratic field")
-        if isinstance(v, Fraction):
-            return self(v.numerator) / self(v.denominator)
-        if isinstance(v, tuple):
-            return Element(self, (v[0] % self.p, v[1] % self.p))
-        return Element(self, (v % self.p, 0))
-
-    def _add(self, x, y):
-        p = self.p
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def _sub(self, x, y):
-        p = self.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
-    def _mul(self, x, y):
-        # (x0 + x1 t)(y0 + y1 t) with t^2 = a t + b
-        p, a, b = self.p, self.a, self.b
-        c0, c1 = x
-        d0, d1 = y
-        t2 = c1 * d1
-        return ((c0 * d0 + b * t2) % p, (c0 * d1 + c1 * d0 + a * t2) % p)
-
-    def _neg(self, x):
-        p = self.p
-        return ((-x[0]) % p, (-x[1]) % p)
-
-    def _inv(self, x):
-        p = self.p
-        ninv = pow(self._norm(x), p - 2, p)
-        c0, c1 = x
-        return (((c0 + self.a * c1) * ninv) % p, (-c1 * ninv) % p)
-
-    def _norm(self, x):
-        # (c0 + c1 t)(c0 + c1(a - t)) = c0^2 + a c0 c1 - b c1^2
-        c0, c1 = x
-        return (c0 * c0 + self.a * c0 * c1 - self.b * c1 * c1) % self.p
-
-    def norm(self, e: Element) -> Element:
-        """Norm down to the base field."""
-        return Element(self.base, self._norm(e.val))
-
-    def base_pair(self, e: Element):
-        c0, c1 = e.val
-        return Element(self.base, c0), Element(self.base, c1)
-
-    def _zero_val(self):
-        return (0, 0)
-
-    def _one_val(self):
-        return (1, 0)
-
-    def sort_key(self, v):
-        return (v[1], v[0])
-
-    def elements(self, skip_base=False):
-        """c0 + c1 t, c0 varying fastest, so F_p comes first; with
-        `skip_base` all but F_p."""
-        for c1 in range(1 if skip_base else 0, self.p):
-            for c0 in range(self.p):
-                yield Element(self, (c0, c1))
-
-    def format_element(self, v):
-        c0, c1 = v
-        if c1 == 0:
-            return str(c0)
-        if c0 == 0:
-            return f"{c1}*t"
-        return f"{c0}+{c1}*t"
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticField) and other.base == self.base
-                and other.a == self.a and other.b == self.b)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"F{self.p}[t]/(t^2-{self.a}t-{self.b})"
 
 
 class RationalField:

@@ -2,12 +2,12 @@
 polynomials.
 
 A matrix is a list of rows, each a list of the field's payloads (an int in
-[0, p) over F_p, a pair over F_{p^2}, a Fraction over Q, ...), the layout
-``poly.py`` keeps coefficients in; the vectors returned are payload lists
-too.  Over F_p, chosen by the field's type, elimination runs on raw ints
-with one reduction mod p per entry; other fields go through the payload
-protocol (``_sub``/``_mul``/``_inv``).  Sizes here are tiny, so this is
-plain Gauss-Jordan elimination with field division.
+[0, p) over F_p, a coefficient tuple over a residue field, a Fraction over
+Q, ...), the layout ``poly.py`` keeps coefficients in; the vectors returned
+are payload lists too.  Over F_p, chosen by the field's type, elimination
+runs on raw ints with one reduction mod p per entry; other fields go
+through the payload protocol (``_sub``/``_mul``/``_inv``).  Sizes here are
+tiny, so this is plain Gauss-Jordan elimination with field division.
 """
 
 from __future__ import annotations

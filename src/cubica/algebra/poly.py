@@ -2,11 +2,12 @@
 
 A Polynomial keeps its coefficients in ``vals`` as field payloads, lowest
 degree first with a nonzero leading coefficient (the zero polynomial has an
-empty list): an int in [0, p) over F_p, a pair over F_{p^2}, a Fraction over
-Q, a reduced Polynomial over a residue field, a RationalFunction over k(t).
-Arithmetic runs on these lists through the field's payload protocol
-(``_add``/``_sub``/``_mul``/``_inv``/``_zero_val``).  Two field types get
-integer loops, chosen by the type: over F_p the product and the long
+empty list): an int in [0, p) over F_p, a Fraction over Q, a coefficient
+tuple over a residue field (F_{p^2} included), a RationalFunction over
+k(t).  Arithmetic runs on these lists through the field's payload protocol
+(``_add``/``_sub``/``_mul``/``_inv``/``_zero_val``); the kernels also take
+tuples, on which a residue field runs its own arithmetic.  Two field types
+get integer loops, chosen by the type: over F_p the product and the long
 division run on raw ints with one reduction mod p per output coefficient;
 over Q the product, the division (pseudo-division, Knuth's Algorithm R), the
 gcd and the extended gcd run on integer numerators over one common
@@ -28,14 +29,13 @@ import math
 import random
 from fractions import Fraction
 
-from .fields import (Element, FieldError, PrimeField, QuadraticField,
-                     RationalField, _pow)
+from .fields import Element, FieldError, PrimeField, RationalField, _pow
 
 
 # -- the kernel: payload lists, lowest degree first -------------------------------
 #
-# Inputs are trimmed lists that are never mutated, so Polynomials may share
-# them; every list a kernel returns is trimmed.
+# Inputs are trimmed lists or tuples that are never mutated, so Polynomials
+# may share them; every list a kernel returns is trimmed.
 
 
 def _trim(cs, zero):
@@ -118,12 +118,22 @@ def _add(F, a, b):
     add = F._add
     out = [add(x, y) for x, y in zip(a, b)]
     if len(a) > len(b):
-        return out + a[len(b):]
+        out += a[len(b):]
+        return out
     return _trim(out, F._zero_val())
 
 
 def _sub(F, a, b):
-    return _add(F, a, _neg(F, b))
+    sub = F._sub
+    out = [sub(x, y) for x, y in zip(a, b)]
+    if len(a) > len(b):
+        out += a[len(b):]
+    elif len(b) > len(a):
+        neg = F._neg
+        out += [neg(y) for y in b[len(a):]]
+    else:
+        return _trim(out, F._zero_val())
+    return out
 
 
 def _neg(F, a):
@@ -506,7 +516,7 @@ def pow_mod(f: Polynomial, n: int, m: Polynomial) -> Polynomial:
 
 
 def _pth_root(f: Polynomial) -> Polynomial:
-    """p-th root of a polynomial in F_q[x^p] (q = p or p^2)."""
+    """p-th root of a polynomial in F_q[x^p], q any power of p."""
     field = f.field
     e = field.order // field.char
     # c^(q/p) is the p-th root of c in F_q
@@ -618,12 +628,12 @@ def _edf(f: Polynomial, d: int, rng: random.Random):
 
 
 def _random_element(field, rng: random.Random):
-    """A uniform payload of F_p or F_{p^2}."""
+    """A uniform payload of a finite field: of F_p, or of a residue field
+    from one uniform base payload per coefficient, lowest degree first."""
     if isinstance(field, PrimeField):
         return rng.randrange(field.p)
-    if isinstance(field, QuadraticField):
-        return (rng.randrange(field.p), rng.randrange(field.p))
-    raise FieldError("random elements only over finite fields")
+    return field(tuple(_random_element(field.base, rng)
+                       for _ in range(field.deg))).val
 
 
 def _fingerprint(f: Polynomial):
@@ -641,7 +651,7 @@ def poly_factor(f: Polynomial, seed: int = 0):
     field = f.field
     if isinstance(field, RationalField):
         raise FieldError("factorization over Q is unsupported; supply factored input")
-    if not isinstance(field, (PrimeField, QuadraticField)):
+    if field.order is None:
         raise FieldError("factorization requires a finite field")
     rng = random.Random(f"{seed}:{field.order}:{_fingerprint(f)}")
     out = []

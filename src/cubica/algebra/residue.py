@@ -1,24 +1,32 @@
-"""Residue fields k[x]/(m) for irreducible m.
+"""Residue fields k[x]/(m) for irreducible m: every finite extension field
+of the library, F_{p^2} included.
 
 A ResidueField is a field like those in ``.fields``: ``R(v)`` returns an
-``Element`` whose payload is the Polynomial v reduced mod m, elements
+``Element`` whose payload is the tuple of the residue's coefficients as
+base payloads, lowest degree first and trimmed (the layout of FLINT's
+``fq_nmod``), so the sum, difference and product run the polynomial kernels
+of ``.poly`` on those tuples, with their F_p and Q integer loops.  Elements
 compute with the ``Element`` operators, and ``fields.is_square``, ``sqrt``,
 ``smallest_nonsquare`` and ``trace_to_f2`` serve it through the payload
 protocol (``_add``/``_mul``/``_inv``/``_norm``/``elements``/``order``/...).
-``norm`` and ``min_poly`` take an Element and descend to k.
+Elements print as ``c0+c1*t+c2*t^2``, zero coefficients left out.
+``norm`` and ``min_poly`` take an Element and descend to k; ``lift`` gives
+its reduced representative as a Polynomial over k.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .fields import Element, FieldError, sqrt
+from .fields import Element, FieldError, _pow, sqrt
 from .linalg import min_poly_of_powers
-from .poly import Polynomial, _poly, inverse_mod
+from .poly import (Polynomial, _add, _divmod, _mul, _neg, _poly, _rem, _sub,
+                   _trim)
 
 
 class ResidueField:
-    """F_q[x]/(m) (or Q[x]/(m)); payload: a polynomial reduced mod m.
+    """F_q[x]/(m) (or Q[x]/(m)); payload: the trimmed coefficient tuple of
+    the residue, a polynomial of degree below deg m.
 
     The modulus must be irreducible for this to be a field; pass check=False
     only for moduli already certified elsewhere (e.g. place polynomials)."""
@@ -31,6 +39,7 @@ class ResidueField:
             if not is_irreducible(modulus):
                 raise FieldError("modulus is reducible")
         self.modulus = modulus.monic()
+        self._m = self.modulus.vals
         self.base = modulus.field
         self.deg = modulus.degree
         if self.base.order is not None:
@@ -39,81 +48,114 @@ class ResidueField:
             self.order = None
         self.char = self.base.char
         self._hash = hash(("Res", self.modulus))
-        self.zero = Element(self, Polynomial.zero(self.base))
-        self.one = Element(self, Polynomial.one(self.base))
+        self.zero = Element(self, ())
+        self.one = Element(self, (self.base._one_val(),))
 
     def __call__(self, v) -> Element:
+        """The residue of an Element of this field or of a field it
+        coerces from, an int or Fraction, a Polynomial over the base, or a
+        tuple (c0, c1, ...) of values the base takes."""
         if isinstance(v, Element) and v.field == self:
             return v
-        if not isinstance(v, Polynomial):
-            v = Polynomial.constant(self.base, self.base(v))
-        return Element(self, v % self.modulus)
+        base = self.base
+        if isinstance(v, Polynomial):
+            if v.field != base:
+                raise FieldError("polynomial over a different field")
+            vals = v.vals
+        elif isinstance(v, tuple):
+            vals = _trim([base(c).val for c in v], base._zero_val())
+        else:
+            vals = _trim([base(v).val], base._zero_val())
+        return Element(self, tuple(_rem(base, vals, self._m)))
 
     def __eq__(self, other):
-        return isinstance(other, ResidueField) and other.modulus == self.modulus
+        return other is self or (isinstance(other, ResidueField)
+                                 and other.modulus == self.modulus)
 
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        return f"{self.base!r}[t]/({self.format_element(self._m)})"
+
     # -- payload protocol ------------------------------------------------------
 
     def _zero_val(self):
-        return Polynomial.zero(self.base)
+        return ()
 
     def _one_val(self):
-        return Polynomial.one(self.base)
+        return (self.base._one_val(),)
 
     def _add(self, a, b):
-        return (a + b) % self.modulus
+        return tuple(_add(self.base, a, b))
 
     def _sub(self, a, b):
-        return (a - b) % self.modulus
+        return tuple(_sub(self.base, a, b))
 
     def _mul(self, a, b):
-        return (a * b) % self.modulus
+        return tuple(_rem(self.base, _mul(self.base, a, b), self._m))
 
     def _neg(self, a):
-        return (-a) % self.modulus
+        return tuple(_neg(self.base, a))
 
     def _inv(self, a):
-        return inverse_mod(a, self.modulus)
+        """By the extended Euclidean algorithm on m and a, keeping only the
+        cofactor s_i of a in each remainder r_i = s_i a mod m."""
+        B = self.base
+        r0, r1, s0, s1 = self._m, a, (), (B._one_val(),)
+        while len(r1) > 1:
+            q, r = _divmod(B, r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, _sub(B, s0, _mul(B, q, s1))
+        if not r1:
+            raise ArithmeticError("element is not invertible modulo the modulus")
+        return tuple(_mul(B, s1, [B._inv(r1[0])]))
 
     def _norm(self, a):
         """N(a) = Res(m, a), the product of a(alpha) over the roots alpha of
         the monic modulus m, by Res(f, g) = (-1)^(deg f deg g)
         lc(g)^(deg f - deg r) Res(g, r) for r = f mod g; a base payload."""
-        f, g = self.modulus, a % self.modulus
-        acc = self.base.one
-        while g.degree > 0:
-            r = f % g
-            if r.is_zero():
-                return self.base._zero_val()
-            if f.degree * g.degree % 2:
-                acc = -acc
-            acc = acc * g.leading() ** (f.degree - r.degree)
+        B = self.base
+        f, g, acc = self._m, a, B._one_val()
+        while len(g) > 1:
+            r = _rem(B, f, g)
+            if not r:
+                return B._zero_val()
+            if (len(f) - 1) * (len(g) - 1) % 2:
+                acc = B._neg(acc)
+            acc = B._mul(acc, _pow(B, g[-1], len(f) - len(r)))
             f, g = g, r
-        if g.is_zero():
-            return self.base._zero_val()
-        return (acc * g.constant_coeff() ** f.degree).val
+        if not g:
+            return B._zero_val()
+        return B._mul(acc, _pow(B, g[0], len(f) - 1))
 
     def sort_key(self, a):
-        return a.sort_key()
+        key = self.base.sort_key
+        return (len(a) - 1, tuple(key(c) for c in reversed(a)))
 
     def elements(self, skip_base=False):
         """All residues, the constant coefficient varying fastest, so the
         base constants come first; with `skip_base` all but those, which are
         not built."""
-        base_elems = list(self.base.elements())
+        zero = self.base._zero_val()
+        base_vals = [e.val for e in self.base.elements()]
         # product varies its last factor fastest; high = (c_{deg-1}, ..., c_1)
-        highs = product(base_elems, repeat=self.deg - 1)
+        highs = product(base_vals, repeat=self.deg - 1)
         if skip_base:
             next(highs)
         for high in highs:
-            for c in base_elems:
-                yield Element(self, Polynomial(self.base, (c,) + high[::-1]))
+            for c in base_vals:
+                yield Element(self, tuple(_trim([c, *reversed(high)], zero)))
 
     def format_element(self, a):
-        return repr(a)
+        fmt, zero = self.base.format_element, self.base._zero_val()
+        parts = [fmt(c) + ("" if i == 0 else "*t" if i == 1 else f"*t^{i}")
+                 for i, c in enumerate(a) if c != zero]
+        return "+".join(parts) or "0"
+
+    def lift(self, e: Element) -> Polynomial:
+        """The reduced representative of e, a Polynomial over the base of
+        degree below deg m."""
+        return _poly(self.base, list(self(e).val))
 
     def norm(self, e: Element) -> Element:
         """The norm of e down to the coefficient field."""
@@ -128,6 +170,6 @@ class ResidueField:
         powers = []
         t = self._one_val()
         for _ in range(self.deg + 1):
-            powers.append(t.vals + [zero] * (self.deg - len(t.vals)))
+            powers.append(list(t) + [zero] * (self.deg - len(t)))
             t = self._mul(t, ev)
         return _poly(base, min_poly_of_powers(base, powers))

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
+from .algebra.poly import _prime_divisors
 from .function_field import Place
 from .models import CubicModel, sorted_places
 from .quadratic import (ConicParametrization, INF_MARK, QuadraticModel,
@@ -359,23 +360,25 @@ def enumerate_descents(closure: QuadraticModel, places) -> list:
 
 
 def _multiplicative_generator(qfield):
-    order = qfield.order
-    divisors = [d for d in range(1, order) if (order - 1) % d == 0 and d < order - 1]
+    """The first element of q^* in element order whose order is q - 1: e
+    with e^((q - 1)/r) != 1 for every prime r dividing q - 1."""
+    n = qfield.order - 1
+    cofactors = [n // r for r in _prime_divisors(n)]
     for e in qfield.elements():
         if e.is_zero():
             continue
-        if all(not (e ** d).is_one() for d in divisors):
+        if all(not (e ** d).is_one() for d in cofactors):
             return e
     raise ArithmeticError("no generator found")
 
 
 def norm_one_cube_reps(qfield) -> list:
     """Representatives of N_1/N_1^3 for the norm-1 subgroup N_1 of q^*."""
-    p = qfield.p
-    gen = _multiplicative_generator(qfield)
-    n1 = gen ** (p - 1)          # generates the norm-1 subgroup, order p + 1
+    p = qfield.char
     if (p + 1) % 3 != 0:
         return [qfield.one]
+    gen = _multiplicative_generator(qfield)
+    n1 = gen ** (p - 1)          # generates the norm-1 subgroup, order p + 1
     return [qfield.one, n1, n1 * n1]
 
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (Element, FieldError, Polynomial, PrimeField,
-                      QuadraticField, QQ, RationalFunction)
+from .algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
+                      RationalFunction)
 from .function_field import Place
 from .models import CubicModel, RamificationReport
 from .quadratic import QuadraticModel, canonical_quadratic_field
@@ -20,15 +20,10 @@ class SchemaError(ValueError):
 
 
 def field_from_spec(spec) -> object:
-    """'q' / 0 -> Q; a prime p -> F_p; {'p':..,'a':..,'b':..} or 'p^2' -> F_p2."""
+    """'q' / 0 -> Q; a prime p -> F_p; 'p^2' -> F_{p^2}, the canonical
+    ``quadratic.canonical_quadratic_field`` over F_p."""
     if spec in ("q", "Q", 0, "0"):
         return QQ
-    if isinstance(spec, dict):
-        try:
-            return QuadraticField(PrimeField(int(spec["p"])),
-                                  int(spec.get("a", 0)), int(spec.get("b", 0)))
-        except (KeyError, ValueError, FieldError) as exc:
-            raise SchemaError(f"bad field spec: {exc}")
     try:
         text = str(spec)
         if "^" in text:
@@ -57,13 +52,16 @@ def decode_element(field, data) -> Element:
             return field(int(data))
         except (ValueError, FieldError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad element {data!r}: {exc}")
-    if isinstance(data, (list, tuple)) and isinstance(field, QuadraticField):
-        return field((int(data[0]), int(data[1])))
+    if isinstance(data, list):
+        # [c0, c1, ...]: the integer coordinates of an extension element
+        deg = getattr(field, "deg", 1)
+        if deg > 1 and len(data) == deg and all(type(c) is int for c in data):
+            return field(tuple(data))
     raise SchemaError(f"bad element {data!r}")
 
 
 def _decode_quadratic_element(field, text: str) -> Element:
-    if not isinstance(field, QuadraticField):
+    if getattr(field, "deg", 1) != 2:
         raise SchemaError("t-notation needs a quadratic field")
     c0, c1 = 0, 0
     for part in text.replace("-", "+-").split("+"):

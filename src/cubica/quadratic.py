@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
-                      QuadraticField, RationalFunction, ResidueField,
+                      RationalFunction, ResidueField, is_irreducible,
                       is_square, poly_factor, poly_gcd, smallest_nonsquare,
                       sqrt, squarefree_decomposition, trace_to_f2)
 from .function_field import Place
@@ -223,7 +223,7 @@ def _as_reduce(gamma: RationalFunction, seed: int = 0) -> RationalFunction:
             R = ResidueField(p, check=False)
             # leading coefficient of gamma at p: (gamma * p^(2m)) mod p
             scaled = gamma * RationalFunction(p ** (2 * m))
-            s = sqrt(R(scaled.num) / R(scaled.den)).val  # unique root in char 2
+            s = R.lift(sqrt(R(scaled.num) / R(scaled.den)))  # unique root in char 2
             h = RationalFunction(s, p ** m)
             gamma = gamma - (h * h + h)
             changed = True
@@ -597,7 +597,7 @@ class ConicParametrization:
         field = self.field
         x0 = -place.poly[0]
         y0 = -self.m[0].evaluate(x0)
-        if rho.val.constant_coeff() == y0:
+        if place.residue_field.lift(rho).constant_coeff() == y0:
             # 0/0 at the center of projection: the tangent slope f'(x0)/(2 y0)
             val = self.model.f.derivative().evaluate(x0) / (field(2) * y0)
             return Place.finite(Polynomial(field, [-val, field.one]), check=False)
@@ -662,7 +662,7 @@ def _value_at_place(rf: RationalFunction, place: Place):
         return None
     val = R(rf.num) / den
     if place.degree == 1:
-        return val.val.constant_coeff()
+        return R.lift(val).constant_coeff()
     return val
 
 
@@ -682,10 +682,9 @@ class ConstantParametrization:
 
     def split(self, e: Element):
         """(e0, e1) over k with e = e0 + e1 sqrt(d) for e in q."""
-        c0, c1 = self.qfield.base_pair(e)
-        r0, r1 = self.qfield.base_pair(self.root_d)
-        e1 = c1 / r1
-        return c0 - e1 * r0, e1
+        c, r = self.qfield.lift(e), self.qfield.lift(self.root_d)
+        e1 = c[1] / r[1]
+        return c[0] - e1 * r[0], e1
 
     def upstairs_place(self, place: Place, rho) -> Polynomial:
         """The monic irreducible factor of the place polynomial over q picked
@@ -694,23 +693,22 @@ class ConstantParametrization:
             raise FieldError("infinity is inert in a constant extension")
         q = self.qfield
         pq = place.poly.map_coeffs(q, q)
-        rho_lift = rho.val.map_coeffs(q, q)
+        rho_lift = place.residue_field.lift(rho).map_coeffs(q, q)
         g = poly_gcd(pq, rho_lift - Polynomial.constant(q, self.root_d))
         if 2 * g.degree != place.degree:
             raise ArithmeticError("sign choice does not pick out a conjugate factor")
         return g
 
 
-def canonical_quadratic_field(field: PrimeField) -> QuadraticField:
+def canonical_quadratic_field(field: PrimeField) -> ResidueField:
     """F_p[t]/(t^2 - a t - b) for the first irreducible t^2 - a t - b, b
     varying fastest: the F_{p^2} of a 'p^2' field spec and of a constant
     extension."""
     for a in range(field.p):
         for b in range(field.p):
-            try:
-                return QuadraticField(field, a, b)
-            except FieldError:
-                pass
+            m = Polynomial(field, [-b, -a, 1])
+            if is_irreducible(m):
+                return ResidueField(m, check=False)
     raise FieldError("no irreducible quadratic found")
 
 

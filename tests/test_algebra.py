@@ -7,15 +7,28 @@ from itertools import islice, product
 import pytest
 
 from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
-                            QuadraticField, RationalField, RationalFunction,
-                            ResidueField, FieldError, is_irreducible,
-                            is_square, poly_factor, poly_gcd, poly_xgcd,
-                            pow_mod, smallest_nonsquare, sqrt,
-                            squarefree_decomposition, trace_to_f2)
+                            RationalField, RationalFunction, ResidueField,
+                            FieldError, is_irreducible, is_square, poly_factor,
+                            poly_gcd, poly_xgcd, pow_mod, smallest_nonsquare,
+                            sqrt, squarefree_decomposition, trace_to_f2)
 from cubica.algebra.poly import _divmod, _mul
+from cubica.quadratic import canonical_quadratic_field
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+
+
+def quadratic(field, a, b):
+    """F_p[t]/(t^2 - a t - b)."""
+    return ResidueField(Polynomial(field, [-b, -a, 1]))
+
+
+def random_element(F, rng):
+    """A uniform element of a finite field, one base element per
+    coefficient of a residue."""
+    if isinstance(F, PrimeField):
+        return F(rng.randrange(F.p))
+    return F(tuple(random_element(F.base, rng) for _ in range(F.deg)))
 
 
 def poly(field, coeffs):
@@ -108,7 +121,7 @@ def test_factor_reassembles_random_inputs(field):
 
 
 def test_factor_over_quadratic_field():
-    F25 = QuadraticField(F5, 0, 2)
+    F25 = canonical_quadratic_field(F5)
     x = Polynomial.x(F25)
     # x^2 + 2 = (x - t)(x + t) with t^2 = 2... over F25, x^2+2 = x^2 - 3 and
     # 3 = 2*4 = (2t)^2, so roots are +-2t
@@ -130,7 +143,7 @@ def test_factor_char2_fields():
     assert fac[x ** 2 + x + 1] == 1
     assert fac[x] == 2
     assert fac[x + 1] == 1
-    F4 = QuadraticField(F2, 1, 1)
+    F4 = canonical_quadratic_field(F2)
     x4 = Polynomial.x(F4)
     g = x4 ** 2 + x4 + 1  # splits over F4
     fac4 = poly_factor(g)
@@ -138,8 +151,8 @@ def test_factor_char2_fields():
 
 
 @pytest.mark.parametrize("q_field", [F5, F7, PrimeField(11),
-                                     QuadraticField(F5, 0, 2),
-                                     QuadraticField(PrimeField(2), 1, 1)])
+                                     canonical_quadratic_field(F5),
+                                     canonical_quadratic_field(PrimeField(2))])
 def test_square_table_exhaustive(q_field):
     elems = list(q_field.elements())
     squares = {(e * e)._hash_val() for e in elems}
@@ -168,7 +181,7 @@ def test_residue_field_ops():
     # the residue xbar has xbar^2 = -2 = 3
     xb = R(x)
     assert xb * xb == R(3)
-    assert is_square(xb) == pow_mod(xb.val, 12, R.modulus).is_one()
+    assert is_square(xb) == pow_mod(R.lift(xb), 12, R.modulus).is_one()
     # evaluation residue field at x - 1 is F5 itself
     R1 = ResidueField(x - 1)
     assert R1.deg == 1 and R1.order == 5
@@ -264,7 +277,7 @@ def test_rational_compose_matches_the_term_by_term_sum(field):
 
 def euler_is_square_residue(R, a):
     """Reference: Euler's criterion a^((q^k - 1)/2) = 1 in F_q[x]/(m)."""
-    return a.is_zero() or pow_mod(a.val, (R.order - 1) // 2, R.modulus).is_one()
+    return a.is_zero() or pow_mod(R.lift(a), (R.order - 1) // 2, R.modulus).is_one()
 
 
 def euler_is_square(e):
@@ -352,7 +365,120 @@ def test_residue_sqrt_is_the_smaller_root(p, deg):
 def quadratic_field(p):
     """F_{p^2} = F_p[t]/(t^2 - b) for the smallest non-square b of F_p."""
     field = PrimeField(p)
-    return QuadraticField(field, 0, full_scan_nonsquare(field).val)
+    return quadratic(field, 0, full_scan_nonsquare(field).val)
+
+
+class PairField:
+    """Reference F_{p^2} = F_p[t]/(t^2 - a t - b) on int pairs (c0, c1) for
+    c0 + c1*t, a closed formula for each operation; the nontrivial
+    automorphism is t -> a - t.  It follows the payload protocol, so
+    ``is_square``, ``sqrt`` and ``smallest_nonsquare`` run on it."""
+
+    deg = 2
+
+    def __init__(self, base, a, b):
+        p = base.p
+        self.base, self.p, self.a, self.b = base, p, a % p, b % p
+        self.char, self.order = p, p * p
+        self._hash = hash(("pairs", p, self.a, self.b))
+        self.zero, self.one = Element(self, (0, 0)), Element(self, (1, 0))
+
+    def __call__(self, v):
+        if isinstance(v, Element):
+            return v
+        return Element(self, (v[0] % self.p, v[1] % self.p))
+
+    def __eq__(self, other):
+        return isinstance(other, PairField) and (other.p, other.a, other.b) == (
+            self.p, self.a, self.b)
+
+    def __hash__(self):
+        return self._hash
+
+    def _add(self, x, y):
+        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+
+    def _sub(self, x, y):
+        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
+
+    def _neg(self, x):
+        return ((-x[0]) % self.p, (-x[1]) % self.p)
+
+    def _mul(self, x, y):
+        # (x0 + x1 t)(y0 + y1 t) with t^2 = a t + b
+        p, a, b = self.p, self.a, self.b
+        t2 = x[1] * y[1]
+        return ((x[0] * y[0] + b * t2) % p, (x[0] * y[1] + x[1] * y[0] + a * t2) % p)
+
+    def _norm(self, x):
+        # (c0 + c1 t)(c0 + c1 (a - t)) = c0^2 + a c0 c1 - b c1^2
+        c0, c1 = x
+        return (c0 * c0 + self.a * c0 * c1 - self.b * c1 * c1) % self.p
+
+    def _inv(self, x):
+        p = self.p
+        ninv = pow(self._norm(x), p - 2, p)
+        return (((x[0] + self.a * x[1]) * ninv) % p, (-x[1] * ninv) % p)
+
+    def _zero_val(self):
+        return (0, 0)
+
+    def _one_val(self):
+        return (1, 0)
+
+    def norm(self, e):
+        return Element(self.base, self._norm(e.val))
+
+    def sort_key(self, v):
+        return (v[1], v[0])
+
+    def elements(self, skip_base=False):
+        for c1 in range(1 if skip_base else 0, self.p):
+            for c0 in range(self.p):
+                yield Element(self, (c0, c1))
+
+    def format_element(self, v):
+        c0, c1 = v
+        if c1 == 0:
+            return str(c0)
+        if c0 == 0:
+            return f"{c1}*t"
+        return f"{c0}+{c1}*t"
+
+
+PAIR_FIELDS = {"F4": (2, 1, 1), "F25": (5, 0, 2), "F49": (7, 1, 4),
+               "F169": (13, 0, 2), "F257^2": (257, 0, 3)}
+
+
+@pytest.mark.parametrize("name", list(PAIR_FIELDS))
+def test_residue_field_matches_the_pair_formulas(name):
+    """ResidueField(t^2 - a t - b) against the pair formulas under
+    c0 + c1*t <-> (c0, c1): element order, sort_key order, products,
+    inverses, norms, squares, canonical square roots, the smallest
+    non-square and printing (every pair on the small fields, a seeded
+    sample of 300 on F_{257^2})."""
+    p, a, b = PAIR_FIELDS[name]
+    P, R = PairField(PrimeField(p), a, b), quadratic(PrimeField(p), a, b)
+    pairs = [e.val for e in P.elements()]
+    assert [R(v) for v in pairs] == list(R.elements())
+    assert [R(v) for v in pairs[p:]] == list(R.elements(skip_base=True))
+    if len(pairs) > 200:
+        pairs = random.Random(f"pairs:{name}").sample(pairs, 300)
+    assert ([R(v) for v in sorted(pairs, key=P.sort_key)]
+            == sorted((R(v) for v in pairs), key=Element.sort_key))
+    for x in pairs:
+        ex, rx = P(x), R(x)
+        assert repr(rx) == repr(ex)
+        assert R.norm(rx) == P.norm(ex)
+        assert is_square(rx) == is_square(ex)
+        if not rx.is_zero():
+            assert rx.inverse() == R(ex.inverse().val)
+        if is_square(rx):
+            assert sqrt(rx) == R(sqrt(ex).val)
+        for y in pairs[:40]:
+            assert rx * R(y) == R((ex * P(y)).val)
+    if p != 2:
+        assert smallest_nonsquare(R) == R(smallest_nonsquare(P).val)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 257])
@@ -378,16 +504,22 @@ def residue_field(p, coeffs):
     return ResidueField(Polynomial(F, [F(c) for c in coeffs]))
 
 
+F25 = canonical_quadratic_field(F5)
+# F_625 as a residue field over F_25: t is not a square in F_25
+F25_X2_T = ResidueField(Polynomial(F25, [F25((0, -1)), 0, 1]))
+
 FIELD_KINDS = {
     "F2": PrimeField(2),
     "F5": F5,
     "F13": PrimeField(13),
-    "F4": QuadraticField(PrimeField(2), 1, 1),
-    "F25": QuadraticField(F5, 0, 2),
+    "F4": canonical_quadratic_field(PrimeField(2)),
+    "F25": F25,
     "F7[x]/(x-3)": residue_field(7, [-3, 1]),
     "F5[x]/(x^2+2)": residue_field(5, [2, 0, 1]),
+    "F5[x]/(x^3+x+1)": residue_field(5, [1, 1, 0, 1]),
     "F13[x]/(x^3-2)": residue_field(13, [-2, 0, 0, 1]),
     "F2[x]/(x^3+x+1)": residue_field(2, [1, 1, 0, 1]),
+    "F25[x]/(x^2-t)": F25_X2_T,
     "Q": QQ,
 }
 
@@ -428,7 +560,7 @@ def test_square_root_and_trace_on_every_field_kind(name):
 
 PROTOCOL_FIELDS = {
     "F5": lambda: PrimeField(5),
-    "F25": lambda: QuadraticField(PrimeField(5), 0, 2),
+    "F25": lambda: canonical_quadratic_field(PrimeField(5)),
     "F7[x]/(x-3)": lambda: residue_field(7, [-3, 1]),
     "F5[x]/(x^2+2)": lambda: residue_field(5, [2, 0, 1]),
     "F13[x]/(x^3-2)": lambda: residue_field(13, [-2, 0, 0, 1]),
@@ -460,7 +592,7 @@ def test_every_field_follows_the_element_protocol(name):
 def test_equal_values_over_equal_fields_hash_alike():
     assert len({PrimeField(5)(2), PrimeField(5)(2)}) == 1
     assert len({Polynomial.x(PrimeField(5)), Polynomial.x(PrimeField(5))}) == 1
-    Q1, Q2 = QuadraticField(PrimeField(7), 0, 3), QuadraticField(PrimeField(7), 0, 3)
+    Q1, Q2 = quadratic(PrimeField(7), 0, 3), quadratic(PrimeField(7), 0, 3)
     assert len({Q1((1, 2)), Q2((1, 2))}) == 1
     assert len({FunctionField(QQ).gen, FunctionField(QQ).gen}) == 1
 
@@ -485,7 +617,7 @@ def test_constant_polynomials_equal_their_constant():
 def test_coercion_accepts_an_equal_field():
     F13, G13 = PrimeField(13), PrimeField(13)
     assert F13(G13(3)) == F13(3)
-    Q1, Q2 = QuadraticField(F13, 0, 2), QuadraticField(F13, 0, 2)
+    Q1, Q2 = quadratic(F13, 0, 2), quadratic(F13, 0, 2)
     assert Q1(Q2((1, 4))) == Q1((1, 4))
     with pytest.raises(Exception, match="cannot coerce"):
         PrimeField(5)(F13(3))
@@ -586,8 +718,10 @@ KERNEL_FIELDS = {
     "F5": F5,
     "F101": PrimeField(101),
     "F(10^9+7)": PrimeField(10 ** 9 + 7),
-    "F25": QuadraticField(F5, 0, 2),
+    "F25": F25,
     "F5[x]/(x^2+2)": residue_field(5, [2, 0, 1]),
+    "F5[x]/(x^3+x+1)": residue_field(5, [1, 1, 0, 1]),
+    "F25[x]/(x^2-t)": F25_X2_T,
     "Q": QQ,
 }
 
@@ -597,11 +731,7 @@ def kernel_element(F, rng):
         return F.zero
     if F.order is None:
         return F(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    if isinstance(F, ResidueField):
-        return F(Polynomial(F.base, [rng.randrange(5), rng.randrange(5)]))
-    if isinstance(F, QuadraticField):
-        return F((rng.randrange(F.p), rng.randrange(F.p)))
-    return F(rng.randrange(F.p))
+    return random_element(F, rng)
 
 
 def kernel_pairs(name, F):
@@ -657,24 +787,28 @@ def monic_polys(F, degree):
 
 
 def random_monic(F, degree, rng):
-    if isinstance(F, QuadraticField):
-        low = [F((rng.randrange(F.p), rng.randrange(F.p))) for _ in range(degree)]
-    else:
-        low = [F(rng.randrange(F.p)) for _ in range(degree)]
-    return Polynomial(F, low + [F.one])
+    return Polynomial(F, [random_element(F, rng) for _ in range(degree)] + [F.one])
 
 
-@pytest.mark.parametrize("name", ["F5", "F4", "F101", "F25"])
+IRREDUCIBLE_FIELDS = {
+    "F5": (F5, 4), "F4": (canonical_quadratic_field(PrimeField(2)), 4),
+    "F101": (PrimeField(101), 12), "F25": (F25, 12),
+    "F5[x]/(x^3+x+1)": (residue_field(5, [1, 1, 0, 1]), 8),
+    "F25[x]/(x^2-t)": (F25_X2_T, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(IRREDUCIBLE_FIELDS))
 def test_is_irreducible_agrees_with_poly_factor(name):
     """Every monic of degree <= 4 over F_5 and F_4, and seeded random monics
-    of degree <= 12 over F_101 and F_25."""
-    F = {"F5": F5, "F4": QuadraticField(PrimeField(2), 1, 1),
-         "F101": PrimeField(101), "F25": QuadraticField(F5, 0, 2)}[name]
+    of degree <= 12 over F_101 and F_25, <= 8 over F_125 and <= 4 over F_625
+    (a residue field over F_25)."""
+    F, max_deg = IRREDUCIBLE_FIELDS[name]
     if F.order < 10:
-        polys = [f for d in range(1, 5) for f in monic_polys(F, d)]
+        polys = [f for d in range(1, max_deg + 1) for f in monic_polys(F, d)]
     else:
         rng = random.Random(f"irreducible:{name}")
-        polys = [random_monic(F, d, rng) for d in range(1, 13) for _ in range(8)]
+        polys = [random_monic(F, d, rng) for d in range(1, max_deg + 1) for _ in range(8)]
     for f in polys:
         assert is_irreducible(f) == (poly_factor(f) == [(f, 1)])
 

@@ -3,18 +3,18 @@ Galois flags, and the mu/nu family cross-check."""
 
 import pytest
 
-from cubica.algebra import (Polynomial, PrimeField, QuadraticField,
-                            RationalFunction)
+from cubica.algebra import Polynomial, PrimeField, RationalFunction
 from cubica.analyzer import analyze
 from cubica.catalog import (ALL_TAGS, R322, R3322, R3322_MU, R33, R332_CHAR2,
                             R32_CHAR2, R33_CHAR2_AS, R33_PURE3, class_count,
                             enumerate_classes, expected_signature,
                             family_member)
 from cubica.models import CubicModel
-from cubica.quadratic import SquareClass, classify, purely_cubic_closure
+from cubica.quadratic import (SquareClass, canonical_quadratic_field, classify,
+                              purely_cubic_closure)
 
 F2 = PrimeField(2)
-F4 = QuadraticField(F2, 1, 1)
+F4 = canonical_quadratic_field(F2)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 

@@ -1,5 +1,6 @@
 """CLI surface: JSON schemas, exit codes, determinism, mutation detection."""
 
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,68 @@ def test_parshin_cover_cli(capsys):
     assert doc["alpha"]["B"] == ["-480", "-320"]
 
 
+# sha256 of the stdout of CLI runs over F_4, F_25 and F_49 (and the constant
+# closures of F_5 and F_7, whose K' = qK is built over q = F_25, F_49): the
+# documents print F_{p^2} elements as c0+c1*t and pin their order, square
+# classes, square roots and signs.
+F_P2_DIGESTS = [
+    (["pure", "enumerate", "--field", "2^2", "--places",
+      '[{"poly": ["1*t", "1"]}, {"poly": ["1+1*t", "1"]}, {"inf": true}]'],
+     "59aba9bc7d7fab6440847402a9289d62120cd49313d714e4fd70b8bc2eb8b5c7"),
+    (["pure", "enumerate", "--field", "5^2", "--places",
+      '[{"poly": ["0", "1"]}, {"poly": ["1+1*t", "1"]}, {"inf": true}]'],
+     "512a5139c77124955dbd4d92a2b9fbc537e1a0890d681785abfdb67f463c4158"),
+    (["pure", "enumerate", "--field", "7^2", "--places",
+      '[{"poly": ["1+1*t", "0", "1"]}, {"inf": true}]'],
+     "5b7783f11ac2104ddae74335faacbb848a836420fa19b5355f9fb53ecb26b935"),
+    (["pure", "twists", "--field", "2^2", "--model",
+      '{"pure": {"num": ["0", "1"], "den": ["1"]}}'],
+     "f7f4733a02b61b7dbd428a296ff88af36495b35f046be6244735c3666f5fd6fb"),
+    (["pure", "twists", "--field", "7^2", "--model",
+      '{"pure": {"num": ["0", "1"], "den": ["1*t", "1"]}}'],
+     "d32e3c346301ef0f1c1c1aecabf188b73bb4ba9935f818980149173d0d70678a"),
+    (["bitwists", "--tag", "R332_CHAR2", "--field", "2^2"],
+     "b885fbd453f534e12e4b4965c302d347e8391759a65785d11be92123bb20f611"),
+    (["bitwists", "--tag", "R3322", "--field", "5^2"],
+     "68ac7aace3285dd7fe9534b45a08c5eb671f5ac0fbb1f2badfd601a2eb866faf"),
+    (["bitwists", "--tag", "R33", "--field", "7^2"],
+     "83acf644e8e4f980596147aa6feb068bf472075a19dbf87fd986a2a1f0b4b15e"),
+    (["descend", "--field", "5", "--closure", '{"kummer": ["2"]}', "--places",
+      '[{"poly": ["2", "0", "1"]}, {"poly": ["1", "1", "1"]}]', "--twists"],
+     "42fdaf89a030fe18f67279896d043bef6307e4f11cee35dd183ab9496c42406a"),
+    (["descend", "--field", "7", "--closure", '{"kummer": ["3"]}', "--places",
+      '[{"poly": ["1", "0", "1"]}]', "--twists"],
+     "fcb2d76e9511d0deec707c0036de30ebbff0cc940cde16a61497386bf63ec84a"),
+    (["descend", "--field", "5^2", "--closure", '{"kummer": ["2", "0", "1"]}',
+      "--places", '[{"poly": ["1*t", "0", "1"]}, {"poly": ["1", "1"]}]', "--twists"],
+     "f332761d05ef3959a0df27be37e38c1da028115388dfb39c4344deb39338c7e3"),
+    (["descend", "--field", "7^2", "--closure", '{"kummer": ["1*t", "0", "1"]}',
+      "--places", '[{"poly": ["3+1*t", "1", "1"]}, {"poly": ["2+1*t", "1"]}]',
+      "--all-signs"],
+     "848a333ad17f1e09c5746fb2a8140a605fdb65d6f6b83e75cf83a9c64ccd93cc"),
+    (["analyze", "--field", "2^2", "--model",
+      '{"impure": {"c": "1*t", "alpha": {"num": ["1", "1"], "den": ["1*t", "0", "1"]}}}'],
+     "52ef356aec259ad4b096b428e238bbcfa891bcc3232541ecb4184de39cc59fac"),
+    (["analyze", "--field", "5^2", "--model",
+      '{"impure": {"c": "1+1*t", "alpha": {"num": ["0", "1"], "den": ["2*t", "0", "1"]}}}'],
+     "e600d7b78008ea83e23d5a99efa36634a114f6143b365b3ec22cd961eecdf3f5"),
+    (["parshin", "weierstrass", "--field", "5^2", "--g", '["1", "0", "0", "1"]',
+      "--c", "1*t"],
+     "e13af7882f3ba8b1ca1cb7100046222271abeae0511be000a1c495d8a3cf0c1b"),
+    (["parshin", "weierstrass", "--field", "7^2", "--g", '["1*t", "2", "0", "1"]',
+      "--c", "2"],
+     "6d9930998936d4a8636f85db171d1e5f5d99a6b28fa1ceaea2efc7c9fe03612b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", F_P2_DIGESTS,
+                         ids=[" ".join(a[:a.index("--field") + 2]) for a, _ in F_P2_DIGESTS])
+def test_f_p2_documents_are_pinned(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_schema_errors_exit_2(capsys):
     assert main(["analyze", "--field", "5", "--model", "not json"]) == 2
     capsys.readouterr()
@@ -127,6 +190,14 @@ def test_schema_errors_exit_2(capsys):
     assert main(["parshin", "cover", "--curve", '{"F": ["1/0", 0, 0, 0, 1]}',
                  "--point", '["0", "1"]']) == 2
     capsys.readouterr()
+    # a list-form F_{p^2} coefficient has exactly two integer entries
+    for coeff in ('[1]', '["a", 1]', '[1, 2, 3]', '[1.5, 2]'):
+        assert main(["parshin", "weierstrass", "--field", "5^2", "--g",
+                     f'[{coeff}, "0", "0", "1"]', "--c", "1"]) == 2
+        assert "bad element" in capsys.readouterr().err
+    assert main(["parshin", "weierstrass", "--field", "5^2", "--g",
+                 '[[1, 2], "0", "0", "1"]', "--c", "1"]) == 0
+    assert '"1+2*t"' in capsys.readouterr().out
 
 
 def test_domain_errors_exit_1(capsys):

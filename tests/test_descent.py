@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.algebra import (Polynomial, PrimeField, QuadraticField,
-                            RationalFunction, is_irreducible)
+from cubica.algebra import (Polynomial, PrimeField, RationalFunction,
+                            is_irreducible)
 from cubica.analyzer import analyze, pole_orders_of_alpha
 from cubica.descent import (construct, enumerate_descents, exists_descent,
                             make_problem, norm_one_cube_reps, serre_count,
@@ -16,7 +16,8 @@ from cubica.descent import (construct, enumerate_descents, exists_descent,
 from cubica.function_field import Place
 from cubica.models import CubicModel
 from cubica.pure_cubic import count_pure
-from cubica.quadratic import QuadraticModel, SquareClass, purely_cubic_closure
+from cubica.quadratic import (QuadraticModel, SquareClass,
+                              canonical_quadratic_field, purely_cubic_closure)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -300,10 +301,10 @@ def test_twists_trivial_cases():
 
 
 def test_norm_one_reps():
-    F25 = QuadraticField(F5, 0, 2)
+    F25 = canonical_quadratic_field(F5)
     reps = norm_one_cube_reps(F25)
     assert len(reps) == 3
     for u in reps:
         assert F25.norm(u).is_one()
-    F49 = QuadraticField(F7, 0, 3)
+    F49 = canonical_quadratic_field(F7)
     assert len(norm_one_cube_reps(F49)) == 1

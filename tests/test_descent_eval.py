@@ -162,15 +162,15 @@ def map_rf(e, fn, field):
 
 def conj_rf(e):
     """The coefficient-wise Frobenius of q = F_{p^2} over F_p."""
-    return map_rf(e, lambda c: c ** c.field.p, e.field)
+    return map_rf(e, lambda c: c ** c.field.char, e.field)
 
 
 def descend(e, field):
     """e in q(x) with coefficients in k, over k."""
     def down(c):
-        c0, c1 = c.field.base_pair(c)
-        assert c1.is_zero()
-        return c0
+        c = c.field.lift(c)
+        assert c.degree < 1
+        return c[0]
 
     return map_rf(e, down, field)
 

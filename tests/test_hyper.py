@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
-                            QuadraticField, poly_gcd, squarefree_decomposition)
+                            ResidueField, poly_gcd, squarefree_decomposition)
 from cubica.hyper import (MumfordClass, SplitCurve, _series_sqrt,
                           canonicalize_prym,
                           class_from_pair, classes_equal, divisor_difference,
@@ -16,6 +16,7 @@ from cubica.hyper import (MumfordClass, SplitCurve, _series_sqrt,
                           is_principal, iota_star, mumford_add, mumford_neg,
                           mumford_scalar, point_class, point_minus_i_point,
                           rr_space)
+from cubica.quadratic import canonical_quadratic_field
 
 
 def example_curve(field):
@@ -67,7 +68,7 @@ def newton_series_sqrt(a, prec, field):
     return out
 
 
-F25 = QuadraticField(PrimeField(5), 0, 2)
+F25 = canonical_quadratic_field(PrimeField(5))
 
 
 @pytest.mark.parametrize("field", [PrimeField(13), PrimeField(1000000007),
@@ -166,7 +167,7 @@ def _squarefree_cases():
     """Seeded monic octics over Q, F_13 and F_{13^2}, half of them G^2 H by
     construction, and (x^2 + 1)^13 over F_13, whose derivative is zero."""
     F13 = PrimeField(13)
-    fields = {"Q": QQ, "F13": F13, "F169": QuadraticField(F13, 0, 2)}
+    fields = {"Q": QQ, "F13": F13, "F169": canonical_quadratic_field(F13)}
     cases = []
     for name, field in fields.items():
         rng = random.Random(f"squarefree:{name}")
@@ -174,7 +175,7 @@ def _squarefree_cases():
         def elem():
             if field is QQ:
                 return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if isinstance(field, QuadraticField):
+            if isinstance(field, ResidueField):
                 return field((rng.randrange(13), rng.randrange(13)))
             return field(rng.randrange(13))
 

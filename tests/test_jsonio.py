@@ -23,6 +23,25 @@ def test_field_specs():
         field_from_spec("4")
     with pytest.raises(SchemaError):
         field_from_spec("3")
+    with pytest.raises(SchemaError):
+        field_from_spec({"p": 7, "a": 1, "b": 4})
+
+
+def test_list_form_elements_of_f_p2():
+    """[c0, c1] is c0 + c1*t over F_{p^2}: exactly deg integer entries, and
+    anything else is a SchemaError, not an escaping IndexError/ValueError
+    or a silently truncated value."""
+    F25 = field_from_spec("5^2")
+    assert decode_element(F25, [1, 2]) == decode_element(F25, "1+2*t")
+    assert repr(decode_element(F25, [0, 6])) == "1*t"
+    for bad in ([1], [], [1, 2, 3], [1.5, 2], ["a", 1], ["1", "2"], [True, 1],
+                [[1], 2]):
+        with pytest.raises(SchemaError, match="bad element"):
+            decode_element(F25, bad)
+    with pytest.raises(SchemaError, match="bad element"):
+        decode_element(F5, [3])
+    with pytest.raises(SchemaError, match="bad element"):
+        decode_element(QQ, [1, 2])
 
 
 def test_poly_round_trip():

@@ -40,8 +40,8 @@ def test_genus1_concrete_and_samples():
     fam = genus1_parshin(F7.one)
     checked = genus1_sample_check(fam, count=20)
     assert checked >= 1
-    from cubica.algebra import QuadraticField
-    F49 = QuadraticField(F7, 1, 4)
+    from cubica.algebra import ResidueField
+    F49 = ResidueField(Polynomial(F7, [-4, -1, 1]))
     checked49 = genus1_sample_check(fam, extension=F49, count=20)
     assert checked49 >= 20
 

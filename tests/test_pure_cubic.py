@@ -10,6 +10,7 @@ from cubica.function_field import Place
 from cubica.pure_cubic import (bitwist_reps_deg3, count_pure, cube_class_reps,
                                enumerate_pure, recursion_iterate,
                                recursion_pair, twists_pure)
+from cubica.quadratic import canonical_quadratic_field
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -119,7 +120,7 @@ def test_bitwist_deg3_counts(field, expected):
 
 def test_bitwist_deg3_char2():
     F2 = PrimeField(2)
-    F4 = __import__("cubica.algebra", fromlist=["QuadraticField"]).QuadraticField(F2, 1, 1)
+    F4 = canonical_quadratic_field(F2)
     assert len(bitwist_reps_deg3(F2)) == 3
     assert len(bitwist_reps_deg3(F4)) == 9
     for m in bitwist_reps_deg3(F2):

@@ -12,8 +12,8 @@ from cubica.function_field import Place
 from cubica.models import CubicModel
 from cubica.quadratic import (ASClass, ConicParametrization, INF_MARK,
                               QuadraticModel, SPLIT, INERT, RAMIFIED,
-                              SquareClass, classify, complementary,
-                              purely_cubic_closure, resolvent)
+                              SquareClass, canonical_quadratic_field, classify,
+                              complementary, purely_cubic_closure, resolvent)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -353,7 +353,6 @@ def test_trace_to_f2():
     from cubica.algebra import trace_to_f2
     F2 = PrimeField(2)
     assert trace_to_f2(F2.one) == 1
-    from cubica.algebra import QuadraticField
-    F4 = QuadraticField(F2, 1, 1)
+    F4 = canonical_quadratic_field(F2)
     assert trace_to_f2(F4.one) == 0
-    assert trace_to_f2(F4.gen) == 1
+    assert trace_to_f2(F4((0, 1))) == 1
