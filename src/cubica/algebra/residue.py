@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .fields import Element, FieldError, _pow, sqrt
+from .fields import Element, FieldError, PrimeField, _pow, sqrt
 from .linalg import min_poly_of_powers
 from .poly import (Polynomial, _add, _divmod, _mul, _neg, _poly, _rem, _sub,
                    _trim)
@@ -76,6 +76,10 @@ class ResidueField:
         return self._hash
 
     def __repr__(self):
+        if self.deg == 2 and isinstance(self.base, PrimeField):
+            # F_{p^2} keeps its presentation F_p[t]/(t^2 - a t - b)
+            p, (b, a, _) = self.base.p, self._m
+            return f"{self.base!r}[t]/(t^2-{-a % p}t-{-b % p})"
         return f"{self.base!r}[t]/({self.format_element(self._m)})"
 
     # -- payload protocol ------------------------------------------------------
