@@ -10,14 +10,17 @@ X^3 - 3X - a or X^3 - b normal form.
 The descriptors share one payload protocol: ``_add``, ``_sub``, ``_mul``,
 ``_neg``, ``_inv``, ``_zero_val``, ``_one_val``, ``sort_key``, ``char`` and
 ``order``; a finite field also has ``elements()`` in its canonical order and
-its degree ``deg`` over ``base``, and an extension ``_norm`` down to
-``base``.  Every field, ``residue.ResidueField`` included, also has
+its degree ``deg`` over ``base``, and an extension ``_norm`` and ``_trace``
+down to ``base`` and ``_embed`` up from it (a quadratic one also
+``_disc_root``).  Every field, ``residue.ResidueField`` included, also has
 ``zero``, ``one``, ``__eq__``/``__hash__`` by value and a ``__call__`` that
 returns an ``Element``, so elements of all of them compute, compare and
 serve as polynomial coefficients alike, and ``is_square``, ``sqrt``,
 ``smallest_nonsquare`` and ``trace_to_f2`` below serve every field of the
-library.  Over Q squares are decided by exact integer square roots
-of numerator and denominator.
+library.  Square roots in residue fields of degree 1 and 2 descend to the
+base field, in every other finite field they run Tonelli-Shanks.  Over Q
+squares are decided by exact integer square roots of numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -268,7 +271,10 @@ QQ = RationalField()
 
 
 def _pow(field, v, n):
-    """v^n for a payload v and n >= 0, by square-and-multiply on payloads."""
+    """v^n for a payload v and n >= 0, by square-and-multiply on payloads
+    (over F_p by the built-in pow)."""
+    if isinstance(field, PrimeField):
+        return pow(v, n, field.p)
     result = field._one_val()
     while n:
         if n & 1:
@@ -294,10 +300,12 @@ def smallest_nonsquare(field):
     of odd characteristic.
 
     That order starts with the elements of the base field.  In an extension
-    of even degree they are all squares (F_q^* lies in the squares of
-    F_{q^2}^*, as (q^2 - 1)/2 is a multiple of q - 1, and F_{q^2} lies in
-    F_{q^k} for even k), so the scan starts after them.  The scan runs once
-    per field object, which keeps its result."""
+    of odd degree k a base element is a square exactly when it is one in the
+    base (its norm is its k-th power), so the answer is the base's.  In an
+    extension of even degree the base elements are all squares (F_q^* lies
+    in the squares of F_{q^2}^*, as (q^2 - 1)/2 is a multiple of q - 1, and
+    F_{q^2} lies in F_{q^k} for even k), so the scan starts after them.  The
+    result is kept on the field object."""
     found = getattr(field, "_nonsquare", None)
     if found is not None:
         return found
@@ -305,8 +313,10 @@ def smallest_nonsquare(field):
         raise FieldError("every element of a char-2 finite field is a square")
     if field.deg % 2 == 0:
         elements = field.elements(skip_base=True)
-    else:
+    elif isinstance(field, PrimeField):
         elements = field.elements()
+    else:
+        elements = [Element(field, field._embed(smallest_nonsquare(field.base).val))]
     for e in elements:
         if not e.is_zero() and not is_square(e):
             field._nonsquare = e
@@ -338,9 +348,10 @@ def is_square(e: Element) -> bool:
 def sqrt(e: Element) -> Element:
     """The square root of e that is smaller by sort_key.
 
-    Over Q the non-negative root, by exact integer roots.  Over F_q
-    Tonelli-Shanks with the smallest non-square, on payloads; in
-    characteristic 2 the unique root e^(q/2)."""
+    Over Q the non-negative root, by exact integer roots.  In characteristic
+    2 the unique root e^(q/2).  Otherwise a root from ``_root``: residue
+    fields of degree 1 and 2 descend to their base, every other finite field
+    runs Tonelli-Shanks."""
     field, v = e.field, e.val
     if isinstance(field, RationalField):
         r = _rational_sqrt(v)
@@ -351,38 +362,81 @@ def sqrt(e: Element) -> Element:
         raise FieldError("sqrt is only computed over finite fields and Q")
     if e.is_zero():
         return e
-    q = field.order
     if field.char == 2:
-        return Element(field, _pow(field, v, q // 2))
-    if not is_square(e):
+        return Element(field, _pow(field, v, field.order // 2))
+    r = _root(field, v)
+    if r is None:
         raise FieldError(f"{e} is not a square")
-    mul, one = field._mul, field._one_val()
-    if q % 4 == 3:
-        r = _pow(field, v, (q + 1) // 4)
-    else:
-        # Tonelli-Shanks: q - 1 = m * 2^s with m odd
-        m, s = q - 1, 0
-        while m % 2 == 0:
-            m //= 2
-            s += 1
-        c = _pow(field, smallest_nonsquare(field).val, m)
-        r = _pow(field, v, (m + 1) // 2)
-        t = _pow(field, v, m)
-        while t != one:
-            # find least i with t^(2^i) = 1
-            i, tt = 0, t
-            while tt != one:
-                tt = mul(tt, tt)
-                i += 1
-            b = _pow(field, c, 1 << (s - i - 1))
-            r = mul(r, b)
-            c = mul(b, b)
-            t = mul(t, c)
-            s = i
     neg = field._neg(r)
     if field.sort_key(neg) < field.sort_key(r):
         r = neg
     return Element(field, r)
+
+
+def _root(field, v):
+    """A square root of the nonzero payload v of a finite field of odd
+    characteristic, or None when v is not a square.
+
+    A residue field of degree 1 or 2 descends to its base, which may itself
+    descend (norm descent; Adj and Rodriguez-Henriquez, IEEE Trans. Comput.
+    63, 2014).  In degree 1 the root is the base's.  In degree 2, with n a
+    base root of N(a): a root b of a has b Tr(b) = a + N(b) and Tr(b)^2 =
+    Tr(a) + 2 N(b), so (a + d)/sqrt(t) is a root for the d in {n, -n} that
+    makes t = Tr(a) + 2d a nonzero square of the base.  No d does only when
+    a is a base element c that is not a square there; then u sqrt(c/u^2) is
+    a root, for the u of ``_disc_root``.  F_p and the other fields run
+    Tonelli-Shanks."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return _tonelli_shanks(field, v) if pow(v, (p - 1) // 2, p) == 1 else None
+    from .residue import ResidueField  # residue imports this module
+    if not isinstance(field, ResidueField) or field.deg > 2:
+        return _tonelli_shanks(field, v) if is_square(Element(field, v)) else None
+    B, tr = field.base, field._trace(v)
+    if field.deg == 1:
+        r = _root(B, tr)
+        return None if r is None else field._embed(r)
+    n = _root(B, field._norm(v))
+    if n is None:
+        return None
+    for d in (n, B._neg(n)):
+        t = B._add(tr, B._add(d, d))
+        s = None if t == B._zero_val() else _root(B, t)
+        if s is not None:
+            return field._mul(field._add(v, field._embed(d)), field._embed(B._inv(s)))
+    # v = c in the base, Tr(v) = 2c
+    u, disc = field._disc_root()
+    s = _root(B, B._mul(tr, B._inv(B._add(disc, disc))))
+    return field._mul(u, field._embed(s))
+
+
+def _tonelli_shanks(field, v):
+    """A square root of the nonzero square v of F_q, q odd, with the
+    smallest non-square."""
+    q, mul, one = field.order, field._mul, field._one_val()
+    if q % 4 == 3:
+        return _pow(field, v, (q + 1) // 4)
+    # q - 1 = m * 2^s with m odd
+    m, s = q - 1, 0
+    while m % 2 == 0:
+        m //= 2
+        s += 1
+    c = _pow(field, smallest_nonsquare(field).val, m)
+    w = _pow(field, v, (m - 1) // 2)
+    r = mul(v, w)  # v^((m + 1)/2)
+    t = mul(r, w)  # v^m
+    while t != one:
+        # find least i with t^(2^i) = 1
+        i, tt = 0, t
+        while tt != one:
+            tt = mul(tt, tt)
+            i += 1
+        b = _pow(field, c, 1 << (s - i - 1))
+        r = mul(r, b)
+        c = mul(b, b)
+        t = mul(t, c)
+        s = i
+    return r
 
 
 def trace_to_f2(e: Element) -> int:

@@ -205,7 +205,22 @@ def _divmod(F, a, b):
 
 
 def _rem(F, a, b):
-    return _divmod(F, a, b)[1]
+    """The remainder of a by the nonzero b.  Over F_p a loop of its own that
+    keeps no quotient and inverts the leading coefficient of b only when it
+    is not 1 (the moduli of residue fields and of factoring are monic)."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return a
+    if not isinstance(F, PrimeField):
+        return _divmod(F, a, b)[1]
+    r, low, p = list(a), b[:-1], F.p
+    inv = 1 if b[-1] == 1 else F._inv(b[-1])
+    for k in range(len(a) - n - 1, -1, -1):
+        c = r[k + n] * inv % p
+        if c:
+            for i, y in enumerate(low, k):
+                r[i] -= c * y
+    return _trim([x % p for x in r[:n]], 0)
 
 
 def _field_of(f, g):
@@ -373,7 +388,12 @@ class Polynomial:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if not o:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _poly(self.field, _rem(self.field, self.vals, o))
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -498,7 +518,7 @@ def inverse_mod(f: Polynomial, m: Polynomial) -> Polynomial:
 
 
 def pow_mod(f: Polynomial, n: int, m: Polynomial) -> Polynomial:
-    """f^n mod m by square-and-multiply (1 for n = 0)."""
+    """f^n mod m by square-and-multiply (1 mod m for n = 0)."""
     F, mv = _field_of(f, m), m.vals
     if not mv:
         raise ZeroDivisionError("polynomial division by zero")
@@ -509,7 +529,9 @@ def pow_mod(f: Polynomial, n: int, m: Polynomial) -> Polynomial:
         n >>= 1
         if n:
             base = _rem(F, _mul(F, base, base), mv)
-    return Polynomial.one(F) if result is None else _poly(F, result)
+    if result is None:
+        result = _rem(F, [F._one_val()], mv)
+    return _poly(F, result)
 
 
 # -- squarefree decomposition -------------------------------------------------

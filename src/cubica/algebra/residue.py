@@ -5,10 +5,14 @@ A ResidueField is a field like those in ``.fields``: ``R(v)`` returns an
 ``Element`` whose payload is the tuple of the residue's coefficients as
 base payloads, lowest degree first and trimmed (the layout of FLINT's
 ``fq_nmod``), so the sum, difference and product run the polynomial kernels
-of ``.poly`` on those tuples, with their F_p and Q integer loops.  Elements
-compute with the ``Element`` operators, and ``fields.is_square``, ``sqrt``,
-``smallest_nonsquare`` and ``trace_to_f2`` serve it through the payload
-protocol (``_add``/``_mul``/``_inv``/``_norm``/``elements``/``order``/...).
+of ``.poly`` on those tuples, with their F_p and Q integer loops (the
+product reduces by the monic modulus in the F_p remainder-only loop).
+Elements compute with the ``Element`` operators, and ``fields.is_square``,
+``sqrt``, ``smallest_nonsquare`` and ``trace_to_f2`` serve it through the
+payload protocol (``_add``/``_mul``/``_inv``/``_norm``/``elements``/
+``order``/...); ``sqrt`` descends from degree 1 and 2 to the base through
+``_trace``, ``_embed`` and ``_disc_root``, and ``smallest_nonsquare`` of an
+odd-degree field is the base's.
 Elements print as ``c0+c1*t+c2*t^2``, zero coefficients left out.
 ``norm`` and ``min_poly`` take an Element and descend to k; ``lift`` gives
 its reduced representative as a Polynomial over k.
@@ -47,6 +51,7 @@ class ResidueField:
         else:
             self.order = None
         self.char = self.base.char
+        self._power_sums = None
         self._hash = hash(("Res", self.modulus))
         self.zero = Element(self, ())
         self.one = Element(self, (self.base._one_val(),))
@@ -131,6 +136,37 @@ class ResidueField:
         if not g:
             return B._zero_val()
         return B._mul(acc, _pow(B, g[0], len(f) - 1))
+
+    def _trace(self, a):
+        """Tr(a) down to the base, the sum of a_k P_k over the power sums P_k
+        of the roots of m, which Newton's identities give from m once; a
+        base payload."""
+        B, m, n = self.base, self._m, self.deg
+        if self._power_sums is None:
+            sums = [B(n).val]
+            for k in range(1, n):
+                acc = B._mul(B(k).val, m[n - k])
+                for i in range(1, k):
+                    acc = B._add(acc, B._mul(m[n - i], sums[k - i]))
+                sums.append(B._neg(acc))
+            self._power_sums = sums
+        acc = B._zero_val()
+        for c, s in zip(a, self._power_sums):
+            acc = B._add(acc, B._mul(c, s))
+        return acc
+
+    def _embed(self, c):
+        """The payload of the base payload c."""
+        return () if c == self.base._zero_val() else (c,)
+
+    def _disc_root(self):
+        """(u, d) for a quadratic modulus x^2 + m1 x + m0: u = 2x + m1, a
+        payload, whose square is the discriminant d = m1^2 - 4 m0, a base
+        payload (a non-square of the base in odd characteristic)."""
+        B, (m0, m1, _) = self.base, self._m
+        two = B._add(B._one_val(), B._one_val())
+        disc = B._sub(B._mul(m1, m1), B._mul(B._add(two, two), m0))
+        return tuple(_trim([m1, two], B._zero_val())), disc
 
     def sort_key(self, a):
         key = self.base.sort_key

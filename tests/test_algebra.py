@@ -11,7 +11,7 @@ from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
                             FieldError, is_irreducible, is_square, poly_factor,
                             poly_gcd, poly_xgcd, pow_mod, smallest_nonsquare,
                             sqrt, squarefree_decomposition, trace_to_f2)
-from cubica.algebra.poly import _divmod, _mul
+from cubica.algebra.poly import _divmod, _mul, _rem
 from cubica.quadratic import canonical_quadratic_field
 
 F5 = PrimeField(5)
@@ -333,6 +333,18 @@ def test_residue_norm_criterion_matches_euler(p, deg):
 
 
 @pytest.mark.parametrize("p,deg", RESIDUE_CASES)
+def test_residue_trace_is_the_sum_of_the_conjugates(p, deg):
+    rng = random.Random(f"residue-trace:{p}:{deg}")
+    R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
+    for _ in range(4):
+        a = conjugate = random_residue(R, rng)
+        total = R.zero
+        for _ in range(deg):
+            total, conjugate = total + conjugate, conjugate ** p
+        assert total == R(Element(R.base, R._trace(a.val)))
+
+
+@pytest.mark.parametrize("p,deg", RESIDUE_CASES)
 def test_residue_nonsquare_is_the_full_scan_element(p, deg):
     rng = random.Random(f"residue-nonsquare:{p}:{deg}")
     R = ResidueField(random_irreducible(PrimeField(p), deg, rng), check=False)
@@ -555,6 +567,62 @@ def test_square_root_and_trace_on_every_field_kind(name):
         assert trace_to_f2(b) == (0 if acc.is_zero() else 1)
 
 
+# -- square roots by descent against Tonelli-Shanks over the whole field --------
+
+
+def tonelli_shanks_root(e, nonsquare):
+    """Reference: the square root as taken before the descent to the base,
+    Tonelli-Shanks over the whole field F_q with a non-square of it, and the
+    root that is smaller by sort_key."""
+    q = e.field.order
+    if q % 4 == 3:
+        r = e ** ((q + 1) // 4)
+    else:
+        m, s = q - 1, 0
+        while m % 2 == 0:
+            m //= 2
+            s += 1
+        c, r, t = nonsquare ** m, e ** ((m + 1) // 2), e ** m
+        while not t.is_one():
+            i, tt = 0, t
+            while not tt.is_one():
+                tt = tt * tt
+                i += 1
+            b = c ** (1 << (s - i - 1))
+            r, c = r * b, b * b
+            t, s = t * c, i
+    return min(r, -r, key=Element.sort_key)
+
+
+DESCENT_FIELDS = {
+    **{f"F101[x]/(x-{a})": residue_field(101, [-a, 1]) for a in (0, 1, 17, 100)},
+    **{f"F{p}^2": canonical_quadratic_field(PrimeField(p)) for p in (5, 7, 13, 101)},
+    "F49": quadratic(F7, 1, 4),
+    "F25[x]/(x^2-t)": F25_X2_T,
+    "F5[x]/(x^3+x+1)": residue_field(5, [1, 1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(DESCENT_FIELDS))
+def test_descent_roots_match_tonelli_shanks(name):
+    """Every nonzero square, the base elements of the quadratic fields
+    among them (the base non-squares take the u sqrt(c/u^2) branch), has
+    the root of the reference, sign included; every non-square raises."""
+    field = DESCENT_FIELDS[name]
+    nonsquare = full_scan_nonsquare(field)
+    squares = {b * b for b in field.elements() if not b.is_zero()}
+    for a in field.elements():
+        if a in squares:
+            assert sqrt(a) == tonelli_shanks_root(a, nonsquare)
+        elif not a.is_zero():
+            with pytest.raises(FieldError):
+                sqrt(a)
+    if field.deg == 2:
+        base_nonsquares = [c for c in field.base.elements()
+                           if not c.is_zero() and not is_square(c)]
+        assert base_nonsquares and all(field(c) in squares for c in base_nonsquares)
+
+
 # -- the hash/eq contract across equal field instances --------------------------
 
 
@@ -693,7 +761,7 @@ def ref_xgcd(F, a, b):
 
 
 def ref_pow_mod(F, a, n, m):
-    result, base = [F.one], ref_divmod(F, a, m)[1]
+    result, base = ref_divmod(F, [F.one], m)[1], ref_divmod(F, a, m)[1]
     while n:
         if n & 1:
             result = ref_divmod(F, ref_mul(F, result, base), m)[1]
@@ -778,6 +846,46 @@ def test_polynomial_kernel_matches_the_boxed_schoolbook(name):
             assert [q.coeffs, r.coeffs] == list(ref_divmod(F, a, b))
             for n in exps:
                 assert pow_mod(f, n, g).coeffs == ref_pow_mod(F, a, n, g.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 5, 101, 10 ** 9 + 7])
+def test_remainder_loop_matches_the_quotient_building_divmod(p):
+    """The F_p remainder loop against _divmod(...)[1] on seeded dividends
+    and monic or non-monic divisors: every degree gap 0-10, dividends
+    shorter than the divisor (returned as they are) and the zero dividend."""
+    F, rng = PrimeField(p), random.Random(f"rem:{p}")
+
+    def draw(degree, monic):
+        lead = 1 if monic else rng.randrange(1, p)
+        return [rng.randrange(p) for _ in range(degree)] + [lead]
+
+    pairs = []
+    for gap in range(11):
+        for monic in (True, False):
+            degree = rng.randrange(0, 6)
+            pairs.append((draw(degree + gap, rng.random() < 0.5), draw(degree, monic)))
+    for monic in (True, False):
+        b = draw(rng.randrange(1, 6), monic)
+        pairs += [([], b), (draw(len(b) - 2, False), b), (draw(0, False), b)]
+    for a, b in pairs:
+        r = _rem(F, a, b)
+        assert r == _divmod(F, a, b)[1]
+        if len(a) < len(b):
+            assert r is a
+        f, g = Polynomial(F, a), Polynomial(F, b)
+        assert (f % g).vals == r == divmod(f, g)[1].vals
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        Polynomial.x(F) % Polynomial.zero(F)
+
+
+@pytest.mark.parametrize("field", [F5, QQ])
+def test_every_residue_modulo_a_unit_is_zero(field):
+    x = Polynomial.x(field)
+    for unit in (Polynomial.one(field), Polynomial.constant(field, 3)):
+        assert (x % unit).is_zero()
+        for n in (0, 1, 3):
+            assert pow_mod(x, n, unit).is_zero()
+    assert pow_mod(x, 0, x ** 2 + 2).is_one()
 
 
 def monic_polys(F, degree):

@@ -4,6 +4,7 @@ twists and the character-sum cross count."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -206,6 +207,46 @@ def test_descent_round_trip_random(p):
             norm = A * A + a_r * A * B - b_r * B * B
             assert norm.is_constant() and norm.constant_value() == res.c
     assert trials >= 20
+
+
+def _random_places(model, field, rng, count, degrees=(2, 3, 4)):
+    """count distinct finite places that split in model, each that of a
+    random monic irreducible of a degree drawn from degrees."""
+    places = []
+    while len(places) < count:
+        d = rng.choice(degrees)
+        poly = Polynomial(field, [rng.randrange(field.p) for _ in range(d)] + [1])
+        if not is_irreducible(poly):
+            continue
+        place = Place.finite(poly, check=False)
+        if place not in places and model.split_kind(place) == "split":
+            places.append(place)
+    return places
+
+
+@pytest.mark.parametrize("p", [101, 257])
+def test_descent_round_trip_sweep_large_q(p):
+    """Seeded places of degree 2-4 (and infinity when it splits, half the
+    time) over F_101 and F_257, every closure of the menu and every sign
+    choice: construct -> analyze -> purely_cubic_closure."""
+    field = PrimeField(p)
+    rng = random.Random(f"sweep:{p}")
+    trips = 0
+    for model in _closure_menu(field):
+        branch = set(model.branch_places())
+        for count in (1, 2, 3, 3):
+            T = _random_places(model, field, rng, count)
+            inf = Place.infinity(field)
+            if model.split_kind(inf) == "split" and rng.random() < 0.5:
+                T.append(inf)
+            for signs in product((1, -1), repeat=len(T)):
+                res = construct(make_problem(model, T, list(signs)))
+                rep = analyze(res.model)
+                assert rep.total_set() == set(T), (model, T, signs)
+                assert rep.partial_set() == branch, (model, T, signs)
+                assert purely_cubic_closure(res.model) == model.class_data()
+                trips += 1
+    assert trips >= 130
 
 
 def _generator_minpoly(model):
