@@ -135,6 +135,25 @@ def random_split_places(model, field, rng, count, max_deg=2):
     return places[:count]
 
 
+def random_places(model, field, rng, count, degrees):
+    """count distinct finite places of F_p that split in the quadratic
+    model: for each draw a degree from `degrees`, then a random monic
+    polynomial of that degree, kept when it is irreducible and its place
+    splits and is new.  Unlike `random_split_places` it lists no places
+    beforehand, so the cost does not grow with p^max(degrees); the split
+    places of those degrees must number at least count."""
+    places = []
+    while len(places) < count:
+        d = rng.choice(degrees)
+        poly = Polynomial(field, [rng.randrange(field.p) for _ in range(d)] + [1])
+        if not is_irreducible(poly):
+            continue
+        place = Place.finite(poly, check=False)
+        if place not in places and model.split_kind(place) == "split":
+            places.append(place)
+    return places
+
+
 def criterion_descent_round_trip(seed=2024):
     def body(failures):
         done = 0

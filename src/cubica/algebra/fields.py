@@ -11,14 +11,15 @@ The descriptors share one payload protocol: ``_add``, ``_sub``, ``_mul``,
 ``_neg``, ``_inv``, ``_zero_val``, ``_one_val``, ``sort_key``, ``char`` and
 ``order``; a finite field also has ``elements()`` in its canonical order and
 its degree ``deg`` over ``base``, and an extension ``_norm`` and ``_trace``
-down to ``base`` and ``_embed`` up from it (a quadratic one also
-``_disc_root``).  Every field, ``residue.ResidueField`` included, also has
+down to ``base``, ``_embed`` up from it and the Frobenius map ``_frob`` over
+it (a quadratic one also ``_disc_root``).  Every field, ``residue.ResidueField`` included, also has
 ``zero``, ``one``, ``__eq__``/``__hash__`` by value and a ``__call__`` that
 returns an ``Element``, so elements of all of them compute, compare and
 serve as polynomial coefficients alike, and ``is_square``, ``sqrt``,
 ``smallest_nonsquare`` and ``trace_to_f2`` below serve every field of the
-library.  Square roots in residue fields of degree 1 and 2 descend to the
-base field, in every other finite field they run Tonelli-Shanks.  Over Q
+library.  Square roots in residue fields of degree 1, 2 and every odd
+degree descend to the base field; F_p and the residue fields of even degree
+above 2 run Tonelli-Shanks.  Over Q
 squares are decided by exact integer square roots of numerator and
 denominator.
 """
@@ -275,13 +276,14 @@ def _pow(field, v, n):
     (over F_p by the built-in pow)."""
     if isinstance(field, PrimeField):
         return pow(v, n, field.p)
-    result = field._one_val()
+    result = None
     while n:
         if n & 1:
-            result = field._mul(result, v)
-        v = field._mul(v, v)
+            result = v if result is None else field._mul(result, v)
         n >>= 1
-    return result
+        if n:
+            v = field._mul(v, v)
+    return field._one_val() if result is None else result
 
 
 def _rational_sqrt(v: Fraction):
@@ -350,8 +352,8 @@ def sqrt(e: Element) -> Element:
 
     Over Q the non-negative root, by exact integer roots.  In characteristic
     2 the unique root e^(q/2).  Otherwise a root from ``_root``: residue
-    fields of degree 1 and 2 descend to their base, every other finite field
-    runs Tonelli-Shanks."""
+    fields of degree 1, 2 and every odd degree descend to their base, F_p
+    and residue fields of even degree above 2 run Tonelli-Shanks."""
     field, v = e.field, e.val
     if isinstance(field, RationalField):
         r = _rational_sqrt(v)
@@ -377,28 +379,40 @@ def _root(field, v):
     """A square root of the nonzero payload v of a finite field of odd
     characteristic, or None when v is not a square.
 
-    A residue field of degree 1 or 2 descends to its base, which may itself
-    descend (norm descent; Adj and Rodriguez-Henriquez, IEEE Trans. Comput.
+    A residue field of degree 1, 2 or any odd degree descends to its base,
+    which may itself descend (norm descent; Adj and Rodriguez-Henriquez, IEEE Trans. Comput.
     63, 2014).  In degree 1 the root is the base's.  In degree 2, with n a
     base root of N(a): a root b of a has b Tr(b) = a + N(b) and Tr(b)^2 =
     Tr(a) + 2 N(b), so (a + d)/sqrt(t) is a root for the d in {n, -n} that
     makes t = Tr(a) + 2d a nonzero square of the base.  No d does only when
     a is a base element c that is not a square there; then u sqrt(c/u^2) is
-    a root, for the u of ``_disc_root``.  F_p and the other fields run
-    Tonelli-Shanks."""
+    a root, for the u of ``_disc_root``.  In odd degree k >= 3 over a base
+    of order q, with s = (q^k - 1)/(q - 1) odd and a^s = N(a), the root is
+    a^((s+1)/2)/sqrt(N(a)); as (s + 1)/2 = 1 + q (q + 1)/2 (1 + q^2 + ... +
+    q^(k-3)), a^((s+1)/2) is a c c^(q^2) ... c^(q^(k-3)) for c =
+    (a^((q+1)/2))^q, by the Frobenius map ``_frob`` (a c for k = 3).  F_p
+    and residue fields of even degree above 2 run Tonelli-Shanks."""
     if isinstance(field, PrimeField):
         p = field.p
         return _tonelli_shanks(field, v) if pow(v, (p - 1) // 2, p) == 1 else None
     from .residue import ResidueField  # residue imports this module
-    if not isinstance(field, ResidueField) or field.deg > 2:
+    k = field.deg
+    if not isinstance(field, ResidueField) or (k > 2 and k % 2 == 0):
         return _tonelli_shanks(field, v) if is_square(Element(field, v)) else None
-    B, tr = field.base, field._trace(v)
-    if field.deg == 1:
-        r = _root(B, tr)
+    B = field.base
+    if k == 1:
+        r = _root(B, field._trace(v))
         return None if r is None else field._embed(r)
     n = _root(B, field._norm(v))
     if n is None:
         return None
+    if k > 2:
+        c = acc = field._frob(_pow(field, v, (B.order + 1) // 2))
+        for _ in range((k - 3) // 2):
+            c = field._frob(field._frob(c))
+            acc = field._mul(acc, c)
+        return field._mul(field._mul(v, acc), field._embed(B._inv(n)))
+    tr = field._trace(v)
     for d in (n, B._neg(n)):
         t = B._add(tr, B._add(d, d))
         s = None if t == B._zero_val() else _root(B, t)

@@ -20,7 +20,13 @@ them, ``coeffs``, ``leading()``, ``constant_coeff()``, ``f[i]`` and
 Factorization over finite fields runs squarefree / distinct-degree /
 equal-degree splitting; the equal-degree stage is probabilistic but seeded,
 and the factor list is sorted canonically so output never depends on the
-seed.
+seed.  Both splitting stages and the irreducibility test raise to the q-th
+power modulo m by one ``_Frobenius`` map, a table of the rows x^(iq) mod m
+built once from x^q mod m, so that g^q mod m is a linear combination of
+rows and needs no exponentiation (von zur Gathen and Shoup, Comput.
+Complexity 2, 1992); the distinct-degree and equal-degree stages reduce
+the rows modulo each factor they split off instead of rebuilding them.
+Residue fields of odd degree take their square roots with the same map.
 """
 
 from __future__ import annotations
@@ -534,6 +540,54 @@ def pow_mod(f: Polynomial, n: int, m: Polynomial) -> Polynomial:
     return _poly(F, result)
 
 
+class _Frobenius:
+    """The map g -> g^q mod m on F_q[x]/(m), for a payload list m of
+    degree at least 1 over a finite field F of order q.
+
+    Every coefficient c of g has c^q = c, so g^q = sum g_i x^(iq), and
+    g^q mod m is the combination sum g_i row_i of the rows x^(iq) mod m.
+    Row 1 is x^q mod m, by one exponentiation, and row i + 1 is row i times
+    row 1 mod m; rows are built the first time an input reaches them."""
+
+    __slots__ = ("field", "m", "rows")
+
+    def __init__(self, F, m, rows=None):
+        self.field, self.m = F, m
+        self.rows = [[F._one_val()]] if rows is None else rows
+
+    def __call__(self, g):
+        """g^q mod m, a payload list, for a payload list or tuple g of
+        degree below deg m."""
+        F, m, rows = self.field, self.m, self.rows
+        while len(rows) < len(g):
+            if len(rows) == 1:
+                x = _poly(F, [F._zero_val(), F._one_val()])
+                rows.append(pow_mod(x, F.order, _poly(F, m)).vals)
+            else:
+                rows.append(_rem(F, _mul(F, rows[-1], rows[1]), m))
+        if isinstance(F, PrimeField):
+            out = [0] * (len(m) - 1)
+            for c, row in zip(g, rows):
+                if c:
+                    for j, y in enumerate(row):
+                        out[j] += c * y
+            p = F.p
+            return _trim([c % p for c in out], 0)
+        add, mul, zero = F._add, F._mul, F._zero_val()
+        out = [zero] * (len(m) - 1)
+        for c, row in zip(g, rows):
+            if c != zero:
+                for j, y in enumerate(row):
+                    out[j] = add(out[j], mul(c, y))
+        return _trim(out, zero)
+
+    def mod(self, v):
+        """The map of F_q[x]/(v) for a monic divisor v of m: the rows built
+        so far, reduced mod v."""
+        F = self.field
+        return _Frobenius(F, v, [_rem(F, r, v) for r in self.rows[:len(v) - 1]])
+
+
 # -- squarefree decomposition -------------------------------------------------
 
 
@@ -593,37 +647,43 @@ def squarefree_decomposition(f: Polynomial):
 # -- factorization over finite fields ----------------------------------------------
 
 
-def _ddf(f: Polynomial):
-    """Distinct-degree factorization of a monic squarefree f over F_q:
-    [(product of degree-d irreducibles, d)]."""
+def _ddf(f: Polynomial, frob: _Frobenius):
+    """Distinct-degree factorization of a monic squarefree f over F_q, with
+    frob the Frobenius map mod f: [(product of degree-d irreducibles, d)]."""
     field = f.field
-    q = field.order
     out = []
     x = Polynomial.x(field)
     h = x % f
     v = f
     d = 0
-    while v.degree > 2 * (d + 1) - 1 and v.degree > 0:
+    while v.degree > 2 * d + 1:
         d += 1
-        h = pow_mod(h, q, v)
+        h = _poly(field, frob(h.vals))  # x^(q^d) mod v
         g = poly_gcd(v, h - x)
         if not g.is_one():
             out.append((g, d))
             v = v.exact_div(g)
             h = h % v
+            frob = frob.mod(v.vals)
     if v.degree > 0:
         out.append((v, v.degree))
     return out
 
 
-def _edf(f: Polynomial, d: int, rng: random.Random):
+def _edf(f: Polynomial, d: int, rng: random.Random, frob: _Frobenius):
     """Equal-degree splitting (Cantor-Zassenhaus); f is monic squarefree,
-    all irreducible factors of degree d."""
+    all irreducible factors of degree d, and frob is the Frobenius map
+    modulo a multiple of f.
+
+    In odd characteristic a^((q^d - 1)/2) is (a a^q ... a^(q^(d-1)))^((q-1)/2),
+    by d - 1 applications of frob and one exponentiation by (q - 1)/2."""
     field = f.field
     q = field.order
     n = f.degree
     if n == d:
         return [f]
+    if d > 1:
+        frob = frob.mod(f.vals)
     while True:
         a = _poly(field, _trim([_random_element(field, rng) for _ in range(n)],
                                field._zero_val()))
@@ -642,11 +702,15 @@ def _edf(f: Polynomial, d: int, rng: random.Random):
                 acc = (acc + t) % f
             g = poly_gcd(f, acc)
         else:
-            b = pow_mod(a, (q ** d - 1) // 2, f)
+            norm = t = a.vals
+            for _ in range(d - 1):
+                t = frob(t)
+                norm = _rem(field, _mul(field, norm, t), f.vals)
+            b = pow_mod(_poly(field, norm), (q - 1) // 2, f)
             g = poly_gcd(f, b - Polynomial.one(field))
         if not g.is_one() and g.degree < n:
             break
-    return _edf(g, d, rng) + _edf(f.exact_div(g), d, rng)
+    return _edf(g, d, rng, frob) + _edf(f.exact_div(g), d, rng, frob)
 
 
 def _random_element(field, rng: random.Random):
@@ -668,6 +732,13 @@ def poly_factor(f: Polynomial, seed: int = 0):
     The result is deterministic: the equal-degree stage is driven by a seed
     mixed with the coefficients, and factors are sorted canonically.
     """
+    return _factor_multiplicities(f, seed)
+
+
+def _factor_multiplicities(f: Polynomial, seed: int = 0, used=None):
+    """``poly_factor(f, seed)``, or its entries whose multiplicity the
+    predicate `used` accepts: the squarefree pieces of the other
+    multiplicities are not split."""
     if f.is_zero():
         raise ZeroDivisionError("factorization of zero")
     field = f.field
@@ -678,8 +749,11 @@ def poly_factor(f: Polynomial, seed: int = 0):
     rng = random.Random(f"{seed}:{field.order}:{_fingerprint(f)}")
     out = []
     for g, mult in squarefree_decomposition(f):
-        for part, d in _ddf(g):
-            for irr in _edf(part, d, rng):
+        if used is not None and not used(mult):
+            continue
+        frob = _Frobenius(field, g.vals)
+        for part, d in _ddf(g, frob):
+            for irr in _edf(part, d, rng, frob):
                 out.append((irr.monic(), mult))
     out.sort(key=lambda t: (t[0].sort_key(), t[1]))
     return out
@@ -688,10 +762,10 @@ def poly_factor(f: Polynomial, seed: int = 0):
 def is_irreducible(f: Polynomial, seed: int = 0) -> bool:
     """Irreducibility test.
 
-    Over a finite field: Rabin's test via x^(q^d) iterates.  Over Q: a
-    deterministic certificate (linear, rational-root criterion for degrees
-    2-3, or a modular irreducibility witness); raises if no certificate is
-    found.
+    Over a finite field: Rabin's test, x^(q^d) by iterating the Frobenius
+    map mod f.  Over Q: a deterministic certificate (linear, rational-root
+    criterion for degrees 2-3, or a modular irreducibility witness); raises
+    if no certificate is found.
     """
     if f.degree < 1:
         return False
@@ -703,12 +777,12 @@ def is_irreducible(f: Polynomial, seed: int = 0) -> bool:
         return True
     # f is irreducible iff x^(q^n) = x mod f and gcd(f, x^(q^d) - x) = 1 for
     # d = n/r, r a prime divisor of n; x^(q^d) by iterating the Frobenius
-    q = field.order
+    frob = _Frobenius(field, f.vals)
     x = Polynomial.x(field)
     coprime_at = {n // r for r in _prime_divisors(n)}
     h = x
     for d in range(1, n + 1):
-        h = pow_mod(h, q, f)
+        h = _poly(field, frob(h.vals))
         if d in coprime_at and not poly_gcd(f, h - x).is_one():
             return False
     return h == x

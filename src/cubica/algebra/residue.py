@@ -11,8 +11,9 @@ Elements compute with the ``Element`` operators, and ``fields.is_square``,
 ``sqrt``, ``smallest_nonsquare`` and ``trace_to_f2`` serve it through the
 payload protocol (``_add``/``_mul``/``_inv``/``_norm``/``elements``/
 ``order``/...); ``sqrt`` descends from degree 1 and 2 to the base through
-``_trace``, ``_embed`` and ``_disc_root``, and ``smallest_nonsquare`` of an
-odd-degree field is the base's.
+``_trace``, ``_embed`` and ``_disc_root``, and from every odd degree through
+``_norm`` and the Frobenius map ``_frob``, whose rows the field keeps, and
+``smallest_nonsquare`` of an odd-degree field is the base's.
 Elements print as ``c0+c1*t+c2*t^2``, zero coefficients left out.
 ``norm`` and ``min_poly`` take an Element and descend to k; ``lift`` gives
 its reduced representative as a Polynomial over k.
@@ -24,8 +25,8 @@ from itertools import product
 
 from .fields import Element, FieldError, PrimeField, _pow, sqrt
 from .linalg import min_poly_of_powers
-from .poly import (Polynomial, _add, _divmod, _mul, _neg, _poly, _rem, _sub,
-                   _trim)
+from .poly import (Polynomial, _add, _divmod, _Frobenius, _mul, _neg, _poly,
+                   _rem, _sub, _trim)
 
 
 class ResidueField:
@@ -52,6 +53,7 @@ class ResidueField:
             self.order = None
         self.char = self.base.char
         self._power_sums = None
+        self._frobenius = _Frobenius(self.base, self._m)
         self._hash = hash(("Res", self.modulus))
         self.zero = Element(self, ())
         self.one = Element(self, (self.base._one_val(),))
@@ -154,6 +156,11 @@ class ResidueField:
         for c, s in zip(a, self._power_sums):
             acc = B._add(acc, B._mul(c, s))
         return acc
+
+    def _frob(self, a):
+        """a^q for q the order of the base, by the Frobenius rows x^(iq) mod
+        m, which the field keeps; a payload."""
+        return tuple(self._frobenius(a))
 
     def _embed(self, c):
         """The payload of the base payload c."""

@@ -11,19 +11,23 @@ Artin-Schreier closure class c^3/alpha^2 (characteristic 2).
 
 from __future__ import annotations
 
-from .algebra import FieldError, Polynomial, RationalFunction, poly_factor
+from .algebra import FieldError, Polynomial, RationalFunction
+from .algebra.poly import _factor_multiplicities
 from .function_field import Place, genus_of_cubic
 from .models import CubicModel, RamificationReport, sorted_places
 from .quadratic import ASClass
 
 
-def _place_factorization(poly: Polynomial, seed=0, hints=None):
-    """[(Place, mult)] for a polynomial; over Q the caller-provided hints
-    (monic irreducible polynomials) must cover every factor."""
+def _place_factorization(poly: Polynomial, seed=0, hints=None, used=None):
+    """[(Place, mult)] for a polynomial, or for the multiplicities that the
+    predicate `used` accepts; over Q the caller-provided hints (monic
+    irreducible polynomials) must cover every factor.  Over a finite field
+    only the squarefree pieces of the used multiplicities are factored."""
     if poly.is_constant():
         return []
     if poly.field.order is not None:
-        return [(Place.finite(p, check=False), m) for p, m in poly_factor(poly, seed=seed)]
+        return [(Place.finite(p, check=False), m)
+                for p, m in _factor_multiplicities(poly, seed, used)]
     if hints is None:
         raise FieldError("factorization over Q needs caller-supplied place hints")
     rem = poly.monic()
@@ -36,11 +40,19 @@ def _place_factorization(poly: Polynomial, seed=0, hints=None):
                 break
             rem = q
             m += 1
-        if m:
+        if m and (used is None or used(m)):
             out.append((Place.finite(h, check=False), m))
     if rem.degree > 0:
         raise FieldError("place hints do not cover all factors")
     return out
+
+
+def _prime_to_3(m):
+    return m % 3 != 0
+
+
+def _odd(m):
+    return m % 2 == 1
 
 
 def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
@@ -51,11 +63,10 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
     if model.kind == "pure":
         beta = model.beta
         total = []
-        for place, m in _place_factorization(beta.num, seed, hints):
-            if m % 3 != 0:
-                total.append(place)
-        for place, m in _place_factorization(beta.den, seed, hints):
-            if m % 3 != 0 and place not in total:
+        for place, _ in _place_factorization(beta.num, seed, hints, _prime_to_3):
+            total.append(place)
+        for place, _ in _place_factorization(beta.den, seed, hints, _prime_to_3):
+            if place not in total:
                 total.append(place)
         if beta.degree_at_infinity() % 3 != 0:
             total.append(Place.infinity(field))
@@ -65,10 +76,8 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
     else:
         alpha, c = model.alpha, model.c
         c3 = c ** 3
-        total = []
-        for place, m in _place_factorization(alpha.den, seed, hints):
-            if m % 3 != 0:
-                total.append(place)
+        total = [place for place, _ in
+                 _place_factorization(alpha.den, seed, hints, _prime_to_3)]
         v_inf = alpha.degree_at_infinity()
         if v_inf < 0 and (-v_inf) % 3 != 0:
             total.append(Place.infinity(field))
@@ -83,10 +92,8 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
             disc = alpha * alpha - field(4) * c3
             if disc.is_zero():
                 raise FieldError("degenerate model: alpha^2 = 4c^3")
-            partial = []
-            for place, m in _place_factorization(disc.num, seed, hints):
-                if m % 2 == 1:
-                    partial.append(place)
+            partial = [place for place, _ in
+                       _place_factorization(disc.num, seed, hints, _odd)]
             if disc.degree_at_infinity() % 2 == 1 and disc.degree_at_infinity() > 0:
                 partial.append(Place.infinity(field))
     total = sorted_places(total)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from cubica.algebra import Polynomial, PrimeField, RationalFunction
+from cubica.algebra import (FieldError, Polynomial, PrimeField, RationalFunction,
+                            is_irreducible, poly_factor)
 from cubica.analyzer import analyze, verify_against
 from cubica.descent import construct, make_problem
 from cubica.function_field import Place, valuation
@@ -94,3 +95,59 @@ def test_analyze_against_upstairs_valuations(p):
             assert v % 3 == 0, (model, q_place)
         checked += 1
     assert checked >= 3
+
+
+def _random_irreducible(field, degree, rng):
+    while True:
+        f = Polynomial(field, [rng.randrange(field.p) for _ in range(degree)] + [1])
+        if is_irreducible(f):
+            return f
+
+
+def _finite(places):
+    return {p for p in places if not p.infinite}
+
+
+def _read_off(poly, keep):
+    """The places of the factors of poly whose multiplicity keep accepts,
+    from its full factorization."""
+    return {Place.finite(g, check=False) for g, m in poly_factor(poly) if keep(m)}
+
+
+@pytest.mark.parametrize("p", [7, 13, 101])
+def test_analyze_reads_the_multiplicities_of_a_full_factorization(p):
+    """Seeded impure models y^3 = 3c y + A/D with c = s^2 and D = P^3 R (a
+    cubed pole) and A = 2 s^3 D + Q^2 H, so that alpha^2 - 4c^3 has the
+    numerator Q^2 H (Q^2 H + 4 s^3 D), a square factor of degree 2; and pure
+    models y^3 = N/D with factors of multiplicity 1 to 6.  analyze's finite
+    places are those that a full poly_factor of alpha.den (multiplicity
+    prime to 3) and of the numerator of alpha^2 - 4c^3 (odd multiplicity),
+    or of N and D, gives."""
+    field = PrimeField(p)
+    rng = random.Random(f"analyze-multiplicities:{p}")
+    cubed_pole = square_zero = False
+    for _ in range(6):
+        s = field(rng.randrange(1, p))
+        P, R, Q = (_random_irreducible(field, d, rng) for d in (2, 1, 2))
+        H = _random_irreducible(field, rng.randrange(1, 3), rng)
+        D = P ** 3 * R
+        alpha = RationalFunction(D * (2 * s ** 3) + Q * Q * H, D)
+        model = CubicModel.impure(s * s, alpha)
+        disc = alpha * alpha - model.c ** 3 * 4
+        rep = analyze(model)
+        assert _finite(rep.total) == _read_off(alpha.den, lambda m: m % 3 != 0)
+        assert _finite(rep.partial) == _read_off(disc.num, lambda m: m % 2 == 1)
+        cubed_pole |= any(m == 3 for _, m in poly_factor(alpha.den))
+        square_zero |= any(m % 2 == 0 and g.degree >= 2 for g, m in poly_factor(disc.num))
+
+        N = _random_irreducible(field, 2, rng) ** rng.randrange(1, 7) * \
+            _random_irreducible(field, 1, rng) ** rng.randrange(1, 7)
+        D = _random_irreducible(field, 3, rng) ** rng.randrange(1, 4)
+        beta = RationalFunction(N, D)
+        try:
+            rep = analyze(CubicModel.pure(beta))
+        except FieldError:
+            continue  # beta a cube times a constant
+        assert _finite(rep.total) == (_read_off(beta.num, lambda m: m % 3 != 0)
+                                      | _read_off(beta.den, lambda m: m % 3 != 0))
+    assert cubed_pole and square_zero

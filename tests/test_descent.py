@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from cubica.acceptance import random_places
 from cubica.algebra import (Polynomial, PrimeField, RationalFunction,
                             is_irreducible)
 from cubica.analyzer import analyze, pole_orders_of_alpha
@@ -209,21 +210,6 @@ def test_descent_round_trip_random(p):
     assert trials >= 20
 
 
-def _random_places(model, field, rng, count, degrees=(2, 3, 4)):
-    """count distinct finite places that split in model, each that of a
-    random monic irreducible of a degree drawn from degrees."""
-    places = []
-    while len(places) < count:
-        d = rng.choice(degrees)
-        poly = Polynomial(field, [rng.randrange(field.p) for _ in range(d)] + [1])
-        if not is_irreducible(poly):
-            continue
-        place = Place.finite(poly, check=False)
-        if place not in places and model.split_kind(place) == "split":
-            places.append(place)
-    return places
-
-
 @pytest.mark.parametrize("p", [101, 257])
 def test_descent_round_trip_sweep_large_q(p):
     """Seeded places of degree 2-4 (and infinity when it splits, half the
@@ -235,7 +221,7 @@ def test_descent_round_trip_sweep_large_q(p):
     for model in _closure_menu(field):
         branch = set(model.branch_places())
         for count in (1, 2, 3, 3):
-            T = _random_places(model, field, rng, count)
+            T = random_places(model, field, rng, count, (2, 3, 4))
             inf = Place.infinity(field)
             if model.split_kind(inf) == "split" and rng.random() < 0.5:
                 T.append(inf)
@@ -247,6 +233,23 @@ def test_descent_round_trip_sweep_large_q(p):
                 assert purely_cubic_closure(res.model) == model.class_data()
                 trips += 1
     assert trips >= 130
+
+
+def test_random_places_draws_degree_4_over_f101():
+    """Split places of degree 4 over F_101, where `random_split_places`
+    would first test all 101^4 monic quartics; one round trip on each
+    closure of the menu."""
+    field = PrimeField(101)
+    rng = random.Random("degree-4")
+    for model in _closure_menu(field):
+        T = random_places(model, field, rng, 2, (4,))
+        assert len(set(T)) == 2
+        for place in T:
+            assert place.degree == 4 and is_irreducible(place.poly)
+            assert model.split_kind(place) == "split"
+        rep = analyze(construct(make_problem(model, T)).model)
+        assert rep.total_set() == set(T)
+        assert rep.partial_set() == set(model.branch_places())
 
 
 def _generator_minpoly(model):
