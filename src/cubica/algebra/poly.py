@@ -6,15 +6,19 @@ empty list): an int in [0, p) over F_p, a Fraction over Q, a coefficient
 tuple over a residue field (F_{p^2} included), a RationalFunction over
 k(t).  Arithmetic runs on these lists through the field's payload protocol
 (``_add``/``_sub``/``_mul``/``_inv``/``_zero_val``); the kernels also take
-tuples, on which a residue field runs its own arithmetic.  Two field types
-get integer loops, chosen by the type: over F_p the product and the long
-division run on raw ints with one reduction mod p per output coefficient;
-over Q the product, the division (pseudo-division, Knuth's Algorithm R), the
-gcd and the extended gcd run on integer numerators over one common
-denominator, the layout of FLINT's ``fmpq_poly``, with one Fraction
-normalization per output coefficient; ``vals`` still holds lowest-terms
-Fractions.  ``Element``s appear only at the boundary: the constructor takes
-them, ``coeffs``, ``leading()``, ``constant_coeff()``, ``f[i]`` and
+tuples, on which a residue field runs its own arithmetic.  Over F_p the
+product and the long division run on raw ints with one reduction mod p per
+output coefficient.  A polynomial over Q (a ``_QPolynomial``) stores the
+integer form ``q``: integer numerators over one positive denominator, the
+layout of FLINT's ``fmpq_poly``.  Its arithmetic, ``==``, degree and
+predicates, ``poly_gcd`` and ``poly_xgcd`` run on that form
+(pseudo-division, Knuth's Algorithm R, for the division) and reduce each
+result by one content gcd; ``vals``, the lowest-terms Fractions, is built
+only when something reads it (``coeffs``, ``hash``, ``sort_key``, ``repr``,
+an encoder).  Lists of Fractions handed to the payload kernels (by residue
+fields over Q and the Riemann-Roch rows) pass through the same integer
+loops.  ``Element``s appear only at the boundary: the constructor
+takes them, ``coeffs``, ``leading()``, ``constant_coeff()``, ``f[i]`` and
 ``evaluate`` return them, and ``map_coeffs`` hands them to its function.
 
 Factorization over finite fields runs squarefree / distinct-degree /
@@ -50,21 +54,37 @@ def _trim(cs, zero):
     return cs
 
 
-# Over Q a kernel splits each input list once into integer numerators over
-# one denominator, runs the integer loops below, and normalizes each output
-# coefficient once.
+# Over Q the kernels take and return the integer form (nums, d): a trimmed
+# list of integer numerators over one denominator d > 0 with
+# gcd(d, nums) = 1, so d = 1 for the zero polynomial.  The form is unique,
+# so equal polynomials have equal forms.  Each result is reduced by one
+# content gcd.
 
 
-def _q_split(a):
-    """(numerators, d): the Fractions of a as integers over their least
-    common denominator d (1 for the empty list)."""
-    d = math.lcm(*[c.denominator for c in a])
-    return [c.numerator * (d // c.denominator) for c in a], d
+def _q_form(vals):
+    """The integer form of a trimmed list of lowest-terms Fractions: the
+    numerators over their least common denominator, which already has no
+    factor in common with all of them."""
+    d = math.lcm(*[c.denominator for c in vals])
+    return [c.numerator * (d // c.denominator) for c in vals], d
 
 
-def _q_join(nums, d):
-    """The Fractions n/d, in lowest terms, of the integer numerators nums."""
+def _q_vals(a):
+    """The lowest-terms Fractions of the integer form a."""
+    nums, d = a
     return [Fraction(c, d) for c in nums]
+
+
+def _q_normal(nums, d):
+    """The integer form of the trimmed integer list nums over the nonzero
+    integer d: both divided by the gcd of d and every numerator, signed so
+    that d > 0."""
+    g = math.gcd(d, *nums)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return nums, d
+    return [x // g for x in nums], d // g
 
 
 def _convolve(a, b):
@@ -80,9 +100,11 @@ def _convolve(a, b):
 
 
 def _int_sub(a, b):
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)], 0)
+    out = [x - y for x, y in zip(a, b)]
+    if len(a) > len(b):
+        return out + a[len(b):]
+    out += [-y for y in b[len(a):]]
+    return _trim(out, 0)
 
 
 def _pdivmod(a, b):
@@ -116,6 +138,60 @@ def _primitive(*lists):
     if g > 1:
         return [[x // g for x in a] for a in lists]
     return list(lists)
+
+
+def _q_common(a, b):
+    """The numerators of the integer forms a and b over one common
+    denominator, and that denominator."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return an, bn, ad
+    g = math.gcd(ad, bd)
+    return [x * (bd // g) for x in an], [y * (ad // g) for y in bn], ad // g * bd
+
+
+def _q_add(a, b):
+    an, bn, d = _q_common(a, b)
+    if len(an) < len(bn):
+        an, bn = bn, an
+    return _q_normal(_trim([x + y for x, y in zip(an, bn)] + an[len(bn):], 0), d)
+
+
+def _q_sub(a, b):
+    an, bn, d = _q_common(a, b)
+    return _q_normal(_int_sub(an, bn), d)
+
+
+def _q_mul(a, b):
+    (an, ad), (bn, bd) = a, b
+    return _q_normal(_convolve(an, bn), ad * bd)
+
+
+def _q_divmod(a, b):
+    """(quotient, remainder) of the integer form a by the nonzero b: with
+    c A = q B + r on the numerators, a = (q bd / (c ad)) b + r / (c ad)."""
+    (an, ad), (bn, bd) = a, b
+    if len(an) < len(bn):
+        return ([], 1), a
+    q, r, c = _pdivmod(an, bn)
+    return _q_normal([x * bd for x in q], c * ad), _q_normal(r, c * ad)
+
+
+def _q_rem(a, b):
+    """The remainder of the integer form a by the nonzero b."""
+    (an, ad), bn = a, b[0]
+    if len(an) < len(bn):
+        return a
+    _, r, c = _pdivmod(an, bn)
+    return _q_normal(r, c * ad)
+
+
+def _q_monic(a):
+    """a over its leading coefficient: its numerators over the leading one."""
+    nums, d = a
+    if not nums or nums[-1] == d:
+        return a
+    return _q_normal(nums, nums[-1])
 
 
 def _add(F, a, b):
@@ -167,8 +243,7 @@ def _mul(F, a, b):
         p = F.p
         return [c % p for c in out]
     if isinstance(F, RationalField):
-        (an, ad), (bn, bd) = _q_split(a), _q_split(b)
-        return _q_join(_convolve(an, bn), ad * bd)
+        return _q_vals(_q_mul(_q_form(a), _q_form(b)))
     add, mul, zero = F._add, F._mul, F._zero_val()
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -194,11 +269,8 @@ def _divmod(F, a, b):
                     r[i] -= c * y
         return q, _trim([x % p for x in r[:n]], 0)
     if isinstance(F, RationalField):
-        # c A = q B + r on the numerators A = ad a, B = bd b, so
-        # a = (q bd / (c ad)) b + r / (c ad)
-        (an, ad), (bn, bd) = _q_split(a), _q_split(b)
-        q, r, c = _pdivmod(an, bn)
-        return _q_join([x * bd for x in q], c * ad), _q_join(r, c * ad)
+        q, r = _q_divmod(_q_form(a), _q_form(b))
+        return _q_vals(q), _q_vals(r)
     r, low, inv = list(a), b[:-1], F._inv(b[-1])
     sub, mul, zero = F._sub, F._mul, F._zero_val()
     q = [zero] * (len(a) - n)
@@ -237,9 +309,17 @@ def _field_of(f, g):
 
 def _poly(field, vals):
     """The Polynomial on a trimmed payload list, taken over as it is."""
-    f = object.__new__(Polynomial)
+    f = object.__new__(_QPolynomial if isinstance(field, RationalField) else Polynomial)
     f.field = field
     f.vals = vals
+    return f
+
+
+def _qpoly(field, q):
+    """The polynomial over Q on an integer form, taken over as it is."""
+    f = object.__new__(_QPolynomial)
+    f.field = field
+    f.q = q
     return f
 
 
@@ -249,9 +329,15 @@ class Polynomial:
 
     ``vals`` holds the coefficients as the field's payloads, lowest degree
     first and trimmed; the constructor accepts Elements, ints and Fractions,
-    and ``coeffs`` is the read-only list of the coefficients as Elements."""
+    and ``coeffs`` is the read-only list of the coefficients as Elements.
+    A polynomial over Q is a ``_QPolynomial``, which also has ``q``, the
+    integer form its arithmetic runs on."""
 
-    __slots__ = ("field", "vals")
+    __slots__ = ("field", "vals", "q")
+
+    def __new__(cls, field=None, coeffs=None):
+        # no arguments when copy or pickle rebuild a polynomial of class cls
+        return object.__new__(_QPolynomial if isinstance(field, RationalField) else cls)
 
     def __init__(self, field, coeffs):
         self.field = field
@@ -460,6 +546,113 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def _q_binary(kernel):
+    """The operator of a polynomial over Q that runs kernel on the integer
+    forms of both operands."""
+    def op(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return _qpoly(self.field, kernel(self.q, o))
+    return op
+
+
+class _QPolynomial(Polynomial):
+    """A polynomial over Q.  Arithmetic, ``==``, the degree and the
+    predicates run on ``q``, the integer form; ``vals`` is built when first
+    read, and ``q`` when a polynomial made from Fractions first needs it.
+    ``leading()`` and ``f[i]`` form only the Fraction asked for."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # called only for an unset slot: at least one of the two is set
+        if name == "vals":
+            self.vals = vals = _q_vals(self.q)
+            return vals
+        if name == "q":
+            self.q = q = _q_form(self.vals)
+            return q
+        raise AttributeError(name)
+
+    @property
+    def degree(self):
+        return len(self.q[0]) - 1
+
+    def is_zero(self):
+        return not self.q[0]
+
+    def is_one(self):
+        nums, d = self.q
+        return nums == [1] and d == 1
+
+    def is_constant(self):
+        return len(self.q[0]) <= 1
+
+    def leading(self):
+        nums, d = self.q
+        if not nums:
+            raise ZeroDivisionError("zero polynomial has no leading coefficient")
+        return Element(self.field, Fraction(nums[-1], d))
+
+    def __getitem__(self, i):
+        nums, d = self.q
+        if 0 <= i < len(nums):
+            return Element(self.field, Fraction(nums[i], d))
+        return self.field.zero
+
+    def monic(self):
+        q = _q_monic(self.q)
+        return self if q is self.q else _qpoly(self.field, q)
+
+    def __eq__(self, other):
+        if isinstance(other, _QPolynomial):
+            return self.q == other.q
+        return super().__eq__(other)
+
+    __hash__ = Polynomial.__hash__
+
+    def _coerce(self, other):
+        # every polynomial over Q is a _QPolynomial; a Polynomial over
+        # another field raises
+        if isinstance(other, _QPolynomial):
+            return other.q
+        if isinstance(other, Polynomial):
+            _field_of(self, other)
+        if isinstance(other, (Element, int, Fraction)):
+            return Polynomial.constant(self.field, other).q
+        return NotImplemented
+
+    __add__ = __radd__ = _q_binary(_q_add)
+    __sub__ = _q_binary(_q_sub)
+    __mul__ = __rmul__ = _q_binary(_q_mul)
+
+    def __neg__(self):
+        nums, d = self.q
+        return _qpoly(self.field, ([-x for x in nums], d))
+
+    def derivative(self):
+        nums, d = self.q
+        return _qpoly(self.field, _q_normal([i * c for i, c in enumerate(nums)][1:], d))
+
+    def __divmod__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if not o[0]:
+            raise ZeroDivisionError("polynomial division by zero")
+        q, r = _q_divmod(self.q, o)
+        return _qpoly(self.field, q), _qpoly(self.field, r)
+
+    def __mod__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if not o[0]:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _qpoly(self.field, _q_rem(self.q, o))
+
+
 # -- gcd machinery ----------------------------------------------------------------
 
 
@@ -467,12 +660,12 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm (over Q, on the primitive parts
     of the integer numerators)."""
     F = _field_of(f, g)
-    a, b = f.vals, g.vals
     if isinstance(F, RationalField):
-        a, b = _q_split(a)[0], _q_split(b)[0]
+        a, b = f.q[0], g.q[0]
         while b:
             a, b = b, _primitive(_pdivmod(a, b)[1])[0]
-        return _poly(F, _q_join(a, a[-1]) if a else [])
+        return _qpoly(F, _q_monic((a, 1)))
+    a, b = f.vals, g.vals
     while b:
         a, b = b, _rem(F, a, b)
     return _poly(F, _monic(F, a))
@@ -482,7 +675,7 @@ def poly_xgcd(f: Polynomial, g: Polynomial):
     """(g, s, t) with g = s f + t g monic."""
     F = _field_of(f, g)
     if isinstance(F, RationalField):
-        return _q_xgcd(F, f.vals, g.vals)
+        return _q_xgcd(F, f.q, g.q)
     one = [F._one_val()]
     r0, r1 = f.vals, g.vals
     s0, s1 = one, []
@@ -499,12 +692,12 @@ def poly_xgcd(f: Polynomial, g: Polynomial):
 
 
 def _q_xgcd(F, a, b):
-    """poly_xgcd over Q on integers: with A, B the numerators of a, b over
-    da, db, each triple keeps r = s A + t B; a pseudo-division step
-    c r0 = q r1 + r gives the next triple c (r0, s0, t0) - q (r1, s1, t1),
-    divided by the gcd of its entries.  The Fractions are formed once, from
-    the last nonzero triple over lc(r)."""
-    (r0, da), (r1, db) = _q_split(a), _q_split(b)
+    """poly_xgcd over Q on the integer forms a = A/da and b = B/db: each
+    triple keeps r = s A + t B; a pseudo-division step c r0 = q r1 + r
+    gives the next triple c (r0, s0, t0) - q (r1, s1, t1), divided by the
+    gcd of its entries.  The results are the last nonzero triple over
+    lc(r)."""
+    (r0, da), (r1, db) = a, b
     s0, s1, t0, t1 = [1], [], [], [1]
     while r1:
         q, r, c = _pdivmod(r0, r1)
@@ -512,8 +705,8 @@ def _q_xgcd(F, a, b):
         t = _int_sub([c * x for x in t0], _convolve(q, t1))
         r0, s0, t0, (r1, s1, t1) = r1, s1, t1, _primitive(r, s, t)
     lc = r0[-1] if r0 else 1
-    return (_poly(F, _q_join(r0, lc)), _poly(F, _q_join([x * da for x in s0], lc)),
-            _poly(F, _q_join([x * db for x in t0], lc)))
+    return (_qpoly(F, _q_normal(r0, lc)), _qpoly(F, _q_normal([x * da for x in s0], lc)),
+            _qpoly(F, _q_normal([x * db for x in t0], lc)))
 
 
 def inverse_mod(f: Polynomial, m: Polynomial) -> Polynomial:
@@ -806,15 +999,8 @@ def _is_irreducible_over_q(f: Polynomial) -> bool:
     n = f.degree
     if n == 1:
         return True
-    # clear denominators to a primitive integer polynomial
-    den = 1
-    for c in f.vals:
-        den = math.lcm(den, c.denominator)
-    ints = [int(c * den) for c in f.vals]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
+    # the primitive integer polynomial of f
+    ints = _primitive(f.q[0])[0]
     if ints[0] == 0:
         return False  # x divides f
     if n <= 3:

@@ -237,7 +237,7 @@ def _compose(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass):
     num = c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c3 * (v1 * v2 + curve.F)
     v3 = (num.exact_div(s)) % u3
     u3 = u3.monic()
-    if not u3.is_constant() and (v3 * v3 - curve.F) % u3 != Polynomial.zero(field):
+    if not u3.is_constant() and not ((v3 * v3 - curve.F) % u3).is_zero():
         raise ArithmeticError("composition broke the Mumford invariant")
     ds = s.degree
     return MumfordClass(u3, v3 % u3 if not u3.is_constant() else Polynomial.zero(field),
@@ -251,9 +251,7 @@ def _reduce_once(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     r = (curve.Vplus - v) % u
     vt = curve.Vplus - r          # = v mod u, monic of degree g + 1
     diff = curve.F - vt * vt
-    w_full = diff.exact_div(u)
-    lc = w_full.leading()
-    w = w_full.monic()
+    w = diff.exact_div(u).monic()
     v_new = (-vt) % w if not w.is_constant() else Polynomial.zero(field)
     deg_r = r.degree if not r.is_zero() else 0
     if r.is_zero():

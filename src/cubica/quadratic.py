@@ -703,12 +703,17 @@ class ConstantParametrization:
 def canonical_quadratic_field(field: PrimeField) -> ResidueField:
     """F_p[t]/(t^2 - a t - b) for the first irreducible t^2 - a t - b, b
     varying fastest: the F_{p^2} of a 'p^2' field spec and of a constant
-    extension."""
+    extension.  Built once per PrimeField object, which keeps it, so the
+    constant closures over one field share its cached smallest non-square."""
+    R = getattr(field, "_quadratic", None)
+    if R is not None:
+        return R
     for a in range(field.p):
         for b in range(field.p):
             m = Polynomial(field, [-b, -a, 1])
             if is_irreducible(m):
-                return ResidueField(m, check=False)
+                field._quadratic = R = ResidueField(m, check=False)
+                return R
     raise FieldError("no irreducible quadratic found")
 
 

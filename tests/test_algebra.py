@@ -1021,9 +1021,11 @@ def test_evaluate_takes_field_elements_only():
 
 # -- the Q kernel against the generic loops on Fractions --------------------------
 #
-# Over Q, `_mul`, `_divmod`, `poly_gcd` and `poly_xgcd` run on integer
-# numerators over one denominator.  The references are the generic payload
-# loops as they run on Fractions, one exact operation per coefficient.
+# Over Q, a polynomial keeps integer numerators over one denominator, and
+# its arithmetic, `poly_gcd`, `poly_xgcd` and `pow_mod` run on them; `_mul`
+# and `_divmod` take Fraction lists through the same integer loops.  The
+# references are the generic payload loops as they run on Fractions, one
+# exact operation per coefficient.
 
 
 def fraction_trim(cs):
@@ -1117,8 +1119,64 @@ def q_kernel_pairs():
     return pairs
 
 
+def fraction_gcd(a, b):
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return fraction_mul(a, [1 / a[-1]]) if a else []
+
+
+def fraction_pow_mod(a, n, m):
+    result, base = fraction_divmod([Fraction(1)], m)[1], fraction_divmod(a, m)[1]
+    while n:
+        if n & 1:
+            result = fraction_divmod(fraction_mul(result, base), m)[1]
+        n >>= 1
+        base = fraction_divmod(fraction_mul(base, base), m)[1]
+    return result
+
+
 def max_bits(cs):
     return max((max(abs(c.numerator), c.denominator).bit_length() for c in cs), default=0)
+
+
+def small(a, b):
+    """Whether the reference loops are quick on a and b: their cofactors
+    grow fast, so degree times height is capped."""
+    return (len(a) + len(b)) * max_bits(a + b) <= 8000
+
+
+def vals_formed(f):
+    """Whether the Fractions of f have been formed (read without forming
+    them: the slot itself, not the attribute that builds it)."""
+    try:
+        Polynomial.vals.__get__(f)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_q_poly(f, ref):
+    """The polynomial f over Q agrees in every view with
+    Polynomial(QQ, ref), ref a trimmed list of reference Fractions.  The
+    degree, the predicates, ==, leading() and f[i] form no Fraction list;
+    vals, coeffs, hash, sort_key and repr then agree, and f still compares
+    and hashes the same once its vals have been read."""
+    want = Polynomial(QQ, ref)
+    formed = vals_formed(f)
+    assert f == want and want == f and not f != want
+    assert ((f.degree, f.is_zero(), f.is_constant(), f.is_one())
+            == (len(ref) - 1, not ref, len(ref) <= 1, ref == [1]))
+    ends = (-1, 0, len(ref) - 1, len(ref))
+    assert [f[i] for i in ends] == [want[i] for i in ends]
+    assert not ref or f.leading() == want.leading()
+    assert formed or not vals_formed(f)
+    assert f.vals == ref and all(type(c) is Fraction for c in f.vals)
+    assert f.coeffs == want.coeffs
+    assert hash(f) == hash(want) == hash((QQ._hash,) + tuple(ref))
+    assert f.sort_key() == want.sort_key()
+    # str() of an int refuses more than 4,300 digits (about 14,000 bits)
+    assert max_bits(ref) > 14000 or repr(f) == repr(want)
+    assert f == want and f == want * 1 and hash(f) == hash(want * 1)
 
 
 def test_q_kernel_matches_the_generic_fraction_loops():
@@ -1127,18 +1185,37 @@ def test_q_kernel_matches_the_generic_fraction_loops():
         assert out == fraction_mul(a, b)
         assert all(type(c) is Fraction for c in out) and (not out or out[-1] != 0)
         f, g = Polynomial(QQ, a), Polynomial(QQ, b)
-        assert (f * g).vals == out
+        assert_q_poly(f * g, out)
+        assert_q_poly(f + g, fraction_add(a, b))
+        assert_q_poly(f - g, fraction_sub(a, b))
+        assert_q_poly(-g, [-c for c in b])
+        assert_q_poly(f.monic(), fraction_mul(a, [1 / a[-1]]) if a else [])
+        assert_q_poly(f.derivative(), [i * c for i, c in enumerate(a)][1:])
         if b:
             q, r = _divmod(QQ, a, b)
             assert (q, r) == fraction_divmod(a, b)
             assert all(type(c) is Fraction for c in q + r)
             assert (not q or q[-1] != 0) and (not r or r[-1] != 0) and len(r) < len(b)
             assert fraction_add(fraction_mul(q, b), r) == a
-        # the reference's cofactors grow fast: degree times height is capped
-        if (a or b) and (len(a) + len(b)) * max_bits(a + b) <= 8000:
+            # kernel outputs back in as kernel inputs
+            qp, rp = divmod(f, g)
+            assert_q_poly(qp, q)
+            assert_q_poly(rp, r)
+            assert_q_poly(f % g, r)
+            if small(q, r):
+                assert_q_poly(qp * rp, fraction_mul(q, r))
+                assert_q_poly(qp * qp - rp, fraction_sub(fraction_mul(q, q), r))
+                assert_q_poly((qp * g).exact_div(g), q)
+                assert_q_poly(qp * g + rp, a)
+                assert_q_poly(poly_gcd(g, rp), fraction_gcd(b, r))
+                assert_q_poly(pow_mod(qp + rp, 3, g), fraction_pow_mod(fraction_add(q, r), 3, b))
+        if (a or b) and small(a, b):
             h, s, t = poly_xgcd(f, g)
-            assert (h.vals, s.vals, t.vals) == fraction_xgcd(a, b)
-            assert all(type(c) is Fraction for c in h.vals + s.vals + t.vals)
+            hs, ss, ts = fraction_xgcd(a, b)
+            assert_q_poly(h, hs)
+            assert_q_poly(s, ss)
+            assert_q_poly(t, ts)
             assert h.vals[-1] == 1
             assert fraction_add(fraction_mul(s.vals, a), fraction_mul(t.vals, b)) == h.vals
             assert poly_gcd(f, g) == h
+            assert_q_poly(poly_gcd(f * h, g * h), fraction_mul(hs, hs))

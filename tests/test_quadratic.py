@@ -206,6 +206,14 @@ def test_parametrize_constant_is_triv():
         assert par.qfield(e0) + par.qfield(e1) * par.root_d == e
 
 
+def test_constant_closures_over_one_prime_share_one_quadratic_field():
+    # the F_{p^2} keeps its cached non-square across the closures
+    pars = [QuadraticModel.constant(F5, F5(d)).parametrize() for d in (2, 3)]
+    assert pars[0] is not pars[1] and pars[0].qfield is pars[1].qfield
+    assert canonical_quadratic_field(F5) is pars[0].qfield
+    assert canonical_quadratic_field(PrimeField(5)) == pars[0].qfield
+
+
 @pytest.mark.parametrize("f", [[0, 1], [-2, 0, 1], [1, 1, 2], [2]])
 def test_parametrization_is_built_once_per_model(f):
     M = QuadraticModel.kummer(Polynomial(F5, f))
