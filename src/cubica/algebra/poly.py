@@ -333,7 +333,7 @@ class Polynomial:
     A polynomial over Q is a ``_QPolynomial``, which also has ``q``, the
     integer form its arithmetic runs on."""
 
-    __slots__ = ("field", "vals", "q")
+    __slots__ = ("field", "vals")
 
     def __new__(cls, field=None, coeffs=None):
         # no arguments when copy or pickle rebuild a polynomial of class cls
@@ -563,7 +563,7 @@ class _QPolynomial(Polynomial):
     read, and ``q`` when a polynomial made from Fractions first needs it.
     ``leading()`` and ``f[i]`` form only the Fraction asked for."""
 
-    __slots__ = ()
+    __slots__ = ("q",)
 
     def __getattr__(self, name):
         # called only for an unset slot: at least one of the two is set
