@@ -308,8 +308,19 @@ def _field_of(f, g):
 
 
 def _poly(field, vals):
-    """The Polynomial on a trimmed payload list, taken over as it is."""
+    """The Polynomial on a trimmed payload list, taken over as it is (a
+    ``_QPolynomial`` over Q)."""
     f = object.__new__(_QPolynomial if isinstance(field, RationalField) else Polynomial)
+    f.field = field
+    f.vals = vals
+    return f
+
+
+def _plain(field, vals):
+    """``_poly`` for a field other than Q, with no test of the field: the
+    results of the arithmetic a ``_QPolynomial`` overrides, and of the
+    finite-field algorithms."""
+    f = object.__new__(Polynomial)
     f.field = field
     f.vals = vals
     return f
@@ -399,7 +410,7 @@ class Polynomial:
 
     def monic(self):
         vals = _monic(self.field, self.vals)
-        return self if vals is self.vals else _poly(self.field, vals)
+        return self if vals is self.vals else _plain(self.field, vals)
 
     def __eq__(self, other):
         if isinstance(other, (Element, int, Fraction)):
@@ -432,7 +443,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _poly(self.field, _add(self.field, self.vals, o))
+        return _plain(self.field, _add(self.field, self.vals, o))
 
     __radd__ = __add__
 
@@ -440,19 +451,19 @@ class Polynomial:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _poly(self.field, _sub(self.field, self.vals, o))
+        return _plain(self.field, _sub(self.field, self.vals, o))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _poly(self.field, _neg(self.field, self.vals))
+        return _plain(self.field, _neg(self.field, self.vals))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _poly(self.field, _mul(self.field, self.vals, o))
+        return _plain(self.field, _mul(self.field, self.vals, o))
 
     __rmul__ = __mul__
 
@@ -474,7 +485,7 @@ class Polynomial:
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _divmod(self.field, self.vals, o)
-        return _poly(self.field, q), _poly(self.field, r)
+        return _plain(self.field, q), _plain(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -485,7 +496,7 @@ class Polynomial:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        return _poly(self.field, _rem(self.field, self.vals, o))
+        return _plain(self.field, _rem(self.field, self.vals, o))
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -499,7 +510,7 @@ class Polynomial:
         for c in self.vals[1:]:
             i = F._add(i, one)
             out.append(F._mul(c, i))
-        return _poly(F, _trim(out, F._zero_val()))
+        return _plain(F, _trim(out, F._zero_val()))
 
     def evaluate(self, x):
         """The value at x, an element of the field (or an int), by Horner's
@@ -668,7 +679,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     a, b = f.vals, g.vals
     while b:
         a, b = b, _rem(F, a, b)
-    return _poly(F, _monic(F, a))
+    return _plain(F, _monic(F, a))
 
 
 def poly_xgcd(f: Polynomial, g: Polynomial):
@@ -688,7 +699,7 @@ def poly_xgcd(f: Polynomial, g: Polynomial):
     if r0:
         inv = [F._inv(r0[-1])]
         r0, s0, t0 = _mul(F, r0, inv), _mul(F, s0, inv), _mul(F, t0, inv)
-    return _poly(F, r0), _poly(F, s0), _poly(F, t0)
+    return _plain(F, r0), _plain(F, s0), _plain(F, t0)
 
 
 def _q_xgcd(F, a, b):
@@ -754,8 +765,8 @@ class _Frobenius:
         F, m, rows = self.field, self.m, self.rows
         while len(rows) < len(g):
             if len(rows) == 1:
-                x = _poly(F, [F._zero_val(), F._one_val()])
-                rows.append(pow_mod(x, F.order, _poly(F, m)).vals)
+                x = _plain(F, [F._zero_val(), F._one_val()])
+                rows.append(pow_mod(x, F.order, _plain(F, m)).vals)
             else:
                 rows.append(_rem(F, _mul(F, rows[-1], rows[1]), m))
         if isinstance(F, PrimeField):
@@ -789,7 +800,7 @@ def _pth_root(f: Polynomial) -> Polynomial:
     field = f.field
     e = field.order // field.char
     # c^(q/p) is the p-th root of c in F_q
-    return _poly(field, [_pow(field, c, e) for c in f.vals[::field.char]])
+    return _plain(field, [_pow(field, c, e) for c in f.vals[::field.char]])
 
 
 def squarefree_decomposition(f: Polynomial):
@@ -851,7 +862,7 @@ def _ddf(f: Polynomial, frob: _Frobenius):
     d = 0
     while v.degree > 2 * d + 1:
         d += 1
-        h = _poly(field, frob(h.vals))  # x^(q^d) mod v
+        h = _plain(field, frob(h.vals))  # x^(q^d) mod v
         g = poly_gcd(v, h - x)
         if not g.is_one():
             out.append((g, d))
@@ -878,7 +889,7 @@ def _edf(f: Polynomial, d: int, rng: random.Random, frob: _Frobenius):
     if d > 1:
         frob = frob.mod(f.vals)
     while True:
-        a = _poly(field, _trim([_random_element(field, rng) for _ in range(n)],
+        a = _plain(field, _trim([_random_element(field, rng) for _ in range(n)],
                                field._zero_val()))
         if a.degree < 1:
             continue
@@ -899,7 +910,7 @@ def _edf(f: Polynomial, d: int, rng: random.Random, frob: _Frobenius):
             for _ in range(d - 1):
                 t = frob(t)
                 norm = _rem(field, _mul(field, norm, t), f.vals)
-            b = pow_mod(_poly(field, norm), (q - 1) // 2, f)
+            b = pow_mod(_plain(field, norm), (q - 1) // 2, f)
             g = poly_gcd(f, b - Polynomial.one(field))
         if not g.is_one() and g.degree < n:
             break
@@ -975,7 +986,7 @@ def is_irreducible(f: Polynomial, seed: int = 0) -> bool:
     coprime_at = {n // r for r in _prime_divisors(n)}
     h = x
     for d in range(1, n + 1):
-        h = _poly(field, frob(h.vals))
+        h = _plain(field, frob(h.vals))
         if d in coprime_at and not poly_gcd(f, h - x).is_one():
             return False
     return h == x
