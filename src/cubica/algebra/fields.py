@@ -186,7 +186,7 @@ class PrimeField:
         return (-a) % self.p
 
     def _inv(self, a):
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def _zero_val(self):
         return 0
@@ -212,6 +212,45 @@ class PrimeField:
 
     def __repr__(self):
         return f"F{self.p}"
+
+
+# CPython refuses str(int) and int(str) beyond 4,300 decimal digits by
+# default (a process-wide limit, sys.set_int_max_str_digits); integers larger
+# than a block convert block by block, split in halves at a power of 10.
+_BLOCK_DIGITS = 4000
+
+
+def decimal_str(n: int) -> str:
+    """str(n), for an int of any size."""
+    if n < 0:
+        return "-" + decimal_str(-n)
+    if n.bit_length() <= 3 * _BLOCK_DIGITS:       # at most 3,613 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20                   # about half the digits
+    hi, lo = divmod(n, 10 ** k)
+    return decimal_str(hi) + decimal_str(lo).zfill(k)
+
+
+def decimal_int(text: str) -> int:
+    """int(text), for a decimal text of any length: past a block only an
+    optional sign and ASCII digits, surrounding whitespace aside."""
+    if len(text) <= _BLOCK_DIGITS:
+        return int(text)
+    digits = text.strip()
+    sign = -1 if digits[:1] == "-" else 1
+    digits = digits[1:] if digits[:1] in "+-" else digits
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid decimal integer")
+    k = len(digits) // 2
+    return sign * (decimal_int(digits[:-k]) * 10 ** k + decimal_int(digits[-k:]))
+
+
+def decimal_fraction(text: str) -> Fraction:
+    """Fraction(text) for a text "a/b" of any length."""
+    if len(text) <= _BLOCK_DIGITS:
+        return Fraction(text)
+    num, _, den = text.partition("/")
+    return Fraction(decimal_int(num), decimal_int(den))
 
 
 class RationalField:
@@ -256,7 +295,9 @@ class RationalField:
         return (v < 0, abs(v.numerator), v.denominator)
 
     def format_element(self, v):
-        return str(v)
+        """str(v), for numerators and denominators of any size."""
+        num = decimal_str(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{decimal_str(v.denominator)}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -31,7 +31,7 @@ def _rref(F, rows, ncols):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         if prime:
-            inv = pow(rows[r][c], p - 2, p)
+            inv = pow(rows[r][c], -1, p)
             prow = rows[r] = [e * inv % p for e in rows[r]]
             for i, row in enumerate(rows):
                 f = row[c]

@@ -56,7 +56,7 @@ def _series_sqrt(F, a, prec):
     out = [one]
     if isinstance(F, PrimeField):
         p = F.p
-        half = pow(2, p - 2, p)
+        half = pow(2, -1, p)
         for n in range(1, prec):
             acc = a[n] if n < len(a) else 0
             for k in range(1, n):
@@ -453,24 +453,25 @@ def rr_space(curve: SplitCurve, div: WDivisor):
     """Basis of L(div) = {h : (h) + div >= 0} as triples (a, b, den) with
     h = (a + b y)/den."""
     field = curve.field
-    bundles = _normalize_bundles(curve, div.bundles)
+    # each bundle (u, v, m) with the v of its iota-conjugate
+    bundles = [(u, v, m, (-v) % u)
+               for u, v, m in _normalize_bundles(curve, div.bundles)]
     den = Polynomial.one(field)
-    for u, v, m in bundles:
+    for u, v, m, _ in bundles:
         if m > 0:
             den = den * u ** m
     # the denominator also has poles along the iota-conjugates of the pole
     # bundles; register them (weight 0) so the no-pole conditions apply there
     extra = []
-    for u, v, m in bundles:
+    for u, v, m, vc in bundles:
         if m > 0 and not v.is_zero():
-            vc = (-v) % u
-            if not any(u2 == u and v2 == vc for u2, v2, _ in bundles):
-                extra.append((u, vc, 0))
+            if not any(u2 == u and v2 == vc for u2, v2, _, _ in bundles):
+                extra.append((u, vc, 0, v))
     bundles = bundles + extra
     # conjugate-side multiplicity lookup
-    def conj_mult(u, v):
-        for (u2, v2, m2) in bundles:
-            if u2 == u and v2 == ((-v) % u):
+    def conj_mult(u, vc):
+        for (u2, v2, m2, _) in bundles:
+            if u2 == u and v2 == vc:
                 return max(m2, 0)
         return 0
 
@@ -482,7 +483,7 @@ def rr_space(curve: SplitCurve, div: WDivisor):
 
     rows = []
     one, zero = Polynomial.one(field), field._zero_val()
-    for u, v, m in bundles:
+    for u, v, m, vc in bundles:
         if v.is_zero():
             # Weierstrass bundle: den ord (point units) = 2*max(m,0);
             # required ord of a + b y = 2*max(m,0) - m
@@ -498,7 +499,7 @@ def rr_space(curve: SplitCurve, div: WDivisor):
                 rows += coeff_vec(Polynomial.zero(field), one, u ** kb,
                                   na, nb, cols)
             continue
-        k = max(m, 0) + conj_mult(u, v) - m
+        k = max(m, 0) + conj_mult(u, vc) - m
         if k <= 0:
             continue
         vlift = curve.hensel_v(u, v, k)
@@ -545,16 +546,31 @@ def classes_equal(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> bool
 
 def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     """The representative (x^2 - A, const, -1, -1) of an anti-invariant class
-    (i_* D = -D), via one interpolation in L(D + inf+ + inf-)."""
+    (i_* D = -D), via one interpolation in L(D + inf+ + inf-).
+
+    One Riemann-Roch space decides both the identity and the sign.  For
+    g >= 2 the only g^1_2 is |inf+ + inf-|, so l(D + inf+ + inf-) >= 2 iff
+    D ~ 0: a space of dimension 1 already proves D not principal, and
+    `is_principal` runs only otherwise (always for g = 1, where l is 2).
+    D and D + inf+ + inf- share their bundles, hence their Hensel lifts, so
+    either order of the two spaces raises the same errors.  When
+    h = (a + b y)/den spans the space,
+    E' = div(h) + D + inf+ + inf- is the one effective divisor of the
+    system, its x-projection is u_s, and (u_s, c, -1, -1) ~ D iff
+    div(u_s, c) = E'.  If gcd(u_s, den) = 1, no point over u_s lies in the
+    support of D or of den, so there E' is the zero divisor of a + b y; by
+    Cantor's test (Math. Comp. 48, 1987) a + b y vanishes on div(u_s, c) iff
+    u_s | a + b c, and as both divisors have degree 2 that is the equality.
+    Otherwise the sign is tested with `classes_equal`."""
     field = curve.field
     if not curve.is_even_model():
         raise FieldError("anti-invariant classes need an even model")
     base = divisor_of_class(curve, D)
-    if is_principal(curve, base):
-        return identity_class(curve)
     lifted = WDivisor(base.bundles, base.n_plus + 1, base.n_minus + 1)
     space = rr_space(curve, lifted)
     if len(space) != 1:
+        if is_principal(curve, base):
+            return identity_class(curve)
         raise ArithmeticError("class has no unique degree-2 presentation")
     a, b, den = space[0]
     # push forward along x: the affine support of D + inf's + div(h)
@@ -572,8 +588,10 @@ def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
         raise ArithmeticError("even-model reduction failed")
     val = rem.constant_coeff()
     b0 = sqrt(val)
+    disjoint = poly_gcd(u_s, den).is_one()
     for cand in (b0, -b0):
         candidate = MumfordClass(u_s, Polynomial.constant(field, cand), -1, -1)
-        if classes_equal(curve, D, candidate):
+        if (((a + b * cand) % u_s).is_zero() if disjoint
+                else classes_equal(curve, D, candidate)):
             return candidate
     raise ArithmeticError("no matching square root for the symmetric form")

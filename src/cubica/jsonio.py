@@ -6,10 +6,9 @@ quadratic models {"kummer": [...]} or {"artin_schreier": ...}, cubic models
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
                       RationalFunction)
+from .algebra.fields import decimal_fraction, decimal_int
 from .function_field import Place
 from .models import CubicModel, RamificationReport
 from .quadratic import QuadraticModel, canonical_quadratic_field
@@ -46,10 +45,10 @@ def decode_element(field, data) -> Element:
     if isinstance(data, str):
         try:
             if "/" in data:
-                return field(Fraction(data))
+                return field(decimal_fraction(data))
             if "+" in data or "t" in data:
                 return _decode_quadratic_element(field, data)
-            return field(int(data))
+            return field(decimal_int(data))
         except (ValueError, FieldError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad element {data!r}: {exc}")
     if isinstance(data, list):

@@ -1,7 +1,12 @@
-"""The summary arithmetic of tools/bench_pairs.py on hand-made pairs."""
+"""The summary arithmetic of tools/bench_pairs.py on hand-made pairs, and
+its unpacking of a committed tree."""
 
+import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -40,3 +45,13 @@ def test_a_gain_inside_the_base_spread_is_not_clear():
     assert s["rate"]["change_wins"] == 10 and not s["rate"]["clear_gain"]
     assert s["ms"]["change_wins"] == 0 and s["ms"]["median_gain"] == -1.0
     assert not s["ms"]["clear_gain"]
+
+
+def test_unpack_writes_the_committed_tree(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=bench_pairs.ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout with a commit")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        bench_pairs._unpack("HEAD", tmp_path)
+    assert (tmp_path / "perfbench" / "run.py").is_file()

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubica import jsonio
 from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
                             ResidueField, poly_gcd, squarefree_decomposition)
 from cubica.hyper import (MumfordClass, SplitCurve, _series_sqrt,
@@ -307,6 +308,123 @@ def test_even_multiples_have_no_symmetric_form():
     for n in (1, 3):
         sym = canonicalize_prym(W, mumford_scalar(W, E, n))
         assert sym.u.degree == 2 and sym.v.is_constant()
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009])
+def test_canonicalize_prym_sweep_mod_p(p):
+    """D = 3E on seeded even octics through a point over F_p: whenever a
+    symmetric form comes back, it is of the form (x^2 - A, c, -1, -1) and
+    in the class of D."""
+    field = PrimeField(p)
+    rng = random.Random(f"canonicalize-prym:{p}")
+    returned = 0
+    for _ in range(30):
+        a, b, c = (rng.randrange(p) for _ in range(3))
+        x0, y0 = rng.randrange(1, p), rng.randrange(1, p)
+        s = x0 * x0
+        d = y0 * y0 - (((s + a) * s + b) * s + c) * s
+        F = Polynomial(field, [d, 0, c, 0, b, 0, a, 0, 1])
+        if not poly_gcd(F, F.derivative()).is_one():
+            continue
+        W = SplitCurve(F)
+        D = mumford_scalar(W, point_minus_i_point(W, x0, y0), 3)
+        try:
+            sym = canonicalize_prym(W, D)
+        except ArithmeticError:
+            continue
+        assert sym.u.degree == 2 and sym.u[1].is_zero() and sym.v.is_constant()
+        assert (sym.n_plus, sym.n_minus) == (-1, -1)
+        assert classes_equal(W, D, sym)
+        returned += 1
+    assert returned >= 20
+
+
+def _counting(monkeypatch, *names):
+    """Patch the named functions of cubica.hyper to count their calls."""
+    import cubica.hyper as hyper
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(hyper, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hyper, name, counted)
+    return calls
+
+
+def test_canonicalize_prym_on_disjoint_support_builds_one_space(monkeypatch):
+    """When u_s is prime to the denominator of L(D + inf+ + inf-), one
+    Riemann-Roch space and the congruence u_s | a + b c decide the form."""
+    W = example_curve(QQ)
+    threeE = mumford_scalar(W, point_minus_i_point(W, 1, 2), 3)
+    calls = _counting(monkeypatch, "rr_space", "classes_equal")
+    sym = canonicalize_prym(W, threeE)
+    assert calls == {"rr_space": 1, "classes_equal": 0}
+    x = Polynomial.x(QQ)
+    assert sym == MumfordClass(x ** 2 - Fraction(49, 9),
+                               Polynomial.constant(QQ, Fraction(3278, 81)), -1, -1)
+
+
+def test_canonicalize_prym_with_shared_support_tests_classes(monkeypatch):
+    """Over F_13 on x^8 + 5x^6 + 6x^4 + 7x^2 + 6 through (2, 2), u_s of 3E
+    meets the denominator, so the sign goes to classes_equal: the first
+    root fails and the second is the form."""
+    field = PrimeField(13)
+    W = SplitCurve(Polynomial(field, [6, 0, 7, 0, 6, 0, 5, 0, 1]))
+    threeE = mumford_scalar(W, point_minus_i_point(W, 2, 2), 3)
+    calls = _counting(monkeypatch, "classes_equal")
+    sym = canonicalize_prym(W, threeE)
+    assert calls == {"classes_equal": 2}
+    x = Polynomial.x(field)
+    assert sym == MumfordClass(x ** 2 + 5, Polynomial.constant(field, 11), -1, -1)
+    monkeypatch.undo()
+    assert classes_equal(W, threeE, sym)
+
+
+def test_canonicalize_prym_of_a_principal_class_is_the_identity():
+    W = example_curve(QQ)
+    E = point_minus_i_point(W, 1, 2)
+    D = mumford_add(W, E, mumford_neg(W, E))
+    assert canonicalize_prym(W, D) == identity_class(W)
+
+
+def _decimal_by_chunks(n):
+    """str(n) from 1,000-digit chunks, each well inside the default limit."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= 10 ** 1000:
+        n, r = divmod(n, 10 ** 1000)
+        chunks.append(str(r).zfill(1000))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+def test_huge_coefficients_over_q_print_and_round_trip():
+    """31E on the seeded octic reaches about 17,500 bits, past the 4,300
+    digits that str(int) and int(str) take by default."""
+    rng = random.Random("group-law-q:octic-17")
+    W, x0, y0 = even_octic_through(rng)
+    D = mumford_scalar(W, point_minus_i_point(W, x0, y0), 31)
+    for poly in (D.u, D.v):
+        text = jsonio.encode_poly(poly)
+        assert text == [_decimal_by_chunks(c.numerator) if c.denominator == 1
+                        else f"{_decimal_by_chunks(c.numerator)}/"
+                             f"{_decimal_by_chunks(c.denominator)}"
+                        for c in poly.vals]
+        assert jsonio.decode_poly(QQ, text) == poly
+        assert all(c in repr(poly) for c in text if c != "0")
+    assert max(len(c) for c in jsonio.encode_poly(D.v)) > 4300
+
+
+@pytest.mark.parametrize("n", [10 ** 5000 + 1, -7 * 10 ** 9000 + 3,
+                               2 ** 12000 - 1, 2 ** 12000, 10 ** 3613,
+                               3 ** 40000 * 10 ** 6000],
+                         ids=["10^5000+1", "-7*10^9000+3", "2^12000-1",
+                              "2^12000", "10^3613", "3^40000*10^6000"])
+def test_long_rationals_keep_their_zero_blocks(n):
+    """Past one block the halves join with the low half zero-padded."""
+    e = QQ(Fraction(n, 10 ** 4400 + 9))
+    text = jsonio.encode_element(e)
+    assert text == f"{_decimal_by_chunks(n)}/{_decimal_by_chunks(10 ** 4400 + 9)}"
+    assert jsonio.decode_element(QQ, text) == e
+    assert jsonio.decode_element(QQ, _decimal_by_chunks(n)) == QQ(n)
 
 
 def test_mixed_point_classes_and_oracle():

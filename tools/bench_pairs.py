@@ -48,7 +48,12 @@ def _unpack(rev: str, dest: Path):
     with subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
                           stdout=subprocess.PIPE) as proc:
         with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
-            tar.extractall(dest)
+            # the "data" filter refuses links and paths out of dest; Python
+            # 3.12-3.13 warn when no filter is given, 3.14 makes it the default
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(dest, filter="data")
+            else:
+                tar.extractall(dest)
     if proc.returncode != 0:
         raise RuntimeError(f"git archive {rev} failed")
 
