@@ -301,6 +301,27 @@ def _rem(F, a, b):
     return _trim([x % p for x in r[:n]], 0)
 
 
+def _taylor_shift(F, a, c):
+    """The payloads of a(x + c), by the classical Taylor shift: n - 1
+    Horner passes, each adding c times a coefficient into the one below it,
+    n(n - 1)/2 multiply-adds for n coefficients (von zur Gathen and Gerhard,
+    ISSAC 1997).  The leading coefficient stays, so a trimmed input gives a
+    trimmed output."""
+    b = list(a)
+    n = len(b)
+    if isinstance(F, PrimeField):
+        p = F.p
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                b[j] = (b[j] + c * b[j + 1]) % p
+        return b
+    add, mul = F._add, F._mul
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            b[j] = add(b[j], mul(c, b[j + 1]))
+    return b
+
+
 def _field_of(f, g):
     if f.field is not g.field and f.field != g.field:
         raise FieldError("polynomials over different fields")

@@ -16,11 +16,13 @@ oracle for the group law - and the canonical presentation of classes in the
 anti-invariant part of the Jacobian of the covering involution
 i(x, y) = (-x, -y).
 
-Local expansions take one path.  Vanishing to order k along (u, v) is the
-congruence a + b V = 0 mod u^k with V the Hensel lift of v (`hensel_v`,
-rows from `coeff_vec`).  At inf+- y = +-x^(g+1) S(1/x), where S comes from
-the one series square root `_series_sqrt` (a coefficient recurrence), and
-`y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S.
+Local expansions take one series square root, `_series_sqrt` (a
+coefficient recurrence).  At inf+- y = +-x^(g+1) S(1/x), and
+`y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S; at an
+affine point `parshin` takes y = y0 S(x - x0) the same way.  Vanishing to
+order k along a bundle (u, v) of a Riemann-Roch space, whose u need not be
+linear, is the congruence a + b V = 0 mod u^k with V the Hensel lift of v
+(`hensel_v`, rows from `coeff_vec`).
 
 The Riemann-Roch engine runs on payloads, like the kernel of
 `algebra.poly`: the series S (`sqrt_series` caches it), the condition rows
@@ -301,10 +303,16 @@ def i_star(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     if not curve.is_even_model():
         raise FieldError("the covering involution needs an even F")
     field = curve.field
-    u = D.u.compose(Polynomial(field, [field.zero, -field.one])).monic()
-    v = (-D.v.compose(Polynomial(field, [field.zero, -field.one]))) % u \
+    u = _compose_neg(D.u).monic()
+    v = (-_compose_neg(D.v)) % u \
         if not u.is_constant() else Polynomial.zero(field)
     return MumfordClass(u, v, D.n_minus, D.n_plus)
+
+
+def _compose_neg(p: Polynomial) -> Polynomial:
+    """p(-x): the odd coefficients change sign."""
+    neg = p.field._neg
+    return _poly(p.field, [neg(c) if i % 2 else c for i, c in enumerate(p.vals)])
 
 
 def iota_star(curve: SplitCurve, D: MumfordClass) -> MumfordClass:

@@ -10,13 +10,15 @@ Three constructions:
     descent function f with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, and push
     alpha = lam (f + i*f) down to X.
 
-The interpolation conditions are Riemann-Roch congruences: ord_P(a + b y)
->= k at P = (x0, y0) is a + b V = 0 mod (x - x0)^k for the Hensel lift V
-of y0, the rows `hyper.coeff_vec` builds for `rr_space`.  Pole orders of
-alpha on X are read from y as a series in x - x0 through the same
-`hyper._series_sqrt`.  Rows, kernel vectors and series are lists of field
-payloads, as in `hyper`; the covers and their witnesses hold Elements and
-Polynomials.
+The interpolation conditions are read from one local expansion at each
+point, in t = x - x0: ord_P(a + b y) >= k at P = (x0, y0) says that the
+coefficients of t^0, ..., t^(k-1) in a(x0 + t) + b(x0 + t) y vanish, with
+y = y0 S(t) for the series root S (`hyper._series_sqrt`) of F(x0 + t)/y0^2
+and the shifts by `poly._taylor_shift`.  The rows at i(P) are those at P
+with the columns of odd a_i and even b_i negated.  Pole orders of alpha on
+X are read from the same expansion.  Rows, kernel vectors and series are
+lists of field payloads, as in `hyper`; the covers and their witnesses hold
+Elements and Polynomials.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .algebra import (Element, FieldError, FunctionField, Polynomial,
                       QQ, RationalFunction, inverse_mod, is_square, poly_gcd,
                       sqrt)
 from .algebra.linalg import kernel_basis
-from .algebra.poly import _add, _mul, _poly, _trim
-from .hyper import (MumfordClass, SplitCurve, _series_sqrt, canonicalize_prym,
-                    coeff_vec, mumford_scalar, point_minus_i_point)
+from .algebra.poly import _add, _mul, _poly, _taylor_shift, _trim
+from .hyper import (MumfordClass, SplitCurve, _compose_neg, _series_sqrt,
+                    canonicalize_prym, coeff_vec, mumford_scalar,
+                    point_minus_i_point)
 from .quadratic import canonical_square_const
 
 
@@ -264,16 +267,49 @@ def find_Ptilde(curve: SplitCurve, threeE: MumfordClass):
     return points[0], points[1]
 
 
+def _local_root(field, rhs, x0, y0, prec):
+    """The payloads of S(t) to order prec with y = y0 S(t) at (x0, y0) on
+    y^2 = rhs(x): the series root of rhs(x0 + t)/y0^2, with t = x - x0."""
+    mul = field._mul
+    inv = field._inv(mul(y0, y0))
+    return _series_sqrt(field, [mul(c, inv) for c in
+                                _taylor_shift(field, rhs.vals, x0)[:prec]], prec)
+
+
 def _point_conditions(curve, pt: CurvePoint, order, na, nb, cols):
-    """Rows forcing ord_pt(a + b y) >= order for deg a <= na, deg b <= nb:
-    the Riemann-Roch congruence a + b V = 0 mod (x - x0)^order, with V the
-    Hensel lift of y0."""
+    """Rows forcing ord_pt(a + b y) >= order for deg a <= na, deg b <= nb,
+    read in t = x - x0: row d is the coefficient of t^d in
+    a(x0 + t) + b(x0 + t) y.  The column of a_i is (x0 + t)^i and that of
+    b_i is (x0 + t)^i y, both mod t^order, each x0 + t times the one
+    before it.  They span the rows of the congruence a + b V = 0 mod
+    (x - x0)^order for the Hensel lift V of y0 (a change of basis from x^d
+    to t^d), so `kernel_basis`, read off the reduced echelon form, gives
+    the same vectors."""
     if pt.y.is_zero():
         raise FieldError("series expansion needs a non-Weierstrass point")
     field = curve.field
-    u = Polynomial(field, [-pt.x, field.one])
-    V = curve.hensel_v(u, Polynomial.constant(field, pt.y), order)
-    return coeff_vec(Polynomial.one(field), V, u ** order, na, nb, cols)
+    add, mul, zero = field._add, field._mul, field._zero_val()
+    x0, y0 = pt.x.val, pt.y.val
+    one_col = [field._one_val()] + [zero] * (order - 1)
+    y_col = [mul(y0, s) for s in _local_root(field, curve.F, x0, y0, order)]
+    rows = [[zero] * cols for _ in range(order)]
+    for col, first, count in ((one_col, 0, na + 1), (y_col, na + 1, nb + 1)):
+        for i in range(first, first + count):
+            if i > first:
+                col = [mul(x0, col[0])] + [add(mul(x0, col[d]), col[d - 1])
+                                           for d in range(1, order)]
+            for d in range(order):
+                rows[d][i] = col[d]
+    return rows
+
+
+def _conjugate_rows(field, rows, na):
+    """The rows at i(pt) from the rows at pt: a(x) + b(x) y vanishes at
+    i(pt) to an order iff a(-x) - b(-x) y vanishes at pt to it, so the
+    columns of a_i change sign for odd i and those of b_i for even i."""
+    neg = field._neg
+    flip = [(i if i <= na else i - na) % 2 for i in range(len(rows[0]))]
+    return [[neg(e) if f else e for e, f in zip(row, flip)] for row in rows]
 
 
 def _infinity_order(curve: SplitCurve, p: Polynomial, q: Polynomial, sign: int):
@@ -284,17 +320,6 @@ def _infinity_order(curve: SplitCurve, p: Polynomial, q: Polynomial, sign: int):
         if not exp[j].is_zero():
             return -j
     raise ArithmeticError("function vanished to unexpected order at infinity")
-
-
-def _solve_span(curve, conditions_builder, m):
-    """Kernel vectors for the span {x^i, x^j y : i <= m, j <= m - g - 1}."""
-    na = m
-    nb = m - (curve.g + 1)
-    if nb < 0:
-        nb = -1
-    cols = (na + 1) + (nb + 1)
-    rows = conditions_builder(na, nb, cols)
-    return kernel_basis(curve.field, rows, cols), na, nb
 
 
 def _pick_kernel_vector(curve, kern, na, nb):
@@ -335,25 +360,30 @@ def interpolate_f(curve: SplitCurve, Qt: CurvePoint, Pt: CurvePoint,
     base_m = (4 + curve.g + 1) // 2
     last_error = "no admissible degree"
     for m in range(base_m, base_m + max_extra + 1):
-        def h_conditions(na, nb, cols):
-            return (_point_conditions(curve, Pt, 1, na, nb, cols)
-                    + _point_conditions(curve, Qt, 3, na, nb, cols))
-
-        kern, na, nb = _solve_span(curve, h_conditions, m)
-        picked = _pick_kernel_vector(curve, kern, na, nb)
+        # the span {x^i, x^j y : i <= m, j <= m - g - 1}
+        na, nb = m, max(m - (curve.g + 1), -1)
+        cols = na + nb + 2
+        h_rows = (_point_conditions(curve, Pt, 1, na, nb, cols)
+                  + _point_conditions(curve, Qt, 3, na, nb, cols))
+        picked = _pick_kernel_vector(
+            curve, kernel_basis(field, h_rows, cols), na, nb)
         if picked is None:
             last_error = "rank-deficient H system"
             continue
         hp, hq = picked
         try:
-            return _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, m)
+            return _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq,
+                                           h_rows, na, nb, cols)
         except ArithmeticError as exc:
             last_error = str(exc)
             continue
     raise ArithmeticError(f"interpolation failed up to the degree cap: {last_error}")
 
 
-def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, m):
+def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, h_rows, na, nb,
+                            cols):
+    """G from H: it vanishes on i(Pt) + 3 i(Qt), whose rows are the
+    conjugates of H's rows at Pt + 3 Qt, and on H's residual zeros R."""
     field = curve.field
     norm_h = hp * hp - hq * hq * curve.F
     known = (Polynomial(field, [-Pt.x, field.one])
@@ -369,15 +399,10 @@ def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, m):
     else:
         V_R = Polynomial.zero(field)
 
-    def g_conditions(na, nb, cols):
-        rows = (_point_conditions(curve, iP, 1, na, nb, cols)
-                + _point_conditions(curve, iQ, 3, na, nb, cols))
-        if U_R.degree > 0:
-            rows += coeff_vec(Polynomial.one(field), V_R, U_R, na, nb, cols)
-        return rows
-
-    kern, na, nb = _solve_span(curve, g_conditions, m)
-    picked = _pick_kernel_vector(curve, kern, na, nb)
+    rows = _conjugate_rows(field, h_rows, na)
+    if U_R.degree > 0:
+        rows += coeff_vec(Polynomial.one(field), V_R, U_R, na, nb, cols)
+    picked = _pick_kernel_vector(curve, kernel_basis(field, rows, cols), na, nb)
     if picked is None:
         raise ArithmeticError("rank-deficient G system")
     gp, gq = picked
@@ -401,11 +426,6 @@ def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, m):
     gp, gq = gp * nu_inv, gq * nu_inv
     lam = lam_c
     return InterpolatedFunction(gp=gp, gq=gq, hp=hp, hq=hq, lam=lam)
-
-
-def _compose_neg(p: Polynomial) -> Polynomial:
-    field = p.field
-    return p.compose(Polynomial(field, [field.zero, -field.one]))
 
 
 def _mul_pairs(curve, a1, b1, a2, b2):
@@ -499,9 +519,7 @@ def parshin_cover(curve: SplitCurve, qt_x, qt_y) -> ParshinCover:
 
 def _x_model(curve: SplitCurve) -> Polynomial:
     """X: y^2 = x * G(x) for W: y^2 = F(x) = G(x^2)."""
-    field = curve.field
-    G = _even_part(curve.F)
-    return Polynomial.x(field) * G.compose(Polynomial.x(field))
+    return Polynomial.x(curve.field) * _even_part(curve.F)
 
 
 def _alpha_on_x(curve: SplitCurve, f: InterpolatedFunction):
@@ -618,11 +636,10 @@ def _orders_on_x(field, X_rhs, A, B, C, x0):
     y0 = sqrt(rhs_val)
     out = []
     prec = C.degree + 4
-    shift = Polynomial(field, [x0, field.one])
-    mul, zero, inv = field._mul, field._zero_val(), (y0 * y0).inverse().val
-    S = _series_sqrt(field, [mul(c, inv) for c in
-                             X_rhs.compose(shift).vals[:prec + 1]], prec)
-    a, b, c = (_trim(P.compose(shift).vals[:prec], zero) for P in (A, B, C))
+    mul, zero = field._mul, field._zero_val()
+    S = _local_root(field, X_rhs, x0.val, y0.val, prec)
+    a, b, c = (_trim(_taylor_shift(field, P.vals, x0.val)[:prec], zero)
+               for P in (A, B, C))
     for sgn in (y0, -y0):
         yser = _trim([mul(sgn.val, s) for s in S], zero)
         ordv = _first_nonzero(field, _poly_series_sum(field, a, b, yser, prec))

@@ -11,7 +11,7 @@ from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
                             FieldError, is_irreducible, is_square, poly_factor,
                             poly_gcd, poly_xgcd, pow_mod, smallest_nonsquare,
                             sqrt, squarefree_decomposition, trace_to_f2)
-from cubica.algebra.poly import _divmod, _mul, _rem
+from cubica.algebra.poly import _divmod, _mul, _rem, _taylor_shift
 from cubica.quadratic import canonical_quadratic_field
 
 F5 = PrimeField(5)
@@ -903,6 +903,39 @@ def test_remainder_loop_matches_the_quotient_building_divmod(p):
         assert (f % g).vals == r == divmod(f, g)[1].vals
     with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
         Polynomial.x(F) % Polynomial.zero(F)
+
+
+TAYLOR_FIELDS = {
+    "F101": PrimeField(101),
+    "F(10^9+7)": PrimeField(10 ** 9 + 7),
+    "F13^2": canonical_quadratic_field(PrimeField(13)),
+    "Q": QQ,
+}
+
+
+@pytest.mark.parametrize("name", list(TAYLOR_FIELDS))
+def test_taylor_shift_matches_compose(name):
+    """_taylor_shift(F, a, c) is the payload list of a(x + c) as compose
+    gives it: the empty payload, constants, c = 0 and seeded draws of
+    every degree up to 12, each against two draws of c and c = 0."""
+    F, rng = TAYLOR_FIELDS[name], random.Random(f"taylor:{name}")
+
+    def draw():
+        c = kernel_element(F, rng)
+        return c if not c.is_zero() else F.one
+
+    payloads = [[], [F.one.val], [draw().val]]
+    for degree in range(13):
+        for _ in range(3):
+            coeffs = [kernel_element(F, rng) for _ in range(degree)] + [draw()]
+            payloads.append([c.val for c in coeffs])
+    for a in payloads:
+        f = Polynomial(F, [Element(F, v) for v in a])
+        for c in (F.zero, draw(), draw()):
+            shifted = _taylor_shift(F, a, c.val)
+            assert shifted == f.compose(Polynomial(F, [c, F.one])).vals
+            if c.is_zero():
+                assert shifted == a
 
 
 @pytest.mark.parametrize("field", [F5, QQ])

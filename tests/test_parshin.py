@@ -10,10 +10,10 @@ from cubica.algebra import (Element, FieldError, FunctionField, Polynomial,
                             PrimeField, QQ, RationalFunction, is_square, sqrt)
 from cubica.algebra.linalg import _rref
 from cubica.hyper import (SplitCurve, _series_sqrt, canonicalize_prym,
-                          classes_equal, divisor_difference, is_principal,
-                          mumford_scalar, point_minus_i_point)
-from cubica.parshin import (CurvePoint, _point_conditions, find_Ptilde,
-                            genus1_parshin, genus1_sample_check,
+                          classes_equal, coeff_vec, divisor_difference,
+                          is_principal, mumford_scalar, point_minus_i_point)
+from cubica.parshin import (CurvePoint, _conjugate_rows, _point_conditions,
+                            find_Ptilde, genus1_parshin, genus1_sample_check,
                             interpolate_f, parshin_cover, phi_fibre_size,
                             verify_weierstrass_identity_generic,
                             weierstrass_parshin, weierstrass_ramification_on_x)
@@ -241,6 +241,16 @@ def reduced_rows(field, rows, cols):
     return work[:len(_rref(field, work, cols))]
 
 
+def hensel_point_conditions(curve, pt, order, na, nb, cols):
+    """Reference: the Riemann-Roch congruence a + b V = 0 mod (x - x0)^order
+    for the Hensel lift V of y0, as `coeff_vec` builds its rows for
+    `rr_space`, read in the monomials of x."""
+    field = curve.field
+    u = Polynomial(field, [-pt.x, field.one])
+    V = curve.hensel_v(u, Polynomial.constant(field, pt.y), order)
+    return coeff_vec(Polynomial.one(field), V, u ** order, na, nb, cols)
+
+
 def seeded_curve_points(p, seed, count):
     """A seeded squarefree even octic over F_p and `count` of its affine
     points off the Weierstrass locus."""
@@ -273,22 +283,41 @@ def _conditions_cases():
     yield paper_curve(QQ), CurvePoint(QQ(1), QQ(2))
 
 
-@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
 def test_point_conditions_span_the_series_rows(order):
-    """The Riemann-Roch congruence a + b V = 0 mod (x - x0)^order gives the
-    same row space as the series expansion of y, so the same RREF and the
-    same kernel for interpolate_f."""
+    """The rows read in t = x - x0 span the same space as the series
+    expansion of y in the monomials (x0 + t)^i and as the Hensel congruence
+    a + b V = 0 mod (x - x0)^order, so they have the same RREF and give
+    interpolate_f the same kernel."""
     for curve, pt in _conditions_cases():
         for m in (4, 6):
             na, nb = m, m - (curve.g + 1)
             cols = na + nb + 2
             new = _point_conditions(curve, pt, order, na, nb, cols)
-            ref = series_point_conditions(curve, pt, order, na, nb, cols)
             assert len(new) == order
             got = reduced_rows(curve.field, new, cols)
             assert len(got) == order
-            assert got == reduced_rows(curve.field, ref, cols), \
-                (curve.F, pt, order, m)
+            for reference in (series_point_conditions, hensel_point_conditions):
+                ref = reference(curve, pt, order, na, nb, cols)
+                assert got == reduced_rows(curve.field, ref, cols), \
+                    (reference.__name__, curve.F, pt, order, m)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_conjugate_rows_are_the_rows_at_the_image_point(order):
+    """The rows at pt with the a_i columns negated for odd i and the b_i
+    columns for even i have the RREF of the rows built at i(pt) =
+    (-x0, -y0)."""
+    for curve, pt in _conditions_cases():
+        ipt = CurvePoint(-pt.x, -pt.y)
+        for m in (3, 4, 6):
+            na, nb = m, m - (curve.g + 1)
+            cols = na + nb + 2
+            rows = _point_conditions(curve, pt, order, na, nb, cols)
+            flipped = _conjugate_rows(curve.field, rows, na)
+            direct = _point_conditions(curve, ipt, order, na, nb, cols)
+            assert reduced_rows(curve.field, flipped, cols) == \
+                reduced_rows(curve.field, direct, cols), (curve.F, pt, order, m)
 
 
 def test_interpolate_f_refuses_a_weierstrass_point():
