@@ -19,7 +19,10 @@ i(x, y) = (-x, -y).
 Local expansions take one series square root, `_series_sqrt` (a
 coefficient recurrence).  At inf+- y = +-x^(g+1) S(1/x), and
 `y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S; at an
-affine point `parshin` takes y = y0 S(x - x0) the same way.  Vanishing to
+affine point y = y0 S(x - x0), with S the root of F(x0 + t)/y0^2
+(`_local_root`).  `parshin` reads its interpolation rows off that branch,
+and `point_minus_i_point` truncates it to the Mumford pair of n[P - i(P)]
+in one step, with no Cantor composition.  Vanishing to
 order k along a bundle (u, v) of a Riemann-Roch space, whose u need not be
 linear, is the congruence a + b V = 0 mod u^k with V the Hensel lift of v
 (`hensel_v`, rows from `coeff_vec`).
@@ -37,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
-                      RationalFunction, inverse_mod, poly_gcd, poly_xgcd, sqrt)
+                      inverse_mod, poly_gcd, poly_xgcd, sqrt)
 from .algebra.linalg import kernel_basis
-from .algebra.poly import _poly, _rem, _trim
+from .algebra.poly import _poly, _rem, _taylor_shift, _trim
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,15 @@ def _series_sqrt(F, a, prec):
             acc = sub(acc, mul(out[k], out[n - k]))
         out.append(mul(acc, half))
     return out
+
+
+def _local_root(field, rhs, x0, y0, prec):
+    """The payloads of S(t) to order prec with y = y0 S(t) at (x0, y0) on
+    y^2 = rhs(x): the series root of rhs(x0 + t)/y0^2, with t = x - x0."""
+    mul = field._mul
+    inv = field._inv(mul(y0, y0))
+    return _series_sqrt(field, [mul(c, inv) for c in
+                                _taylor_shift(field, rhs.vals, x0)[:prec]], prec)
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +221,41 @@ def point_class(curve: SplitCurve, x0, y0, mult: int = 1) -> MumfordClass:
     return mumford_scalar(curve, base, mult)
 
 
-def point_minus_i_point(curve: SplitCurve, x0, y0) -> MumfordClass:
-    """The anti-invariant class [P - i(P)] for P = (x0, y0): supported on
-    P + iota(i(P)) = (x0, y0) + (-x0, y0), so u = x^2 - x0^2 and v = y0
-    (constant interpolation, valid on an even model)."""
+def point_minus_i_point(curve: SplitCurve, x0, y0, n: int = 1) -> MumfordClass:
+    """n [P - i(P)] for P = (x0, y0) and n >= 1, as the semi-reduced class
+    n P + n iota(i(P)) - n inf+ - n inf- (iota(i(P)) = (-x0, y0)) on an even
+    model F(x) = G(x^2): u = (x^2 - x0^2)^n and v = w(x^2), with w the
+    branch y0 S(X - X0) of sqrt(G) at X0 = x0^2 mod (X - X0)^n (`_local_root`).
+    v agrees with the branch s through P mod (x - x0)^n, and as F is even the
+    branch through (-x0, y0) is s(-x), which v(-x) = v(x) matches mod
+    (x + x0)^n.  For n = 1, v = y0 needs no series.
+
+    If y0 = 0, P and i(P) are Weierstrass points, so the class
+    E = P + i(P) - inf+ - inf- has 2E = div(x^2 - x0^2) ~ 0 and
+    nE ~ (n mod 2) E: odd n gives E, even n the identity."""
     field = curve.field
     x0, y0 = field(x0), field(y0)
+    if n < 1:
+        raise FieldError("the multiple must be positive")
     if not curve.on_curve(x0, y0):
         raise FieldError("point is not on the curve")
     if x0.is_zero():
         raise FieldError("point lies over x = 0")
     u = Polynomial(field, [-x0 * x0, field.zero, field.one])
     v = Polynomial.constant(field, y0)
+    if n > 1 and not y0.is_zero():
+        X0, zero = (x0 * x0).val, field._zero_val()
+        S = _local_root(field, _poly(field, curve.F.vals[::2]), X0, y0.val, n)
+        w = _taylor_shift(field, [field._mul(y0.val, s) for s in S],
+                          field._neg(X0))
+        vals = [zero] * (2 * n - 1)
+        vals[::2] = w
+        u, v = u ** n, _poly(field, _trim(vals, zero))
     if (v * v - curve.F) % u != Polynomial.zero(field):
         raise FieldError("not an even model or point data inconsistent")
-    return MumfordClass(u, v, -1, -1)
+    if y0.is_zero() and n % 2 == 0:
+        return identity_class(curve)
+    return MumfordClass(u, v, -(u.degree // 2), -(u.degree // 2))
 
 
 # -- composition and reduction --------------------------------------------------
@@ -552,6 +584,24 @@ def classes_equal(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> bool
 # ---------------------------------------------------------------------------
 
 
+def _norm_quotient(curve: SplitCurve, a, b, den, bundles) -> Polynomial:
+    """The monic x-projection of div(h) + D + inf+ + inf- for
+    h = (a + b y)/den and D with the bundles (u, v, m): the norm
+    a^2 - b^2 F times the u^m with m > 0, divided exactly by den^2 times the
+    u^-m with m < 0.  The division leaves a remainder iff the reduced
+    quotient has a nonconstant denominator."""
+    num, quo_den = a * a - b * b * curve.F, den * den
+    for u, v, m in bundles:
+        if m > 0:
+            num = num * u ** m
+        else:
+            quo_den = quo_den * u ** -m
+    u_s, rem = divmod(num, quo_den)
+    if not rem.is_zero():
+        raise ArithmeticError("unexpected denominator in the norm quotient")
+    return u_s.monic()
+
+
 def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     """The representative (x^2 - A, const, -1, -1) of an anti-invariant class
     (i_* D = -D), via one interpolation in L(D + inf+ + inf-).
@@ -569,7 +619,8 @@ def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     support of D or of den, so there E' is the zero divisor of a + b y; by
     Cantor's test (Math. Comp. 48, 1987) a + b y vanishes on div(u_s, c) iff
     u_s | a + b c, and as both divisors have degree 2 that is the equality.
-    Otherwise the sign is tested with `classes_equal`."""
+    Otherwise the sign is tested with `classes_equal`.  D need not be
+    reduced: the space, and so the form, depends only on the class."""
     field = curve.field
     if not curve.is_even_model():
         raise FieldError("anti-invariant classes need an even model")
@@ -581,14 +632,7 @@ def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
             return identity_class(curve)
         raise ArithmeticError("class has no unique degree-2 presentation")
     a, b, den = space[0]
-    # push forward along x: the affine support of D + inf's + div(h)
-    norm = a * a - b * b * curve.F
-    prod = RationalFunction(norm, den * den)
-    for u, v, m in base.bundles:
-        prod = prod * RationalFunction(u) ** m
-    if not prod.den.is_constant():
-        raise ArithmeticError("unexpected denominator in the norm quotient")
-    u_s = prod.num.monic()
+    u_s = _norm_quotient(curve, a, b, den, base.bundles)
     if u_s.degree != 2 or not u_s[1].is_zero():
         raise ArithmeticError("class is not anti-invariant (or is special)")
     rem = curve.F % u_s

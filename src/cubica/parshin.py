@@ -5,15 +5,17 @@ Three constructions:
   * an explicit genus-1 family (quotients of t^2 = s(s^6 - lambda s^3 + 1)),
   * the Weierstrass-point construction for X: y^2 = (x^2 - 4c^3) g(x),
   * the non-Weierstrass pipeline on a genus-2 curve with split étale double
-    cover W: y^2 = F(x), F even of degree 8: triple a point class in the
-    anti-invariant part of Jac(W), locate the branch point, interpolate the
+    cover W: y^2 = F(x), F even of degree 8: take the class 3[Qt - i(Qt)]
+    in the anti-invariant part of Jac(W) straight from the branch of y at
+    Qt (`hyper.point_minus_i_point`, no Cantor tripling), bring it to its
+    symmetric form, locate the branch point, interpolate the
     descent function f with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, and push
     alpha = lam (f + i*f) down to X.
 
 The interpolation conditions are read from one local expansion at each
 point, in t = x - x0: ord_P(a + b y) >= k at P = (x0, y0) says that the
 coefficients of t^0, ..., t^(k-1) in a(x0 + t) + b(x0 + t) y vanish, with
-y = y0 S(t) for the series root S (`hyper._series_sqrt`) of F(x0 + t)/y0^2
+y = y0 S(t) for the series root S (`hyper._local_root`) of F(x0 + t)/y0^2
 and the shifts by `poly._taylor_shift`.  The rows at i(P) are those at P
 with the columns of odd a_i and even b_i negated.  Pole orders of alpha on
 X are read from the same expansion.  Rows, kernel vectors and series are
@@ -31,9 +33,8 @@ from .algebra import (Element, FieldError, FunctionField, Polynomial,
                       sqrt)
 from .algebra.linalg import kernel_basis
 from .algebra.poly import _add, _mul, _poly, _taylor_shift, _trim
-from .hyper import (MumfordClass, SplitCurve, _compose_neg, _series_sqrt,
-                    canonicalize_prym, coeff_vec, mumford_scalar,
-                    point_minus_i_point)
+from .hyper import (MumfordClass, SplitCurve, _compose_neg, _local_root,
+                    canonicalize_prym, coeff_vec, point_minus_i_point)
 from .quadratic import canonical_square_const
 
 
@@ -267,15 +268,6 @@ def find_Ptilde(curve: SplitCurve, threeE: MumfordClass):
     return points[0], points[1]
 
 
-def _local_root(field, rhs, x0, y0, prec):
-    """The payloads of S(t) to order prec with y = y0 S(t) at (x0, y0) on
-    y^2 = rhs(x): the series root of rhs(x0 + t)/y0^2, with t = x - x0."""
-    mul = field._mul
-    inv = field._inv(mul(y0, y0))
-    return _series_sqrt(field, [mul(c, inv) for c in
-                                _taylor_shift(field, rhs.vals, x0)[:prec]], prec)
-
-
 def _point_conditions(curve, pt: CurvePoint, order, na, nb, cols):
     """Rows forcing ord_pt(a + b y) >= order for deg a <= na, deg b <= nb,
     read in t = x - x0: row d is the coefficient of t^d in
@@ -503,9 +495,7 @@ def parshin_cover(curve: SplitCurve, qt_x, qt_y) -> ParshinCover:
     Qt = CurvePoint(field(qt_x), field(qt_y))
     if not curve.on_curve(Qt.x, Qt.y):
         raise FieldError("the base point is not on the curve")
-    E = point_minus_i_point(curve, Qt.x, Qt.y)
-    threeE_raw = mumford_scalar(curve, E, 3)
-    threeE = canonicalize_prym(curve, threeE_raw)
+    threeE = canonicalize_prym(curve, point_minus_i_point(curve, Qt.x, Qt.y, 3))
     Pt, _partner = find_Ptilde(curve, threeE)
     f = interpolate_f(curve, Qt, Pt)
     A, B, C = _alpha_on_x(curve, f)
@@ -608,8 +598,9 @@ def verify_parshin_cover(cover: ParshinCover):
         raise ArithmeticError("alpha has poles away from P and Q")
     # orders at the two points of X over each pole x-value
     X_rhs = _x_model(cover.curve_W)
-    for x0, want_main in ((xP, 1), (xQ, 3)):
-        orders = sorted(_orders_on_x(field, X_rhs, A, B, C, x0))
+    yQ = cover.Qt.x * cover.Qt.y
+    for x0, y0, want_main in ((xP, cover.branch_point.y, 1), (xQ, yQ, 3)):
+        orders = sorted(_orders_on_x(field, X_rhs, A, B, C, x0, y0))
         # one point over x0 carries the pole of the stated order, the
         # conjugate point carries no pole
         if orders[0] != -want_main or orders[1] < 0:
@@ -627,13 +618,14 @@ def verify_parshin_cover(cover: ParshinCover):
     return True
 
 
-def _orders_on_x(field, X_rhs, A, B, C, x0):
-    """Valuations of (A + B y)/C at the points of X over x = x0
+def _orders_on_x(field, X_rhs, A, B, C, x0, y0):
+    """Valuations of (A + B y)/C at the points (x0, +-y0) of X over x = x0
     (non-Weierstrass x0)."""
     rhs_val = X_rhs.evaluate(x0)
     if rhs_val.is_zero():
         raise ArithmeticError("pole at a Weierstrass point is unexpected here")
-    y0 = sqrt(rhs_val)
+    if y0 * y0 != rhs_val:
+        raise ArithmeticError("the point over the pole is not on X")
     out = []
     prec = C.degree + 4
     mul, zero = field._mul, field._zero_val()

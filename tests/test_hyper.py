@@ -3,21 +3,28 @@ properties against the principality oracle mod 11 and 13, involution
 equivariance, canonical symmetric forms."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cubica import jsonio
 from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
-                            ResidueField, poly_gcd, squarefree_decomposition)
-from cubica.hyper import (MumfordClass, SplitCurve, _series_sqrt,
-                          canonicalize_prym,
+                            RationalFunction, ResidueField, poly_gcd,
+                            squarefree_decomposition)
+from cubica.hyper import (MumfordClass, SplitCurve, WDivisor, _norm_quotient,
+                          _series_sqrt, canonicalize_prym,
                           class_from_pair, classes_equal, divisor_difference,
                           divisor_of_class, i_star, identity_class,
                           is_principal, iota_star, mumford_add, mumford_neg,
                           mumford_scalar, point_class, point_minus_i_point,
                           rr_space)
 from cubica.quadratic import canonical_quadratic_field
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import inputs  # noqa: E402
 
 
 def example_curve(field):
@@ -310,33 +317,159 @@ def test_even_multiples_have_no_symmetric_form():
         assert sym.u.degree == 2 and sym.v.is_constant()
 
 
-@pytest.mark.parametrize("p", [13, 101, 1009])
-def test_canonicalize_prym_sweep_mod_p(p):
-    """D = 3E on seeded even octics through a point over F_p: whenever a
-    symmetric form comes back, it is of the form (x^2 - A, c, -1, -1) and
-    in the class of D."""
+def even_octics_mod_p(p, label, count):
+    """Seeded squarefree split models x^8 + a x^6 + b x^4 + c x^2 + d over
+    F_p through a point (x0, y0) with x0, y0 != 0, and the point."""
     field = PrimeField(p)
-    rng = random.Random(f"canonicalize-prym:{p}")
-    returned = 0
-    for _ in range(30):
+    rng = random.Random(f"{label}:{p}")
+    out = []
+    for _ in range(count):
         a, b, c = (rng.randrange(p) for _ in range(3))
         x0, y0 = rng.randrange(1, p), rng.randrange(1, p)
         s = x0 * x0
         d = y0 * y0 - (((s + a) * s + b) * s + c) * s
         F = Polynomial(field, [d, 0, c, 0, b, 0, a, 0, 1])
-        if not poly_gcd(F, F.derivative()).is_one():
+        if poly_gcd(F, F.derivative()).is_one():
+            out.append((SplitCurve(F), field(x0), field(y0)))
+    return out
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (FieldError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_norm_quotient(curve, a, b, den, bundles):
+    """The norm quotient through reduced rational functions, as
+    `canonicalize_prym` formed it before the exact division."""
+    prod = RationalFunction(a * a - b * b * curve.F, den * den)
+    for u, v, m in bundles:
+        prod = prod * RationalFunction(u) ** m
+    if not prod.den.is_constant():
+        raise ArithmeticError("unexpected denominator in the norm quotient")
+    return prod.num.monic()
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009])
+def test_canonicalize_prym_sweep_mod_p(p):
+    """D = 3E on seeded even octics through a point over F_p, by Cantor's
+    tripling and in one step: whenever a symmetric form comes back, it is
+    of the form (x^2 - A, c, -1, -1) and in the class of D.  The exact
+    division of the norm quotient gives the u_s of the reduced rational
+    function, and raises where it does, also with the multiplicities of D
+    negated, which leaves a denominator."""
+    returned = raised = 0
+    for W, x0, y0 in even_octics_mod_p(p, "canonicalize-prym", 30):
+        for D in (mumford_scalar(W, point_minus_i_point(W, x0, y0), 3),
+                  point_minus_i_point(W, x0, y0, 3)):
+            base = divisor_of_class(W, D)
+            space = rr_space(W, WDivisor(base.bundles, base.n_plus + 1,
+                                         base.n_minus + 1))
+            if len(space) == 1:
+                flipped = [(u, v, -m) for u, v, m in base.bundles]
+                for bundles in (base.bundles, flipped):
+                    args = (W, *space[0], bundles)
+                    got = _outcome(_norm_quotient, *args)
+                    assert got == _outcome(_reference_norm_quotient, *args)
+                    raised += isinstance(got, tuple)
+            try:
+                sym = canonicalize_prym(W, D)
+            except ArithmeticError:
+                continue
+            assert sym.u.degree == 2 and sym.u[1].is_zero() and sym.v.is_constant()
+            assert (sym.n_plus, sym.n_minus) == (-1, -1)
+            assert classes_equal(W, D, sym)
+            returned += 1
+    assert returned >= 40 and raised >= 20
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009])
+def test_point_minus_i_point_multiples_mod_p(p):
+    """n[P - i(P)] in one step is the class of Cantor's n-th multiple for
+    n = 1..6: u = (x^2 - x0^2)^n, v even of degree below 2n, weights
+    (-n, -n); n = 1 is the constant interpolation (x^2 - x0^2, y0)."""
+    checked = 0
+    for W, x0, y0 in even_octics_mod_p(p, "point-multiples", 6):
+        field, x = W.field, Polynomial.x(W.field)
+        E = point_minus_i_point(W, x0, y0)
+        assert E == MumfordClass(x ** 2 - x0 * x0, Polynomial.constant(field, y0),
+                                 -1, -1)
+        for n in range(1, 7):
+            D = point_minus_i_point(W, x0, y0, n)
+            assert D.u == (x ** 2 - x0 * x0) ** n
+            assert D.v.degree < 2 * n
+            assert all(D.v[i].is_zero() for i in range(1, D.v.degree + 1, 2))
+            assert (D.n_plus, D.n_minus) == (-n, -n)
+            assert classes_equal(W, D, mumford_scalar(W, E, n)), (p, n)
+            checked += 1
+    assert checked >= 30
+
+
+def test_point_minus_i_point_multiples_over_q():
+    """The same on the golden curve over Q for n <= 4."""
+    W = example_curve(QQ)
+    E = point_minus_i_point(W, 1, 2)
+    assert (E.n_plus, E.n_minus) == (-1, -1)
+    for n in range(1, 5):
+        D = point_minus_i_point(W, 1, 2, n)
+        assert (D.v * D.v - W.F) % D.u == Polynomial.zero(QQ)
+        assert classes_equal(W, D, mumford_scalar(W, E, n)), n
+    with pytest.raises(FieldError, match="positive"):
+        point_minus_i_point(W, 1, 2, 0)
+
+
+def test_point_minus_i_point_at_a_weierstrass_point():
+    """y0 = 0: P and i(P) are Weierstrass points, 2E = div(x^2 - x0^2) ~ 0,
+    so even multiples are the identity and odd ones E itself."""
+    field = PrimeField(13)
+    x = Polynomial.x(field)
+    F = (x ** 2 - 4) * (x ** 6 + 3 * x ** 4 + 5 * x ** 2 + 7)
+    W = SplitCurve(F)
+    E = point_minus_i_point(W, 2, 0)
+    assert E == MumfordClass(x ** 2 - 4, Polynomial.zero(field), -1, -1)
+    assert not classes_equal(W, E, identity_class(W))
+    assert point_minus_i_point(W, 2, 0, 2) == identity_class(W)
+    assert point_minus_i_point(W, 2, 0, 3) == E
+    for n in (2, 3):
+        assert classes_equal(W, point_minus_i_point(W, 2, 0, n),
+                             mumford_scalar(W, E, n))
+
+
+def _census_cases():
+    for seed in range(502, 511):
+        for i in range(90):
+            p, F, (x0, y0) = inputs.genus2_fp_census_input(seed, i)
+            field = PrimeField(p)
+            yield Polynomial(field, list(F)), field(x0), field(y0)
+        for i in range(35):
+            F, (x0, y0) = inputs.genus2_q_census_input(seed, i)
+            yield Polynomial(QQ, list(F)), QQ(x0), QQ(y0)
+
+
+def test_canonicalize_prym_of_both_triplings_on_the_census():
+    """On the genus-2 census inputs of seeds 502-510, the symmetric form of
+    3E is the same from Cantor's tripling and from the one-step class, and
+    so is the type and message of every refusal."""
+    def cantor(W, x0, y0):
+        return canonicalize_prym(
+            W, mumford_scalar(W, point_minus_i_point(W, x0, y0), 3))
+
+    def direct(W, x0, y0):
+        return canonicalize_prym(W, point_minus_i_point(W, x0, y0, 3))
+
+    forms = refusals = 0
+    for F, x0, y0 in _census_cases():
+        W = _outcome(SplitCurve, F)
+        if isinstance(W, tuple):
             continue
-        W = SplitCurve(F)
-        D = mumford_scalar(W, point_minus_i_point(W, x0, y0), 3)
-        try:
-            sym = canonicalize_prym(W, D)
-        except ArithmeticError:
-            continue
-        assert sym.u.degree == 2 and sym.u[1].is_zero() and sym.v.is_constant()
-        assert (sym.n_plus, sym.n_minus) == (-1, -1)
-        assert classes_equal(W, D, sym)
-        returned += 1
-    assert returned >= 20
+        got = _outcome(direct, W, x0, y0)
+        assert got == _outcome(cantor, W, x0, y0), (F, x0, y0)
+        forms += isinstance(got, MumfordClass)
+        refusals += isinstance(got, tuple)
+    assert forms >= 1000 and refusals >= 40
 
 
 def _counting(monkeypatch, *names):
