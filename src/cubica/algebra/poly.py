@@ -901,7 +901,12 @@ def _edf(f: Polynomial, d: int, rng: random.Random, frob: _Frobenius):
     modulo a multiple of f.
 
     In odd characteristic a^((q^d - 1)/2) is (a a^q ... a^(q^(d-1)))^((q-1)/2),
-    by d - 1 applications of frob and one exponentiation by (q - 1)/2."""
+    by d - 1 applications of frob and one exponentiation by (q - 1)/2.
+
+    No gcd(f, a) is taken first: an irreducible factor phi of f that divides
+    a has b = a^((q^d - 1)/2) = 0 mod phi, so gcd(f, b - 1) leaves phi to
+    f/g, and in characteristic 2 the trace T(a) = 0 mod phi puts phi into
+    gcd(f, T(a)); the sorted factor list is the same either way."""
     field = f.field
     q = field.order
     n = f.degree
@@ -914,9 +919,6 @@ def _edf(f: Polynomial, d: int, rng: random.Random, frob: _Frobenius):
                                field._zero_val()))
         if a.degree < 1:
             continue
-        g = poly_gcd(f, a)
-        if not g.is_one() and g.degree < n:
-            break
         if field.char == 2:
             # trace map T(a) = a + a^2 + a^4 + ... over F_{2^(k*d)}
             k_bits = (q ** d).bit_length() - 1

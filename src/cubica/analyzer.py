@@ -89,12 +89,16 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
             partial = closure.ramified_places()
             meta["wild_different_exponent"] = 2
         else:
-            disc = alpha * alpha - field(4) * c3
+            # alpha = n/d in normal form, d monic: n^2 - 4c^3 d^2 is prime to
+            # d, so it is the numerator of alpha^2 - 4c^3 over the monic d^2
+            n, d = alpha.num, alpha.den
+            disc = n * n - d * d * (field(4) * c3)
             if disc.is_zero():
                 raise FieldError("degenerate model: alpha^2 = 4c^3")
             partial = [place for place, _ in
-                       _place_factorization(disc.num, seed, hints, _odd)]
-            if disc.degree_at_infinity() % 2 == 1 and disc.degree_at_infinity() > 0:
+                       _place_factorization(disc, seed, hints, _odd)]
+            disc_inf = 2 * d.degree - disc.degree
+            if disc_inf % 2 == 1 and disc_inf > 0:
                 partial.append(Place.infinity(field))
     total = sorted_places(total)
     partial = sorted_places(partial)

@@ -20,12 +20,20 @@ Three divisor shapes, by the parity of deg T and the stable points of K':
 Both closure shapes are K' = K(y) with y^2 = f, f the constant d for the
 constant closure qK, and the elements theta, f and l are carried as
 polynomial triples (U, V, N) over k[x], meaning (U + V y)/N.
+
+`make_problem` takes the square root rho of f at every place of T, and
+`construct` checks each rho as a witness (one residue product) instead of
+deciding squareness again; over Q, where squareness is not decided, the
+witness is the caller's certificate.  alpha is put into normal form when
+the model is built; theta and f are kept as triples and put into normal
+form when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
@@ -56,15 +64,28 @@ class DescentProblem:
 
 @dataclass
 class DescentResult:
+    """The model with its witnesses.  theta and f are kept as the triples
+    (U, V, N) of `_finish`; `theta` and `f_pair` are their pairs
+    (U/N, V/N) in normal form, built when first read."""
     model: CubicModel
     case: str
     c: Element
-    theta: tuple               # (P, Q) with theta = P + Q r
-    f_pair: tuple              # (A, B) with f = A + B r
+    theta_triple: tuple        # (U, V, N) with theta = (U + V y)/N
+    f_triple: tuple            # (U, V, N) with f = (U + V y)/N
     closure: QuadraticModel
     problem: DescentProblem
     unit_form: CubicModel = None   # case_2b: the classical c = 1 model
     lam: Element = None            # the constant f * sigma(f)
+
+    @cached_property
+    def theta(self) -> tuple:
+        """(P, Q) with theta = P + Q y."""
+        return _pair(self.theta_triple)
+
+    @cached_property
+    def f_pair(self) -> tuple:
+        """(A, B) with f = A + B y."""
+        return _pair(self.f_triple)
 
 
 def exists_descent(closure: QuadraticModel, places) -> bool:
@@ -90,7 +111,12 @@ def make_problem(closure: QuadraticModel, places, signs=None) -> DescentProblem:
 
 
 def construct(problem: DescentProblem) -> DescentResult:
-    """The explicit minimal model for the given problem."""
+    """The explicit minimal model for the given problem.
+
+    Each residue sign rho is checked as a witness that its place splits:
+    rho != 0 and rho^2 = f at the place.  Only when that fails is the
+    splitting decided, to tell a place that does not split from a wrong
+    rho."""
     closure = problem.closure
     places = problem.places
     if not places:
@@ -99,11 +125,28 @@ def construct(problem: DescentProblem) -> DescentResult:
         raise FieldError("places of T must be distinct")
     if closure.field.char == 2:
         raise FieldError("characteristic-2 descent is not supported")
-    if not exists_descent(closure, places):
-        raise FieldError("some place of T does not split in the closure")
+    for ch in problem.choices:
+        if not _is_root(closure.f, ch):
+            if closure.split_kind(ch.place) != SPLIT:
+                raise FieldError("some place of T does not split in the closure")
+            raise FieldError("the residue sign is not a square root of f "
+                             f"at {ch.place!r}")
     if closure.is_constant_extension():
         return _construct_constant(problem)
     return _construct_conic(problem)
+
+
+def _is_root(f, choice: UpstairsChoice) -> bool:
+    """rho != 0 and rho^2 = f at the place: the residue of f at a finite
+    place, the leading coefficient of f, of even degree, at infinity."""
+    rho, place = choice.rho, choice.place
+    if not place.infinite:
+        fbar = place.residue_field(f)
+    elif f.degree % 2 == 0:
+        fbar = f.leading()
+    else:
+        return False
+    return not rho.is_zero() and rho * rho == fbar
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +197,7 @@ def _finish(problem, case, theta, c, ell=None, unit_form=None) -> DescentResult:
         raise ArithmeticError("f * sigma(f) differs from the expected constant")
     alpha = RationalFunction(f_t[0] * (closure.field(2) * c), f_t[2])
     return DescentResult(model=CubicModel.impure(c, alpha), case=case, c=c,
-                         theta=_pair(theta), f_pair=_pair(f_t),
+                         theta_triple=theta, f_triple=f_t,
                          closure=closure, problem=problem,
                          unit_form=unit_form, lam=lam)
 

@@ -574,7 +574,12 @@ def _normalize_presentation(field, A, B, C):
 def verify_parshin_cover(cover: ParshinCover):
     """alpha has a simple pole at P and a triple pole at the image of Qt,
     no other poles, and alpha^2 - 4c^3 = x * (rational square) on X (the
-    closure is the étale cover, so there is no double ramification)."""
+    closure is the étale cover, so there is no double ramification).
+
+    The last fact follows from f * i*(f) = c, which is what is checked:
+    then alpha^2 - 4c^3 = c^2 (f + i*f)^2 - 4c^2 f i*(f) = c^2 (f - i*f)^2.
+    f - i*f is odd under i(u, v) = (-u, -v), so it is u times an element h
+    of k(X), and (f - i*f)^2 = u^2 h^2 = x h^2 on X."""
     field = cover.curve_W.field
     A, B, C = cover.A, cover.B, cover.C
     lam = cover.c
@@ -605,16 +610,10 @@ def verify_parshin_cover(cover: ParshinCover):
         # conjugate point carries no pole
         if orders[0] != -want_main or orders[1] < 0:
             raise ArithmeticError(f"pole orders at x = {x0!r} are {orders}")
-    # closure check: alpha^2 - 4 lam^3 = x * square, i.e. w = lam (f - i*f)
-    # with w / u in k(X): structural parity of f - i*f
+    # closure check: alpha^2 - 4c^3 = x * square follows from f * i*(f) = c
     fobj = cover.f
-    m1 = _mul_pairs(cover.curve_W, fobj.gp, fobj.gq,
-                    _compose_neg(fobj.hp), -_compose_neg(fobj.hq))
-    m2 = _mul_pairs(cover.curve_W, _compose_neg(fobj.gp), -_compose_neg(fobj.gq),
-                    fobj.hp, fobj.hq)
-    diff = (m1[0] - m2[0], m1[1] - m2[1])
-    _assert_parity(diff[0], 1)   # odd polynomial part
-    _assert_parity(diff[1], 0)   # even y-part: (f - i*f) = u * (X-rational)
+    if _constant_ratio(cover.curve_W, fobj.gp, fobj.gq, fobj.hp, fobj.hq) != lam:
+        raise ArithmeticError("f * i*(f) differs from c")
     return True
 
 

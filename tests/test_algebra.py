@@ -150,6 +150,24 @@ def test_factor_char2_fields():
     assert len(fac4) == 2 and all(p.degree == 1 for p, _ in fac4)
 
 
+@pytest.mark.parametrize("q_field", [F5, F7, PrimeField(13),
+                                     canonical_quadratic_field(F5),
+                                     canonical_quadratic_field(PrimeField(2)),
+                                     ResidueField(Polynomial(PrimeField(2),
+                                                             [1, 1, 0, 1]))],
+                         ids=["F5", "F7", "F13", "F25", "F4", "F8"])
+def test_factor_x_to_the_q_minus_x(q_field):
+    """x^q - x is the product of the q monic linear factors x - a.  A
+    random a of the equal-degree split has a root in F_q, hence a common
+    factor with x^q - x, more often than not: the splitting must put such
+    factors on the right side without a gcd(f, a) of its own."""
+    x = Polynomial.x(q_field)
+    q = q_field.order
+    linear = sorted((x - a for a in q_field.elements()), key=Polynomial.sort_key)
+    assert poly_factor(x ** q - x) == [(g, 1) for g in linear]
+    assert poly_factor(x ** q - x, seed=7) == [(g, 1) for g in linear]
+
+
 @pytest.mark.parametrize("q_field", [F5, F7, PrimeField(11),
                                      canonical_quadratic_field(F5),
                                      canonical_quadratic_field(PrimeField(2))])

@@ -9,9 +9,9 @@ from cubica.algebra import (FieldError, Polynomial, PrimeField, RationalFunction
                             is_irreducible, poly_factor)
 from cubica.analyzer import analyze, verify_against
 from cubica.descent import construct, make_problem
-from cubica.function_field import Place, valuation
+from cubica.function_field import Place, genus_of_cubic, valuation
 from cubica.models import CubicModel
-from cubica.acceptance import closure_menu, random_split_places
+from cubica.acceptance import closure_menu, random_places, random_split_places
 
 F5 = PrimeField(5)
 
@@ -151,3 +151,70 @@ def test_analyze_reads_the_multiplicities_of_a_full_factorization(p):
         assert _finite(rep.total) == (_read_off(beta.num, lambda m: m % 3 != 0)
                                       | _read_off(beta.den, lambda m: m % 3 != 0))
     assert cubed_pole and square_zero
+
+
+def reference_impure_report(model):
+    """total, partial and genus of an impure model in odd characteristic,
+    with alpha^2 - 4c^3 formed and normalized as a RationalFunction, and
+    every place read off a full factorization."""
+    field = model.base
+    inf = Place.infinity(field)
+    alpha = model.alpha
+    total = _read_off(alpha.den, lambda m: m % 3 != 0)
+    v = alpha.degree_at_infinity()
+    if v < 0 and v % 3 != 0:
+        total.add(inf)
+    disc = alpha * alpha - field(4) * model.c ** 3
+    partial = _read_off(disc.num, lambda m: m % 2 == 1)
+    v = disc.degree_at_infinity()
+    if v > 0 and v % 2 == 1:
+        partial.add(inf)
+    return total, partial, genus_of_cubic(list(total), list(partial), field.char)
+
+
+def _report(model):
+    rep = analyze(model)
+    return set(rep.total), set(rep.partial), rep.genus
+
+
+def _outcome(report, model):
+    """report(model), or the type and message of what it raises (a random
+    alpha can give ramification data of negative genus)."""
+    try:
+        return report(model)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 257])
+def test_analyze_matches_the_rational_function_discriminant(p):
+    """Seeded descents over every closure of the menu (their c = 1
+    companions too) and seeded impure models with a random c: analyze,
+    which reads alpha^2 - 4c^3 off the numerator n^2 - 4c^3 d^2 of
+    alpha = n/d, gives the reference's total, partial and genus."""
+    field = PrimeField(p)
+    rng = random.Random(f"discriminant:{p}")
+    degrees = (1, 2) if p < 100 else (1, 2, 3)
+    inf = Place.infinity(field)
+    models = []
+    for closure in closure_menu(field):
+        for count in (1, 2, 3):
+            T = random_places(closure, field, rng, count, degrees)
+            if closure.split_kind(inf) == "split" and rng.random() < 0.5:
+                T.append(inf)
+            res = construct(make_problem(closure, T,
+                                         [rng.choice((1, -1)) for _ in T]))
+            models.append(res.model)
+            if res.unit_form is not None:
+                models.append(res.unit_form)
+    for _ in range(12):
+        num = Polynomial(field, [rng.randrange(p) for _ in range(rng.randrange(1, 7))])
+        den = Polynomial(field, [rng.randrange(p) for _ in range(rng.randrange(4))] + [1])
+        if num.is_zero():
+            continue
+        models.append(CubicModel.impure(field(rng.randrange(1, p)),
+                                        RationalFunction(num, den)))
+    assert len(models) >= 30
+    for model in models:
+        assert (_outcome(_report, model)
+                == _outcome(reference_impure_report, model)), model

@@ -9,12 +9,12 @@ from itertools import product
 import pytest
 
 from cubica.acceptance import random_places
-from cubica.algebra import (Polynomial, PrimeField, RationalFunction,
-                            is_irreducible)
+from cubica.algebra import (QQ, FieldError, Polynomial, PrimeField,
+                            RationalFunction, is_irreducible, smallest_nonsquare)
 from cubica.analyzer import analyze, pole_orders_of_alpha
-from cubica.descent import (construct, enumerate_descents, exists_descent,
-                            make_problem, norm_one_cube_reps, serre_count,
-                            twists_descent)
+from cubica.descent import (DescentProblem, UpstairsChoice, _pair, construct,
+                            enumerate_descents, exists_descent, make_problem,
+                            norm_one_cube_reps, serre_count, twists_descent)
 from cubica.function_field import Place
 from cubica.models import CubicModel
 from cubica.pure_cubic import count_pure
@@ -118,6 +118,92 @@ def test_theta_and_f_data_consistency():
     norm = A * A - B * B * rf(x)
     assert norm.is_constant() and norm.constant_value() == res.c
     assert res.model.alpha == res.c * (A + A)
+
+
+def test_theta_and_f_are_put_into_normal_form_when_first_read():
+    """theta and f_pair are the pairs of the kept triples, built once."""
+    x = x_of(F5)
+    for closure, T in ((QuadraticModel.kummer(x), [Place.finite(x - 1)]),
+                       (QuadraticModel.constant(F5, F5(2)),
+                        [Place.finite(x ** 2 + 2)])):
+        res = construct(make_problem(closure, T))
+        theta, f_pair = res.theta, res.f_pair
+        assert theta == _pair(res.theta_triple)
+        assert f_pair == _pair(res.f_triple)
+        assert res.theta is theta and res.f_pair is f_pair
+
+
+# -- residue signs as witnesses ----------------------------------------------------
+
+
+def _one_choice(closure, place, rho):
+    return DescentProblem(closure, [UpstairsChoice(place, rho)])
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_construct_refuses_a_place_that_does_not_split(p):
+    """An inert place, a ramified one and infinity on an odd-degree f get
+    the does-not-split refusal, whatever rho is."""
+    field = PrimeField(p)
+    x = x_of(field)
+    closure = QuadraticModel.kummer(x)
+    inert = Place.finite(x - smallest_nonsquare(field))
+    ramified = Place.finite(x)
+    for place, kind in ((inert, "inert"), (ramified, "ramified")):
+        assert closure.split_kind(place) == kind
+        for rho in (place.residue_field(0), place.residue_field(1)):
+            with pytest.raises(FieldError, match="does not split in the closure"):
+                construct(_one_choice(closure, place, rho))
+    with pytest.raises(FieldError, match="does not split in the closure"):
+        construct(_one_choice(closure, Place.infinity(field), field.one))
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_construct_refuses_a_residue_sign_that_is_not_a_root(p):
+    """On y^2 = x with T = {x + 1}, rho + 1 for the square root rho of -1
+    is refused; built into theta it would give a model that is totally
+    ramified elsewhere (at x + 81 over F_101)."""
+    field = PrimeField(p)
+    x = x_of(field)
+    closure = QuadraticModel.kummer(x)
+    place = Place.finite(x + 1)
+    rho = closure.canonical_rho(place)
+    res = construct(_one_choice(closure, place, rho))
+    assert analyze(res.model).total_set() == {place}
+    for bad in (rho + 1, place.residue_field(0)):
+        with pytest.raises(FieldError, match="not a square root of f"):
+            construct(_one_choice(closure, place, bad))
+
+
+def test_construct_takes_a_witness_over_q():
+    """Over Q squareness is not decided, so make_problem refuses; a
+    hand-built rho = 2 at x - 4 on y^2 = x is a certificate that the place
+    splits, and construct builds the model totally ramified there."""
+    x = Polynomial.x(QQ)
+    closure = QuadraticModel.kummer(x)
+    place = Place.finite(x - 4, check=False)
+    with pytest.raises(FieldError, match="caller-certified"):
+        make_problem(closure, [place])
+    res = construct(_one_choice(closure, place, place.residue_field(2)))
+    assert analyze(res.model, hints=[x - 4, x]).total_set() == {place}
+    with pytest.raises(FieldError, match="caller-certified"):
+        construct(_one_choice(closure, place, place.residue_field(3)))
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_construct_refuses_a_wrong_rho_at_infinity(p):
+    """y^2 = x(x - 1) splits at infinity, with rho = +-1; rho = 2 and
+    rho = 0 are refused there."""
+    field = PrimeField(p)
+    x = x_of(field)
+    closure = QuadraticModel.kummer(x * (x - 1))
+    inf = Place.infinity(field)
+    assert closure.split_kind(inf) == "split"
+    res = construct(_one_choice(closure, inf, closure.canonical_rho(inf)))
+    assert analyze(res.model).total_set() == {inf}
+    for bad in (field(2), field.zero):
+        with pytest.raises(FieldError, match="not a square root of f"):
+            construct(_one_choice(closure, inf, bad))
 
 
 # -- random round trips --------------------------------------------------------------

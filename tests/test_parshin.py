@@ -1,6 +1,7 @@
 """Parshin covers: symbolic family identities, the Weierstrass construction,
 and the full worked pipeline over Q with its frozen golden values."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from cubica.hyper import (SplitCurve, _series_sqrt, canonicalize_prym,
 from cubica.parshin import (CurvePoint, _conjugate_rows, _point_conditions,
                             find_Ptilde, genus1_parshin, genus1_sample_check,
                             interpolate_f, parshin_cover, phi_fibre_size,
+                            verify_parshin_cover,
                             verify_weierstrass_identity_generic,
                             weierstrass_parshin, weierstrass_ramification_on_x)
 
@@ -168,6 +170,31 @@ def test_parshin_cover_second_curve():
     cover = parshin_cover(W, 1, 1)
     assert cover.c == QQ(3)
     assert (cover.branch_point.x, cover.branch_point.y) == (QQ(4), QQ(32))
+
+
+def test_verify_parshin_cover_refuses_a_wrong_constant():
+    """The closure check proves f * i*(f) = c: the same cover with 4c in
+    place of c is refused, over Q and over F_p."""
+    x = Polynomial.x(QQ)
+    covers = [parshin_cover(paper_curve(QQ), 1, 2),
+              parshin_cover(SplitCurve(x ** 8 + x ** 6 - 4 * x ** 4 - x ** 2 + 4),
+                            1, 1)]
+    for p in (101, 1009):
+        found, seed = 0, 0
+        while found < 3:
+            curve, points = seeded_curve_points(p, f"wrong-c:{seed}", 2)
+            seed += 1
+            for pt in points:
+                try:
+                    covers.append(parshin_cover(curve, pt.x, pt.y))
+                    found += 1
+                except (ArithmeticError, FieldError):
+                    continue
+    for cover in covers:
+        assert verify_parshin_cover(cover)
+        wrong = dataclasses.replace(cover, c=cover.c * 4)
+        with pytest.raises(ArithmeticError, match="differs from c"):
+            verify_parshin_cover(wrong)
 
 
 def test_find_ptilde_rationality_obstruction():
