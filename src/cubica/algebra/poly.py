@@ -22,8 +22,9 @@ takes them, ``coeffs``, ``leading()``, ``constant_coeff()``, ``f[i]`` and
 ``evaluate`` return them, and ``map_coeffs`` hands them to its function.
 
 Factorization over finite fields runs squarefree / distinct-degree /
-equal-degree splitting; the equal-degree stage is probabilistic but seeded,
-and the factor list is sorted canonically so output never depends on the
+equal-degree splitting.  The factors are unique and sorted canonically, so
+the random draws of the equal-degree stage (a fixed stream keyed by the
+polynomial) decide only how long a split takes, and factoring takes no
 seed.  Both splitting stages and the irreducibility test raise to the q-th
 power modulo m by one ``_Frobenius`` map, a table of the rows x^(iq) mod m
 built once from x^q mod m, so that g^q mod m is a linear combination of
@@ -953,17 +954,17 @@ def _fingerprint(f: Polynomial):
     return tuple(f.vals)
 
 
-def poly_factor(f: Polynomial, seed: int = 0):
+def poly_factor(f: Polynomial):
     """Full factorization over a finite field: sorted [(monic irreducible, mult)].
 
-    The result is deterministic: the equal-degree stage is driven by a seed
-    mixed with the coefficients, and factors are sorted canonically.
+    The result is deterministic: the factors are unique and sorted
+    canonically, whatever the equal-degree stage draws.
     """
-    return _factor_multiplicities(f, seed)
+    return _factor_multiplicities(f)
 
 
-def _factor_multiplicities(f: Polynomial, seed: int = 0, used=None):
-    """``poly_factor(f, seed)``, or its entries whose multiplicity the
+def _factor_multiplicities(f: Polynomial, used=None):
+    """``poly_factor(f)``, or its entries whose multiplicity the
     predicate `used` accepts: the squarefree pieces of the other
     multiplicities are not split."""
     if f.is_zero():
@@ -973,7 +974,8 @@ def _factor_multiplicities(f: Polynomial, seed: int = 0, used=None):
         raise FieldError("factorization over Q is unsupported; supply factored input")
     if field.order is None:
         raise FieldError("factorization requires a finite field")
-    rng = random.Random(f"{seed}:{field.order}:{_fingerprint(f)}")
+    # the former seed-0 key, so each split draws as in earlier measurements
+    rng = random.Random(f"0:{field.order}:{_fingerprint(f)}")
     out = []
     for g, mult in squarefree_decomposition(f):
         if used is not None and not used(mult):
@@ -986,7 +988,7 @@ def _factor_multiplicities(f: Polynomial, seed: int = 0, used=None):
     return out
 
 
-def is_irreducible(f: Polynomial, seed: int = 0) -> bool:
+def is_irreducible(f: Polynomial) -> bool:
     """Irreducibility test.
 
     Over a finite field: Rabin's test, x^(q^d) by iterating the Frobenius

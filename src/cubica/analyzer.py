@@ -18,7 +18,7 @@ from .models import CubicModel, RamificationReport, sorted_places
 from .quadratic import ASClass
 
 
-def _place_factorization(poly: Polynomial, seed=0, hints=None, used=None):
+def _place_factorization(poly: Polynomial, hints=None, used=None):
     """[(Place, mult)] for a polynomial, or for the multiplicities that the
     predicate `used` accepts; over Q the caller-provided hints (monic
     irreducible polynomials) must cover every factor.  Over a finite field
@@ -27,7 +27,7 @@ def _place_factorization(poly: Polynomial, seed=0, hints=None, used=None):
         return []
     if poly.field.order is not None:
         return [(Place.finite(p, check=False), m)
-                for p, m in _factor_multiplicities(poly, seed, used)]
+                for p, m in _factor_multiplicities(poly, used)]
     if hints is None:
         raise FieldError("factorization over Q needs caller-supplied place hints")
     rem = poly.monic()
@@ -55,7 +55,7 @@ def _odd(m):
     return m % 2 == 1
 
 
-def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
+def analyze(model: CubicModel, hints=None) -> RamificationReport:
     """Full ramification report of a cubic model; raises on degenerate input."""
     field = model.base
     char = field.char
@@ -63,9 +63,9 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
     if model.kind == "pure":
         beta = model.beta
         total = []
-        for place, _ in _place_factorization(beta.num, seed, hints, _prime_to_3):
+        for place, _ in _place_factorization(beta.num, hints, _prime_to_3):
             total.append(place)
-        for place, _ in _place_factorization(beta.den, seed, hints, _prime_to_3):
+        for place, _ in _place_factorization(beta.den, hints, _prime_to_3):
             if place not in total:
                 total.append(place)
         if beta.degree_at_infinity() % 3 != 0:
@@ -77,15 +77,14 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
         alpha, c = model.alpha, model.c
         c3 = c ** 3
         total = [place for place, _ in
-                 _place_factorization(alpha.den, seed, hints, _prime_to_3)]
+                 _place_factorization(alpha.den, hints, _prime_to_3)]
         v_inf = alpha.degree_at_infinity()
         if v_inf < 0 and (-v_inf) % 3 != 0:
             total.append(Place.infinity(field))
         if char == 2:
             if alpha.is_zero():
                 raise FieldError("degenerate model: alpha = 0")
-            closure = ASClass.of(RationalFunction.from_const(field, c3) / (alpha * alpha),
-                                 seed=seed)
+            closure = ASClass.of(RationalFunction.from_const(field, c3) / (alpha * alpha))
             partial = closure.ramified_places()
             meta["wild_different_exponent"] = 2
         else:
@@ -96,10 +95,12 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
             if disc.is_zero():
                 raise FieldError("degenerate model: alpha^2 = 4c^3")
             partial = [place for place, _ in
-                       _place_factorization(disc, seed, hints, _odd)]
+                       _place_factorization(disc, hints, _odd)]
             disc_inf = 2 * d.degree - disc.degree
             if disc_inf % 2 == 1 and disc_inf > 0:
                 partial.append(Place.infinity(field))
+        if alpha.is_constant():
+            raise FieldError("degenerate model: alpha is constant")
     total = sorted_places(total)
     partial = sorted_places(partial)
     genus = genus_of_cubic(total, partial, char)
@@ -107,10 +108,10 @@ def analyze(model: CubicModel, seed: int = 0, hints=None) -> RamificationReport:
 
 
 def verify_against(model: CubicModel, expected_total, expected_partial,
-                   seed: int = 0, hints=None):
+                   hints=None):
     """(ok, diff): set comparison of the computed ramification against the
     expected one, with a structured diff on mismatch."""
-    report = analyze(model, seed=seed, hints=hints)
+    report = analyze(model, hints=hints)
     got_t, got_s = report.total_set(), report.partial_set()
     want_t, want_s = set(expected_total), set(expected_partial)
     diff = {}
@@ -123,12 +124,12 @@ def verify_against(model: CubicModel, expected_total, expected_partial,
     return (not diff), diff
 
 
-def pole_orders_of_alpha(model: CubicModel, seed: int = 0, hints=None):
+def pole_orders_of_alpha(model: CubicModel, hints=None):
     """{place: -v_p(alpha)} over the poles of alpha (impure models)."""
     if model.kind != "impure":
         raise FieldError("pole orders are reported for impure models")
     out = {}
-    for place, m in _place_factorization(model.alpha.den, seed, hints):
+    for place, m in _place_factorization(model.alpha.den, hints):
         out[place] = m
     v_inf = model.alpha.degree_at_infinity()
     if v_inf < 0:

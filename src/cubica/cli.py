@@ -3,7 +3,8 @@
 Commands: pure {enumerate, count, twists, bitwists3}; descend; analyze;
 bitwists; parshin {genus1, weierstrass, cover}; selftest.  All input and
 output is JSON; results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 domain error, 2 malformed input.
+0 success, 1 domain error, 2 malformed input.  Factoring is deterministic
+and takes no seed, so equal input gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .jsonio import (SchemaError, decode_cubic_model, decode_element,
                      encode_ratfunc, encode_report, field_from_spec)
 from .pure_cubic import bitwist_reps_deg3, count_pure, enumerate_pure, twists_pure
 
-DEFAULT_SEED = 20240801
-
 
 def _emit(doc) -> int:
     print(json.dumps(doc, sort_keys=True, indent=2))
@@ -43,7 +42,7 @@ def _load_json(text, what):
 
 def cmd_pure_enumerate(args):
     field = field_from_spec(args.field)
-    places = decode_places(field, _load_json(args.places, "places"), seed=args.seed)
+    places = decode_places(field, _load_json(args.places, "places"))
     models = enumerate_pure(places)
     return _emit({
         "count": len(models),
@@ -75,10 +74,10 @@ def cmd_pure_bitwists3(args):
 # -- descend ------------------------------------------------------------------------
 
 
-def _descent_doc(res, seed):
+def _descent_doc(res):
     P, Q = res.theta
     A, B = res.f_pair
-    report = analyze(res.model, seed=seed)
+    report = analyze(res.model)
     return {
         "c": encode_element(res.c),
         "alpha": encode_ratfunc(res.model.alpha),
@@ -94,13 +93,13 @@ def _descent_doc(res, seed):
 def cmd_descend(args):
     field = field_from_spec(args.field)
     closure = decode_quadratic_model(field, _load_json(args.closure, "closure"))
-    places = decode_places(field, _load_json(args.places, "places"), seed=args.seed)
+    places = decode_places(field, _load_json(args.places, "places"))
     if not exists_descent(closure, places):
         raise FieldError("no descent exists: some place does not split "
                          "in the closure (or T is empty)")
     if args.all_signs:
         results = enumerate_descents(closure, places)
-        docs = [_descent_doc(r, args.seed) for r in results]
+        docs = [_descent_doc(r) for r in results]
         return _emit({"count": len(docs), "descents": docs})
     signs = None
     if args.signs:
@@ -109,7 +108,7 @@ def cmd_descend(args):
                 or any(s not in (1, -1) for s in signs)):
             raise SchemaError("signs must be a list of +-1 matching the places")
     res = construct(make_problem(closure, places, signs))
-    doc = _descent_doc(res, args.seed)
+    doc = _descent_doc(res)
     if args.twists:
         doc["twists"] = [encode_cubic_model(m) for m in twists_descent(res)]
     return _emit(doc)
@@ -124,7 +123,7 @@ def cmd_analyze(args):
     hints = None
     if args.hints:
         hints = [decode_poly(field, h) for h in _load_json(args.hints, "hints")]
-    report = analyze(model, seed=args.seed, hints=hints)
+    report = analyze(model, hints=hints)
     return _emit(encode_report(report))
 
 
@@ -142,7 +141,7 @@ def cmd_bitwists(args):
             raise SchemaError("params must be an object")
         model = family_member(tag, field, **params)
         return _emit({"model": encode_cubic_model(model),
-                      "report": encode_report(analyze(model, seed=args.seed))})
+                      "report": encode_report(analyze(model))})
     models = enumerate_classes(tag, field)
     return _emit({
         "count": len(models),
@@ -251,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="cubica",
         description="cubic covers of the line with prescribed ramification")
-    top.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help="seed for the probabilistic subroutines")
     sub = top.add_subparsers(dest="command", required=True)
 
     pure = sub.add_parser("pure", help="purely cubic constructions")

@@ -27,10 +27,10 @@ class Place:
         return Place(field, infinite=True)
 
     @staticmethod
-    def finite(poly: Polynomial, check=True, seed=0):
+    def finite(poly: Polynomial, check=True):
         if poly.degree < 1:
             raise FieldError("a finite place needs a non-constant polynomial")
-        if check and not is_irreducible(poly, seed=seed):
+        if check and not is_irreducible(poly):
             raise FieldError(f"{poly!r} is not irreducible")
         return Place(poly.field, poly=poly)
 
@@ -146,7 +146,7 @@ def valuation(f: RationalFunction, place: Place) -> int:
     return v
 
 
-def divisor_of(f: RationalFunction, seed=0, factors=None) -> Divisor:
+def divisor_of(f: RationalFunction, factors=None) -> Divisor:
     """The principal divisor of f.
 
     Over a finite field the numerator and denominator are factored; over Q
@@ -159,9 +159,9 @@ def divisor_of(f: RationalFunction, seed=0, factors=None) -> Divisor:
     if factors is None:
         if f.field.order is None:
             raise FieldError("divisor_of over Q needs caller-supplied factors")
-        for poly, mult in poly_factor(f.num, seed=seed):
+        for poly, mult in poly_factor(f.num):
             div.add(Place.finite(poly, check=False), mult)
-        for poly, mult in poly_factor(f.den, seed=seed):
+        for poly, mult in poly_factor(f.den):
             div.add(Place.finite(poly, check=False), -mult)
     else:
         rem_num, rem_den = f.num.monic(), f.den.monic()

@@ -107,7 +107,7 @@ def encode_place(p: Place) -> dict:
     return {"poly": encode_poly(p.poly)}
 
 
-def decode_place(field, data, seed=0) -> Place:
+def decode_place(field, data) -> Place:
     if not isinstance(data, dict):
         raise SchemaError("place must be an object")
     if data.get("inf"):
@@ -116,15 +116,15 @@ def decode_place(field, data, seed=0) -> Place:
         raise SchemaError("place needs 'poly' or 'inf'")
     poly = decode_poly(field, data["poly"])
     try:
-        return Place.finite(poly, check=True, seed=seed)
+        return Place.finite(poly, check=True)
     except FieldError as exc:
         raise SchemaError(str(exc))
 
 
-def decode_places(field, data, seed=0) -> list:
+def decode_places(field, data) -> list:
     if not isinstance(data, list):
         raise SchemaError("places must be a list")
-    return [decode_place(field, d, seed=seed) for d in data]
+    return [decode_place(field, d) for d in data]
 
 
 def encode_quadratic_model(m: QuadraticModel) -> dict:

@@ -1,7 +1,7 @@
 """Cubic extension models of K = k(x) and ramification reports.
 
 A model is pure (y^3 = beta) or impure (y^3 = 3c y + alpha, c != 0).  The
-degenerate constant cases (beta a constant cube class, alpha^2 = 4c^3) are
+degenerate constant cases (beta a constant cube class, alpha a constant) are
 rejected lazily by the analyzer, which is where they become visible.
 """
 

@@ -37,6 +37,9 @@ from .hyper import (MumfordClass, SplitCurve, _compose_neg, _local_root,
                     canonicalize_prym, coeff_vec, point_minus_i_point)
 from .quadratic import canonical_square_const
 
+# interpolate_f tries spans up to this many degrees above the smallest one
+_MAX_EXTRA_DEGREE = 6
+
 
 # ---------------------------------------------------------------------------
 # genus-1 family
@@ -107,9 +110,9 @@ def verify_genus1_maps(fam: Genus1Family):
         raise ArithmeticError("phi is not triply ramified over infinity")
 
 
-def genus1_sample_check(fam: Genus1Family, extension=None, count=20):
-    """Evaluate the maps at points of Z over the base field (or an extension
-    field object) and confirm the images satisfy the curve equations."""
+def genus1_sample_check(fam: Genus1Family, extension=None):
+    """Evaluate the maps at up to 20 points of Z over the base field (or an
+    extension field) and confirm the images satisfy the curve equations."""
     field = extension or fam.field
     checked = 0
     for s0 in field.elements():
@@ -131,7 +134,7 @@ def genus1_sample_check(fam: Genus1Family, extension=None, count=20):
         if y0 * y0 != _eval_into(fam.X_rhs, field, x0):
             raise ArithmeticError("phi image failed a sample check")
         checked += 1
-        if checked >= count:
+        if checked >= 20:
             break
     return checked
 
@@ -314,7 +317,7 @@ def _infinity_order(curve: SplitCurve, p: Polynomial, q: Polynomial, sign: int):
     raise ArithmeticError("function vanished to unexpected order at infinity")
 
 
-def _pick_kernel_vector(curve, kern, na, nb):
+def _pick_kernel_vector(curve, kern, na):
     # the target divisors are never iota-symmetric, so p and q must both be
     # nonzero (a pure polynomial or pure y-multiple cannot work) and coprime
     field = curve.field
@@ -337,8 +340,8 @@ def _pick_kernel_vector(curve, kern, na, nb):
     return best[1], best[2]
 
 
-def interpolate_f(curve: SplitCurve, Qt: CurvePoint, Pt: CurvePoint,
-                  max_extra: int = 6) -> InterpolatedFunction:
+def interpolate_f(curve: SplitCurve, Qt: CurvePoint,
+                  Pt: CurvePoint) -> InterpolatedFunction:
     """f = G/H on W with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, exactly.
 
     H vanishes on Pt + 3 Qt (order-3 vanishing via series derivatives), its
@@ -351,14 +354,13 @@ def interpolate_f(curve: SplitCurve, Qt: CurvePoint, Pt: CurvePoint,
     iQ = CurvePoint(-Qt.x, -Qt.y)
     base_m = (4 + curve.g + 1) // 2
     last_error = "no admissible degree"
-    for m in range(base_m, base_m + max_extra + 1):
+    for m in range(base_m, base_m + _MAX_EXTRA_DEGREE + 1):
         # the span {x^i, x^j y : i <= m, j <= m - g - 1}
         na, nb = m, max(m - (curve.g + 1), -1)
         cols = na + nb + 2
         h_rows = (_point_conditions(curve, Pt, 1, na, nb, cols)
                   + _point_conditions(curve, Qt, 3, na, nb, cols))
-        picked = _pick_kernel_vector(
-            curve, kernel_basis(field, h_rows, cols), na, nb)
+        picked = _pick_kernel_vector(curve, kernel_basis(field, h_rows, cols), na)
         if picked is None:
             last_error = "rank-deficient H system"
             continue
@@ -394,7 +396,7 @@ def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, h_rows, na, nb,
     rows = _conjugate_rows(field, h_rows, na)
     if U_R.degree > 0:
         rows += coeff_vec(Polynomial.one(field), V_R, U_R, na, nb, cols)
-    picked = _pick_kernel_vector(curve, kernel_basis(field, rows, cols), na, nb)
+    picked = _pick_kernel_vector(curve, kernel_basis(field, rows, cols), na)
     if picked is None:
         raise ArithmeticError("rank-deficient G system")
     gp, gq = picked

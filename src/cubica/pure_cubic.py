@@ -46,8 +46,8 @@ def admissible_sign_vectors(T):
             yield ordered, s, r, eps
 
 
-def model_from_signs(ordered, s, r, eps, unit=None) -> CubicModel:
-    """y^3 = u * prod_{i<=s} P_i^{e_i} * prod_{i>r} P_i^{e_i} /
+def model_from_signs(ordered, s, r, eps) -> CubicModel:
+    """y^3 = prod_{i<=s} P_i^{e_i} * prod_{i>r} P_i^{e_i} /
     prod_{s<i<=r} P_i^{e_i}."""
     field = ordered[0].field
     num = Polynomial.one(field)
@@ -58,10 +58,7 @@ def model_from_signs(ordered, s, r, eps, unit=None) -> CubicModel:
             num = num * place.poly ** exp
         else:
             den = den * place.poly ** (-exp)
-    beta = RationalFunction(num, den)
-    if unit is not None and not unit.is_one():
-        beta = beta * unit
-    return CubicModel.pure(beta)
+    return CubicModel.pure(RationalFunction(num, den))
 
 
 def enumerate_pure(T) -> list:

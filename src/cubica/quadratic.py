@@ -144,7 +144,7 @@ class ASClass:
         self.gamma = gamma
 
     @staticmethod
-    def of(gamma, seed: int = 0) -> "ASClass":
+    def of(gamma) -> "ASClass":
         if isinstance(gamma, Element):
             gamma = RationalFunction.from_const(gamma.field, gamma)
         if isinstance(gamma, Polynomial):
@@ -152,7 +152,7 @@ class ASClass:
         field = gamma.field
         if field.char != 2:
             raise FieldError("Artin-Schreier classes require characteristic 2")
-        return ASClass(_as_reduce(gamma, seed))
+        return ASClass(_as_reduce(gamma))
 
     @staticmethod
     def trivial(field) -> "ASClass":
@@ -206,7 +206,7 @@ class ASClass:
         return f"asclass({self.gamma!r})"
 
 
-def _as_reduce(gamma: RationalFunction, seed: int = 0) -> RationalFunction:
+def _as_reduce(gamma: RationalFunction) -> RationalFunction:
     field = gamma.field
     if gamma.is_zero():
         return gamma
@@ -216,7 +216,7 @@ def _as_reduce(gamma: RationalFunction, seed: int = 0) -> RationalFunction:
         changed = False
         if gamma.is_zero():
             break
-        for p, mult in poly_factor(gamma.den, seed=seed):
+        for p, mult in poly_factor(gamma.den):
             if mult % 2 != 0:
                 continue
             m = mult // 2

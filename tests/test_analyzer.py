@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cubica.algebra import (FieldError, Polynomial, PrimeField, RationalFunction,
-                            is_irreducible, poly_factor)
+                            ResidueField, is_irreducible, poly_factor)
 from cubica.analyzer import analyze, verify_against
 from cubica.descent import construct, make_problem
 from cubica.function_field import Place, genus_of_cubic, valuation
@@ -216,5 +216,27 @@ def test_analyze_matches_the_rational_function_discriminant(p):
                                         RationalFunction(num, den)))
     assert len(models) >= 30
     for model in models:
+        if model.alpha.is_constant():
+            # no ramification at all: the reference reaches genus -2
+            with pytest.raises(FieldError, match="alpha is constant"):
+                analyze(model)
+            continue
         assert (_outcome(_report, model)
                 == _outcome(reference_impure_report, model)), model
+
+
+F4 = ResidueField(Polynomial(PrimeField(2), [1, 1, 1]))
+
+
+@pytest.mark.parametrize("field, c, a, message", [
+    (PrimeField(101), 50, 62, "alpha is constant"),
+    (PrimeField(101), 1, 2, r"alpha\^2 = 4c\^3"),
+    (PrimeField(2), 1, 1, "alpha is constant"),
+    (F4, 1, (0, 1), "alpha is constant"),
+])
+def test_analyze_refuses_a_constant_alpha(field, c, a, message):
+    """y^3 = 3c y + a with a constant a is unramified everywhere: a typed
+    refusal in both characteristics, after the one for a^2 = 4c^3."""
+    model = CubicModel.impure(field(c), RationalFunction.from_const(field, field(a)))
+    with pytest.raises(FieldError, match="degenerate model: " + message):
+        analyze(model)

@@ -77,7 +77,7 @@ def test_descent_documents_are_pinned(name):
     for index in range(harness.MIN_OPS):
         case = wl.make(SEED, index)
         res = construct(make_problem(case.closure, case.places, case.signs))
-        doc = cli._descent_doc(res, SEED)
+        doc = cli._descent_doc(res)
         doc["twists"] = [jsonio.encode_cubic_model(m) for m in twists_descent(res)]
         digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == DOC_DIGESTS[name]

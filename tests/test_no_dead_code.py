@@ -1,5 +1,6 @@
 """Every function, method and class defined in `src/cubica` is named again
-somewhere in `src/`, `tests/` or `perfbench/`.
+somewhere in `src/`, `tests/` or `perfbench/`, and every parameter of a
+function there is read in its body.
 
 A definition counts as used when its name occurs in that code as a name, an
 attribute, an imported name or a string constant (for lookups by name);
@@ -53,3 +54,40 @@ def test_every_definition_is_named_again():
             if not refs[name]:
                 unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not unused, "defined but never named again:\n" + "\n".join(unused)
+
+
+def _unread_parameters(tree):
+    """(function, parameter, line) for each parameter that the function's
+    body never reads.  A method's first parameter (self or cls), dunder
+    methods (their signature is Python's) and the CLI's ``cmd_*`` handlers
+    (they share the ``args.fn(args)`` dispatch signature) are exempt."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if (name.startswith("__") and name.endswith("__")) or name.startswith("cmd_"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        if id(node) in methods and not static:
+            params = params[1:]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in read:
+                yield name, p.arg, node.lineno
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, param, line in _unread_parameters(tree):
+            unread.append(f"{path.relative_to(ROOT)}:{line} {name}({param})")
+    assert not unread, "parameters never read:\n" + "\n".join(unread)
