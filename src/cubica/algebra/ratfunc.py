@@ -147,11 +147,6 @@ class RationalFunction:
             raise ZeroDivisionError("valuation of zero")
         return self.den.degree - self.num.degree
 
-    def evaluate(self, x):
-        n = self.num.evaluate(x)
-        d = self.den.evaluate(x)
-        return n / d
-
     def compose(self, g: "RationalFunction") -> "RationalFunction":
         """self(g(x)) as a rational function.
 

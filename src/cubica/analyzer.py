@@ -75,6 +75,8 @@ def analyze(model: CubicModel, hints=None) -> RamificationReport:
         partial = []
     else:
         alpha, c = model.alpha, model.c
+        if alpha.is_zero():
+            raise FieldError("degenerate model: alpha = 0")
         c3 = c ** 3
         total = [place for place, _ in
                  _place_factorization(alpha.den, hints, _prime_to_3)]
@@ -82,8 +84,6 @@ def analyze(model: CubicModel, hints=None) -> RamificationReport:
         if v_inf < 0 and (-v_inf) % 3 != 0:
             total.append(Place.infinity(field))
         if char == 2:
-            if alpha.is_zero():
-                raise FieldError("degenerate model: alpha = 0")
             closure = ASClass.of(RationalFunction.from_const(field, c3) / (alpha * alpha))
             partial = closure.ramified_places()
             meta["wild_different_exponent"] = 2

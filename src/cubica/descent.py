@@ -287,8 +287,7 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
         _net_add(net, par.upstairs_place(ch.place, ch.rho), 1)
     base_net = dict(net)
 
-    eta = par.infinity_pullback()
-    fixed = par.sigma_fixed_points()
+    eta = par.infinity_pullback
     ell = None
     unit_form = None
     c = field.one
@@ -298,18 +297,19 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
         for place, mult in eta.items():
             _net_add(net, place, -e * mult)
     else:
-        stable = _stable_degree_one(fixed, field)
+        stable = _stable_degree_one(par.sigma_fixed_points, field)
         if stable is not None:
             case = "odd_stable_point"
             _net_add(net, stable, -deg_t)
         else:
+            # sigma has no rational fixed point, so infinity moves: kappa^-
+            # is infinity and kappa^+ = sigma(infinity) = a/c is finite
             case = "case_2b"
-            kappa_minus, kappa_plus = _choose_kappa(par, field)
             e = (deg_t + 1) // 2
-            _net_add(net, kappa_minus, 1)
+            _net_add(net, Place.infinity(field), 1)
             for place, mult in eta.items():
                 _net_add(net, place, -e * mult)
-            ell, c = _mirror_function(par, kappa_minus, kappa_plus)
+            ell, c = _mirror_function(par)
             unit_form = _unit_form_case_2b(problem, par, base_net, eta, deg_t)
 
     theta = _at_m(_realize_theta(net, field), par)
@@ -335,26 +335,13 @@ def _mvalue_to_place(v, field) -> Place:
     return Place.finite(Polynomial(field, [-v, field.one]), check=False)
 
 
-def _choose_kappa(par: ConicParametrization, field):
-    """A deterministic degree-one place of the m-line not fixed by sigma."""
-    candidates = [INF_MARK] + [field(i) for i in range(3)]
-    for v in candidates:
-        w = par.sigma.apply(v)
-        if w != v:
-            return _mvalue_to_place(v, field), _mvalue_to_place(w, field)
-    raise ArithmeticError("no moving rational point found")
-
-
-def _mirror_function(par, kappa_minus: Place, kappa_plus: Place):
-    """l with div(l) = kappa^- - kappa^+, rescaled so that the constant
-    c = l * sigma(l) is the canonical square-class representative."""
+def _mirror_function(par):
+    """l = 1/(m - sigma(infinity)), with div(l) = kappa^- - kappa^+ for
+    kappa^- = infinity, rescaled so that the constant c = l * sigma(l) is
+    the canonical square-class representative."""
     field = par.field
-    if kappa_minus.infinite:
-        ell = RationalFunction(Polynomial.one(field), kappa_plus.poly)
-    elif kappa_plus.infinite:
-        ell = RationalFunction(kappa_minus.poly)
-    else:
-        ell = RationalFunction(kappa_minus.poly, kappa_plus.poly)
+    kappa_plus = Polynomial(field, [-par.sigma.apply(INF_MARK), field.one])
+    ell = RationalFunction(Polynomial.one(field), kappa_plus)
     U, V, N = _at_m(ell, par)
     c0 = _norm((U, V, N), par.model.f,
                "l * sigma(l) is not constant (internal error)")

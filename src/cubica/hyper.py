@@ -196,29 +196,14 @@ def identity_class(curve: SplitCurve) -> MumfordClass:
                         Polynomial.zero(curve.field), 0, 0)
 
 
-def class_from_pair(curve: SplitCurve, u: Polynomial, v: Polynomial,
-                    n_plus: int = None) -> MumfordClass:
-    u = u.monic()
-    v = v % u
-    if (v * v - curve.F) % u != Polynomial.zero(curve.field):
-        raise FieldError("v^2 != F mod u")
-    if n_plus is None:
-        # balanced symmetric weights for even affine degree
-        if u.degree % 2 != 0:
-            raise FieldError("odd affine degree needs an explicit weight")
-        n_plus = -u.degree // 2
-    return MumfordClass(u, v, n_plus, -u.degree - n_plus)
-
-
-def point_class(curve: SplitCurve, x0, y0, mult: int = 1) -> MumfordClass:
-    """mult * [(x0, y0) - inf+] as a class (degree balanced at inf+)."""
+def point_class(curve: SplitCurve, x0, y0) -> MumfordClass:
+    """[(x0, y0) - inf+] as a class (degree balanced at inf+)."""
     field = curve.field
     x0, y0 = field(x0), field(y0)
     if not curve.on_curve(x0, y0):
         raise FieldError("point is not on the curve")
     u = Polynomial(field, [-x0, field.one])
-    base = MumfordClass(u, Polynomial.constant(field, y0), -1, 0)
-    return mumford_scalar(curve, base, mult)
+    return MumfordClass(u, Polynomial.constant(field, y0), -1, 0)
 
 
 def point_minus_i_point(curve: SplitCurve, x0, y0, n: int = 1) -> MumfordClass:
@@ -279,19 +264,23 @@ def _compose(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass):
 
 
 def _reduce_once(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
-    """One V+-adapted reduction step for deg u >= g + 1."""
+    """One V+-adapted reduction step for deg u >= g + 1: D minus the divisor
+    of y - vt, vt = v mod u.  As y - V+ vanishes at inf+, y - vt has a pole
+    of order deg r at inf+ and, as y + V+ vanishes at inf-, one of order
+    deg(vt + V+) at inf-, which is g + 1 when deg r <= g."""
     field = curve.field
     u, v = D.u, D.v
     r = (curve.Vplus - v) % u
-    vt = curve.Vplus - r          # = v mod u, monic of degree g + 1
+    vt = curve.Vplus - r          # = v mod u
     diff = curve.F - vt * vt
     w = diff.exact_div(u).monic()
     v_new = (-vt) % w if not w.is_constant() else Polynomial.zero(field)
-    deg_r = r.degree if not r.is_zero() else 0
     if r.is_zero():
         raise ArithmeticError("reduction degenerated (F a perfect square?)")
-    n_plus = D.n_plus + deg_r - w.degree
-    n_minus = D.n_minus + (curve.g + 1) - w.degree
+    pole_minus = (curve.g + 1 if r.degree <= curve.g
+                  else (vt + curve.Vplus).degree)
+    n_plus = D.n_plus + r.degree - w.degree
+    n_minus = D.n_minus + pole_minus - w.degree
     return MumfordClass(w, v_new, n_plus, n_minus)
 
 

@@ -589,18 +589,13 @@ def verify_parshin_cover(cover: ParshinCover):
     xQ = cover.Qt.x * cover.Qt.x
     # pole support: C = const (x - xP)^e1 (x - xQ)^e2 exactly
     rest = C
-    e1 = e2 = 0
-    for root, counter in ((xP, "e1"), (xQ, "e2")):
+    for root in (xP, xQ):
         lin = Polynomial(field, [-root, field.one])
         while True:
             quo, rem = divmod(rest, lin)
             if not rem.is_zero():
                 break
             rest = quo
-            if counter == "e1":
-                e1 += 1
-            else:
-                e2 += 1
     if not rest.is_constant():
         raise ArithmeticError("alpha has poles away from P and Q")
     # orders at the two points of X over each pole x-value

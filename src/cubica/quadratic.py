@@ -269,13 +269,6 @@ SPLIT = "split"
 RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class SplittingResult:
-    kind: str
-    rho_minus: object = None   # Element of the residue field at p, or of k at infinity
-    rho_plus: object = None
-
-
 class QuadraticModel:
     """A (geometric or constant) quadratic extension of K = k(x) of genus 0.
 
@@ -365,36 +358,39 @@ class QuadraticModel:
             if place in cls.ramified_places():
                 return RAMIFIED
             return cls.splits_at(place)
-        f = self.f
-        if place.infinite:
-            if f.degree % 2 == 1:
-                return RAMIFIED
-            return SPLIT if is_square(f.leading()) else INERT
-        R = place.residue_field
-        fbar = R(f)
-        if fbar.is_zero():
+        fbar = self._residue(place)
+        if fbar is None:
             return RAMIFIED
-        if self.field.order is None:
-            raise FieldError("splitting over Q requires caller-certified data")
         return SPLIT if is_square(fbar) else INERT
 
-    def splitting_type(self, place: Place) -> SplittingResult:
-        """The splitting kind at place, with the two square roots rho of f
-        at it when a Kummer model splits there."""
-        kind = self.split_kind(place)
-        if kind != SPLIT or self.kind == "artin_schreier":
-            return SplittingResult(kind)
-        if place.infinite:
-            r = sqrt(self.f.leading())
-        else:
-            r = sqrt(place.residue_field(self.f))
-        return SplittingResult(SPLIT, rho_minus=r, rho_plus=-r)
-
     def canonical_rho(self, place: Place):
-        res = self.splitting_type(place)
-        if res.kind != SPLIT:
-            raise FieldError(f"{place!r} does not split")
-        return res.rho_minus
+        """The residue rho of y at a split place, decided by the square root
+        itself: sqrt of f at a finite place, of lc(f) at infinity, None for
+        an Artin-Schreier model.  FieldError where the place does not split."""
+        if self.kind == "artin_schreier":
+            if self.split_kind(place) != SPLIT:
+                raise FieldError(f"{place!r} does not split")
+            return None
+        fbar = self._residue(place)
+        if fbar is not None:
+            try:
+                return sqrt(fbar)
+            except FieldError:
+                pass
+        raise FieldError(f"{place!r} does not split")
+
+    def _residue(self, place: Place):
+        """f at a finite place, lc(f) at infinity, whose squareness decides
+        the splitting of a Kummer model; None where the place ramifies."""
+        f = self.f
+        if place.infinite:
+            return f.leading() if f.degree % 2 == 0 else None
+        fbar = place.residue_field(f)
+        if fbar.is_zero():
+            return None
+        if self.field.order is None:
+            raise FieldError("splitting over Q requires caller-certified data")
+        return fbar
 
     # -- parametrization -----------------------------------------------------------
 
@@ -452,7 +448,14 @@ class ConicParametrization:
     """K' = K(y), y^2 = f(x) with deg f in {1, 2}: an isomorphism K' = k(m)
     with x = X(m), y = Y(m), the involution sigma as a Moebius map in m and
     m expressed back as m = (P + Q y)/D with P, Q, D in k[x], stored as the
-    triple `m`."""
+    triple `m`.
+
+    The data the descent reads off the m-line are computed once, when the
+    parametrization is built: `infinity_pullback`, the divisor of poles of
+    X as {place: mult}; `sigma_fixed_points`, the rational fixed points of
+    sigma (the ramification points), each with the x-coordinate of the
+    branch place below; and `y_over_x`, the function Y/X whose residues
+    tell the poles of X apart."""
 
     def __init__(self, model: QuadraticModel, point=None):
         field = model.field
@@ -491,6 +494,9 @@ class ConicParametrization:
             self.m = (Polynomial.constant(field, -y0), one,
                       Polynomial(field, [-x0, field.one]))
         self._check()
+        self.infinity_pullback = _pole_divisor(self.X)
+        self.sigma_fixed_points = _fixed_points(self.sigma, self.X)
+        self.y_over_x = self.Y / self.X
 
     def _find_point(self, point):
         field = self.field
@@ -528,52 +534,14 @@ class ConicParametrization:
 
     # -- places of the m-line ---------------------------------------------------
 
-    def infinity_pullback(self):
-        """Divisor of poles of X(m) on the m-line as {place: mult}."""
-        out = {}
-        den = self.X.den
-        if den.degree >= 1:
-            for p, m in _factor_low_degree(den):
-                out[Place.finite(p, check=False)] = m
-        plus = self.X.num.degree - den.degree
-        if plus > 0:
-            out[Place.infinity(self.field)] = plus
-        return out
-
-    def sigma_fixed_points(self):
-        """Rational fixed points of sigma on the m-line (the ramification
-        points), each with the x-coordinate of the branch place below."""
-        s = self.sigma
-        field = self.field
-        out = []
-        if s.c.is_zero():
-            if s.a == s.d:
-                raise ArithmeticError("sigma is the identity")
-            # fixed: infinity and b/(d - a)
-            out.append((INF_MARK, _value_at(self.X, INF_MARK)))
-            v = s.b / (s.d - s.a)
-            out.append((v, _value_at(self.X, v)))
-        else:
-            # c m^2 + (d - a) m - b = 0
-            a, b, c, d = s.a, s.b, s.c, s.d
-            disc = (d - a) * (d - a) + field(4) * c * b
-            if is_square(disc):
-                r = sqrt(disc)
-                for sgn in (r, -r):
-                    v = (a - d + sgn) / (field(2) * c)
-                    out.append((v, _value_at(self.X, v)))
-        return out
-
     def upstairs_place(self, place: Place, rho):
         """The place of the m-line above `place` selected by the residue rho
         of y; returns a Place over k (polynomial in m) or an infinite place."""
         field = self.field
         if place.infinite:
             # match rho against the residue of y/x at the poles of X
-            candidates = list(self.infinity_pullback().keys())
-            ratio = self.Y / self.X
-            for cand in candidates:
-                val = _value_at_place(ratio, cand)
+            for cand in self.infinity_pullback:
+                val = _value_at_place(self.y_over_x, cand)
                 if val is not None and val == rho:
                     return cand
             raise ArithmeticError("no pole of X matches the sign choice at infinity")
@@ -614,6 +582,42 @@ class ConicParametrization:
         if v == INF_MARK:
             return Place.infinity(self.field)
         return Place.finite(Polynomial(self.field, [-v, self.field.one]), check=False)
+
+
+def _pole_divisor(X: RationalFunction):
+    """The divisor of poles of X on the m-line as {place: mult}."""
+    out = {}
+    den = X.den
+    if den.degree >= 1:
+        for p, m in _factor_low_degree(den):
+            out[Place.finite(p, check=False)] = m
+    plus = X.num.degree - den.degree
+    if plus > 0:
+        out[Place.infinity(X.field)] = plus
+    return out
+
+
+def _fixed_points(s: Moebius, X: RationalFunction):
+    """The rational fixed points of sigma = s, each with the value of X."""
+    field = X.field
+    out = []
+    if s.c.is_zero():
+        if s.a == s.d:
+            raise ArithmeticError("sigma is the identity")
+        # fixed: infinity and b/(d - a)
+        out.append((INF_MARK, _value_at(X, INF_MARK)))
+        v = s.b / (s.d - s.a)
+        out.append((v, _value_at(X, v)))
+    else:
+        # c m^2 + (d - a) m - b = 0
+        a, b, c, d = s.a, s.b, s.c, s.d
+        disc = (d - a) * (d - a) + field(4) * c * b
+        if is_square(disc):
+            r = sqrt(disc)
+            for sgn in (r, -r):
+                v = (a - d + sgn) / (field(2) * c)
+                out.append((v, _value_at(X, v)))
+    return out
 
 
 def _factor_low_degree(poly: Polynomial):

@@ -8,6 +8,7 @@ import pytest
 from cubica.algebra import (FieldError, Polynomial, PrimeField, RationalFunction,
                             ResidueField, is_irreducible, poly_factor)
 from cubica.analyzer import analyze, verify_against
+from cubica.cli import main
 from cubica.descent import construct, make_problem
 from cubica.function_field import Place, genus_of_cubic, valuation
 from cubica.models import CubicModel
@@ -240,3 +241,17 @@ def test_analyze_refuses_a_constant_alpha(field, c, a, message):
     model = CubicModel.impure(field(c), RationalFunction.from_const(field, field(a)))
     with pytest.raises(FieldError, match="degenerate model: " + message):
         analyze(model)
+
+
+@pytest.mark.parametrize("p", [5, 2])
+def test_analyze_refuses_alpha_zero(p, capsys):
+    """y^3 = 3c y is refused with a typed error in both characteristics,
+    by the library and by `cubica analyze` (exit 1), before any valuation
+    of alpha is read."""
+    field = PrimeField(p)
+    model = CubicModel.impure(field.one, RationalFunction.zero(field))
+    with pytest.raises(FieldError, match="degenerate model: alpha = 0"):
+        analyze(model)
+    assert main(["analyze", "--field", str(p), "--model",
+                 '{"impure": {"c": "1", "alpha": {"num": ["0"]}}}']) == 1
+    assert capsys.readouterr().err == "error: degenerate model: alpha = 0\n"

@@ -212,7 +212,7 @@ def test_construct_refuses_a_wrong_rho_at_infinity(p):
 def _random_split_places(model, field, rng, max_deg=2, count=3, allow_inf=True):
     from itertools import product as iproduct
     places = []
-    if allow_inf and model.splitting_type(Place.infinity(field)).kind == "split":
+    if allow_inf and model.split_kind(Place.infinity(field)) == "split":
         places.append(Place.infinity(field))
     polys = []
     for d in range(1, max_deg + 1):
@@ -223,7 +223,7 @@ def _random_split_places(model, field, rng, max_deg=2, count=3, allow_inf=True):
     rng.shuffle(polys)
     for poly in polys:
         p = Place.finite(poly, check=False)
-        if model.splitting_type(p).kind == "split":
+        if model.split_kind(p) == "split":
             places.append(p)
         if len(places) >= count + 2:
             break

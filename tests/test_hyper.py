@@ -14,12 +14,11 @@ from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
                             RationalFunction, ResidueField, poly_gcd,
                             squarefree_decomposition)
 from cubica.hyper import (MumfordClass, SplitCurve, WDivisor, _norm_quotient,
-                          _series_sqrt, canonicalize_prym,
-                          class_from_pair, classes_equal, divisor_difference,
-                          divisor_of_class, i_star, identity_class,
-                          is_principal, iota_star, mumford_add, mumford_neg,
-                          mumford_scalar, point_class, point_minus_i_point,
-                          rr_space)
+                          _series_sqrt, canonicalize_prym, classes_equal,
+                          divisor_difference, divisor_of_class, i_star,
+                          identity_class, is_principal, iota_star,
+                          mumford_add, mumford_neg, mumford_scalar,
+                          point_class, point_minus_i_point, rr_space)
 from cubica.quadratic import canonical_quadratic_field
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -231,6 +230,51 @@ def test_double_is_consistent_with_oracle():
     zero = mumford_add(W, E, mumford_neg(W, E))
     assert classes_equal(W, zero, identity_class(W))
     assert not classes_equal(W, twoE, identity_class(W))
+
+
+def _random_octic_and_points(field, rng, count):
+    """A squarefree monic octic y^2 = F(x) with random coefficients and
+    `count` affine points on it with distinct x and y != 0."""
+    from cubica.algebra import is_square, sqrt
+    while True:
+        coeffs = [field(rng.randrange(field.p)) for _ in range(8)] + [field.one]
+        F = Polynomial(field, coeffs)
+        if poly_gcd(F, F.derivative()).is_one():
+            break
+    points = {}
+    while len(points) < count:
+        x0 = field(rng.randrange(field.p))
+        val = F.evaluate(x0)
+        if x0 not in points and not val.is_zero() and is_square(val):
+            points[x0] = sqrt(val)
+    return SplitCurve(F), list(points.items())
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_reduction_of_degree_three_sums_on_octics(p):
+    """D1 + D2 for two sums of three point classes on genus-3 octics: the
+    composition has deg u = 6, so the first reduction step has deg r = 5 > g
+    and its pole at inf- has order deg(vt + V+), and the second step has
+    deg u = g + 1, deg r <= g and the order g + 1.  The reduced sum has
+    degree 0 and is the class of the unreduced composition."""
+    from cubica.hyper import _compose, _reduce_once
+    field = PrimeField(p)
+    rng = random.Random(p)
+    steps = set()
+    for _ in range(5):
+        W, pts = _random_octic_and_points(field, rng, 6)
+        D1, D2 = (mumford_add(W, mumford_add(W, point_class(W, *pts[i]),
+                                             point_class(W, *pts[i + 1])),
+                              point_class(W, *pts[i + 2])) for i in (0, 3))
+        raw = _compose(W, D1, D2)
+        D = raw
+        while D.u.degree > W.g:
+            steps.add(((W.Vplus - D.v) % D.u).degree > W.g)
+            D = _reduce_once(W, D)
+        assert D == mumford_add(W, D1, D2)
+        assert D.degree_check() == 0
+        assert classes_equal(W, D, raw)
+    assert steps == {True, False}
 
 
 def _anti_invariant_samples(curve, field, rng, count):
@@ -584,6 +628,70 @@ def test_mixed_point_classes_and_oracle():
     R = mumford_add(W, P, iota_star(W, P))
     # P + iota(P) ~ inf+ + inf- - 2 inf+ ... = pencil class; check degree 0
     assert R.degree_check() == 0
+
+
+def _sextic_with_weierstrass_point(field, rng):
+    """y^2 = (x - a) h(x), h a random monic quintic, squarefree: a genus-2
+    curve with the rational Weierstrass point (a, 0), and three affine
+    points off x = a with distinct x and y != 0."""
+    from cubica.algebra import is_square, sqrt
+    x = Polynomial.x(field)
+    while True:
+        a = field(rng.randrange(field.p))
+        h = Polynomial(field, [field(rng.randrange(field.p)) for _ in range(5)]
+                       + [field.one])
+        F = (x - a) * h
+        if poly_gcd(F, F.derivative()).is_one():
+            break
+    points = {}
+    while len(points) < 3:
+        x0 = field(rng.randrange(field.p))
+        val = F.evaluate(x0)
+        if not val.is_zero() and is_square(val):
+            points[x0] = sqrt(val)
+    return SplitCurve(F), a, list(points.items())
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_classes_equal_peels_weierstrass_content(p):
+    """The Cantor sum S = P_W + Q (P_W a Weierstrass point) has
+    gcd(u, v) = x - x(P_W), which the bundle normalization peels off.  S
+    equals the class S + R - R that Cantor arithmetic reaches by another
+    path, and differs from P_W + Q', Q' another point."""
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(3):
+        W, a, pts = _sextic_with_weierstrass_point(field, rng)
+        PW = point_class(W, a, 0)
+        Q, R, Q2 = (point_class(W, *pt) for pt in pts)
+        S = mumford_add(W, PW, Q)
+        assert poly_gcd(S.u, S.v) == Polynomial.x(field) - a
+        other_path = mumford_add(W, mumford_add(W, S, R), mumford_neg(W, R))
+        assert other_path != S
+        assert classes_equal(W, S, other_path)
+        assert classes_equal(W, other_path, S)
+        assert not classes_equal(W, S, mumford_add(W, PW, Q2))
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_classes_equal_splits_a_shared_u_with_different_v(p):
+    """P + Q and P + iota(Q) share u and differ in v; the bundle
+    normalization splits u where the two v agree.  Their difference is
+    Q - iota(Q) - inf+ + inf-, principal iff 2[Q - inf+] is: Cantor's
+    doubling of Q, compared with the identity without any shared u, says
+    it is not."""
+    field = PrimeField(p)
+    rng = random.Random(p + 1)
+    for _ in range(3):
+        W, _, pts = _sextic_with_weierstrass_point(field, rng)
+        P, Q, _ = (point_class(W, *pt) for pt in pts)
+        D1 = mumford_add(W, P, Q)
+        D2 = mumford_add(W, P, iota_star(W, Q))
+        assert D1.u == D2.u and D1.v != D2.v
+        doubled_is_zero = classes_equal(W, mumford_scalar(W, Q, 2),
+                                        identity_class(W))
+        assert not doubled_is_zero
+        assert classes_equal(W, D1, D2) == doubled_is_zero
 
 
 def test_point_classes_with_colliding_hashes_stay_apart():

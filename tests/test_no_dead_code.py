@@ -3,10 +3,10 @@ somewhere in `src/`, `tests/` or `perfbench/`, and every parameter of a
 function there is read in its body.
 
 A definition counts as used when its name occurs in that code as a name, an
-attribute, an imported name or a string constant (for lookups by name);
-only the definition itself does not count, and neither does a package
-`__init__.py`, whose imports and `__all__` strings only re-export.  Dunder
-methods are called by Python and are exempt.
+attribute or a string constant (for lookups by name); the definition itself
+does not count, nor does an import, which names a definition without using
+it, nor a package `__init__.py`, whose `__all__` strings only re-export.
+Dunder methods are called by Python and are exempt.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ def _references(tree):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
 

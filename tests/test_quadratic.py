@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.algebra import (Polynomial, PrimeField, QQ, RationalFunction,
-                            is_irreducible, poly_factor)
+from cubica.algebra import (FieldError, Polynomial, PrimeField, QQ,
+                            RationalFunction, ResidueField, is_irreducible,
+                            poly_factor)
 from cubica.analyzer import analyze
 from cubica.function_field import Place
 from cubica.models import CubicModel
 from cubica.quadratic import (ASClass, ConicParametrization, INF_MARK,
                               QuadraticModel, SPLIT, INERT, RAMIFIED,
                               SquareClass, canonical_quadratic_field, classify,
-                              complementary, purely_cubic_closure, resolvent)
+                              complementary, nonsplit_as_constant,
+                              purely_cubic_closure, resolvent)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -55,16 +57,19 @@ def test_square_class_over_q():
 def test_splitting_constant_extension():
     x = x_of(F5)
     M = QuadraticModel.constant(F5, F5(2))
-    assert M.splitting_type(Place.finite(x)).kind == INERT
-    res = M.splitting_type(Place.finite(x ** 2 + 2))
-    assert res.kind == SPLIT
+    assert M.split_kind(Place.finite(x)) == INERT
+    with pytest.raises(FieldError, match="does not split"):
+        M.canonical_rho(Place.finite(x))
+    assert M.split_kind(Place.finite(x ** 2 + 2)) == SPLIT
+    rho = M.canonical_rho(Place.finite(x ** 2 + 2))
     # the square roots of 2 in F5[x]/(x^2+2) are +-2*xbar
     from cubica.algebra import ResidueField
     R = ResidueField(x ** 2 + 2, check=False)
-    assert {hash(res.rho_minus), hash(res.rho_plus)} == \
-        {hash(R(2 * x)), hash(R(3 * x))}
+    assert {hash(rho), hash(-rho)} == {hash(R(2 * x)), hash(R(3 * x))}
     M2 = QuadraticModel.kummer(x)
-    assert M2.splitting_type(Place.finite(x)).kind == RAMIFIED
+    assert M2.split_kind(Place.finite(x)) == RAMIFIED
+    with pytest.raises(FieldError, match="does not split"):
+        M2.canonical_rho(Place.finite(x))
 
 
 def test_constant_extension_split_iff_even_degree():
@@ -78,7 +83,7 @@ def test_constant_extension_split_iff_even_degree():
             if not is_irreducible(p):
                 continue
             count += 1
-            kind = M.splitting_type(Place.finite(p, check=False)).kind
+            kind = M.split_kind(Place.finite(p, check=False))
             assert kind == (SPLIT if d % 2 == 0 else INERT)
         assert count > 0
 
@@ -96,9 +101,10 @@ def places_up_to_degree_two(field):
 
 
 @pytest.mark.parametrize("p", [13, 101])
-def test_split_kind_agrees_with_splitting_type(p):
-    """The squareness-only split test gives splitting_type's kind on every
-    place of degree <= 2; the closure menu over F_13, one model over F_101
+def test_split_kind_agrees_with_canonical_rho(p):
+    """canonical_rho gives a root rho != 0 of f (of lc f at infinity) at
+    every place of degree <= 2 that split_kind calls split, and refuses
+    every other place; the closure menu over F_13, one model over F_101
     (where each split place costs a residue square root)."""
     from cubica.acceptance import closure_menu
     field = PrimeField(p)
@@ -108,9 +114,13 @@ def test_split_kind_agrees_with_splitting_type(p):
     assert len(places) == 1 + p + (p * p - p) // 2
     for M in models:
         for place in places:
-            res = M.splitting_type(place)
-            assert res.kind == M.split_kind(place)
-            assert (res.rho_minus is not None) == (res.kind == SPLIT)
+            if M.split_kind(place) != SPLIT:
+                with pytest.raises(FieldError, match="does not split"):
+                    M.canonical_rho(place)
+                continue
+            rho = M.canonical_rho(place)
+            fbar = M.f.leading() if place.infinite else place.residue_field(M.f)
+            assert not rho.is_zero() and rho * rho == fbar
 
 
 def test_branch_places_follow_the_factorization():
@@ -246,10 +256,10 @@ def test_upstairs_place_infinity_split():
     M = QuadraticModel.kummer(x ** 2 - 2)
     par = M.parametrize()
     inf = Place.infinity(F5)
-    res = M.splitting_type(inf)
-    assert res.kind == SPLIT
-    up_minus = par.upstairs_place(inf, res.rho_minus)
-    up_plus = par.upstairs_place(inf, res.rho_plus)
+    assert M.split_kind(inf) == SPLIT
+    rho = M.canonical_rho(inf)
+    up_minus = par.upstairs_place(inf, rho)
+    up_plus = par.upstairs_place(inf, -rho)
     assert up_minus != up_plus
 
 
@@ -257,13 +267,83 @@ def test_upstairs_place_nonsquare_lc():
     x = x_of(F5)
     M = QuadraticModel.kummer(2 * x ** 2 + 2)   # lc = 2 non-square
     par = M.parametrize()
-    assert M.splitting_type(Place.infinity(F5)).kind == INERT
+    assert M.split_kind(Place.infinity(F5)) == INERT
+    with pytest.raises(FieldError, match="does not split"):
+        M.canonical_rho(Place.infinity(F5))
     p = Place.finite(x - 1)   # f(1) = 4 = 2^2 square -> split
-    res = M.splitting_type(p)
-    assert res.kind == SPLIT
-    up1 = par.upstairs_place(p, res.rho_minus)
-    up2 = par.upstairs_place(p, res.rho_plus)
+    assert M.split_kind(p) == SPLIT
+    rho = M.canonical_rho(p)
+    up1 = par.upstairs_place(p, rho)
+    up2 = par.upstairs_place(p, -rho)
     assert up1 != up2
+
+
+def _places_up_to_degree_three(field):
+    """Every monic irreducible of degree 1, 2 and 3 over a finite field."""
+    from itertools import product
+    elems = list(field.elements())
+    out = []
+    for d in (1, 2, 3):
+        for low in product(elems, repeat=d):
+            poly = Polynomial(field, list(low) + [field.one])
+            if is_irreducible(poly):
+                out.append(Place.finite(poly, check=False))
+    return out
+
+
+def _as_root_counts(R):
+    """{c: number of z in R with z^2 + z = c} for R = F_q[x]/(p): z runs
+    over every sum of e_i x^i (e_i in F_q, i < deg p), and as squaring is
+    additive in characteristic 2, z^2 + z is the sum of the terms
+    e_i^2 x^(2i) + e_i x^i."""
+    from collections import Counter
+    from itertools import product
+    x = Polynomial.x(R.base)
+    terms = [[R(e * e * x ** (2 * i) + e * x ** i) for e in R.base.elements()]
+             for i in range(R.deg)]
+    return Counter(sum(parts[1:], parts[0]) for parts in product(*terms))
+
+
+_F2 = PrimeField(2)
+
+
+@pytest.mark.parametrize("field", [
+    _F2, ResidueField(Polynomial(_F2, [1, 1, 1])),
+    ResidueField(Polynomial(_F2, [1, 1, 0, 1]))], ids=["F2", "F4", "F8"])
+def test_artin_schreier_splitting_counts_roots(field):
+    """y^2 + y = x and y^2 + y = a0 (a0 the trace-1 constant) split at a
+    place exactly when z^2 + z = gamma has two roots in its residue field,
+    and are inert when it has none; y^2 + y = x ramifies at infinity only.
+    Checked at infinity and at every place of degree <= 3, for
+    `ASClass.splits_at`, `split_kind` and `canonical_rho`."""
+    x = Polynomial.x(field)
+    a0 = Polynomial.constant(field, nonsplit_as_constant(field))
+    places = _places_up_to_degree_three(field)
+    q = field.order
+    assert len(places) == q + (q * q - q) // 2 + (q ** 3 - q) // 3
+    counts = {p: _as_root_counts(p.residue_field) for p in places}
+
+    def kind_from_roots(place, gamma):
+        return {2: SPLIT, 0: INERT}[counts[place][place.residue_field(gamma)]]
+
+    # the place x has residue field k, where a constant keeps its value
+    const_at_inf = kind_from_roots(Place.finite(x), a0)
+    for M, gamma, at_inf in (
+            (QuadraticModel.artin_schreier_x(field), x, RAMIFIED),
+            (QuadraticModel.artin_schreier_const(field, a0[0]), a0, const_at_inf)):
+        want = {Place.infinity(field): at_inf}
+        want.update((p, kind_from_roots(p, gamma)) for p in places)
+        assert {SPLIT, INERT} <= set(want.values())
+        cls = ASClass.of(gamma)
+        for place, kind in want.items():
+            assert M.split_kind(place) == kind, (M, place)
+            if kind != RAMIFIED:
+                assert cls.splits_at(place) == kind, (M, place)
+            if kind == SPLIT:
+                assert M.canonical_rho(place) is None
+            else:
+                with pytest.raises(FieldError, match="does not split"):
+                    M.canonical_rho(place)
 
 
 # -- complementary --------------------------------------------------------------------
