@@ -232,22 +232,32 @@ def test_double_is_consistent_with_oracle():
     assert not classes_equal(W, twoE, identity_class(W))
 
 
-def _random_octic_and_points(field, rng, count):
-    """A squarefree monic octic y^2 = F(x) with random coefficients and
-    `count` affine points on it with distinct x and y != 0."""
+def _random_monic(field, rng, degree):
+    return Polynomial(field, [field(rng.randrange(field.p))
+                              for _ in range(degree)] + [field.one])
+
+
+def _affine_points(F, rng, count, avoid=()):
+    """`count` points (x0, y0) on y^2 = F with distinct x0 outside `avoid`
+    and y0 != 0."""
     from cubica.algebra import is_square, sqrt
-    while True:
-        coeffs = [field(rng.randrange(field.p)) for _ in range(8)] + [field.one]
-        F = Polynomial(field, coeffs)
-        if poly_gcd(F, F.derivative()).is_one():
-            break
+    field = F.field
     points = {}
     while len(points) < count:
         x0 = field(rng.randrange(field.p))
         val = F.evaluate(x0)
-        if x0 not in points and not val.is_zero() and is_square(val):
+        if x0 not in avoid and not val.is_zero() and is_square(val):
             points[x0] = sqrt(val)
-    return SplitCurve(F), list(points.items())
+    return list(points.items())
+
+
+def _random_octic_and_points(field, rng, count):
+    """A squarefree random monic octic y^2 = F(x) and `count` affine
+    points on it."""
+    while True:
+        F = _random_monic(field, rng, 8)
+        if poly_gcd(F, F.derivative()).is_one():
+            return SplitCurve(F), _affine_points(F, rng, count)
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -633,23 +643,13 @@ def test_mixed_point_classes_and_oracle():
 def _sextic_with_weierstrass_point(field, rng):
     """y^2 = (x - a) h(x), h a random monic quintic, squarefree: a genus-2
     curve with the rational Weierstrass point (a, 0), and three affine
-    points off x = a with distinct x and y != 0."""
-    from cubica.algebra import is_square, sqrt
+    points on it."""
     x = Polynomial.x(field)
     while True:
         a = field(rng.randrange(field.p))
-        h = Polynomial(field, [field(rng.randrange(field.p)) for _ in range(5)]
-                       + [field.one])
-        F = (x - a) * h
+        F = (x - a) * _random_monic(field, rng, 5)
         if poly_gcd(F, F.derivative()).is_one():
-            break
-    points = {}
-    while len(points) < 3:
-        x0 = field(rng.randrange(field.p))
-        val = F.evaluate(x0)
-        if not val.is_zero() and is_square(val):
-            points[x0] = sqrt(val)
-    return SplitCurve(F), a, list(points.items())
+            return SplitCurve(F), a, _affine_points(F, rng, 3)
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -673,25 +673,53 @@ def test_classes_equal_peels_weierstrass_content(p):
         assert not classes_equal(W, S, mumford_add(W, PW, Q2))
 
 
+def _sextic_with_a_tangent_point(field, rng):
+    """y^2 = F = V^2 + c (x - t)^2, V a random monic cubic: V+ = V, and
+    y + V has the divisor 2Q + inf- - 3 inf+ for Q = (t, -V(t)), so
+    2Q + inf- ~ 3 inf+.  Returns the curve, Q and one more affine point."""
+    x = Polynomial.x(field)
+    while True:
+        V = _random_monic(field, rng, 3)
+        t, c = field(rng.randrange(field.p)), field(rng.randrange(1, field.p))
+        F = V * V + c * (x - t) ** 2
+        if not V.evaluate(t).is_zero() and poly_gcd(F, F.derivative()).is_one():
+            [point] = _affine_points(F, rng, 1, avoid=(t,))
+            return SplitCurve(F), (t, -V.evaluate(t)), point
+
+
 @pytest.mark.parametrize("p", [101, 1009])
 def test_classes_equal_splits_a_shared_u_with_different_v(p):
-    """P + Q and P + iota(Q) share u and differ in v; the bundle
-    normalization splits u where the two v agree.  Their difference is
-    Q - iota(Q) - inf+ + inf-, principal iff 2[Q - inf+] is: Cantor's
-    doubling of Q, compared with the identity without any shared u, says
-    it is not."""
+    """D1 = [P - inf+] + [Q - inf+] shares u with D2 = [P - inf+] +
+    [iota(Q) - inf+] and with D3 = [P - inf-] + [iota(Q) - inf-], with
+    another v; the bundle normalization splits u where the two v agree.
+    As Q + iota(Q) = div(x - x(Q)) + inf+ + inf-, D1 ~ D2 iff Cantor's
+    doubling 2[Q - inf+] is the class inf- - inf+, and D1 ~ D3 iff it is
+    inf+ - inf-: comparisons without a shared u.  D1 ~ D2 never holds (Q is
+    not a Weierstrass point); D1 ~ D3 holds on the sextics where
+    2Q + inf- ~ 3 inf+ and not on random ones."""
     field = PrimeField(p)
     rng = random.Random(p + 1)
-    for _ in range(3):
+    one, zero = Polynomial.one(field), Polynomial.zero(field)
+    cases = []
+    for _ in range(2):
         W, _, pts = _sextic_with_weierstrass_point(field, rng)
-        P, Q, _ = (point_class(W, *pt) for pt in pts)
+        cases.append((W, pts[0], pts[1], False))
+        W, q, pt = _sextic_with_a_tangent_point(field, rng)
+        cases.append((W, pt, q, True))
+    for W, (xP, yP), (xQ, yQ), tangent in cases:
+        P, Q, iQ = (point_class(W, xP, yP), point_class(W, xQ, yQ),
+                    point_class(W, xQ, -yQ))
         D1 = mumford_add(W, P, Q)
-        D2 = mumford_add(W, P, iota_star(W, Q))
-        assert D1.u == D2.u and D1.v != D2.v
-        doubled_is_zero = classes_equal(W, mumford_scalar(W, Q, 2),
-                                        identity_class(W))
-        assert not doubled_is_zero
-        assert classes_equal(W, D1, D2) == doubled_is_zero
+        D2 = mumford_add(W, P, iQ)
+        D3 = mumford_add(W, iota_star(W, point_class(W, xP, -yP)),
+                         iota_star(W, Q))
+        assert D1.u == D2.u == D3.u and D1.v != D2.v == D3.v
+        assert (D2.n_plus, D2.n_minus, D3.n_plus, D3.n_minus) == (-2, 0, 0, -2)
+        doubled = mumford_scalar(W, Q, 2)
+        assert not classes_equal(W, doubled, MumfordClass(one, zero, -1, 1))
+        assert not classes_equal(W, D1, D2)
+        assert classes_equal(W, doubled, MumfordClass(one, zero, 1, -1)) == tangent
+        assert classes_equal(W, D1, D3) == tangent
 
 
 def test_point_classes_with_colliding_hashes_stay_apart():
