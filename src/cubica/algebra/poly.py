@@ -11,7 +11,7 @@ product and the long division run on raw ints with one reduction mod p per
 output coefficient.  A polynomial over Q (a ``_QPolynomial``) stores the
 integer form ``q``: integer numerators over one positive denominator, the
 layout of FLINT's ``fmpq_poly``.  Its arithmetic, ``==``, degree and
-predicates, ``poly_gcd`` and ``poly_xgcd`` run on that form
+predicates, ``evaluate``, ``poly_gcd`` and ``poly_xgcd`` run on that form
 (pseudo-division, Knuth's Algorithm R, for the division) and reduce each
 result by one content gcd; ``vals``, the lowest-terms Fractions, is built
 only when something reads it (``coeffs``, ``hash``, ``sort_key``, ``repr``,
@@ -667,6 +667,25 @@ class _QPolynomial(Polynomial):
     def derivative(self):
         nums, d = self.q
         return _qpoly(self.field, _q_normal([i * c for i, c in enumerate(nums)][1:], d))
+
+    def evaluate(self, x):
+        """The value at x = a/b by Horner's rule on the numerators:
+        sum n_i a^i b^(deg - i) over d b^deg."""
+        F = self.field
+        if not isinstance(x, (Element, int, Fraction)):
+            raise TypeError("evaluate takes a field element; compose takes a polynomial")
+        if isinstance(x, Element) and x.field != F:
+            raise FieldError("element from a different field")
+        nums, d = self.q
+        if not nums:
+            return F.zero
+        xv = x.val if isinstance(x, Element) else Fraction(x)
+        a, b = xv.numerator, xv.denominator
+        acc, bpow = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            bpow *= b
+            acc = acc * a + c * bpow
+        return Element(F, Fraction(acc, d * bpow))
 
     def __divmod__(self, other):
         o = self._coerce(other)

@@ -6,9 +6,16 @@ The curve has two rational points at infinity, distinguished by the branch
 of sqrt(F): y/x^(g+1) -> +1 at inf+ and -1 at inf-.  A divisor class is
 carried as an affine semi-reduced Mumford pair (u, v) plus explicit integer
 weights (n+, n-) at the infinite points, normalized so the total degree is
-zero.  Composition is the usual ideal product; reduction replaces v by its
-representative congruent to the polynomial square root V+ of F, which makes
-each step drop deg u below g + 1.
+zero.  Composition is the usual ideal product (Cantor, Math. Comp. 48,
+1987), with two fast paths for the cases the group law meets most: a
+doubling with gcd(u, 2v) = 1 lifts v mod u^2 from one inverse of 2v mod u,
+and an addition with gcd(u1, u2) = 1 glues v1 and v2 by the Chinese
+remainder theorem from one extended gcd, so neither needs the second gcd
+of the general composition.  Every other input (a common factor of u1 and
+u2, a doubling through a Weierstrass point) takes the general composition,
+and every path checks the Mumford invariant v^2 = F mod u.  Reduction
+replaces v by its representative congruent to the polynomial square root
+V+ of F, which makes each step drop deg u below g + 1.
 
 A small Riemann-Roch engine (linear algebra on functions (a + b y)/d with
 prescribed vanishing) provides principality tests - used as the independent
@@ -37,10 +44,12 @@ coefficients of `expansion_at_infinity` and the triples of `rr_space`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
-                      inverse_mod, poly_gcd, poly_xgcd, sqrt)
+                      RationalField, inverse_mod, poly_gcd, poly_xgcd, sqrt)
 from .algebra.linalg import kernel_basis
 from .algebra.poly import _poly, _rem, _taylor_shift, _trim
 
@@ -54,11 +63,28 @@ def _series_sqrt(F, a, prec):
     """The first prec coefficients of the square root s of a payload series a
     over F with a[0] = 1, s[0] = 1, by the recurrence
     2 s_n = a_n - sum_{0<k<n} s_k s_(n-k) (no division by n, so it holds
-    whatever the characteristic, 2 apart); over F_p on raw ints."""
+    whatever the characteristic, 2 apart); over F_p and Q on raw ints."""
     one, zero = F._one_val(), F._zero_val()
     if a[0] != one:
         raise FieldError("series sqrt needs constant term 1")
     out = [one]
+    if isinstance(F, RationalField):
+        # with a_n = A_n/d, T_n = s_n (4d)^n are even integers with
+        # 2 T_n = A_n 4^n d^(n-1) - sum_{0<k<n} T_k T_(n-k), and
+        # A_n 4^n d^(n-1) = a_n (4d)^n
+        step = 4 * math.lcm(*[c.denominator for c in a[:prec]])
+        T, scale = [1], 1
+        for n in range(1, prec):
+            scale *= step
+            acc = 0
+            if n < len(a):
+                acc = a[n].numerator * (scale // a[n].denominator)
+            acc -= 2 * sum(T[k] * T[n - k] for k in range(1, (n + 1) // 2))
+            if n % 2 == 0:
+                acc -= T[n // 2] * T[n // 2]
+            T.append(acc // 2)
+            out.append(Fraction(T[n], scale))
+        return out
     if isinstance(F, PrimeField):
         p = F.p
         half = pow(2, -1, p)
@@ -247,20 +273,46 @@ def point_minus_i_point(curve: SplitCurve, x0, y0, n: int = 1) -> MumfordClass:
 
 
 def _compose(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass):
-    field = curve.field
+    """The semi-reduced sum of D1 and D2 (Cantor, Math. Comp. 48, 1987).
+    A doubling with gcd(u, 2v) = 1 lifts v to v + u k, k = (F - v^2)/u
+    (2v)^-1 mod u; an addition with gcd(u1, u2) = 1 glues v1 and v2 by the
+    Chinese remainder theorem, v1 + u1 (e1 (v2 - v1) mod u2) for
+    e1 u1 + e2 u2 = 1.  Both give u3 = u1 u2 and the one v3 mod u3 that
+    agrees with v1 mod u1 and v2 mod u2, as the general composition does;
+    every other input takes the general composition."""
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
-    g0, e1, e2 = poly_xgcd(u1, u2)
+    if u1 == u2 and v1 == v2 and not u1.is_constant():
+        s, _, c3 = poly_xgcd(u1, v1 + v1)
+        if s.is_one():
+            k = ((curve.F - v1 * v1).exact_div(u1) * c3) % u1
+            return _checked_sum(curve, D1, D2, u1 * u1, v1 + u1 * k, 0)
+        g0, e1, e2 = poly_xgcd(u1, u2)
+    else:
+        g0, e1, e2 = poly_xgcd(u1, u2)
+        if g0.is_one():
+            return _checked_sum(curve, D1, D2, u1 * u2,
+                             v1 + u1 * ((e1 * (v2 - v1)) % u2), 0)
     s, c1, c3 = poly_xgcd(g0, v1 + v2)
     # s = c1*(e1 u1 + e2 u2) + c3 (v1 + v2)
     u3 = (u1 * u2).exact_div(s * s)
     num = c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c3 * (v1 * v2 + curve.F)
-    v3 = (num.exact_div(s)) % u3
+    return _checked_sum(curve, D1, D2, u3, num.exact_div(s) % u3, s.degree)
+
+
+def _checked_sum(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass,
+              u3: Polynomial, v3: Polynomial, ds: int) -> MumfordClass:
+    """The class (u3, v3) of D1 + D2, whose weights grow by ds = deg s,
+    after the Mumford invariant v3^2 = F mod u3 is checked."""
     u3 = u3.monic()
-    if not u3.is_constant() and not ((v3 * v3 - curve.F) % u3).is_zero():
-        raise ArithmeticError("composition broke the Mumford invariant")
-    ds = s.degree
-    return MumfordClass(u3, v3 % u3 if not u3.is_constant() else Polynomial.zero(field),
-                        D1.n_plus + D2.n_plus + ds, D1.n_minus + D2.n_minus + ds)
+    if u3.is_constant():
+        v3 = Polynomial.zero(curve.field)
+    else:
+        if v3.degree >= u3.degree:
+            v3 = v3 % u3
+        if not ((v3 * v3 - curve.F) % u3).is_zero():
+            raise ArithmeticError("composition broke the Mumford invariant")
+    return MumfordClass(u3, v3, D1.n_plus + D2.n_plus + ds,
+                        D1.n_minus + D2.n_minus + ds)
 
 
 def _reduce_once(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
@@ -432,7 +484,9 @@ def _normalize_bundles(curve: SplitCurve, bundles):
 
 @dataclass
 class WDivisor:
-    """A divisor on the curve as normalized bundles plus infinity weights."""
+    """A divisor on the curve as bundles plus infinity weights.  The bundles
+    must be normalized, as `_normalize_bundles` returns them: `rr_space`
+    reads them as they are."""
     bundles: list          # (u, v, mult)
     n_plus: int
     n_minus: int
@@ -483,8 +537,7 @@ def rr_space(curve: SplitCurve, div: WDivisor):
     h = (a + b y)/den."""
     field = curve.field
     # each bundle (u, v, m) with the v of its iota-conjugate
-    bundles = [(u, v, m, (-v) % u)
-               for u, v, m in _normalize_bundles(curve, div.bundles)]
+    bundles = [(u, v, m, (-v) % u) for u, v, m in div.bundles]
     den = Polynomial.one(field)
     for u, v, m, _ in bundles:
         if m > 0:

@@ -298,6 +298,8 @@ class QuadraticModel:
         elif kind == "artin_schreier":
             if field.char != 2:
                 raise FieldError("Artin-Schreier model needs characteristic 2")
+            self._as_class = ASClass.of(gamma)
+            self._as_branch = self._as_class.ramified_places()
         else:
             raise FieldError(f"unknown quadratic model kind {kind!r}")
 
@@ -334,7 +336,7 @@ class QuadraticModel:
     def class_data(self):
         if self.kind == "kummer":
             return SquareClass.of(self.f)
-        return ASClass.of(self.gamma)
+        return self._as_class
 
     def branch_places(self) -> list:
         """The branch locus S on K."""
@@ -346,7 +348,7 @@ class QuadraticModel:
             if self.f.degree % 2 == 1:
                 out.append(Place.infinity(self.field))
             return out
-        return ASClass.of(self.gamma).ramified_places()
+        return list(self._as_branch)
 
     # -- splitting ---------------------------------------------------------------
 
@@ -354,10 +356,9 @@ class QuadraticModel:
         """SPLIT, INERT or RAMIFIED at place, decided from squareness alone
         (no square root is taken)."""
         if self.kind == "artin_schreier":
-            cls = ASClass.of(self.gamma)
-            if place in cls.ramified_places():
+            if place in self._as_branch:
                 return RAMIFIED
-            return cls.splits_at(place)
+            return self._as_class.splits_at(place)
         fbar = self._residue(place)
         if fbar is None:
             return RAMIFIED

@@ -12,9 +12,9 @@ import pytest
 from cubica import jsonio
 from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
                             RationalFunction, ResidueField, poly_gcd,
-                            squarefree_decomposition)
+                            poly_xgcd, squarefree_decomposition)
 from cubica.hyper import (MumfordClass, SplitCurve, WDivisor, _norm_quotient,
-                          _series_sqrt, canonicalize_prym, classes_equal,
+                          _reduced, _series_sqrt, canonicalize_prym, classes_equal,
                           divisor_difference, divisor_of_class, i_star,
                           identity_class, is_principal, iota_star,
                           mumford_add, mumford_neg, mumford_scalar,
@@ -103,6 +103,63 @@ def test_series_sqrt_matches_newton(field):
                       for n in range(prec)]
             padded = a[:prec] + [field.zero] * (prec - len(a))
             assert square == padded
+
+
+def _fraction_series_sqrt(a, prec):
+    """The recurrence 2 s_n = a_n - sum_{0<k<n} s_k s_(n-k) on Fractions."""
+    out = [Fraction(1)]
+    for n in range(1, prec):
+        acc = a[n] if n < len(a) else Fraction(0)
+        for k in range(1, n):
+            acc -= out[k] * out[n - k]
+        out.append(acc / 2)
+    return out
+
+
+def test_series_sqrt_over_q_matches_the_fraction_recurrence():
+    """Over Q the integer recurrence returns the Fractions of the Fraction
+    recurrence, for series shorter and longer than the precision, with
+    integer coefficients and with large heights, and refuses a constant
+    term other than 1."""
+    rng = random.Random("series-sqrt-q")
+    for prec in range(1, 25):
+        for length in (1, prec, prec + 3, max(1, prec - 4)):
+            for height, den in ((9, 1), (9, 9), (10 ** 30, 10 ** 12)):
+                a = [Fraction(1)] + [Fraction(rng.randint(-height, height),
+                                              rng.randint(1, den))
+                                     for _ in range(length - 1)]
+                got = _series_sqrt(QQ, a, prec)
+                assert got == _fraction_series_sqrt(a, prec), (prec, length)
+                assert all(type(c) is Fraction for c in got)
+    with pytest.raises(FieldError, match="constant term 1"):
+        _series_sqrt(QQ, [Fraction(4), Fraction(1)], 3)
+
+
+def test_q_evaluate_matches_the_fraction_horner_rule():
+    """`evaluate` over Q, on the integer form, equals Horner's rule on the
+    Fraction coefficients (`Polynomial.evaluate`) for the zero polynomial,
+    constants and seeded polynomials at int, Fraction and Element arguments,
+    and refuses a non-scalar argument and an element of another field as it
+    does."""
+    rng = random.Random("q-evaluate")
+    polys = [Polynomial.zero(QQ), Polynomial.one(QQ),
+             Polynomial.constant(QQ, Fraction(-7, 3))]
+    for degree in range(1, 9):
+        polys.append(Polynomial(QQ, [Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+                                     for _ in range(degree + 1)]))
+    args = [0, 1, -3, 10 ** 30 + 7, Fraction(-5, 12), Fraction(2, 10 ** 20 + 39),
+            QQ(Fraction(7, 3)), QQ(0), QQ(-1)]
+    for f in polys:
+        for x in args:
+            got = f.evaluate(x)
+            assert got == Polynomial.evaluate(f, x), (f, x)
+            assert got.field is QQ and type(got.val) is Fraction
+    for f in (polys[0], polys[-1]):
+        for bad in (Polynomial.x(QQ), 0.5, "1/2"):
+            with pytest.raises(TypeError, match="compose takes a polynomial"):
+                f.evaluate(bad)
+        with pytest.raises(FieldError, match="different field"):
+            f.evaluate(PrimeField(5)(2))
 
 
 def test_infinite_points_are_told_apart():
@@ -285,6 +342,168 @@ def test_reduction_of_degree_three_sums_on_octics(p):
         assert D.degree_check() == 0
         assert classes_equal(W, D, raw)
     assert steps == {True, False}
+
+
+# -- the group law against Cantor's general composition ------------------------
+
+
+def _reference_compose(curve, D1, D2):
+    """Cantor's composition in its general form, for every input: the
+    reference for the doubling and coprime paths of `_compose`."""
+    field = curve.field
+    u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
+    g0, e1, e2 = poly_xgcd(u1, u2)
+    s, c1, c3 = poly_xgcd(g0, v1 + v2)
+    # s = c1*(e1 u1 + e2 u2) + c3 (v1 + v2)
+    u3 = (u1 * u2).exact_div(s * s)
+    num = c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c3 * (v1 * v2 + curve.F)
+    v3 = (num.exact_div(s)) % u3
+    u3 = u3.monic()
+    if not u3.is_constant() and not ((v3 * v3 - curve.F) % u3).is_zero():
+        raise ArithmeticError("composition broke the Mumford invariant")
+    ds = s.degree
+    return MumfordClass(u3, v3 % u3 if not u3.is_constant() else Polynomial.zero(field),
+                        D1.n_plus + D2.n_plus + ds, D1.n_minus + D2.n_minus + ds)
+
+
+def _reference_add(curve, D1, D2):
+    return _reduced(curve, _reference_compose(curve, D1, D2))
+
+
+def _reference_scalar(curve, D, n):
+    """n D for n >= 1 by the double-and-add of `mumford_scalar`."""
+    result, base = None, D
+    while n:
+        if n & 1:
+            result = base if result is None else _reference_add(curve, result, base)
+        n >>= 1
+        if n:
+            base = _reference_add(curve, base, base)
+    return result
+
+
+def _composition_kind(D1, D2):
+    """Which case of Cantor's composition D1 + D2 is."""
+    if D1.u == D2.u and D1.v == D2.v and not D1.u.is_constant():
+        if poly_gcd(D1.u, D1.v + D1.v).is_one():
+            return "doubling"
+        return "doubling, gcd(u, 2v) != 1"
+    if poly_gcd(D1.u, D2.u).is_one():
+        return "addition, gcd(u1, u2) = 1"
+    return "addition, gcd(u1, u2) != 1"
+
+
+def _checking_compositions(monkeypatch):
+    """Patch `hyper._compose` to check every composition against
+    `_reference_compose`, representative for representative; returns the
+    set of the kinds of composition it saw."""
+    import cubica.hyper as hyper
+    kinds, compose = set(), hyper._compose
+
+    def checked(curve, D1, D2):
+        got = compose(curve, D1, D2)
+        assert got == _reference_compose(curve, D1, D2), (D1, D2)
+        kinds.add(_composition_kind(D1, D2))
+        return got
+    monkeypatch.setattr(hyper, "_compose", checked)
+    return kinds
+
+
+def _draw(field, rng):
+    if field is QQ:
+        return QQ(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+    return field(rng.randrange(field.p))
+
+
+def _curve_through_points(field, rng, degree, count, weierstrass=False):
+    """A squarefree y^2 = F, F monic of the given degree, through `count`
+    affine points with distinct x and y != 0 and, if asked, through a
+    Weierstrass point (a, 0): F = I + N R with N the product of the x - x_i,
+    I the interpolant of the values y_i^2 (and 0 at a) and R a random monic
+    polynomial.  Returns the curve, the points and a (None if not asked)."""
+    x = Polynomial.x(field)
+    while True:
+        xs = []
+        while len(xs) < count + weierstrass:
+            c = _draw(field, rng)
+            if c not in xs:
+                xs.append(c)
+        ys = [_draw(field, rng) for _ in range(count)]
+        if any(y.is_zero() for y in ys):
+            continue
+        values = [y * y for y in ys] + [field.zero] * weierstrass
+        interp, N = Polynomial.zero(field), Polynomial.one(field)
+        for i, xi in enumerate(xs):
+            basis = Polynomial.constant(field, values[i])
+            for j, xj in enumerate(xs):
+                if j != i:
+                    basis = basis * (x - xj) * (xi - xj).inverse()
+            interp, N = interp + basis, N * (x - xi)
+        R = Polynomial(field, [_draw(field, rng) for _ in range(degree - len(xs))]
+                       + [field.one])
+        F = interp + N * R
+        if poly_gcd(F, F.derivative()).is_one():
+            return (SplitCurve(F), list(zip(xs, ys)),
+                    xs[-1] if weierstrass else None)
+
+
+_GROUP_LAW_FIELDS = [PrimeField(101), PrimeField(1009), QQ]
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+@pytest.mark.parametrize("field", _GROUP_LAW_FIELDS, ids=repr)
+def test_group_law_matches_the_general_composition(field, degree, monkeypatch):
+    """mumford_add and mumford_scalar (n <= 12) against Cantor arithmetic on
+    `_reference_compose`, on seeded sextics and octics through deg F - 2
+    affine points and a Weierstrass point P_W: every composition gives the reference's
+    representative, and the sweep reaches all four cases - doublings and
+    additions with and without a common factor.  These include P + P,
+    P + Q, P + iota(P), (P + Q) + (P + R) with u1 and u2 sharing x - x(P),
+    the doubling of P_W + P through P_W (gcd(u, 2v) = x - x(P_W)) and, on
+    the octics, the sum of two degree-3 classes whose first reduction step
+    has deg r > g."""
+    kinds = _checking_compositions(monkeypatch)
+    rng = random.Random(f"group-law-reference:{field!r}:{degree}")
+    for _ in range(2):
+        W, pts, a = _curve_through_points(field, rng, degree, degree - 2,
+                                          weierstrass=True)
+        P = [point_class(W, *pt) for pt in pts]
+        PW = point_class(W, a, 0)
+        iota_P0 = point_class(W, pts[0][0], -pts[0][1])
+        S01, S02 = mumford_add(W, P[0], P[1]), mumford_add(W, P[0], P[2])
+        SW = mumford_add(W, PW, P[0])
+        T1 = mumford_add(W, S01, P[2])
+        T2 = mumford_add(W, mumford_add(W, P[3], P[-2]), P[-1])
+        pairs = [(P[0], P[1]), (P[0], P[0]), (P[0], iota_P0), (PW, PW),
+                 (S01, S02), (SW, SW), (SW, S01), (T1, T2), (T2, T2)]
+        for D1, D2 in pairs:
+            assert mumford_add(W, D1, D2) == _reference_add(W, D1, D2)
+        for D in (P[0], S01, SW, T1):
+            for n in range(1, 13):
+                assert mumford_scalar(W, D, n) == _reference_scalar(W, D, n), n
+        if degree == 8:
+            assert _reference_compose(W, T1, T2).u.degree == 6
+    assert kinds == {"doubling", "doubling, gcd(u, 2v) != 1",
+                     "addition, gcd(u1, u2) = 1", "addition, gcd(u1, u2) != 1"}
+
+
+@pytest.mark.parametrize("field", _GROUP_LAW_FIELDS, ids=repr)
+def test_multiples_of_point_minus_i_point_match_the_general_composition(
+        field, monkeypatch):
+    """The benchmark's path: n [P - i(P)] for n <= 12 on seeded even
+    octics, by `mumford_scalar` and by Cantor arithmetic on
+    `_reference_compose`, give the same representative."""
+    kinds = _checking_compositions(monkeypatch)
+    if field is QQ:
+        rng = random.Random("group-law-reference:even")
+        curves = [even_octic_through(rng) for _ in range(3)]
+    else:
+        curves = even_octics_mod_p(field.p, "group-law-reference", 3)
+    for W, x0, y0 in curves:
+        E = point_minus_i_point(W, x0, y0)
+        for n in range(1, 13):
+            assert mumford_scalar(W, E, n) == _reference_scalar(W, E, n), n
+    assert {"doubling", "addition, gcd(u1, u2) = 1"} <= kinds
 
 
 def _anti_invariant_samples(curve, field, rng, count):
@@ -720,6 +939,69 @@ def test_classes_equal_splits_a_shared_u_with_different_v(p):
         assert not classes_equal(W, D1, D2)
         assert classes_equal(W, doubled, MumfordClass(one, zero, 1, -1)) == tangent
         assert classes_equal(W, D1, D3) == tangent
+
+
+def test_classes_equal_of_a_weierstrass_class_and_its_conjugate():
+    """D = P_W + P on seeded octics over F_101, P_W = (a, 0) a Weierstrass
+    point and P an affine point with y != 0: u has the root a and v(a) = 0,
+    v != 0.  D - iota(D) has the bundles (u, v, 1) and (u, -v, -1); kept
+    whole, `rr_space` would ask for order 2 along (u, -v), whose Hensel lift
+    needs gcd(u, v) = 1 and raises.  The bundle normalization peels x - a
+    off both, and the answer is that of D - iota(D) ~ 0 by Cantor
+    arithmetic, a doubling through P_W."""
+    field = PrimeField(101)
+    rng = random.Random("weierstrass-peel")
+    x = Polynomial.x(field)
+    for _ in range(8):
+        W, [pt], a = _curve_through_points(field, rng, 8, 1, weierstrass=True)
+        D = mumford_add(W, point_class(W, a, 0), point_class(W, *pt))
+        assert (D.u % (x - a)).is_zero() and D.v.evaluate(a).is_zero()
+        assert not D.v.is_zero()
+        conj = iota_star(W, D)
+        want = classes_equal(W, mumford_add(W, D, mumford_neg(W, conj)),
+                             identity_class(W))
+        assert classes_equal(W, D, conj) == want
+
+
+def test_bundle_normalization_is_idempotent(monkeypatch):
+    """`rr_space` reads a WDivisor's bundles as they are, so every WDivisor
+    is built from normalized bundles.  Normalizing again what
+    `_normalize_bundles` returned changes nothing, on the bundles of the
+    sweeps above: symmetric forms over F_101, the Weierstrass and shared-u
+    comparisons, and the group law over Q."""
+    import cubica.hyper as hyper
+    normalize, seen = hyper._normalize_bundles, []
+
+    def recorded(curve, bundles):
+        out = normalize(curve, bundles)
+        seen.append((curve, out))
+        return out
+    monkeypatch.setattr(hyper, "_normalize_bundles", recorded)
+    for W, x0, y0 in even_octics_mod_p(101, "canonicalize-prym", 30):
+        for D in (mumford_scalar(W, point_minus_i_point(W, x0, y0), 3),
+                  point_minus_i_point(W, x0, y0, 3)):
+            _outcome(canonicalize_prym, W, D)
+    for p in (101, 1009):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        W, a, pts = _sextic_with_weierstrass_point(field, rng)
+        PW = point_class(W, a, 0)
+        Q, R, Q2 = (point_class(W, *pt) for pt in pts)
+        S = mumford_add(W, PW, Q)
+        classes_equal(W, S, mumford_add(W, mumford_add(W, S, R), mumford_neg(W, R)))
+        classes_equal(W, S, iota_star(W, S))
+        classes_equal(W, mumford_add(W, Q, R), mumford_add(W, Q, iota_star(W, R)))
+    W = example_curve(QQ)
+    E = point_minus_i_point(W, 1, 2)
+    for n in range(1, 7):
+        classes_equal(W, mumford_scalar(W, E, n + 1),
+                      mumford_add(W, mumford_scalar(W, E, n), E))
+    monkeypatch.undo()
+    for curve, bundles in seen:
+        assert normalize(curve, bundles) == bundles
+    assert len(seen) >= 60
+    assert any(len(bundles) >= 3 for _, bundles in seen)
+    assert any(v.is_zero() for _, bundles in seen for _, v, _ in bundles)
 
 
 def test_point_classes_with_colliding_hashes_stay_apart():
