@@ -223,7 +223,7 @@ def cmd_parshin_cover(args):
             "P_tilde": [encode_element(cover.Pt.x), encode_element(cover.Pt.y)],
             "lambda": encode_element(cover.f.lam),
             "f": {"G": {"p": encode_poly(cover.f.gp), "q": encode_poly(cover.f.gq)},
-                  "H": {"p": encode_poly(cover.f.hp), "q": encode_poly(cover.f.hq)}},
+                  "H": {"p": encode_poly(cover.f.den), "q": []}},
         },
     })
 

@@ -21,15 +21,17 @@ A small Riemann-Roch engine (linear algebra on functions (a + b y)/d with
 prescribed vanishing) provides principality tests - used as the independent
 oracle for the group law - and the canonical presentation of classes in the
 anti-invariant part of the Jacobian of the covering involution
-i(x, y) = (-x, -y).
+i(x, y) = (-x, -y).  The one function h spanning the space that presentation
+is read from is returned with it (`_symmetric_form`); `parshin` takes its
+descent function f from that h.
 
 Local expansions take one series square root, `_series_sqrt` (a
 coefficient recurrence).  At inf+- y = +-x^(g+1) S(1/x), and
 `y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S; at an
 affine point y = y0 S(x - x0), with S the root of F(x0 + t)/y0^2
-(`_local_root`).  `parshin` reads its interpolation rows off that branch,
-and `point_minus_i_point` truncates it to the Mumford pair of n[P - i(P)]
-in one step, with no Cantor composition.  Vanishing to
+(`_local_root`).  `point_minus_i_point` truncates that branch to the
+Mumford pair of n[P - i(P)] in one step, with no Cantor composition, and
+`parshin` reads pole orders on the quotient off it.  Vanishing to
 order k along a bundle (u, v) of a Riemann-Roch space, whose u need not be
 linear, is the congruence a + b V = 0 mod u^k with V the Hensel lift of v
 (`hensel_v`, rows from `coeff_vec`).
@@ -38,8 +40,8 @@ The Riemann-Roch engine runs on payloads, like the kernel of
 `algebra.poly`: the series S (`sqrt_series` caches it), the condition rows
 of `coeff_vec` and of the infinite points, and the kernel vectors from
 `linalg.kernel_basis` are lists of field payloads, with raw int loops over
-F_p.  Elements and Polynomials appear only at the API: classes, the
-coefficients of `expansion_at_infinity` and the triples of `rr_space`.
+F_p.  Elements and Polynomials appear only at the API: classes and the
+triples of `rr_space`.
 """
 
 from __future__ import annotations
@@ -181,23 +183,6 @@ class SplitCurve:
         if not 0 <= k < len(S):
             return self.field._zero_val()
         return S[k] if sign > 0 else self.field._neg(S[k])
-
-    def expansion_at_infinity(self, a: Polynomial, b: Polynomial, sign: int,
-                              low: int):
-        """Laurent coefficients {j: c_j} of a + b*y at inf+- for x^j with
-        j >= low, as Elements."""
-        F = self.field
-        add, mul, zero = F._add, F._mul, F._zero_val()
-        top = max(a.degree, b.degree + self.g + 1, low)
-        S = self.sqrt_series(top - low + 2)
-        out = {}
-        for j in range(low, top + 1):
-            c = a.vals[j] if 0 <= j <= a.degree else zero
-            for m, bm in enumerate(b.vals):
-                if bm != zero:
-                    c = add(c, mul(bm, self.y_coeff_at_infinity(m, j, sign, S)))
-            out[j] = Element(F, c)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +631,22 @@ def _norm_quotient(curve: SplitCurve, a, b, den, bundles) -> Polynomial:
 
 def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     """The representative (x^2 - A, const, -1, -1) of an anti-invariant class
-    (i_* D = -D), via one interpolation in L(D + inf+ + inf-).
+    (i_* D = -D), via one interpolation in L(D + inf+ + inf-)."""
+    return _symmetric_form(curve, D)[0]
+
+
+def _symmetric_form(curve: SplitCurve, D: MumfordClass):
+    """`canonicalize_prym`'s class together with the triple (a, b, den) of
+    the h = (a + b y)/den spanning L(D + inf+ + inf-), or None when D ~ 0.
 
     One Riemann-Roch space decides both the identity and the sign.  For
     g >= 2 the only g^1_2 is |inf+ + inf-|, so l(D + inf+ + inf-) >= 2 iff
     D ~ 0: a space of dimension 1 already proves D not principal, and
     `is_principal` runs only otherwise (always for g = 1, where l is 2).
     D and D + inf+ + inf- share their bundles, hence their Hensel lifts, so
-    either order of the two spaces raises the same errors.  When
-    h = (a + b y)/den spans the space,
-    E' = div(h) + D + inf+ + inf- is the one effective divisor of the
-    system, its x-projection is u_s, and (u_s, c, -1, -1) ~ D iff
+    either order of the two spaces raises the same errors.  When h spans
+    the space, E' = div(h) + D + inf+ + inf- is the one effective divisor of
+    the system, its x-projection is u_s, and (u_s, c, -1, -1) ~ D iff
     div(u_s, c) = E'.  If gcd(u_s, den) = 1, no point over u_s lies in the
     support of D or of den, so there E' is the zero divisor of a + b y; by
     Cantor's test (Math. Comp. 48, 1987) a + b y vanishes on div(u_s, c) iff
@@ -671,7 +661,7 @@ def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     space = rr_space(curve, lifted)
     if len(space) != 1:
         if is_principal(curve, base):
-            return identity_class(curve)
+            return identity_class(curve), None
         raise ArithmeticError("class has no unique degree-2 presentation")
     a, b, den = space[0]
     u_s = _norm_quotient(curve, a, b, den, base.bundles)
@@ -687,5 +677,5 @@ def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
         candidate = MumfordClass(u_s, Polynomial.constant(field, cand), -1, -1)
         if (((a + b * cand) % u_s).is_zero() if disjoint
                 else classes_equal(curve, D, candidate)):
-            return candidate
+            return candidate, space[0]
     raise ArithmeticError("no matching square root for the symmetric form")

@@ -8,19 +8,20 @@ Three constructions:
     cover W: y^2 = F(x), F even of degree 8: take the class 3[Qt - i(Qt)]
     in the anti-invariant part of Jac(W) straight from the branch of y at
     Qt (`hyper.point_minus_i_point`, no Cantor tripling), bring it to its
-    symmetric form, locate the branch point, interpolate the
-    descent function f with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, and push
-    alpha = lam (f + i*f) down to X.
+    symmetric form (x^2 - a, b) with one Riemann-Roch space, locate the
+    branch point Pt = (+-sqrt(a), -b), and push alpha = lam (f + i*f) down
+    to X.
 
-The interpolation conditions are read from one local expansion at each
-point, in t = x - x0: ord_P(a + b y) >= k at P = (x0, y0) says that the
-coefficients of t^0, ..., t^(k-1) in a(x0 + t) + b(x0 + t) y vanish, with
-y = y0 S(t) for the series root S (`hyper._local_root`) of F(x0 + t)/y0^2
-and the shifts by `poly._taylor_shift`.  The rows at i(P) are those at P
-with the columns of odd a_i and even b_i negated.  Pole orders of alpha on
-X are read from the same expansion.  Rows, kernel vectors and series are
-lists of field payloads, as in `hyper`; the covers and their witnesses hold
-Elements and Polynomials.
+The descent function f, with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, comes from
+the same space: it is spanned by one h, and f = h (x + x0)^3/(x - x(Pt))
+(`_f_from_h`), a function (a + b y)/H with H a polynomial.  Nothing else is
+solved for.  f is fixed up to sign once lam = f * i*(f) is put in its
+canonical square class, and the sign of alpha is fixed by one rule on every
+field (`_normalize_presentation`).  Pole orders of alpha on X are read from
+one local expansion at each pole, in t = x - x0: y = y0 S(t) for the series
+root S (`hyper._local_root`) of X_rhs(x0 + t)/y0^2, with the shifts by
+`poly._taylor_shift`.  Series are lists of field payloads, as in `hyper`;
+the covers and their witnesses hold Elements and Polynomials.
 """
 
 from __future__ import annotations
@@ -29,17 +30,11 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (Element, FieldError, FunctionField, Polynomial,
-                      QQ, RationalFunction, inverse_mod, is_square, poly_gcd,
-                      sqrt)
-from .algebra.linalg import kernel_basis
-from .algebra.poly import _add, _mul, _poly, _taylor_shift, _trim
+                      QQ, RationalFunction, is_square, poly_gcd, sqrt)
+from .algebra.poly import _add, _mul, _taylor_shift, _trim
 from .hyper import (MumfordClass, SplitCurve, _compose_neg, _local_root,
-                    canonicalize_prym, coeff_vec, point_minus_i_point)
+                    _symmetric_form, point_minus_i_point)
 from .quadratic import canonical_square_const
-
-# interpolate_f tries spans up to this many degrees above the smallest one
-_MAX_EXTRA_DEGREE = 6
-
 
 # ---------------------------------------------------------------------------
 # genus-1 family
@@ -240,12 +235,11 @@ class CurvePoint:
 
 @dataclass
 class InterpolatedFunction:
-    """f = G/H with G = gp + gq*y, H = hp + hq*y and
-    (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt;  f * i*(f) = lam."""
+    """f = (gp + gq*y)/den with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt;
+    f * i*(f) = lam."""
     gp: Polynomial
     gq: Polynomial
-    hp: Polynomial
-    hq: Polynomial
+    den: Polynomial
     lam: Element
 
 
@@ -271,155 +265,49 @@ def find_Ptilde(curve: SplitCurve, threeE: MumfordClass):
     return points[0], points[1]
 
 
-def _point_conditions(curve, pt: CurvePoint, order, na, nb, cols):
-    """Rows forcing ord_pt(a + b y) >= order for deg a <= na, deg b <= nb,
-    read in t = x - x0: row d is the coefficient of t^d in
-    a(x0 + t) + b(x0 + t) y.  The column of a_i is (x0 + t)^i and that of
-    b_i is (x0 + t)^i y, both mod t^order, each x0 + t times the one
-    before it.  They span the rows of the congruence a + b V = 0 mod
-    (x - x0)^order for the Hensel lift V of y0 (a change of basis from x^d
-    to t^d), so `kernel_basis`, read off the reduced echelon form, gives
-    the same vectors."""
-    if pt.y.is_zero():
+def _refuse_weierstrass(*points: CurvePoint):
+    """Qt and Pt must lie off y = 0: at such a Qt, 3[Qt - i(Qt)] is not the
+    class `_f_from_h` reads, and `_orders_on_x` expands y at the images of
+    both on X."""
+    if any(pt.y.is_zero() for pt in points):
         raise FieldError("series expansion needs a non-Weierstrass point")
-    field = curve.field
-    add, mul, zero = field._add, field._mul, field._zero_val()
-    x0, y0 = pt.x.val, pt.y.val
-    one_col = [field._one_val()] + [zero] * (order - 1)
-    y_col = [mul(y0, s) for s in _local_root(field, curve.F, x0, y0, order)]
-    rows = [[zero] * cols for _ in range(order)]
-    for col, first, count in ((one_col, 0, na + 1), (y_col, na + 1, nb + 1)):
-        for i in range(first, first + count):
-            if i > first:
-                col = [mul(x0, col[0])] + [add(mul(x0, col[d]), col[d - 1])
-                                           for d in range(1, order)]
-            for d in range(order):
-                rows[d][i] = col[d]
-    return rows
-
-
-def _conjugate_rows(field, rows, na):
-    """The rows at i(pt) from the rows at pt: a(x) + b(x) y vanishes at
-    i(pt) to an order iff a(-x) - b(-x) y vanishes at pt to it, so the
-    columns of a_i change sign for odd i and those of b_i for even i."""
-    neg = field._neg
-    flip = [(i if i <= na else i - na) % 2 for i in range(len(rows[0]))]
-    return [[neg(e) if f else e for e, f in zip(row, flip)] for row in rows]
-
-
-def _infinity_order(curve: SplitCurve, p: Polynomial, q: Polynomial, sign: int):
-    """ord at inf+- of p + q y (scan the Laurent expansion downward)."""
-    floor = -(max(p.degree, q.degree + curve.g + 1, 0) + curve.F.degree + 2)
-    exp = curve.expansion_at_infinity(p, q, sign, floor)
-    for j in sorted(exp, reverse=True):
-        if not exp[j].is_zero():
-            return -j
-    raise ArithmeticError("function vanished to unexpected order at infinity")
-
-
-def _pick_kernel_vector(curve, kern, na):
-    # the target divisors are never iota-symmetric, so p and q must both be
-    # nonzero (a pure polynomial or pure y-multiple cannot work) and coprime
-    field = curve.field
-    zero, sort_key = field._zero_val(), field.sort_key
-    best = None
-    for vec in kern:
-        p = _poly(field, _trim(vec[:na + 1], zero))
-        q = _poly(field, _trim(vec[na + 1:], zero))
-        if p.is_zero() or q.is_zero():
-            continue
-        if not poly_gcd(p, q).is_one():
-            continue
-        key = (max(p.degree, q.degree + curve.g + 1),
-               tuple(sort_key(c) for c in reversed(p.vals)),
-               tuple(sort_key(c) for c in reversed(q.vals)))
-        if best is None or key < best[0]:
-            best = (key, p, q)
-    if best is None:
-        return None
-    return best[1], best[2]
 
 
 def interpolate_f(curve: SplitCurve, Qt: CurvePoint,
                   Pt: CurvePoint) -> InterpolatedFunction:
-    """f = G/H on W with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, exactly.
+    """f = G/den on W with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, from the one
+    Riemann-Roch space `canonicalize_prym` builds for 3[Qt - i(Qt)].  Pt
+    must be a point (+-sqrt(a), -b) of that class's symmetric form
+    (x^2 - a, b), as `find_Ptilde` returns it."""
+    _refuse_weierstrass(Qt, Pt)
+    threeE, h = _symmetric_form(curve, point_minus_i_point(curve, Qt.x, Qt.y, 3))
+    return _f_from_h(curve, Qt, Pt, threeE, h)
 
-    H vanishes on Pt + 3 Qt (order-3 vanishing via series derivatives), its
-    residual zero set R is carried as an unfactored Mumford-style pair, and
-    G vanishes on i(Pt) + 3 i(Qt) + R.  The divisor is then verified: norm
-    factorizations on both sides, equal pole orders at both infinite points,
-    and the constancy of f * i*(f)."""
+
+def _f_from_h(curve, Qt, Pt, threeE, h) -> InterpolatedFunction:
+    """f = h (x + x0)^3/(x - x(Pt)) for the h = (a + b y)/den spanning
+    L(D + inf+ + inf-), D = 3[Qt - i(Qt)], Qt = (x0, y0), y0 != 0.
+
+    D = 3 Qt + 3 (-x0, y0) - 3 inf+ - 3 inf- = 3 Qt - 3 i(Qt) + 3 div(x + x0),
+    and E' = div(h) + D + inf+ + inf- is div(x^2 - a, b) for the symmetric
+    form (x^2 - a, b) of the class.  For Pt = (+-sqrt(a), -b),
+    div(x - x(Pt)) = Pt + (x(Pt), b) - inf+ - inf-, so
+    E' - inf+ - inf- = i(Pt) - Pt + div(x - x(Pt)) and f has the divisor
+    i(Pt) + 3 i(Qt) - Pt - 3 Qt.  den = (x^2 - x0^2)^3, so f = (a + b y)/H
+    with the polynomial H = den (x - x(Pt))/(x + x0)^3.  f is fixed up to
+    a constant; scaling it puts lam = f * i*(f) in its canonical square
+    class, which leaves f and -f, and `_normalize_presentation` picks one."""
     field = curve.field
-    iP = CurvePoint(-Pt.x, -Pt.y)
-    iQ = CurvePoint(-Qt.x, -Qt.y)
-    base_m = (4 + curve.g + 1) // 2
-    last_error = "no admissible degree"
-    for m in range(base_m, base_m + _MAX_EXTRA_DEGREE + 1):
-        # the span {x^i, x^j y : i <= m, j <= m - g - 1}
-        na, nb = m, max(m - (curve.g + 1), -1)
-        cols = na + nb + 2
-        h_rows = (_point_conditions(curve, Pt, 1, na, nb, cols)
-                  + _point_conditions(curve, Qt, 3, na, nb, cols))
-        picked = _pick_kernel_vector(curve, kernel_basis(field, h_rows, cols), na)
-        if picked is None:
-            last_error = "rank-deficient H system"
-            continue
-        hp, hq = picked
-        try:
-            return _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq,
-                                           h_rows, na, nb, cols)
-        except ArithmeticError as exc:
-            last_error = str(exc)
-            continue
-    raise ArithmeticError(f"interpolation failed up to the degree cap: {last_error}")
-
-
-def _complete_interpolation(curve, Qt, Pt, iQ, iP, hp, hq, h_rows, na, nb,
-                            cols):
-    """G from H: it vanishes on i(Pt) + 3 i(Qt), whose rows are the
-    conjugates of H's rows at Pt + 3 Qt, and on H's residual zeros R."""
-    field = curve.field
-    norm_h = hp * hp - hq * hq * curve.F
-    known = (Polynomial(field, [-Pt.x, field.one])
-             * Polynomial(field, [-Qt.x, field.one]) ** 3)
-    U_R = norm_h.exact_div(known)
-    U_R = U_R.monic() if not U_R.is_zero() else U_R
-    if U_R.is_zero():
-        raise ArithmeticError("degenerate H")
-    if U_R.degree > 0 and not poly_gcd(hq, U_R).is_one():
-        raise ArithmeticError("residual locus meets the y-coefficient")
-    if U_R.degree > 0:
-        V_R = (-hp * inverse_mod(hq % U_R, U_R)) % U_R
-    else:
-        V_R = Polynomial.zero(field)
-
-    rows = _conjugate_rows(field, h_rows, na)
-    if U_R.degree > 0:
-        rows += coeff_vec(Polynomial.one(field), V_R, U_R, na, nb, cols)
-    picked = _pick_kernel_vector(curve, kernel_basis(field, rows, cols), na)
-    if picked is None:
-        raise ArithmeticError("rank-deficient G system")
-    gp, gq = picked
-    norm_g = gp * gp - gq * gq * curve.F
-    target = (Polynomial(field, [-iP.x, field.one])
-              * Polynomial(field, [-iQ.x, field.one]) ** 3 * U_R)
-    quo, rem = divmod(norm_g, target)
-    if not rem.is_zero() or not quo.is_constant() or quo.is_zero():
-        raise ArithmeticError("G has extra zeros")
-    for sign in (1, -1):
-        if _infinity_order(curve, gp, gq, sign) != _infinity_order(curve, hp, hq, sign):
-            raise ArithmeticError("infinity orders of G and H differ")
-    # lam = f * i*(f): numerator and denominator must be proportional
-    lam = _constant_ratio(curve, gp, gq, hp, hq)
-    # canonical normalization: lam squarefree (resp. the canonical square
-    # class constant over a finite field), with G rescaled accordingly
+    x = Polynomial.x(field)
+    if (threeE.u != x * x - Pt.x * Pt.x
+            or threeE.v != Polynomial.constant(field, -Pt.y)):
+        raise FieldError("Pt is not a point (+-sqrt(a), -b) of the class")
+    a, b, den = h
+    H = (den * (x - Pt.x)).exact_div((x + Qt.x) ** 3)
+    lam = _constant_ratio(curve, a, b, H)
     lam_c = canonical_square_const(lam)
-    ratio = lam / lam_c
-    nu = sqrt(ratio)
-    nu_inv = nu.inverse()
-    gp, gq = gp * nu_inv, gq * nu_inv
-    lam = lam_c
-    return InterpolatedFunction(gp=gp, gq=gq, hp=hp, hq=hq, lam=lam)
+    nu_inv = sqrt(lam / lam_c).inverse()
+    return InterpolatedFunction(gp=a * nu_inv, gq=b * nu_inv, den=H, lam=lam_c)
 
 
 def _mul_pairs(curve, a1, b1, a2, b2):
@@ -427,29 +315,15 @@ def _mul_pairs(curve, a1, b1, a2, b2):
     return a1 * a2 + b1 * b2 * curve.F, a1 * b2 + b1 * a2
 
 
-def _constant_ratio(curve, gp, gq, hp, hq) -> Element:
-    """lam with G * (G o i) = lam * H * (H o i)."""
-    field = curve.field
-    gN = _mul_pairs(curve, gp, gq, _compose_neg(gp), -_compose_neg(gq))
-    hN = _mul_pairs(curve, hp, hq, _compose_neg(hp), -_compose_neg(hq))
-    # proportionality of the pairs
-    lam = None
-    for gn, hn in ((gN[0], hN[0]), (gN[1], hN[1])):
-        if hn.is_zero():
-            if not gn.is_zero():
-                raise ArithmeticError("f i*(f) is not constant")
-            continue
-        quo, rem = divmod(gn, hn)
-        if not rem.is_zero() or not quo.is_constant():
-            raise ArithmeticError("f i*(f) is not constant")
-        val = quo.constant_coeff()
-        if lam is None:
-            lam = val
-        elif lam != val:
-            raise ArithmeticError("f i*(f) is not constant")
-    if lam is None or lam.is_zero():
+def _constant_ratio(curve, gp, gq, den) -> Element:
+    """lam with G * (G o i) = lam * den * den(-x) for G = gp + gq y."""
+    norm, rest = _mul_pairs(curve, gp, gq, _compose_neg(gp), -_compose_neg(gq))
+    quo, rem = divmod(norm, den * _compose_neg(den))
+    if not rest.is_zero() or not rem.is_zero() or not quo.is_constant():
+        raise ArithmeticError("f i*(f) is not constant")
+    if quo.is_zero():
         raise ArithmeticError("degenerate constant for f i*(f)")
-    return lam
+    return quo.constant_coeff()
 
 
 # -- pushing alpha down to X --------------------------------------------------------
@@ -458,7 +332,7 @@ def _constant_ratio(curve, gp, gq, hp, hq) -> Element:
 @dataclass
 class ParshinCover:
     """z^3 = 3c z + alpha on the genus-2 quotient X: y^2 = x * G(x), with
-    alpha = (A(x) + B(x) y)/C(x) and all pipeline witnesses."""
+    alpha = (A(x) + B(x) y)/C(x) = c (f + i*f) and all pipeline witnesses."""
     curve_W: SplitCurve
     X_rhs: Polynomial
     c: Element
@@ -483,12 +357,6 @@ def _odd_part(p: Polynomial) -> Polynomial:
     return Polynomial(field, [p[i] for i in range(1, p.degree + 1, 2)])
 
 
-def _assert_parity(p: Polynomial, parity: int):
-    for i in range(p.degree + 1):
-        if i % 2 != parity and not p[i].is_zero():
-            raise ArithmeticError("parity structure failed under the involution")
-
-
 def parshin_cover(curve: SplitCurve, qt_x, qt_y) -> ParshinCover:
     """The full non-Weierstrass pipeline from a base point Qt = (qt_x, qt_y)."""
     field = curve.field
@@ -497,10 +365,13 @@ def parshin_cover(curve: SplitCurve, qt_x, qt_y) -> ParshinCover:
     Qt = CurvePoint(field(qt_x), field(qt_y))
     if not curve.on_curve(Qt.x, Qt.y):
         raise FieldError("the base point is not on the curve")
-    threeE = canonicalize_prym(curve, point_minus_i_point(curve, Qt.x, Qt.y, 3))
+    threeE, h = _symmetric_form(curve, point_minus_i_point(curve, Qt.x, Qt.y, 3))
     Pt, _partner = find_Ptilde(curve, threeE)
-    f = interpolate_f(curve, Qt, Pt)
-    A, B, C = _alpha_on_x(curve, f)
+    _refuse_weierstrass(Pt, Qt)
+    f = _f_from_h(curve, Qt, Pt, threeE, h)
+    A, B, C, sign = _alpha_on_x(curve, f)
+    if sign < 0:
+        f = InterpolatedFunction(gp=-f.gp, gq=-f.gq, den=f.den, lam=f.lam)
     cover = ParshinCover(curve_W=curve, X_rhs=_x_model(curve), c=f.lam,
                          A=A, B=B, C=C,
                          branch_point=CurvePoint(Pt.x * Pt.x, Pt.x * Pt.y),
@@ -516,38 +387,28 @@ def _x_model(curve: SplitCurve) -> Polynomial:
 
 def _alpha_on_x(curve: SplitCurve, f: InterpolatedFunction):
     """alpha = lam (f + i*f) expressed as (A(x) + B(x) y)/C(x) on X
-    (x = u^2, y = u v for W-coordinates (u, v))."""
-    field = curve.field
-    gp, gq, hp, hq = f.gp, f.gq, f.hp, f.hq
-    gpi, gqi = _compose_neg(gp), -_compose_neg(gq)
-    hpi, hqi = _compose_neg(hp), -_compose_neg(hq)
-    # numerator: G*(H o i) + (G o i)*H ; denominator: H*(H o i)
-    n1 = _mul_pairs(curve, gp, gq, hpi, hqi)
-    n2 = _mul_pairs(curve, gpi, gqi, hp, hq)
-    num = (n1[0] + n2[0], n1[1] + n2[1])
-    den = _mul_pairs(curve, hp, hq, hpi, hqi)
-    # rationalize the denominator: multiply by its conjugate (Ad, -Bd)
-    Na, Nb = _mul_pairs(curve, num[0], num[1], den[0], -den[1])
-    D = den[0] * den[0] - den[1] * den[1] * curve.F
-    lam = f.lam
-    Na, Nb = Na * lam, Nb * lam
-    _assert_parity(Na, 0)
-    _assert_parity(Nb, 1)
-    _assert_parity(D, 0)
-    A = _even_part(Na)
-    Bq = _odd_part(Nb)          # Nb = x * Bq(x^2);  Nb*y_W = Bq(x_X) * y_X
-    C = _even_part(D)
-    # reduce common polynomial content
-    g = poly_gcd(poly_gcd(A, Bq), C)
+    (x = u^2, y = u v for W-coordinates (u, v)), and the sign
+    `_normalize_presentation` gave it.  With f = (gp + gq v)/den and
+    d = den(-u), f + i*f = (p(u) + p(-u) + (q(u) - q(-u)) v)/(den d) for
+    p = gp d and q = gq d: the numerator is twice the even part of p plus
+    twice the odd part of q times v, and den d is even."""
+    d = _compose_neg(f.den)
+    two_lam = f.lam + f.lam
+    A = _even_part(f.gp * d) * two_lam
+    B = _odd_part(f.gq * d) * two_lam      # u q_odd(u^2) v = q_odd(x) y
+    C = _even_part(f.den * d)
+    g = poly_gcd(poly_gcd(A, B), C)
     if g.degree >= 1:
-        A, Bq, C = A.exact_div(g), Bq.exact_div(g), C.exact_div(g)
-    return _normalize_presentation(field, A, Bq, C)
+        A, B, C = A.exact_div(g), B.exact_div(g), C.exact_div(g)
+    return _normalize_presentation(curve.field, A, B, C)
 
 
 def _normalize_presentation(field, A, B, C):
     """Scale (A, B, C) to the canonical presentation: over Q clear to
-    coprime integers with positive leading C; the sign of the y-free part A
-    is normalized positive (falling back to B)."""
+    coprime integers with positive leading C, over a finite field make C
+    monic.  Then one rule on every field fixes the sign of alpha: (A, B) is
+    negated when -lc(A) sorts before lc(A) (lc(B) when A = 0), so over Q
+    lc(A) > 0.  Returns (A, B, C) and the sign that rule gave alpha."""
     if field.order is None:
         from fractions import Fraction
         den_lcm = 1
@@ -564,13 +425,13 @@ def _normalize_presentation(field, A, B, C):
             A, B, C = A * inv, B * inv, C * inv
         if C.leading().val < 0:
             A, B, C = -A, -B, -C
-        lead = A.leading() if not A.is_zero() else B.leading()
-        if lead.val < 0:
-            A, B = -A, -B
     else:
         lc = C.leading().inverse()
         A, B, C = A * lc, B * lc, C * lc
-    return A, B, C
+    lead = A.leading() if not A.is_zero() else B.leading()
+    if (-lead).sort_key() < lead.sort_key():
+        return -A, -B, C, -1
+    return A, B, C, 1
 
 
 def verify_parshin_cover(cover: ParshinCover):
@@ -609,7 +470,7 @@ def verify_parshin_cover(cover: ParshinCover):
             raise ArithmeticError(f"pole orders at x = {x0!r} are {orders}")
     # closure check: alpha^2 - 4c^3 = x * square follows from f * i*(f) = c
     fobj = cover.f
-    if _constant_ratio(cover.curve_W, fobj.gp, fobj.gq, fobj.hp, fobj.hq) != lam:
+    if _constant_ratio(cover.curve_W, fobj.gp, fobj.gq, fobj.den) != lam:
         raise ArithmeticError("f * i*(f) differs from c")
     return True
 

@@ -32,8 +32,8 @@ DIGESTS = {
 # (run digest, census digest)
 GENUS2_DIGESTS = {
     "genus2_fp": (
-        "91dd9e7a7e9c381a597226f2b0fbfcc8164b2d9643f0899e02fda466f85b2ae7",
-        "ae713fbf579127b3de6bf627ba2ec22d9c9d2da3b2d3fd151c02db3fc815e5d0"),
+        "245ea87aeb1e865d6e65f0113cf73e218188509603c10ccc06653ba8b9ad9523",
+        "8777b4e2aba364a8dd52c998c62acaaf4e8e1f23eaf5a631b1849344a8c396c6"),
     "genus2_q": (
         "de69b996112932ac2651735d7f4469c5d8b9c9f988026094de0f92eaac3d654a",
         "f01ee1b13739df6b5e4f2b45e143945fe4624863f1ed426dcb41cdf748d86747"),

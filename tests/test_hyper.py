@@ -167,12 +167,13 @@ def test_infinite_points_are_told_apart():
     pole of order g + 1 at inf-.  Neither point is a Weierstrass point, so
     L(g P) holds only constants and L((g + 1) P) has dimension 2."""
     W = example_curve(QQ)
-    g, zero, one = W.g, Polynomial.zero(QQ), Polynomial.one(QQ)
+    g, S = W.g, W.sqrt_series(W.g + 2)
     for sign in (1, -1):
-        assert W.expansion_at_infinity(zero, one, sign, 0)[g + 1] == sign
-    plus = W.expansion_at_infinity(-W.Vplus, one, 1, 0)
-    minus = W.expansion_at_infinity(-W.Vplus, one, -1, 0)
-    assert all(c.is_zero() for c in plus.values())
+        assert W.y_coeff_at_infinity(0, g + 1, sign, S) == sign
+    # the coefficients of x^0, ..., x^(g+1) of y - V+ at inf+ and at inf-
+    plus, minus = ([W.y_coeff_at_infinity(0, j, sign, S) - W.Vplus[j].val
+                    for j in range(g + 2)] for sign in (1, -1))
+    assert not any(plus)
     assert minus[g + 1] == -2
     from cubica.hyper import WDivisor
     for weights in ((g + 1, 0), (0, g + 1)):

@@ -7,14 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.algebra import (Element, FieldError, FunctionField, Polynomial,
-                            PrimeField, QQ, RationalFunction, is_square, sqrt)
-from cubica.algebra.linalg import _rref
-from cubica.hyper import (SplitCurve, _series_sqrt, canonicalize_prym,
-                          classes_equal, coeff_vec, divisor_difference,
-                          is_principal, mumford_scalar, point_minus_i_point)
-from cubica.parshin import (CurvePoint, _conjugate_rows, _point_conditions,
-                            find_Ptilde, genus1_parshin, genus1_sample_check,
+from cubica.algebra import (FieldError, FunctionField, Polynomial,
+                            PrimeField, QQ, is_square, sqrt)
+from cubica.hyper import (SplitCurve, WDivisor, _normalize_bundles,
+                          canonicalize_prym, is_principal, mumford_scalar,
+                          point_minus_i_point, rr_space)
+from cubica.parshin import (CurvePoint, find_Ptilde, genus1_parshin, genus1_sample_check,
                             interpolate_f, parshin_cover, phi_fibre_size,
                             verify_parshin_cover,
                             verify_weierstrass_identity_generic,
@@ -237,45 +235,7 @@ def test_parshin_cover_partner_orbit():
     assert f2.lam == QQ(5)
 
 
-# -- interpolation conditions at a point ------------------------------------------
-
-
-def series_point_conditions(curve, pt, order, na, nb, cols):
-    """Reference: the rows of ord_pt(a + b y) >= order read off the series
-    of y in (x - x0) and the shifted monomials (x0 + t)^i."""
-    field = curve.field
-    shift = Polynomial(field, [pt.x, field.one])
-    shifted = curve.F.compose(shift)
-    inv = (pt.y * pt.y).inverse()
-    S = _series_sqrt(field, [(shifted[i] * inv).val for i in range(order + 2)],
-                     order + 1)
-    yser = [pt.y * Element(field, c) for c in S]
-    rows = [[field.zero] * cols for _ in range(order)]
-    for i in range(na + 1):
-        mono = (Polynomial.x(field) ** i).compose(shift)
-        for d in range(order):
-            rows[d][i] = mono[d]
-    for i in range(nb + 1):
-        mono = (Polynomial.x(field) ** i).compose(shift)
-        for d in range(order):
-            rows[d][na + 1 + i] = sum((mono[k] * yser[d - k]
-                                       for k in range(d + 1)), field.zero)
-    return [[e.val for e in row] for row in rows]
-
-
-def reduced_rows(field, rows, cols):
-    work = list(rows)
-    return work[:len(_rref(field, work, cols))]
-
-
-def hensel_point_conditions(curve, pt, order, na, nb, cols):
-    """Reference: the Riemann-Roch congruence a + b V = 0 mod (x - x0)^order
-    for the Hensel lift V of y0, as `coeff_vec` builds its rows for
-    `rr_space`, read in the monomials of x."""
-    field = curve.field
-    u = Polynomial(field, [-pt.x, field.one])
-    V = curve.hensel_v(u, Polynomial.constant(field, pt.y), order)
-    return coeff_vec(Polynomial.one(field), V, u ** order, na, nb, cols)
+# -- the descent function from the Riemann-Roch space -------------------------------
 
 
 def seeded_curve_points(p, seed, count):
@@ -301,50 +261,133 @@ def seeded_curve_points(p, seed, count):
     return curve, points
 
 
-def _conditions_cases():
-    for p in (101, 1000000007):
-        for seed in (1, 2, 3):
-            curve, points = seeded_curve_points(p, seed, 3)
-            for pt in points:
-                yield curve, pt
-    yield paper_curve(QQ), CurvePoint(QQ(1), QQ(2))
+def seeded_covers(p, count):
+    """The first `count` covers `parshin_cover` verifies on seeded octics
+    over F_p."""
+    covers, seed = [], 0
+    while len(covers) < count:
+        curve, points = seeded_curve_points(p, f"f-from-h:{seed}", 2)
+        seed += 1
+        for pt in points:
+            try:
+                covers.append(parshin_cover(curve, pt.x, pt.y))
+            except (ArithmeticError, FieldError):
+                continue
+    return covers[:count]
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_point_conditions_span_the_series_rows(order):
-    """The rows read in t = x - x0 span the same space as the series
-    expansion of y in the monomials (x0 + t)^i and as the Hensel congruence
-    a + b V = 0 mod (x - x0)^order, so they have the same RREF and give
-    interpolate_f the same kernel."""
-    for curve, pt in _conditions_cases():
-        for m in (4, 6):
-            na, nb = m, m - (curve.g + 1)
-            cols = na + nb + 2
-            new = _point_conditions(curve, pt, order, na, nb, cols)
-            assert len(new) == order
-            got = reduced_rows(curve.field, new, cols)
-            assert len(got) == order
-            for reference in (series_point_conditions, hensel_point_conditions):
-                ref = reference(curve, pt, order, na, nb, cols)
-                assert got == reduced_rows(curve.field, ref, cols), \
-                    (reference.__name__, curve.F, pt, order, m)
+def q_covers():
+    x = Polynomial.x(QQ)
+    return [parshin_cover(paper_curve(QQ), 1, 2),
+            parshin_cover(SplitCurve(x ** 8 + x ** 6 - 4 * x ** 4 - x ** 2 + 4),
+                          1, 1)]
 
 
-@pytest.mark.parametrize("order", [1, 3])
-def test_conjugate_rows_are_the_rows_at_the_image_point(order):
-    """The rows at pt with the a_i columns negated for odd i and the b_i
-    columns for even i have the RREF of the rows built at i(pt) =
-    (-x0, -y0)."""
-    for curve, pt in _conditions_cases():
-        ipt = CurvePoint(-pt.x, -pt.y)
-        for m in (3, 4, 6):
-            na, nb = m, m - (curve.g + 1)
-            cols = na + nb + 2
-            rows = _point_conditions(curve, pt, order, na, nb, cols)
-            flipped = _conjugate_rows(curve.field, rows, na)
-            direct = _point_conditions(curve, ipt, order, na, nb, cols)
-            assert reduced_rows(curve.field, flipped, cols) == \
-                reduced_rows(curve.field, direct, cols), (curve.F, pt, order, m)
+def closure_holds(cover):
+    """f * i*(f) = c for f = (gp + gq y)/den, multiplied out on y^2 = F."""
+    f, F = cover.f, cover.curve_W.F
+    neg = Polynomial.x(F.field) * -1
+    gpi, gqi, deni = (p.compose(neg) for p in (f.gp, f.gq, f.den))
+    return (f.gq * gpi - f.gp * gqi).is_zero() and \
+        f.gp * gpi - f.gq * gqi * F == f.den * deni * cover.c
+
+
+def alpha_is_c_times_trace_of_f(cover, rng):
+    """(A + B y)/C at the image (u0^2, u0 v0) on X of a point (u0, v0) of W
+    equals c (f(u0, v0) + f(-u0, -v0))."""
+    field, f = cover.curve_W.field, cover.f
+    while True:
+        u0 = field(rng.randrange(field.p))
+        val = cover.curve_W.F.evaluate(u0)
+        x0 = u0 * u0
+        if (val.is_zero() or not is_square(val) or f.den.evaluate(u0).is_zero()
+                or f.den.evaluate(-u0).is_zero() or cover.C.evaluate(x0).is_zero()):
+            continue
+        v0 = sqrt(val)
+        trace = sum(((f.gp.evaluate(s * u0) + f.gq.evaluate(s * u0) * (s * v0))
+                     / f.den.evaluate(s * u0) for s in (1, -1)), field.zero)
+        alpha = (cover.A.evaluate(x0) + cover.B.evaluate(x0) * u0 * v0) \
+            / cover.C.evaluate(x0)
+        return alpha == cover.c * trace
+
+
+def test_f_spans_the_riemann_roch_space_of_its_divisor():
+    """On seeded covers over F_101, F_1009 and F_(10^9+7) and on both Q
+    curves, L(Pt + 3 Qt - i(Pt) - 3 i(Qt)) is one-dimensional and spanned by
+    the f taken from `canonicalize_prym`'s space; f * i*(f) = c; alpha has
+    the canonical sign (-lc(A) does not sort before lc(A), lc(B) when
+    A = 0), and over F_p alpha = c (f + i*f) at a point."""
+    rng = random.Random("f-from-h")
+    covers = q_covers()
+    for p in (101, 1009, 1000000007):
+        covers += seeded_covers(p, 3)
+    assert len(covers) == 11
+    for cover in covers:
+        W, f, field = cover.curve_W, cover.f, cover.curve_W.field
+        x = Polynomial.x(field)
+        Pt, Qt = cover.Pt, cover.Qt
+        bundles = [(x - Pt.x, Polynomial.constant(field, Pt.y), 1),
+                   (x - Qt.x, Polynomial.constant(field, Qt.y), 3),
+                   (x + Pt.x, Polynomial.constant(field, -Pt.y), -1),
+                   (x + Qt.x, Polynomial.constant(field, -Qt.y), -3)]
+        space = rr_space(W, WDivisor(_normalize_bundles(W, bundles), 0, 0))
+        assert len(space) == 1
+        (a, b, d), = space
+        # (a + b y)/d = k f  iff  a den = k gp d and b den = k gq d
+        lhs, rhs = (a * f.den, b * f.den), (f.gp * d, f.gq * d)
+        k = next(l.leading() / r.leading() for l, r in zip(lhs, rhs)
+                 if not r.is_zero())
+        assert all(l == r * k for l, r in zip(lhs, rhs))
+        assert closure_holds(cover)
+        lead = cover.A.leading() if not cover.A.is_zero() else cover.B.leading()
+        assert not (-lead).sort_key() < lead.sort_key()
+        if field.order is not None:
+            assert alpha_is_c_times_trace_of_f(cover, rng)
+
+
+@pytest.mark.parametrize("p,F,point", [
+    (13, (12, 0, 9, 0, 0, 0, 4, 0, 1), (2, 12)),
+    (101, (66, 0, 71, 0, 77, 0, 29, 0, 1), (40, 80)),
+    (13, (1, 0, 7, 0, 10, 0, 3, 0, 1), (4, 1)),
+    (13, (1, 0, 7, 0, 12, 0, 0, 0, 1), (9, 4)),
+])
+def test_covers_the_interpolation_search_missed(p, F, point):
+    """Census inputs on which the search for f by interpolation failed
+    (`rank-deficient G system`, or `G has extra zeros`) get a verified
+    cover from the Riemann-Roch space, with f * i*(f) = c."""
+    field = PrimeField(p)
+    cover = parshin_cover(SplitCurve(Polynomial(field, list(F))), *point)
+    assert verify_parshin_cover(cover)
+    assert closure_holds(cover)
+
+
+def test_parshin_cover_builds_one_riemann_roch_space(monkeypatch):
+    """The symmetric form of 3[Qt - i(Qt)] and f come from one space: one
+    `rr_space` and one `kernel_basis` call per cover."""
+    from cubica import hyper
+    calls = dict.fromkeys(("rr_space", "kernel_basis"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(hyper, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hyper, name, counted)
+    x = Polynomial.x(QQ)
+    parshin_cover(paper_curve(QQ), 1, 2)
+    assert calls == {"rr_space": 1, "kernel_basis": 1}
+    parshin_cover(SplitCurve(x ** 8 + x ** 6 - 4 * x ** 4 - x ** 2 + 4), 1, 1)
+    assert calls == {"rr_space": 2, "kernel_basis": 2}
+
+
+def test_interpolate_f_refuses_a_point_off_the_form():
+    """Pt must be a point (+-sqrt(a), -b) of the symmetric form (x^2 - a, b)
+    of 3[Qt - i(Qt)]; its hyperelliptic conjugate is on W but not of that
+    form, and is refused with a typed error."""
+    W = paper_curve(QQ)
+    Qt = CurvePoint(QQ(1), QQ(2))
+    off = CurvePoint(QQ(Fraction(7, 3)), QQ(Fraction(3278, 81)))
+    assert W.on_curve(off.x, off.y)
+    with pytest.raises(FieldError, match="not a point"):
+        interpolate_f(W, Qt, off)
 
 
 def test_interpolate_f_refuses_a_weierstrass_point():
