@@ -107,15 +107,16 @@ class Element:
         return self.val == self.field._one_val()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field(other)
+        # no coercion: an int, a Fraction or an Element of another field is
+        # never equal, so equal values hash alike
         if not isinstance(other, Element) or other.field != self.field:
             return NotImplemented
         return self.val == other.val
 
     def __hash__(self):
-        # as the constant Polynomial of the value, which compares equal:
-        # the zero Polynomial has no coefficients
+        # the hash of the constant Polynomial of the value (the zero
+        # Polynomial has no coefficients), though the two never compare
+        # equal: kept because set and dict order can reach outputs
         if self.is_zero():
             return hash((self.field._hash,))
         return hash((self.field._hash, self._hash_val()))

@@ -435,11 +435,6 @@ class Polynomial:
         return self if vals is self.vals else _plain(self.field, vals)
 
     def __eq__(self, other):
-        if isinstance(other, (Element, int, Fraction)):
-            try:
-                other = Polynomial.constant(self.field, other)
-            except (FieldError, ZeroDivisionError):
-                return NotImplemented
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.field == other.field and self.vals == other.vals
@@ -759,13 +754,6 @@ def _q_xgcd(F, a, b):
     lc = r0[-1] if r0 else 1
     return (_qpoly(F, _q_normal(r0, lc)), _qpoly(F, _q_normal([x * da for x in s0], lc)),
             _qpoly(F, _q_normal([x * db for x in t0], lc)))
-
-
-def inverse_mod(f: Polynomial, m: Polynomial) -> Polynomial:
-    g, s, _ = poly_xgcd(f, m)
-    if not g.is_one():
-        raise ArithmeticError("element is not invertible modulo the given modulus")
-    return s % m
 
 
 def pow_mod(f: Polynomial, n: int, m: Polynomial) -> Polynomial:

@@ -131,10 +131,9 @@ class RationalFunction:
         return RationalFunction(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, RationalFunction) or other.field != self.field:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((hash(self.num), hash(self.den)))

@@ -31,10 +31,11 @@ coefficient recurrence).  At inf+- y = +-x^(g+1) S(1/x), and
 affine point y = y0 S(x - x0), with S the root of F(x0 + t)/y0^2
 (`_local_root`).  `point_minus_i_point` truncates that branch to the
 Mumford pair of n[P - i(P)] in one step, with no Cantor composition, and
-`parshin` reads pole orders on the quotient off it.  Vanishing to
-order k along a bundle (u, v) of a Riemann-Roch space, whose u need not be
-linear, is the congruence a + b V = 0 mod u^k with V the Hensel lift of v
-(`hensel_v`, rows from `coeff_vec`).
+`parshin` reads pole orders on the quotient off it.  A Riemann-Roch
+space of div(u1, v1) - div(u2, v2) + n+ inf+ + n- inf- takes its affine
+conditions from one Cantor composition: h u1 = a + b y lies in the ideal of
+iota div(u1, v1) + div(u2, v2), which `_compose` writes as s (u3, y - v3),
+so h = (a + b y)/(u1/s) with a + b v3 = 0 mod u3 (rows from `coeff_vec`).
 
 The Riemann-Roch engine runs on payloads, like the kernel of
 `algebra.poly`: the series S (`sqrt_series` caches it), the condition rows
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
-                      RationalField, inverse_mod, poly_gcd, poly_xgcd, sqrt)
+                      RationalField, poly_gcd, poly_xgcd, sqrt)
 from .algebra.linalg import kernel_basis
 from .algebra.poly import _poly, _rem, _taylor_shift, _trim
 
@@ -160,21 +161,6 @@ class SplitCurve:
     def on_curve(self, x0: Element, y0: Element) -> bool:
         return self.F.evaluate(x0) == y0 * y0
 
-    def hensel_v(self, u: Polynomial, v: Polynomial, k: int) -> Polynomial:
-        """Lift v with v^2 = F mod u to V with V^2 = F mod u^k (needs
-        gcd(u, v) = 1)."""
-        target = u ** k
-        cur = v % target
-        prec = 1
-        while prec < k:
-            prec = min(2 * prec, k)
-            mod = u ** prec
-            num = (self.F - cur * cur) % mod
-            cur = (cur + num * inverse_mod((2 * cur) % mod, mod)) % mod
-        if (cur * cur - self.F) % target != Polynomial.zero(self.field):
-            raise ArithmeticError("Hensel lift failed")
-        return cur
-
     def y_coeff_at_infinity(self, i: int, j: int, sign: int, S):
         """The payload of the coefficient of x^j in x^i * y at inf+-
         (y = sign * x^(g+1) S(1/x)): sign * S[i + g + 1 - j], zero beyond
@@ -258,36 +244,38 @@ def point_minus_i_point(curve: SplitCurve, x0, y0, n: int = 1) -> MumfordClass:
 
 
 def _compose(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass):
-    """The semi-reduced sum of D1 and D2 (Cantor, Math. Comp. 48, 1987).
+    """The semi-reduced sum D3 of D1 and D2 (Cantor, Math. Comp. 48, 1987),
+    and the monic s with (u1, y - v1)(u2, y - v2) = s (u3, y - v3), so
+    div(u1, v1) + div(u2, v2) = div(s) + div(u3, v3).
     A doubling with gcd(u, 2v) = 1 lifts v to v + u k, k = (F - v^2)/u
     (2v)^-1 mod u; an addition with gcd(u1, u2) = 1 glues v1 and v2 by the
     Chinese remainder theorem, v1 + u1 (e1 (v2 - v1) mod u2) for
-    e1 u1 + e2 u2 = 1.  Both give u3 = u1 u2 and the one v3 mod u3 that
-    agrees with v1 mod u1 and v2 mod u2, as the general composition does;
-    every other input takes the general composition."""
+    e1 u1 + e2 u2 = 1.  Both give s = 1, u3 = u1 u2 and the one v3 mod u3
+    that agrees with v1 mod u1 and v2 mod u2, as the general composition
+    does; every other input takes the general composition."""
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
     if u1 == u2 and v1 == v2 and not u1.is_constant():
         s, _, c3 = poly_xgcd(u1, v1 + v1)
         if s.is_one():
             k = ((curve.F - v1 * v1).exact_div(u1) * c3) % u1
-            return _checked_sum(curve, D1, D2, u1 * u1, v1 + u1 * k, 0)
+            return _checked_sum(curve, D1, D2, u1 * u1, v1 + u1 * k, s)
         g0, e1, e2 = poly_xgcd(u1, u2)
     else:
         g0, e1, e2 = poly_xgcd(u1, u2)
         if g0.is_one():
             return _checked_sum(curve, D1, D2, u1 * u2,
-                             v1 + u1 * ((e1 * (v2 - v1)) % u2), 0)
+                                v1 + u1 * ((e1 * (v2 - v1)) % u2), g0)
     s, c1, c3 = poly_xgcd(g0, v1 + v2)
     # s = c1*(e1 u1 + e2 u2) + c3 (v1 + v2)
     u3 = (u1 * u2).exact_div(s * s)
     num = c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c3 * (v1 * v2 + curve.F)
-    return _checked_sum(curve, D1, D2, u3, num.exact_div(s) % u3, s.degree)
+    return _checked_sum(curve, D1, D2, u3, num.exact_div(s) % u3, s)
 
 
 def _checked_sum(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass,
-              u3: Polynomial, v3: Polynomial, ds: int) -> MumfordClass:
-    """The class (u3, v3) of D1 + D2, whose weights grow by ds = deg s,
-    after the Mumford invariant v3^2 = F mod u3 is checked."""
+                 u3: Polynomial, v3: Polynomial, s: Polynomial):
+    """The class (u3, v3) of D1 + D2, whose weights grow by deg s, after the
+    Mumford invariant v3^2 = F mod u3 is checked; and s."""
     u3 = u3.monic()
     if u3.is_constant():
         v3 = Polynomial.zero(curve.field)
@@ -296,8 +284,8 @@ def _checked_sum(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass,
             v3 = v3 % u3
         if not ((v3 * v3 - curve.F) % u3).is_zero():
             raise ArithmeticError("composition broke the Mumford invariant")
-    return MumfordClass(u3, v3, D1.n_plus + D2.n_plus + ds,
-                        D1.n_minus + D2.n_minus + ds)
+    return MumfordClass(u3, v3, D1.n_plus + D2.n_plus + s.degree,
+                        D1.n_minus + D2.n_minus + s.degree), s
 
 
 def _reduce_once(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
@@ -328,7 +316,7 @@ def _reduced(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
 
 
 def mumford_add(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> MumfordClass:
-    return _reduced(curve, _compose(curve, D1, D2))
+    return _reduced(curve, _compose(curve, D1, D2)[0])
 
 
 def mumford_neg(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
@@ -386,114 +374,28 @@ def iota_star(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_bundles(curve: SplitCurve, bundles):
-    """Split a list of (u, v, mult) into pairwise coprime-or-equal atoms with
-    gcd(u, v) = 1 or v = 0, merging equal (u, v)."""
-    field = curve.field
-    work = [(u.monic(), v % u, m) for (u, v, m) in bundles
-            if m != 0 and u.degree >= 1]
-    changed = True
-    while changed:
-        changed = False
-        # peel off Weierstrass content
-        for idx, (u, v, m) in enumerate(work):
-            if v.is_zero():
-                continue
-            w = poly_gcd(u, v)
-            if w.degree >= 1:
-                rest = u.exact_div(w)
-                new = [(w, Polynomial.zero(field), m)]
-                if rest.degree >= 1:
-                    new.append((rest, v % rest, m))
-                work[idx:idx + 1] = new
-                changed = True
-                break
-        if changed:
-            continue
-        # split on common factors of distinct u's
-        n = len(work)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ui, vi, mi = work[i]
-                uj, vj, mj = work[j]
-                if ui == uj:
-                    continue
-                g = poly_gcd(ui, uj)
-                if g.degree >= 1:
-                    def split(u, v, m):
-                        parts = []
-                        a = g
-                        b = u.exact_div(g) if u != g else Polynomial.one(field)
-                        if a.degree >= 1:
-                            parts.append((a, v % a, m))
-                        if b.degree >= 1:
-                            parts.append((b, v % b, m))
-                        return parts
-                    repl_i = split(ui, vi, mi)
-                    repl_j = split(uj, vj, mj)
-                    work = (work[:i] + repl_i + work[i + 1:j] + repl_j
-                            + work[j + 1:])
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        # same u, incompatible v: split where the two v's agree/anti-agree
-        n = len(work)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ui, vi, mi = work[i]
-                uj, vj, mj = work[j]
-                if ui != uj or vi == vj:
-                    continue
-                if (vi + vj) % ui == Polynomial.zero(field):
-                    continue
-                g = poly_gcd(ui, vi - vj)
-                if g.degree < 1:
-                    g = poly_gcd(ui, vi + vj)
-                if 1 <= g.degree < ui.degree:
-                    rest = ui.exact_div(g)
-                    work[j:j + 1] = [(g, vj % g, mj), (rest, vj % rest, mj)]
-                    work[i:i + 1] = [(g, vi % g, mi), (rest, vi % rest, mi)]
-                    changed = True
-                    break
-            if changed:
-                break
-    # merge identical (u, v)
-    merged = {}
-    for u, v, m in work:
-        merged[u, v] = merged.get((u, v), 0) + m
-    return [(u, v, m) for (u, v), m in merged.items() if m != 0]
-
-
 @dataclass
 class WDivisor:
-    """A divisor on the curve as bundles plus infinity weights.  The bundles
-    must be normalized, as `_normalize_bundles` returns them: `rr_space`
-    reads them as they are."""
-    bundles: list          # (u, v, mult)
+    """div(u1, v1) - div(u2, v2) + n+ inf+ + n- inf- for the semi-reduced
+    Mumford pairs pos = (u1, v1) and neg = (u2, v2), u1 and u2 monic."""
+    pos: tuple
+    neg: tuple
     n_plus: int
     n_minus: int
 
     def degree(self):
-        return sum(u.degree * m for u, v, m in self.bundles) + self.n_plus + self.n_minus
+        return (self.pos[0].degree - self.neg[0].degree
+                + self.n_plus + self.n_minus)
 
 
 def divisor_of_class(curve: SplitCurve, D: MumfordClass) -> WDivisor:
-    bundles = []
-    if D.u.degree >= 1:
-        bundles.append((D.u, D.v, 1))
-    return WDivisor(_normalize_bundles(curve, bundles), D.n_plus, D.n_minus)
+    field = curve.field
+    one, zero = Polynomial.one(field), Polynomial.zero(field)
+    return WDivisor((D.u, D.v), (one, zero), D.n_plus, D.n_minus)
 
 
-def divisor_difference(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> WDivisor:
-    bundles = []
-    if D1.u.degree >= 1:
-        bundles.append((D1.u, D1.v, 1))
-    if D2.u.degree >= 1:
-        bundles.append((D2.u, D2.v, -1))
-    return WDivisor(_normalize_bundles(curve, bundles),
+def divisor_difference(D1: MumfordClass, D2: MumfordClass) -> WDivisor:
+    return WDivisor((D1.u, D1.v), (D2.u, D2.v),
                     D1.n_plus - D2.n_plus, D1.n_minus - D2.n_minus)
 
 
@@ -519,58 +421,27 @@ def coeff_vec(poly_for_a, poly_for_b, modulus, na, nb, cols):
 
 def rr_space(curve: SplitCurve, div: WDivisor):
     """Basis of L(div) = {h : (h) + div >= 0} as triples (a, b, den) with
-    h = (a + b y)/den."""
-    field = curve.field
-    # each bundle (u, v, m) with the v of its iota-conjugate
-    bundles = [(u, v, m, (-v) % u) for u, v, m in div.bundles]
-    den = Polynomial.one(field)
-    for u, v, m, _ in bundles:
-        if m > 0:
-            den = den * u ** m
-    # the denominator also has poles along the iota-conjugates of the pole
-    # bundles; register them (weight 0) so the no-pole conditions apply there
-    extra = []
-    for u, v, m, vc in bundles:
-        if m > 0 and not v.is_zero():
-            if not any(u2 == u and v2 == vc for u2, v2, _, _ in bundles):
-                extra.append((u, vc, 0, v))
-    bundles = bundles + extra
-    # conjugate-side multiplicity lookup
-    def conj_mult(u, vc):
-        for (u2, v2, m2, _) in bundles:
-            if u2 == u and v2 == vc:
-                return max(m2, 0)
-        return 0
+    h = (a + b y)/den.
 
+    For div = div(u1, v1) - div(u2, v2) + ..., h u1 is regular on the affine
+    part, so it is a + b y, and as div(u1) = div(u1, v1) + iota div(u1, v1)
+    it lies in the ideal of iota div(u1, v1) + div(u2, v2).  Cantor's
+    composition of (u1, -v1) with (u2, v2) writes that ideal as
+    s (u3, y - v3); so den = u1/s, and the affine conditions on
+    h = (a + b y)/den are a + b v3 = 0 mod u3."""
+    field = curve.field
+    (u1, v1), (u2, v2) = div.pos, div.neg
+    E, s = _compose(curve, MumfordClass(u1, (-v1) % u1, 0, 0),
+                    MumfordClass(u2, v2, 0, 0))
+    den = u1.exact_div(s)
     na = den.degree + max(0, div.n_plus, div.n_minus)
     nb = na - (curve.g + 1)
     cols = (na + 1) + (nb + 1 if nb >= 0 else 0)
     if cols <= 0:
         return []
 
-    rows = []
-    one, zero = Polynomial.one(field), field._zero_val()
-    for u, v, m, vc in bundles:
-        if v.is_zero():
-            # Weierstrass bundle: den ord (point units) = 2*max(m,0);
-            # required ord of a + b y = 2*max(m,0) - m
-            k = 2 * max(m, 0) - m
-            if k <= 0:
-                continue
-            ka = (k + 1) // 2
-            kb = k // 2
-            if ka > 0:
-                rows += coeff_vec(one, Polynomial.zero(field), u ** ka,
-                                  na, nb, cols)
-            if kb > 0:
-                rows += coeff_vec(Polynomial.zero(field), one, u ** kb,
-                                  na, nb, cols)
-            continue
-        k = max(m, 0) + conj_mult(u, vc) - m
-        if k <= 0:
-            continue
-        vlift = curve.hensel_v(u, v, k)
-        rows += coeff_vec(one, vlift, u ** k, na, nb, cols)
+    zero = field._zero_val()
+    rows = coeff_vec(Polynomial.one(field), E.v, E.u, na, nb, cols)
     # infinity conditions
     for sign, weight in ((1, div.n_plus), (-1, div.n_minus)):
         w = -weight - den.degree
@@ -603,7 +474,7 @@ def is_principal(curve: SplitCurve, div: WDivisor) -> bool:
 def classes_equal(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> bool:
     if (D1.u, D1.v, D1.n_plus, D1.n_minus) == (D2.u, D2.v, D2.n_plus, D2.n_minus):
         return True
-    return is_principal(curve, divisor_difference(curve, D1, D2))
+    return is_principal(curve, divisor_difference(D1, D2))
 
 
 # ---------------------------------------------------------------------------
@@ -611,19 +482,13 @@ def classes_equal(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> bool
 # ---------------------------------------------------------------------------
 
 
-def _norm_quotient(curve: SplitCurve, a, b, den, bundles) -> Polynomial:
-    """The monic x-projection of div(h) + D + inf+ + inf- for
-    h = (a + b y)/den and D with the bundles (u, v, m): the norm
-    a^2 - b^2 F times the u^m with m > 0, divided exactly by den^2 times the
-    u^-m with m < 0.  The division leaves a remainder iff the reduced
-    quotient has a nonconstant denominator."""
-    num, quo_den = a * a - b * b * curve.F, den * den
-    for u, v, m in bundles:
-        if m > 0:
-            num = num * u ** m
-        else:
-            quo_den = quo_den * u ** -m
-    u_s, rem = divmod(num, quo_den)
+def _norm_quotient(curve: SplitCurve, a, b, den, div: WDivisor) -> Polynomial:
+    """The monic x-projection of the affine part of div(h) + div for
+    h = (a + b y)/den and div = div(u1, v1) - div(u2, v2) + ...: the norm
+    a^2 - b^2 F times u1, divided exactly by den^2 u2.  The division leaves
+    a remainder iff the reduced quotient has a nonconstant denominator."""
+    u_s, rem = divmod((a * a - b * b * curve.F) * div.pos[0],
+                      den * den * div.neg[0])
     if not rem.is_zero():
         raise ArithmeticError("unexpected denominator in the norm quotient")
     return u_s.monic()
@@ -643,28 +508,29 @@ def _symmetric_form(curve: SplitCurve, D: MumfordClass):
     g >= 2 the only g^1_2 is |inf+ + inf-|, so l(D + inf+ + inf-) >= 2 iff
     D ~ 0: a space of dimension 1 already proves D not principal, and
     `is_principal` runs only otherwise (always for g = 1, where l is 2).
-    D and D + inf+ + inf- share their bundles, hence their Hensel lifts, so
-    either order of the two spaces raises the same errors.  When h spans
-    the space, E' = div(h) + D + inf+ + inf- is the one effective divisor of
-    the system, its x-projection is u_s, and (u_s, c, -1, -1) ~ D iff
-    div(u_s, c) = E'.  If gcd(u_s, den) = 1, no point over u_s lies in the
-    support of D or of den, so there E' is the zero divisor of a + b y; by
-    Cantor's test (Math. Comp. 48, 1987) a + b y vanishes on div(u_s, c) iff
-    u_s | a + b c, and as both divisors have degree 2 that is the equality.
-    Otherwise the sign is tested with `classes_equal`.  D need not be
-    reduced: the space, and so the form, depends only on the class."""
+    D and D + inf+ + inf- share their Mumford pairs, hence their one
+    composition, so either order of the two spaces raises the same errors.
+    When h spans the space, E' = div(h) + D + inf+ + inf- is the one
+    effective divisor of the system, its x-projection is u_s, and
+    (u_s, c, -1, -1) ~ D iff div(u_s, c) = E'.  If gcd(u_s, den) = 1, no
+    point over u_s lies in the support of D or of den, so there E' is the
+    zero divisor of a + b y; by Cantor's test (Math. Comp. 48, 1987)
+    a + b y vanishes on div(u_s, c) iff u_s | a + b c, and as both divisors
+    have degree 2 that is the equality.  Otherwise the sign is tested with
+    `classes_equal`.  D need not be reduced: the space, and so the form,
+    depends only on the class."""
     field = curve.field
     if not curve.is_even_model():
         raise FieldError("anti-invariant classes need an even model")
     base = divisor_of_class(curve, D)
-    lifted = WDivisor(base.bundles, base.n_plus + 1, base.n_minus + 1)
+    lifted = WDivisor(base.pos, base.neg, base.n_plus + 1, base.n_minus + 1)
     space = rr_space(curve, lifted)
     if len(space) != 1:
         if is_principal(curve, base):
             return identity_class(curve), None
         raise ArithmeticError("class has no unique degree-2 presentation")
     a, b, den = space[0]
-    u_s = _norm_quotient(curve, a, b, den, base.bundles)
+    u_s = _norm_quotient(curve, a, b, den, base)
     if u_s.degree != 2 or not u_s[1].is_zero():
         raise ArithmeticError("class is not anti-invariant (or is special)")
     rem = curve.F % u_s

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .algebra import (Element, FieldError, FunctionField, Polynomial,
                       QQ, RationalFunction, is_square, poly_gcd, sqrt)
-from .algebra.poly import _add, _mul, _taylor_shift, _trim
+from .algebra.poly import _add, _mul, _primitive, _qpoly, _taylor_shift, _trim
 from .hyper import (MumfordClass, SplitCurve, _compose_neg, _local_root,
                     _symmetric_form, point_minus_i_point)
 from .quadratic import canonical_square_const
@@ -410,21 +410,13 @@ def _normalize_presentation(field, A, B, C):
     negated when -lc(A) sorts before lc(A) (lc(B) when A = 0), so over Q
     lc(A) > 0.  Returns (A, B, C) and the sign that rule gave alpha."""
     if field.order is None:
-        from fractions import Fraction
-        den_lcm = 1
-        for poly in (A, B, C):
-            for c in poly.coeffs:
-                den_lcm = math.lcm(den_lcm, c.val.denominator)
-        A, B, C = (A * den_lcm, B * den_lcm, C * den_lcm)
-        content = 0
-        for poly in (A, B, C):
-            for c in poly.coeffs:
-                content = math.gcd(content, c.val.numerator)
-        if content > 1:
-            inv = Fraction(1, content)
-            A, B, C = A * inv, B * inv, C * inv
-        if C.leading().val < 0:
-            A, B, C = -A, -B, -C
+        # the integer forms over one denominator, divided by their content
+        forms = [poly.q for poly in (A, B, C)]
+        d = math.lcm(*[den for _, den in forms])
+        ints = _primitive(*[[c * (d // den) for c in nums]
+                            for nums, den in forms])
+        sign = -1 if ints[2][-1] < 0 else 1
+        A, B, C = (_qpoly(field, ([sign * c for c in nums], 1)) for nums in ints)
     else:
         lc = C.leading().inverse()
         A, B, C = A * lc, B * lc, C * lc

@@ -709,21 +709,56 @@ def test_equal_values_over_equal_fields_hash_alike():
     assert len({FunctionField(QQ).gen, FunctionField(QQ).gen}) == 1
 
 
-def test_constant_polynomials_equal_their_constant():
-    """Equality coerces Elements, ints and Fractions as arithmetic does, and
-    the equal pairs hash alike; values that do not coerce stay unequal."""
-    for f, c in ((Polynomial.one(F5), F5(1)),
-                 (Polynomial.constant(F5, 3), F5(3)),
-                 (Polynomial.constant(QQ, QQ(Fraction(1, 2))), Fraction(1, 2)),
-                 (Polynomial.constant(QQ, QQ(Fraction(1, 2))), QQ(Fraction(1, 2))),
-                 (Polynomial.zero(F5), F5(0))):
-        assert f == c and c == f and not f != c
-        if isinstance(c, Element):
-            assert hash(f) == hash(c)
-    assert Polynomial.one(F5) == 1 and Polynomial.x(F5) != F5(1)
-    assert Polynomial.one(F5) != F7(1)
-    assert Polynomial.one(F5) != Fraction(1, 5)
-    assert Polynomial.constant(F5, 3) == Fraction(3, 6)
+def _value_twins():
+    """Values of every type the algebra hands out, built twice through
+    separate field objects: Elements of F_5, F_7, Q, F_25,
+    F5[x]/(x^3 + x + 1) and F_5(x), and Polynomials and RationalFunctions
+    over F_5, Q and F_25, constants among them.  Returns the two lists."""
+    twins = []
+    for _ in range(2):
+        pool = []
+        F5_, F7_ = PrimeField(5), PrimeField(7)
+        R = canonical_quadratic_field(F5_)
+        S = ResidueField(Polynomial(F5_, [1, 1, 0, 1]))
+        K = FunctionField(F5_)
+        for field, consts in ((F5_, (0, 1, 3)), (F7_, (1, 3)),
+                              (QQ, (0, 1, Fraction(1, 2))), (R, (0, 1, 3, (1, 2))),
+                              (S, (1, 3)), (K, (1, 3))):
+            elems = [field(c) for c in consts]
+            pool += elems
+            if field in (F5_, QQ, R):
+                x = Polynomial.x(field)
+                polys = [Polynomial.constant(field, e) for e in elems]
+                polys += [x, x + elems[-1]]
+                pool += polys
+                pool += [RationalFunction(f) for f in polys]
+                pool.append(RationalFunction(Polynomial.one(field), x))
+        pool.append(K(RationalFunction.x(F5_)))
+        twins.append(pool)
+    return twins
+
+
+def test_equal_values_hash_alike():
+    """a == b implies hash(a) == hash(b) for every pair of values, mixed
+    types and fields included.  Equality does not coerce: an Element, a
+    Polynomial or a RationalFunction equals only a value of its own type
+    over an equal field, never an int, a Fraction, a constant of another
+    type or a value over another field (R(3) against F5(3) on R = F_25)."""
+    first, second = _value_twins()
+    assert all(a == b for a, b in zip(first, second))
+    pool = first + second + [0, 1, 3, -1, Fraction(1, 2), Fraction(6, 2)]
+    for a in pool:
+        for b in pool:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                assert type(a) is type(b) or {type(a), type(b)} <= {int, Fraction}
+            assert (a == b) == (b == a) == (not a != b), (a, b)
+    R = canonical_quadratic_field(F5)
+    assert R(3) != F5(3) and R(F5(3)) == R(3)
+    assert F5(1) != 1 and Polynomial.one(F5) != 1 and Polynomial.one(F5) != F5(1)
+    assert QQ(Fraction(1, 2)) != Fraction(1, 2)
+    assert RationalFunction.one(F5) != Polynomial.one(F5)
+    assert len({F5(1), 1}) == 2 and len({F5(1), PrimeField(5)(1)}) == 1
 
 
 def test_coercion_accepts_an_equal_field():

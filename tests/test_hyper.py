@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cubica import jsonio
+from cubica import hyper, jsonio
 from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
                             RationalFunction, ResidueField, poly_gcd,
                             poly_xgcd, squarefree_decomposition)
@@ -162,6 +162,12 @@ def test_q_evaluate_matches_the_fraction_horner_rule():
             f.evaluate(PrimeField(5)(2))
 
 
+def at_infinity(W, n_plus, n_minus):
+    """The WDivisor n+ inf+ + n- inf-."""
+    one, zero = Polynomial.one(W.field), Polynomial.zero(W.field)
+    return WDivisor((one, zero), (one, zero), n_plus, n_minus)
+
+
 def test_infinite_points_are_told_apart():
     """y = +-x^(g+1) S(1/x) at inf+-, so y - V+ is regular at inf+ and has a
     pole of order g + 1 at inf-.  Neither point is a Weierstrass point, so
@@ -175,11 +181,10 @@ def test_infinite_points_are_told_apart():
                     for j in range(g + 2)] for sign in (1, -1))
     assert not any(plus)
     assert minus[g + 1] == -2
-    from cubica.hyper import WDivisor
     for weights in ((g + 1, 0), (0, g + 1)):
-        assert len(rr_space(W, WDivisor([], *weights))) == 2
+        assert len(rr_space(W, at_infinity(W, *weights))) == 2
     for weights in ((g, 0), (0, g)):
-        assert len(rr_space(W, WDivisor([], *weights))) == 1
+        assert len(rr_space(W, at_infinity(W, *weights))) == 1
 
 
 def test_golden_tripling_over_q():
@@ -282,7 +287,7 @@ def test_double_is_consistent_with_oracle():
     E = point_minus_i_point(W, 1, 2)
     twoE = mumford_add(W, E, E)
     # 2E - (E + E) must be principal: direct check of the raw divisors
-    D = divisor_difference(W, twoE, twoE)
+    D = divisor_difference(twoE, twoE)
     assert is_principal(W, D)
     # E + (-E) = 0
     zero = mumford_add(W, E, mumford_neg(W, E))
@@ -334,7 +339,7 @@ def test_reduction_of_degree_three_sums_on_octics(p):
         D1, D2 = (mumford_add(W, mumford_add(W, point_class(W, *pts[i]),
                                              point_class(W, *pts[i + 1])),
                               point_class(W, *pts[i + 2])) for i in (0, 3))
-        raw = _compose(W, D1, D2)
+        raw, _ = _compose(W, D1, D2)
         D = raw
         while D.u.degree > W.g:
             steps.add(((W.Vplus - D.v) % D.u).degree > W.g)
@@ -349,8 +354,8 @@ def test_reduction_of_degree_three_sums_on_octics(p):
 
 
 def _reference_compose(curve, D1, D2):
-    """Cantor's composition in its general form, for every input: the
-    reference for the doubling and coprime paths of `_compose`."""
+    """Cantor's composition in its general form, for every input, and its
+    s: the reference for the doubling and coprime paths of `_compose`."""
     field = curve.field
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
     g0, e1, e2 = poly_xgcd(u1, u2)
@@ -364,11 +369,11 @@ def _reference_compose(curve, D1, D2):
         raise ArithmeticError("composition broke the Mumford invariant")
     ds = s.degree
     return MumfordClass(u3, v3 % u3 if not u3.is_constant() else Polynomial.zero(field),
-                        D1.n_plus + D2.n_plus + ds, D1.n_minus + D2.n_minus + ds)
+                        D1.n_plus + D2.n_plus + ds, D1.n_minus + D2.n_minus + ds), s
 
 
 def _reference_add(curve, D1, D2):
-    return _reduced(curve, _reference_compose(curve, D1, D2))
+    return _reduced(curve, _reference_compose(curve, D1, D2)[0])
 
 
 def _reference_scalar(curve, D, n):
@@ -396,7 +401,7 @@ def _composition_kind(D1, D2):
 
 def _checking_compositions(monkeypatch):
     """Patch `hyper._compose` to check every composition against
-    `_reference_compose`, representative for representative; returns the
+    `_reference_compose`, representative and s alike; returns the
     set of the kinds of composition it saw."""
     import cubica.hyper as hyper
     kinds, compose = set(), hyper._compose
@@ -483,7 +488,7 @@ def test_group_law_matches_the_general_composition(field, degree, monkeypatch):
             for n in range(1, 13):
                 assert mumford_scalar(W, D, n) == _reference_scalar(W, D, n), n
         if degree == 8:
-            assert _reference_compose(W, T1, T2).u.degree == 6
+            assert _reference_compose(W, T1, T2)[0].u.degree == 6
     assert kinds == {"doubling", "doubling, gcd(u, 2v) != 1",
                      "addition, gcd(u1, u2) = 1", "addition, gcd(u1, u2) != 1"}
 
@@ -616,12 +621,11 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _reference_norm_quotient(curve, a, b, den, bundles):
+def _reference_norm_quotient(curve, a, b, den, div):
     """The norm quotient through reduced rational functions, as
     `canonicalize_prym` formed it before the exact division."""
-    prod = RationalFunction(a * a - b * b * curve.F, den * den)
-    for u, v, m in bundles:
-        prod = prod * RationalFunction(u) ** m
+    prod = (RationalFunction(a * a - b * b * curve.F, den * den)
+            * RationalFunction(div.pos[0]) / RationalFunction(div.neg[0]))
     if not prod.den.is_constant():
         raise ArithmeticError("unexpected denominator in the norm quotient")
     return prod.num.monic()
@@ -633,19 +637,19 @@ def test_canonicalize_prym_sweep_mod_p(p):
     tripling and in one step: whenever a symmetric form comes back, it is
     of the form (x^2 - A, c, -1, -1) and in the class of D.  The exact
     division of the norm quotient gives the u_s of the reduced rational
-    function, and raises where it does, also with the multiplicities of D
-    negated, which leaves a denominator."""
+    function, and raises where it does, also with the two Mumford pairs of
+    D swapped, which leaves a denominator."""
     returned = raised = 0
     for W, x0, y0 in even_octics_mod_p(p, "canonicalize-prym", 30):
         for D in (mumford_scalar(W, point_minus_i_point(W, x0, y0), 3),
                   point_minus_i_point(W, x0, y0, 3)):
             base = divisor_of_class(W, D)
-            space = rr_space(W, WDivisor(base.bundles, base.n_plus + 1,
+            space = rr_space(W, WDivisor(base.pos, base.neg, base.n_plus + 1,
                                          base.n_minus + 1))
             if len(space) == 1:
-                flipped = [(u, v, -m) for u, v, m in base.bundles]
-                for bundles in (base.bundles, flipped):
-                    args = (W, *space[0], bundles)
+                swapped = WDivisor(base.neg, base.pos, base.n_plus, base.n_minus)
+                for div in (base, swapped):
+                    args = (W, *space[0], div)
                     got = _outcome(_norm_quotient, *args)
                     assert got == _outcome(_reference_norm_quotient, *args)
                     raised += isinstance(got, tuple)
@@ -875,9 +879,10 @@ def _sextic_with_weierstrass_point(field, rng):
 @pytest.mark.parametrize("p", [101, 1009])
 def test_classes_equal_peels_weierstrass_content(p):
     """The Cantor sum S = P_W + Q (P_W a Weierstrass point) has
-    gcd(u, v) = x - x(P_W), which the bundle normalization peels off.  S
-    equals the class S + R - R that Cantor arithmetic reaches by another
-    path, and differs from P_W + Q', Q' another point."""
+    gcd(u, v) = x - x(P_W), a pair through a Weierstrass point that
+    `rr_space` composes as it is.  S equals the class S + R - R that Cantor
+    arithmetic reaches by another path, and differs from P_W + Q', Q'
+    another point."""
     field = PrimeField(p)
     rng = random.Random(p)
     for _ in range(3):
@@ -911,7 +916,8 @@ def _sextic_with_a_tangent_point(field, rng):
 def test_classes_equal_splits_a_shared_u_with_different_v(p):
     """D1 = [P - inf+] + [Q - inf+] shares u with D2 = [P - inf+] +
     [iota(Q) - inf+] and with D3 = [P - inf-] + [iota(Q) - inf-], with
-    another v; the bundle normalization splits u where the two v agree.
+    another v, so Cantor's composition of iota(D1) with D2 or D3 has a
+    common factor x - x(P).
     As Q + iota(Q) = div(x - x(Q)) + inf+ + inf-, D1 ~ D2 iff Cantor's
     doubling 2[Q - inf+] is the class inf- - inf+, and D1 ~ D3 iff it is
     inf+ - inf-: comparisons without a shared u.  D1 ~ D2 never holds (Q is
@@ -945,11 +951,10 @@ def test_classes_equal_splits_a_shared_u_with_different_v(p):
 def test_classes_equal_of_a_weierstrass_class_and_its_conjugate():
     """D = P_W + P on seeded octics over F_101, P_W = (a, 0) a Weierstrass
     point and P an affine point with y != 0: u has the root a and v(a) = 0,
-    v != 0.  D - iota(D) has the bundles (u, v, 1) and (u, -v, -1); kept
-    whole, `rr_space` would ask for order 2 along (u, -v), whose Hensel lift
-    needs gcd(u, v) = 1 and raises.  The bundle normalization peels x - a
-    off both, and the answer is that of D - iota(D) ~ 0 by Cantor
-    arithmetic, a doubling through P_W."""
+    v != 0.  For D - iota(D), `rr_space` composes iota(D) with iota(D), a
+    doubling through P_W with gcd(u, 2v) = x - a, which Cantor's general
+    composition takes out as s = x - a.  The answer is that of
+    D - iota(D) ~ 0 by Cantor arithmetic."""
     field = PrimeField(101)
     rng = random.Random("weierstrass-peel")
     x = Polynomial.x(field)
@@ -964,55 +969,17 @@ def test_classes_equal_of_a_weierstrass_class_and_its_conjugate():
         assert classes_equal(W, D, conj) == want
 
 
-def test_bundle_normalization_is_idempotent(monkeypatch):
-    """`rr_space` reads a WDivisor's bundles as they are, so every WDivisor
-    is built from normalized bundles.  Normalizing again what
-    `_normalize_bundles` returned changes nothing, on the bundles of the
-    sweeps above: symmetric forms over F_101, the Weierstrass and shared-u
-    comparisons, and the group law over Q."""
-    import cubica.hyper as hyper
-    normalize, seen = hyper._normalize_bundles, []
-
-    def recorded(curve, bundles):
-        out = normalize(curve, bundles)
-        seen.append((curve, out))
-        return out
-    monkeypatch.setattr(hyper, "_normalize_bundles", recorded)
-    for W, x0, y0 in even_octics_mod_p(101, "canonicalize-prym", 30):
-        for D in (mumford_scalar(W, point_minus_i_point(W, x0, y0), 3),
-                  point_minus_i_point(W, x0, y0, 3)):
-            _outcome(canonicalize_prym, W, D)
-    for p in (101, 1009):
-        field = PrimeField(p)
-        rng = random.Random(p)
-        W, a, pts = _sextic_with_weierstrass_point(field, rng)
-        PW = point_class(W, a, 0)
-        Q, R, Q2 = (point_class(W, *pt) for pt in pts)
-        S = mumford_add(W, PW, Q)
-        classes_equal(W, S, mumford_add(W, mumford_add(W, S, R), mumford_neg(W, R)))
-        classes_equal(W, S, iota_star(W, S))
-        classes_equal(W, mumford_add(W, Q, R), mumford_add(W, Q, iota_star(W, R)))
-    W = example_curve(QQ)
-    E = point_minus_i_point(W, 1, 2)
-    for n in range(1, 7):
-        classes_equal(W, mumford_scalar(W, E, n + 1),
-                      mumford_add(W, mumford_scalar(W, E, n), E))
-    monkeypatch.undo()
-    for curve, bundles in seen:
-        assert normalize(curve, bundles) == bundles
-    assert len(seen) >= 60
-    assert any(len(bundles) >= 3 for _, bundles in seen)
-    assert any(v.is_zero() for _, bundles in seen for _, v, _ in bundles)
-
-
 def test_point_classes_with_colliding_hashes_stay_apart():
     """Over Q, hash(Fraction(-1)) == hash(Fraction(-2)), so x - 1 and x - 2
-    hash alike; distinct points must still give distinct bundles."""
+    hash alike; distinct points must not cancel: L(P - Q + inf+ + inf-)
+    has its poles at P."""
     x = Polynomial.x(QQ)
     W = SplitCurve((x - 1) * (x - 2) * (x ** 2 + 1) + 1)   # genus 1
     P, Q = point_class(W, 1, 1), point_class(W, 2, 1)
     assert hash(P.u) == hash(Q.u)
-    assert len(divisor_difference(W, P, Q).bundles) == 2
+    D = divisor_difference(P, Q)
+    space = rr_space(W, WDivisor(D.pos, D.neg, 1, 1))
+    assert len(space) == 2 and {den for _, _, den in space} == {x - 1}
     assert not classes_equal(W, P, Q)
 
 
@@ -1020,9 +987,89 @@ def test_rr_space_dimensions():
     """L(n(inf+ + inf-)) has dimension 2n - g + 1 for n >= g (Riemann-Roch),
     here g = 3."""
     W = example_curve(QQ)
-    from cubica.hyper import WDivisor
     for n, expected in [(3, 4), (4, 6), (5, 8)]:
-        basis = rr_space(W, WDivisor([], n, n))
+        basis = rr_space(W, at_infinity(W, n, n))
         assert len(basis) == expected, (n, len(basis))
     # L(0) = constants
-    assert len(rr_space(W, WDivisor([], 0, 0))) == 1
+    assert len(rr_space(W, at_infinity(W, 0, 0))) == 1
+
+
+def _composed(W, points):
+    """The class of the sum of the affine points, less as many inf+,
+    composed from point classes without reduction (the identity for none)."""
+    D = identity_class(W)
+    for pt in points:
+        D, _ = hyper._compose(W, D, point_class(W, *pt))
+    return D
+
+
+def _draw_sharing(rng, pts, a):
+    """Two point lists pos and neg that share points: for three of the
+    affine points P, pos takes 0-2 copies of P or iota(P) and neg 0-2
+    copies of the same point or of its opposite; each takes the
+    Weierstrass point (a, 0) at most once.  Neither list holds a point and
+    its opposite, so both compose to semi-reduced pairs."""
+    pos, neg = [], []
+    for x0, y0 in rng.sample(pts, 3):
+        sign = rng.choice((1, -1))
+        rel = rng.choice((1, -1))
+        pos += [(x0, sign * y0)] * rng.randint(0, 2)
+        neg += [(x0, rel * sign * y0)] * rng.randint(0, 2)
+    zero = a - a
+    pos += [(a, zero)] * rng.randint(0, 1)
+    neg += [(a, zero)] * rng.randint(0, 1)
+    return pos, neg
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+@pytest.mark.parametrize("field", _GROUP_LAW_FIELDS, ids=repr)
+def test_rr_space_of_pairs_that_share_points(field, degree):
+    """A seeded sweep of `rr_space` on D = div(u1, v1) - div(u2, v2)
+    + n+ inf+ + n- inf- over F_101, F_1009 and Q, on sextics and octics
+    through affine points and a Weierstrass point P_W.  The pairs are
+    composed without reduction from point lists that share points: the same
+    point on both sides, P on one and iota(P) on the other, and P_W.
+    Whenever deg D >= 2g - 1, l(D) = deg D - g + 1 (Riemann-Roch, as
+    deg(K - D) < 0 then), and l(D) = 0 when deg D < 0.  At degree 0,
+    `is_principal(D)` agrees with Cantor arithmetic: it holds iff
+    [pos] - [neg] plus the weights' class e (inf+ - inf-) reduces to the
+    identity, and it holds when neg is the pair of a reduced sum Cantor
+    arithmetic equates with pos."""
+    rng = random.Random(f"rr-shared:{field!r}:{degree}")
+    one, zero = Polynomial.one(field), Polynomial.zero(field)
+    checked, principal = {"rr": 0, "degree 0": 0}, []
+    for _ in range(3):
+        W, pts, a = _curve_through_points(field, rng, degree, degree - 2,
+                                          weierstrass=True)
+        g = W.g
+        for trial in range(16):
+            pos, neg = _draw_sharing(rng, pts, a)
+            P, N = _composed(W, pos), _composed(W, neg)
+            if trial % 4 == 3:
+                # N is Cantor's reduced form of P, plus a shared point
+                shared = [rng.choice(pts)]
+                P = _composed(W, pos + shared)
+                N, _ = hyper._compose(W, _reduced(W, _composed(W, pos)),
+                                      _composed(W, shared))
+                D = divisor_difference(P, N)
+                assert D.degree() == 0 and is_principal(W, D)
+                principal.append(True)
+                continue
+            n_plus = rng.randint(-2, 4)
+            rest = P.u.degree - N.u.degree + n_plus
+            n_minus = -rest if trial % 2 else rest + rng.randint(-2, 2 * g)
+            D = WDivisor((P.u, P.v), (N.u, N.v), n_plus, n_minus)
+            deg = D.degree()
+            if deg >= 2 * g - 1 or deg < 0:
+                assert len(rr_space(W, D)) == max(deg - g + 1, 0), (pos, neg)
+                checked["rr"] += 1
+            if deg == 0:
+                e = n_plus - P.n_plus + N.n_plus
+                assert e == -(n_minus - P.n_minus + N.n_minus)
+                T = mumford_add(W, mumford_add(W, P, mumford_neg(W, N)),
+                                MumfordClass(one, zero, e, -e))
+                assert is_principal(W, D) == (T == identity_class(W)), (pos, neg)
+                principal.append(T == identity_class(W))
+                checked["degree 0"] += 1
+    assert checked["rr"] >= 12 and checked["degree 0"] >= 12
+    assert True in principal and False in principal
