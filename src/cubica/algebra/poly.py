@@ -871,10 +871,7 @@ def squarefree_decomposition(f: Polynomial):
             decompose(w, outer)
 
     decompose(f, 1)
-    merged = {}
-    for g, m in out.items():
-        merged[g] = merged.get(g, 0) + m
-    return sorted(merged.items(), key=lambda t: (t[1], t[0].sort_key()))
+    return sorted(out.items(), key=lambda t: (t[1], t[0].sort_key()))
 
 
 # -- factorization over finite fields ----------------------------------------------
@@ -957,23 +954,14 @@ def _random_element(field, rng: random.Random):
                        for _ in range(field.deg))).val
 
 
-def _fingerprint(f: Polynomial):
-    return tuple(f.vals)
-
-
-def poly_factor(f: Polynomial):
-    """Full factorization over a finite field: sorted [(monic irreducible, mult)].
+def poly_factor(f: Polynomial, used=None):
+    """Full factorization over a finite field: sorted [(monic irreducible, mult)],
+    or its entries whose multiplicity the predicate `used` accepts: the
+    squarefree pieces of the other multiplicities are not split.
 
     The result is deterministic: the factors are unique and sorted
     canonically, whatever the equal-degree stage draws.
     """
-    return _factor_multiplicities(f)
-
-
-def _factor_multiplicities(f: Polynomial, used=None):
-    """``poly_factor(f)``, or its entries whose multiplicity the
-    predicate `used` accepts: the squarefree pieces of the other
-    multiplicities are not split."""
     if f.is_zero():
         raise ZeroDivisionError("factorization of zero")
     field = f.field
@@ -982,7 +970,7 @@ def _factor_multiplicities(f: Polynomial, used=None):
     if field.order is None:
         raise FieldError("factorization requires a finite field")
     # the former seed-0 key, so each split draws as in earlier measurements
-    rng = random.Random(f"0:{field.order}:{_fingerprint(f)}")
+    rng = random.Random(f"0:{field.order}:{tuple(f.vals)}")
     out = []
     for g, mult in squarefree_decomposition(f):
         if used is not None and not used(mult):

@@ -11,40 +11,10 @@ Artin-Schreier closure class c^3/alpha^2 (characteristic 2).
 
 from __future__ import annotations
 
-from .algebra import FieldError, Polynomial, RationalFunction
-from .algebra.poly import _factor_multiplicities
-from .function_field import Place, genus_of_cubic
+from .algebra import FieldError, RationalFunction
+from .function_field import Place, genus_of_cubic, place_factors, pole_divisor
 from .models import CubicModel, RamificationReport, sorted_places
 from .quadratic import ASClass
-
-
-def _place_factorization(poly: Polynomial, hints=None, used=None):
-    """[(Place, mult)] for a polynomial, or for the multiplicities that the
-    predicate `used` accepts; over Q the caller-provided hints (monic
-    irreducible polynomials) must cover every factor.  Over a finite field
-    only the squarefree pieces of the used multiplicities are factored."""
-    if poly.is_constant():
-        return []
-    if poly.field.order is not None:
-        return [(Place.finite(p, check=False), m)
-                for p, m in _factor_multiplicities(poly, used)]
-    if hints is None:
-        raise FieldError("factorization over Q needs caller-supplied place hints")
-    rem = poly.monic()
-    out = []
-    for h in hints:
-        m = 0
-        while True:
-            q, r = divmod(rem, h)
-            if not r.is_zero():
-                break
-            rem = q
-            m += 1
-        if m and (used is None or used(m)):
-            out.append((Place.finite(h, check=False), m))
-    if rem.degree > 0:
-        raise FieldError("place hints do not cover all factors")
-    return out
 
 
 def _prime_to_3(m):
@@ -62,12 +32,9 @@ def analyze(model: CubicModel, hints=None) -> RamificationReport:
     meta = {}
     if model.kind == "pure":
         beta = model.beta
-        total = []
-        for place, _ in _place_factorization(beta.num, hints, _prime_to_3):
-            total.append(place)
-        for place, _ in _place_factorization(beta.den, hints, _prime_to_3):
-            if place not in total:
-                total.append(place)
+        # num and den are coprime, so no place comes twice
+        total = [place for poly in (beta.num, beta.den)
+                 for place, _ in place_factors(poly, hints, _prime_to_3)]
         if beta.degree_at_infinity() % 3 != 0:
             total.append(Place.infinity(field))
         if not total:
@@ -78,11 +45,7 @@ def analyze(model: CubicModel, hints=None) -> RamificationReport:
         if alpha.is_zero():
             raise FieldError("degenerate model: alpha = 0")
         c3 = c ** 3
-        total = [place for place, _ in
-                 _place_factorization(alpha.den, hints, _prime_to_3)]
-        v_inf = alpha.degree_at_infinity()
-        if v_inf < 0 and (-v_inf) % 3 != 0:
-            total.append(Place.infinity(field))
+        total = list(pole_divisor(alpha, hints, _prime_to_3))
         if char == 2:
             closure = ASClass.of(RationalFunction.from_const(field, c3) / (alpha * alpha))
             partial = closure.ramified_places()
@@ -94,8 +57,7 @@ def analyze(model: CubicModel, hints=None) -> RamificationReport:
             disc = n * n - d * d * (field(4) * c3)
             if disc.is_zero():
                 raise FieldError("degenerate model: alpha^2 = 4c^3")
-            partial = [place for place, _ in
-                       _place_factorization(disc, hints, _odd)]
+            partial = [place for place, _ in place_factors(disc, hints, _odd)]
             disc_inf = 2 * d.degree - disc.degree
             if disc_inf % 2 == 1 and disc_inf > 0:
                 partial.append(Place.infinity(field))
@@ -128,10 +90,4 @@ def pole_orders_of_alpha(model: CubicModel, hints=None):
     """{place: -v_p(alpha)} over the poles of alpha (impure models)."""
     if model.kind != "impure":
         raise FieldError("pole orders are reported for impure models")
-    out = {}
-    for place, m in _place_factorization(model.alpha.den, hints):
-        out[place] = m
-    v_inf = model.alpha.degree_at_infinity()
-    if v_inf < 0:
-        out[Place.infinity(model.base)] = -v_inf
-    return out
+    return pole_divisor(model.alpha, hints)

@@ -122,59 +122,75 @@ class Divisor:
         return " + ".join(f"{m}*{p!r}" for p, m in self.items())
 
 
+def _multiplicity(poly: Polynomial, p: Polynomial):
+    """(m, poly / p^m) for the largest m with p^m dividing the nonzero poly."""
+    m = 0
+    while True:
+        q, r = divmod(poly, p)
+        if not r.is_zero():
+            return m, poly
+        poly, m = q, m + 1
+
+
+def place_factors(poly: Polynomial, hints=None, used=None):
+    """[(Place, mult)] for the finite places where poly vanishes, or for
+    those whose multiplicity the predicate `used` accepts.
+
+    Over a finite field this is `poly_factor`, which leaves the squarefree
+    pieces of the multiplicities `used` rejects unsplit, and the hints are
+    not read.  Over Q the
+    caller's hints, monic irreducible polynomials, are divided out in
+    their order and must cover every factor.
+    """
+    if poly.is_constant():
+        return []
+    if poly.field.order is not None:
+        return [(Place.finite(p, check=False), m) for p, m in poly_factor(poly, used)]
+    if hints is None:
+        raise FieldError("factorization over Q needs caller-supplied place hints")
+    rem = poly.monic()
+    out = []
+    for h in hints:
+        m, rem = _multiplicity(rem, h)
+        if m and (used is None or used(m)):
+            out.append((Place.finite(h, check=False), m))
+    if rem.degree > 0:
+        raise FieldError("place hints do not cover all factors")
+    return out
+
+
+def pole_divisor(f: RationalFunction, hints=None, used=None) -> dict:
+    """{place: order} over the poles of f, or over those whose order `used`
+    accepts: the finite poles in `place_factors` order, then infinity."""
+    out = dict(place_factors(f.den, hints, used))
+    order = f.num.degree - f.den.degree   # the zero function has no poles
+    if order > 0 and (used is None or used(order)):
+        out[Place.infinity(f.field)] = order
+    return out
+
+
 def valuation(f: RationalFunction, place: Place) -> int:
     """v_p(f); at infinity this is deg(den) - deg(num)."""
     if f.is_zero():
         raise ZeroDivisionError("valuation of the zero function")
     if place.infinite:
         return f.degree_at_infinity()
-    v = 0
-    num = f.num
-    while True:
-        q, r = divmod(num, place.poly)
-        if not r.is_zero():
-            break
-        num = q
-        v += 1
-    den = f.den
-    while True:
-        q, r = divmod(den, place.poly)
-        if not r.is_zero():
-            break
-        den = q
-        v -= 1
-    return v
+    return _multiplicity(f.num, place.poly)[0] - _multiplicity(f.den, place.poly)[0]
 
 
 def divisor_of(f: RationalFunction, factors=None) -> Divisor:
     """The principal divisor of f.
 
-    Over a finite field the numerator and denominator are factored; over Q
-    the caller must pass `factors`, a list of monic irreducible polynomials
-    that jointly cover every irreducible factor of num and den.
+    The places come from `place_factors`: over Q the caller must pass
+    `factors`, monic irreducible polynomials that jointly cover every
+    irreducible factor of num and den; over a finite field they are not
+    needed.
     """
     if f.is_zero():
         raise ZeroDivisionError("divisor of the zero function")
-    div = Divisor()
-    if factors is None:
-        if f.field.order is None:
-            raise FieldError("divisor_of over Q needs caller-supplied factors")
-        for poly, mult in poly_factor(f.num):
-            div.add(Place.finite(poly, check=False), mult)
-        for poly, mult in poly_factor(f.den):
-            div.add(Place.finite(poly, check=False), -mult)
-    else:
-        rem_num, rem_den = f.num.monic(), f.den.monic()
-        for poly in factors:
-            place = Place.finite(poly, check=False)
-            v = valuation(f, place)
-            div.add(place, v)
-            if v > 0:
-                rem_num = rem_num.exact_div(poly ** v)
-            elif v < 0:
-                rem_den = rem_den.exact_div(poly ** (-v))
-        if rem_num.degree > 0 or rem_den.degree > 0:
-            raise FieldError("supplied factors do not cover the divisor")
+    div = Divisor(place_factors(f.num, factors))
+    for place, mult in place_factors(f.den, factors):
+        div.add(place, -mult)
     div.add(Place.infinity(f.field), f.degree_at_infinity())
     if div.degree != 0:
         raise ArithmeticError("principal divisor of nonzero degree (internal error)")

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       RationalFunction, ResidueField, is_irreducible,
-                      is_square, poly_factor, poly_gcd, smallest_nonsquare,
+                      is_square, poly_gcd, smallest_nonsquare,
                       sqrt, squarefree_decomposition, trace_to_f2)
-from .function_field import Place
+from .function_field import Place, place_factors, pole_divisor
 from .models import CubicModel
 
 
@@ -173,17 +173,15 @@ class ASClass:
         return isinstance(other, ASClass) and (self + other).is_trivial()
 
     def __hash__(self):
-        return hash(self.gamma)
+        # only what _as_reduce makes a class invariant: every pole order is
+        # odd, so equal classes share the denominator and the degree of the
+        # polynomial part (gamma itself is not unique: x^2 ~ x)
+        g = self.gamma
+        return hash((self.field, g.den, max(g.num.degree - g.den.degree, 0)))
 
     def ramified_places(self) -> list:
         """Branch places of z^2 + z = gamma (odd poles of the reduced form)."""
-        out = []
-        if not self.gamma.den.is_one():
-            for p, _ in poly_factor(self.gamma.den):
-                out.append(Place.finite(p, check=False))
-        if self.gamma.num.degree > self.gamma.den.degree:
-            out.append(Place.infinity(self.field))
-        return out
+        return list(pole_divisor(self.gamma))
 
     def splits_at(self, place: Place) -> str:
         """'split' | 'inert' | 'ramified' for z^2 + z = gamma at the place."""
@@ -211,23 +209,17 @@ def _as_reduce(gamma: RationalFunction) -> RationalFunction:
     if gamma.is_zero():
         return gamma
     # finite poles: drive every even pole order up by subtracting (s/p^m)^2 + s/p^m
-    changed = True
-    while changed:
-        changed = False
-        if gamma.is_zero():
+    while not gamma.is_zero():
+        even = place_factors(gamma.den, used=lambda mult: mult % 2 == 0)
+        if not even:
             break
-        for p, mult in poly_factor(gamma.den):
-            if mult % 2 != 0:
-                continue
-            m = mult // 2
-            R = ResidueField(p, check=False)
-            # leading coefficient of gamma at p: (gamma * p^(2m)) mod p
-            scaled = gamma * RationalFunction(p ** (2 * m))
-            s = R.lift(sqrt(R(scaled.num) / R(scaled.den)))  # unique root in char 2
-            h = RationalFunction(s, p ** m)
-            gamma = gamma - (h * h + h)
-            changed = True
-            break
+        place, mult = even[0]
+        p, m, R = place.poly, mult // 2, place.residue_field
+        # leading coefficient of gamma at p: (gamma * p^(2m)) mod p
+        scaled = gamma * RationalFunction(p ** (2 * m))
+        s = R.lift(sqrt(R(scaled.num) / R(scaled.den)))  # unique root in char 2
+        h = RationalFunction(s, p ** m)
+        gamma = gamma - (h * h + h)
     # polynomial part: kill even-degree leading terms >= 2
     while True:
         num, den = gamma.num, gamma.den
@@ -341,10 +333,7 @@ class QuadraticModel:
     def branch_places(self) -> list:
         """The branch locus S on K."""
         if self.kind == "kummer":
-            out = []
-            if self.f.degree >= 1:
-                for p, _ in _factor_low_degree(self.f):
-                    out.append(Place.finite(p, check=False))
+            out = [place for place, _ in place_factors(self.f, _q_hints(self.f))]
             if self.f.degree % 2 == 1:
                 out.append(Place.infinity(self.field))
             return out
@@ -495,7 +484,7 @@ class ConicParametrization:
             self.m = (Polynomial.constant(field, -y0), one,
                       Polynomial(field, [-x0, field.one]))
         self._check()
-        self.infinity_pullback = _pole_divisor(self.X)
+        self.infinity_pullback = pole_divisor(self.X, _q_hints(self.X.den))
         self.sigma_fixed_points = _fixed_points(self.sigma, self.X)
         self.y_over_x = self.Y / self.X
 
@@ -585,19 +574,6 @@ class ConicParametrization:
         return Place.finite(Polynomial(self.field, [-v, self.field.one]), check=False)
 
 
-def _pole_divisor(X: RationalFunction):
-    """The divisor of poles of X on the m-line as {place: mult}."""
-    out = {}
-    den = X.den
-    if den.degree >= 1:
-        for p, m in _factor_low_degree(den):
-            out[Place.finite(p, check=False)] = m
-    plus = X.num.degree - den.degree
-    if plus > 0:
-        out[Place.infinity(X.field)] = plus
-    return out
-
-
 def _fixed_points(s: Moebius, X: RationalFunction):
     """The rational fixed points of sigma = s, each with the value of X."""
     field = X.field
@@ -621,25 +597,21 @@ def _fixed_points(s: Moebius, X: RationalFunction):
     return out
 
 
-def _factor_low_degree(poly: Polynomial):
-    """Factor poly into (monic factor, multiplicity) pairs: by `poly_factor`
-    over a finite field, else (degree <= 2 over Q) by the quadratic formula."""
+def _q_hints(poly: Polynomial):
+    """The place hints `place_factors` needs for a polynomial of degree <= 2
+    over Q: its monic irreducible factors, the linear ones from the
+    quadratic formula's roots.  None over a finite field, which needs none."""
     field = poly.field
     if field.order is not None:
-        return poly_factor(poly)
+        return None
     if poly.degree <= 1:
-        return [(poly.monic(), 1)]
+        return [poly.monic()]
     a, b, c = poly[2], poly[1], poly[0]
     disc = b * b - field(4) * a * c
-    if is_square(disc):
-        r = sqrt(disc)
-        m1 = (-b + r) / (field(2) * a)
-        m2 = (-b - r) / (field(2) * a)
-        if m1 == m2:
-            return [(Polynomial(field, [-m1, field.one]), 2)]
-        return [(Polynomial(field, [-m1, field.one]), 1),
-                (Polynomial(field, [-m2, field.one]), 1)]
-    return [(poly.monic(), 1)]
+    if not is_square(disc):
+        return [poly.monic()]
+    r = sqrt(disc)
+    return [Polynomial(field, [(b - s) / (field(2) * a), field.one]) for s in (r, -r)]
 
 
 def _value_at(rf: RationalFunction, v):

@@ -12,7 +12,9 @@ from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
                             poly_gcd, poly_xgcd, pow_mod, smallest_nonsquare,
                             sqrt, squarefree_decomposition, trace_to_f2)
 from cubica.algebra.poly import _divmod, _mul, _rem, _taylor_shift
-from cubica.quadratic import canonical_quadratic_field
+from cubica.function_field import Place
+from cubica.hyper import MumfordClass
+from cubica.quadratic import ASClass, SquareClass, canonical_quadratic_field
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -709,11 +711,33 @@ def test_equal_values_over_equal_fields_hash_alike():
     assert len({FunctionField(QQ).gen, FunctionField(QQ).gen}) == 1
 
 
+def _class_values(F5_, Q):
+    """SquareClass, ASClass, Place and MumfordClass values.  The four
+    Artin-Schreier classes over F_2 are two equal pairs whose reduced
+    representatives differ: x^3 + x^2 ~ x^3 + x and 1/x^3 + 1/x^2 ~
+    1/x^3 + 1/x, since x^2 + x and 1/x^2 + 1/x are h^2 + h."""
+    F2_ = PrimeField(2)
+    t = RationalFunction.x(F2_)
+    x, xq = Polynomial.x(F5_), Polynomial.x(Q)
+    out = [ASClass.of(g) for g in (t ** 3 + t ** 2, t ** 3 + t, t.inverse() ** 3
+                                   + t.inverse() ** 2, t.inverse() ** 3 + t.inverse(), t)]
+    out += [ASClass.trivial(F2_), ASClass.of(F2_(1))]
+    out += [SquareClass.trivial(F5_), SquareClass.of(x), SquareClass.of(x * x * F5_(2)),
+            SquareClass.trivial(Q), SquareClass.of(xq * Q(3))]
+    out += [Place.finite(x), Place.finite(x * x + 2), Place.infinity(F5_),
+            Place.finite(xq), Place.infinity(Q)]
+    out += [MumfordClass(Polynomial.one(F5_), Polynomial.zero(F5_), 0, 0),
+            MumfordClass(x - 1, Polynomial.constant(F5_, F5_(2)), -1, 0),
+            MumfordClass(xq - 1, Polynomial.constant(Q, Q(2)), -1, 0)]
+    return out
+
+
 def _value_twins():
     """Values of every type the algebra hands out, built twice through
     separate field objects: Elements of F_5, F_7, Q, F_25,
-    F5[x]/(x^3 + x + 1) and F_5(x), and Polynomials and RationalFunctions
-    over F_5, Q and F_25, constants among them.  Returns the two lists."""
+    F5[x]/(x^3 + x + 1) and F_5(x), Polynomials and RationalFunctions
+    over F_5, Q and F_25, constants among them, and the class and place
+    values of `_class_values`.  Returns the two lists."""
     twins = []
     for _ in range(2):
         pool = []
@@ -734,6 +758,7 @@ def _value_twins():
                 pool += [RationalFunction(f) for f in polys]
                 pool.append(RationalFunction(Polynomial.one(field), x))
         pool.append(K(RationalFunction.x(F5_)))
+        pool += _class_values(F5_, QQ)
         twins.append(pool)
     return twins
 
@@ -753,6 +778,8 @@ def test_equal_values_hash_alike():
                 assert hash(a) == hash(b), (a, b)
                 assert type(a) is type(b) or {type(a), type(b)} <= {int, Fraction}
             assert (a == b) == (b == a) == (not a != b), (a, b)
+    a, b = _class_values(F5, QQ)[:2]
+    assert a == b and a.gamma != b.gamma and len({a, b}) == 1
     R = canonical_quadratic_field(F5)
     assert R(3) != F5(3) and R(F5(3)) == R(3)
     assert F5(1) != 1 and Polynomial.one(F5) != 1 and Polynomial.one(F5) != F5(1)

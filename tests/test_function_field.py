@@ -6,7 +6,8 @@ import pytest
 
 from cubica.algebra import (FieldError, Polynomial, PrimeField, RationalFunction,
                             ResidueField, poly_factor)
-from cubica.function_field import Place, divisor_of, genus_of_cubic, valuation
+from cubica.function_field import (Place, divisor_of, genus_of_cubic, place_factors,
+                                   pole_divisor, valuation)
 
 F5 = PrimeField(5)
 
@@ -67,6 +68,45 @@ def test_divisor_over_q_with_supplied_factors():
     assert d.multiplicity(Place.finite(x ** 2 - 2, check=False)) == 1
     assert d.multiplicity(Place.finite(x, check=False)) == -1
     assert d.degree == 0
+
+
+def test_place_factors_follow_poly_factor_and_keep_the_used_multiplicities():
+    x = x_of(F5)
+    poly = 3 * x ** 2 * (x + 1) ** 3 * (x ** 2 + 2)
+    want = [(Place.finite(g), m) for g, m in poly_factor(poly)]
+    assert place_factors(poly) == want
+    assert [m for _, m in want] == [2, 3, 1]
+    assert place_factors(poly, used=lambda m: m % 2 == 1) == [want[1], want[2]]
+    assert place_factors(Polynomial.constant(F5, F5(2))) == []
+
+
+def test_place_factors_over_q_divide_out_the_hints_in_order():
+    from cubica.algebra import QQ
+    x = x_of(QQ)
+    poly = 2 * (x - 1) ** 2 * (x ** 2 - 2) * x
+    hints = [x ** 2 - 2, x, x - 1, x + 1]
+    assert place_factors(poly, hints) == [(Place.finite(x ** 2 - 2), 1),
+                                          (Place.finite(x), 1),
+                                          (Place.finite(x - 1), 2)]
+    assert place_factors(poly, hints, lambda m: m > 1) == [(Place.finite(x - 1), 2)]
+    with pytest.raises(FieldError, match="needs caller-supplied place hints"):
+        place_factors(poly)
+    with pytest.raises(FieldError, match="place hints do not cover all factors"):
+        place_factors(poly, hints[1:])
+
+
+def test_pole_divisor_lists_finite_poles_then_infinity():
+    x = x_of(F5)
+    inf = Place.infinity(F5)
+    f = RationalFunction(x ** 6 + 2, x ** 2 * (x - 1) * (x ** 2 + 2))
+    poles = pole_divisor(f)
+    assert list(poles.items()) == place_factors(f.den) + [(inf, 1)]
+    assert poles[Place.finite(x)] == 2 and poles[Place.finite(x ** 2 + 2)] == 1
+    assert list(pole_divisor(f, used=lambda m: m % 2 == 1)) == [
+        Place.finite(x - 1), Place.finite(x ** 2 + 2), inf]
+    assert pole_divisor(f, used=lambda m: m > 1) == {Place.finite(x): 2}
+    assert pole_divisor(RationalFunction(x ** 3)) == {inf: 3}
+    assert pole_divisor(RationalFunction.zero(F5)) == {}
 
 
 def test_genus_table_rows():

@@ -3,28 +3,33 @@
     python3 tools/bench_pairs.py --base HEAD~1 --workload descent_large_q \\
         --pairs 10 --seeds 501-510 --out BENCH_7.json
 
-The base side is the committed tree of `--base`, unpacked by `git archive`
-into a temporary directory (the committed files, as the benchmark's driver
-checks them out; nothing is registered in the repository).  The change side
-is the tree this script sits in, uncommitted edits included.  Pair i runs
-`perfbench/run.py --trace 0` at seed `seeds[i % len(seeds)]` on both sides,
-the base first on even i and the change first on odd i, each run lasting
-`BENCHMARK.json`'s `run_seconds`.
+Both sides run from temporary trees that are built the same way, by one
+tar extraction into a fresh directory: the base side from the committed
+tree of `--base`, as `git archive` writes it (the committed files, as the
+benchmark's driver checks them out; nothing is registered in the
+repository), and the change side from a snapshot of the working tree this
+script sits in, taken once at the start, uncommitted edits and new files
+included, ignored files left out.  Pair i runs `perfbench/run.py --trace 0`
+at seed `seeds[i % len(seeds)]` on both sides, the base first on even i and
+the change first on odd i, each run lasting `BENCHMARK.json`'s
+`run_seconds`.
 
-A run that is not `correct`, or a pair whose run and census digests differ
-between the sides, stops the script with exit status 1.  Otherwise the
-file gets (or replaces) one entry per workload and seed list: the per-pair
-values of every end-to-end metric of `BENCHMARK.json`, each side's median
-and quartiles, the change's wins (ties count for neither) and whether the
-gain is clear: wins in at least nine tenths of the pairs and a median gap
-wider than the base's interquartile range.  Each entry also records the
-Python version, the machine, both revisions (with the paths `git status`
-lists as edited) and the run settings.
+A run that is not `correct` stops the script with exit status 1.
+Otherwise the file gets (or replaces) one entry per workload and seed list:
+each pair's run and census digests on both sides, the per-pair values of
+every end-to-end metric of `BENCHMARK.json`, each side's median and
+quartiles, the change's wins (ties count for neither) and whether the gain
+is clear: wins in at least nine tenths of the pairs and a median gap wider
+than the base's interquartile range.  Each entry also records the Python
+version, the machine, both revisions (with the paths `git status` lists as
+edited) and the run settings.  If the digests of any pair differ between
+the sides, the script exits with status 1 after writing the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -43,19 +48,37 @@ def _git(*args) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def _extract(stream, dest: Path):
+    """Unpack a tar stream under `dest`."""
+    with tarfile.open(fileobj=stream, mode="r|") as tar:
+        # the "data" filter refuses links and paths out of dest; Python
+        # 3.12-3.13 warn when no filter is given, 3.14 makes it the default
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+
+
 def _unpack(rev: str, dest: Path):
     """The committed tree of `rev` under `dest`."""
     with subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
                           stdout=subprocess.PIPE) as proc:
-        with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
-            # the "data" filter refuses links and paths out of dest; Python
-            # 3.12-3.13 warn when no filter is given, 3.14 makes it the default
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(dest, filter="data")
-            else:
-                tar.extractall(dest)
+        _extract(proc.stdout, dest)
     if proc.returncode != 0:
         raise RuntimeError(f"git archive {rev} failed")
+
+
+def _snapshot(dest: Path):
+    """The working tree under `dest`: every file git tracks or would add,
+    as it is on disk now."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for name in names.split("\0"):
+            if name and (ROOT / name).is_file():
+                tar.add(ROOT / name, arcname=name, recursive=False)
+    buf.seek(0)
+    _extract(buf, dest)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -134,24 +157,27 @@ def main(argv=None):
     seeds = _seeds(args.seeds)
     base_commit = _git("rev-parse", args.base)
 
-    pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_tree = Path(tmp)
-        _unpack(base_commit, base_tree)
+    pairs, differ = [], []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # names of one length, so that the trees differ in their files only
+        trees = {side: Path(tmp) / side[0] for side in ("base", "change")}
+        _unpack(base_commit, trees["base"])
+        _snapshot(trees["change"])
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            runs = {side: _run(base_tree if side == "base" else ROOT,
-                               args.workload, seed, seconds) for side in order}
-            digests = {side: (r["detail"]["digest"], r["detail"]["census"]["digest"])
-                       for side, r in runs.items()}
+            runs = {side: _run(trees[side], args.workload, seed, seconds)
+                    for side in order}
             bad = [side for side, r in runs.items() if not r["result"]["correct"]]
-            if bad or digests["base"] != digests["change"]:
-                sys.exit(f"pair {i} (seed {seed}): not correct on {bad} or "
-                         f"digests differ: {digests}")
+            if bad:
+                sys.exit(f"pair {i} (seed {seed}): not correct on {bad}")
+            digests = {side: {"run": r["detail"]["digest"],
+                              "census": r["detail"]["census"]["digest"]}
+                       for side, r in runs.items()}
+            if digests["base"] != digests["change"]:
+                differ.append(i)
             pairs.append({
-                "seed": seed, "first": order[0],
-                "digest": digests["base"][0], "census_digest": digests["base"][1],
+                "seed": seed, "first": order[0], "digests": digests,
                 **{side: {m["name"]: runs[side]["result"]["metrics"][m["name"]]["value"]
                           for m in metrics} for side in order},
             })
@@ -176,6 +202,9 @@ def main(argv=None):
                    if (r["workload"], r["seeds"]) != (args.workload, seeds)]
     doc["runs"].append(entry)
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    if differ:
+        sys.exit(f"run or census digests differ between the sides in pairs "
+                 f"{differ}; see {out_path}")
     return 0
 
 
