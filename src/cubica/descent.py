@@ -38,10 +38,10 @@ from itertools import product
 
 from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
 from .algebra.poly import _prime_divisors
-from .function_field import Place
+from .function_field import Place, value_at
 from .models import CubicModel, sorted_places
-from .quadratic import (ConicParametrization, INF_MARK, QuadraticModel,
-                        SPLIT, canonical_square_const)
+from .quadratic import (ConicParametrization, QuadraticModel, SPLIT,
+                        canonical_square_const, kummer_residue)
 
 
 @dataclass(frozen=True)
@@ -137,16 +137,10 @@ def construct(problem: DescentProblem) -> DescentResult:
 
 
 def _is_root(f, choice: UpstairsChoice) -> bool:
-    """rho != 0 and rho^2 = f at the place: the residue of f at a finite
-    place, the leading coefficient of f, of even degree, at infinity."""
-    rho, place = choice.rho, choice.place
-    if not place.infinite:
-        fbar = place.residue_field(f)
-    elif f.degree % 2 == 0:
-        fbar = f.leading()
-    else:
-        return False
-    return not rho.is_zero() and rho * rho == fbar
+    """rho^2 = f at the place, read off `kummer_residue`, which is None
+    where the place ramifies."""
+    fbar = kummer_residue(f, choice.place)
+    return fbar is not None and choice.rho * choice.rho == fbar
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +291,7 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
         for place, mult in eta.items():
             _net_add(net, place, -e * mult)
     else:
-        stable = _stable_degree_one(par.sigma_fixed_points, field)
+        stable = _stable_degree_one(par.sigma_fixed_points)
         if stable is not None:
             case = "odd_stable_point"
             _net_add(net, stable, -deg_t)
@@ -316,31 +310,26 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
     return _finish(problem, case, theta, c, ell, unit_form)
 
 
-def _stable_degree_one(fixed, field):
+def _stable_degree_one(fixed):
     """The Galois-stable degree-one place to pile the poles on: the fixed
-    point over infinity when there is one, else the smallest branch point."""
-    over_inf = [mv for mv, xv in fixed if xv == INF_MARK]
+    point over infinity (a pole of X) when there is one, else the branch
+    point with the smallest x-coordinate; None when sigma fixes none."""
+    over_inf = [place for place, xv in fixed if xv is None]
     if over_inf:
-        return _mvalue_to_place(over_inf[0], field)
-    finite = sorted(((xv, mv) for mv, xv in fixed if xv != INF_MARK),
-                    key=lambda t: t[0].sort_key())
-    if finite:
-        return _mvalue_to_place(finite[0][1], field)
+        return over_inf[0]
+    if fixed:
+        return min(fixed, key=lambda t: t[1].sort_key())[0]
     return None
-
-
-def _mvalue_to_place(v, field) -> Place:
-    if v == INF_MARK:
-        return Place.infinity(field)
-    return Place.finite(Polynomial(field, [-v, field.one]), check=False)
 
 
 def _mirror_function(par):
     """l = 1/(m - sigma(infinity)), with div(l) = kappa^- - kappa^+ for
     kappa^- = infinity, rescaled so that the constant c = l * sigma(l) is
-    the canonical square-class representative."""
+    the canonical square-class representative.  sigma moves infinity here,
+    so kappa^+ = sigma(infinity) is finite."""
     field = par.field
-    kappa_plus = Polynomial(field, [-par.sigma.apply(INF_MARK), field.one])
+    kappa_plus = Polynomial(field, [-value_at(par.sigma, Place.infinity(field)),
+                                    field.one])
     ell = RationalFunction(Polynomial.one(field), kappa_plus)
     U, V, N = _at_m(ell, par)
     c0 = _norm((U, V, N), par.model.f,

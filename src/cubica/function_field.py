@@ -1,5 +1,5 @@
-"""Places and divisors of K = k(x), valuations, and the genus of a cubic
-cover from its ramification data.
+"""Places and divisors of K = k(x), residues and valuations at a place, and
+the genus of a cubic cover from its ramification data.
 
 A finite place is a monic irreducible polynomial; the infinite place is a
 marker with degree 1.  Divisors are finite multiplicity maps.
@@ -167,6 +167,23 @@ def pole_divisor(f: RationalFunction, hints=None, used=None) -> dict:
     if order > 0 and (used is None or used(order)):
         out[Place.infinity(f.field)] = order
     return out
+
+
+def value_at(f: RationalFunction, place: Place):
+    """The residue class of f at the place, None at a pole: an element of
+    k at infinity and at a place of degree one, of the residue field at a
+    place of higher degree."""
+    if place.infinite:
+        order = f.den.degree - f.num.degree   # the zero function is 0 here
+        if order < 0:
+            return None
+        return f.field.zero if order > 0 else f.num.leading() / f.den.leading()
+    R = place.residue_field
+    den = R(f.den)
+    if den.is_zero():
+        return None
+    val = R(f.num) / den
+    return R.lift(val).constant_coeff() if place.degree == 1 else val
 
 
 def valuation(f: RationalFunction, place: Place) -> int:

@@ -108,11 +108,12 @@ def genus1_sample_check(fam: Genus1Family, extension=None):
     """Evaluate the maps at up to 20 points of Z over the base field (or an
     extension field) and confirm the images satisfy the curve equations."""
     field = extension or fam.field
+    Z, Y, X = (P.map_coeffs(field, field) for P in (fam.Z_rhs, fam.Y_rhs, fam.X_rhs))
     checked = 0
     for s0 in field.elements():
         if s0.is_zero():
             continue
-        z_val = _eval_into(fam.Z_rhs, field, s0)
+        z_val = Z.evaluate(s0)
         if not is_square(z_val):
             continue
         t0 = sqrt(z_val)
@@ -121,11 +122,11 @@ def genus1_sample_check(fam: Genus1Family, extension=None):
         if v_den.is_zero():
             continue
         v0 = t0 * (field.one - s0.inverse() ** 4) / v_den
-        if v0 * v0 != _eval_into(fam.Y_rhs, field, u0):
+        if v0 * v0 != Y.evaluate(u0):
             raise ArithmeticError("psi image failed a sample check")
         x0 = u0 ** 3 - 3 * u0
         y0 = v0 * (u0 * u0 - 1)
-        if y0 * y0 != _eval_into(fam.X_rhs, field, x0):
+        if y0 * y0 != X.evaluate(x0):
             raise ArithmeticError("phi image failed a sample check")
         checked += 1
         if checked >= 20:
@@ -133,21 +134,12 @@ def genus1_sample_check(fam: Genus1Family, extension=None):
     return checked
 
 
-def _eval_into(poly: Polynomial, field, value: Element) -> Element:
-    acc = field.zero
-    for c in reversed(poly.coeffs):
-        acc = acc * value + field(c.val)
-    return acc
-
-
 def phi_fibre_size(fam: Genus1Family, x0: Element) -> int:
-    """Number of geometric preimages of a non-branch x-value under u^3 - 3u
-    (root count with multiplicity one expected away from the branch locus)."""
-    field = fam.field
-    u = Polynomial.x(field)
-    fib = u ** 3 - 3 * u - Polynomial.constant(field, x0)
-    from cubica.algebra import poly_factor
-    return sum(p.degree * m for p, m in poly_factor(fib))
+    """Number of distinct geometric preimages of x0 under u^3 - 3u: three
+    away from the branch values x0 = +-2, two at them."""
+    u = Polynomial.x(fam.field)
+    fib = u ** 3 - 3 * u - x0
+    return fib.degree - poly_gcd(fib, fib.derivative()).degree
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +199,16 @@ def verify_weierstrass_identity_generic():
 
 
 def weierstrass_ramification_on_x(cover: WeierstrassCover):
-    """Valuations on X certifying total ramification only over infinity:
-    v(x) = -2 at the Weierstrass infinity (prime to 3) and the zeros of
-    x^2 - 4c^3 sit at Weierstrass points of X where the function has even
-    valuation 2."""
-    field = cover.field
-    v_inf = -2
+    """Valuations on X read off its model y^2 = X_rhs, certifying total
+    ramification only over infinity: v(x) = -2 at a single (Weierstrass)
+    point at infinity when deg X_rhs is odd, -1 otherwise, and prime to 3
+    either way; x^2 - 4c^3 has valuation 2, even, at its zeros when it
+    divides X_rhs (they are Weierstrass points of X), 1 otherwise."""
+    X_rhs = cover.X_rhs
+    x = Polynomial.x(cover.field)
+    v_inf = -2 if X_rhs.degree % 2 == 1 else -1
     total_ok = v_inf % 3 != 0
-    v_branch = 2  # (x^2 - 4c^3) vanishes doubly at its Weierstrass points
+    v_branch = 2 if (X_rhs % (x * x - 4 * cover.c ** 3)).is_zero() else 1
     partial_ok = v_branch % 2 == 0
     return {"v_infinity_of_x": v_inf, "total_only_at_infinity": total_ok,
             "v_at_quadratic_factor": v_branch, "no_partial": partial_ok}
@@ -427,8 +421,9 @@ def _normalize_presentation(field, A, B, C):
 
 def verify_parshin_cover(cover: ParshinCover):
     """alpha has a simple pole at P and a triple pole at the image of Qt,
-    no other poles, and alpha^2 - 4c^3 = x * (rational square) on X (the
-    closure is the étale cover, so there is no double ramification).
+    no other poles (none at infinity either), and alpha^2 - 4c^3 =
+    x * (rational square) on X (the closure is the étale cover, so there
+    is no double ramification).
 
     The last fact follows from f * i*(f) = c, which is what is checked:
     then alpha^2 - 4c^3 = c^2 (f + i*f)^2 - 4c^2 f i*(f) = c^2 (f - i*f)^2.
@@ -458,6 +453,13 @@ def verify_parshin_cover(cover: ParshinCover):
     fobj = cover.f
     if _constant_ratio(cover.curve_W, fobj.gp, fobj.gq, fobj.den) != lam:
         raise ArithmeticError("f * i*(f) differs from c")
+    # no pole at the one point at infinity of X (deg X_rhs is odd): there
+    # v(x) = -2 and v(y) = -deg X_rhs, so the terms of A + B y have orders
+    # of different parity, and
+    # v(alpha) = 2 deg C - max(2 deg A, 2 deg B + deg X_rhs)
+    tops = [2 * P.degree + w for P, w in ((A, 0), (B, X_rhs.degree)) if not P.is_zero()]
+    if tops and max(tops) > 2 * C.degree:
+        raise ArithmeticError("alpha has a pole at infinity on X")
     return True
 
 

@@ -12,14 +12,13 @@ odd order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       RationalFunction, ResidueField, is_irreducible,
                       is_square, poly_gcd, smallest_nonsquare,
                       sqrt, squarefree_decomposition, trace_to_f2)
-from .function_field import Place, place_factors, pole_divisor
+from .function_field import Place, place_factors, pole_divisor, value_at
 from .models import CubicModel
 
 
@@ -185,20 +184,10 @@ class ASClass:
 
     def splits_at(self, place: Place) -> str:
         """'split' | 'inert' | 'ramified' for z^2 + z = gamma at the place."""
-        g = self.gamma
-        if place.infinite:
-            if g.num.degree > g.den.degree:
-                return "ramified"
-            if g.num.degree < g.den.degree:
-                value_trace = 0
-            else:
-                value_trace = trace_to_f2(g.num.leading() / g.den.leading())
-            return "split" if value_trace == 0 else "inert"
-        R = place.residue_field
-        den_bar = R(g.den)
-        if den_bar.is_zero():
+        value = value_at(self.gamma, place)
+        if value is None:
             return "ramified"
-        return "split" if trace_to_f2(R(g.num) / den_bar) == 0 else "inert"
+        return "split" if trace_to_f2(value) == 0 else "inert"
 
     def __repr__(self):
         return f"asclass({self.gamma!r})"
@@ -370,15 +359,10 @@ class QuadraticModel:
         raise FieldError(f"{place!r} does not split")
 
     def _residue(self, place: Place):
-        """f at a finite place, lc(f) at infinity, whose squareness decides
-        the splitting of a Kummer model; None where the place ramifies."""
-        f = self.f
-        if place.infinite:
-            return f.leading() if f.degree % 2 == 0 else None
-        fbar = place.residue_field(f)
-        if fbar.is_zero():
-            return None
-        if self.field.order is None:
+        """`kummer_residue` of f, refused at a finite place over Q, where
+        squareness in the residue field is not decided."""
+        fbar = kummer_residue(self.f, place)
+        if fbar is not None and not place.infinite and self.field.order is None:
             raise FieldError("splitting over Q requires caller-certified data")
         return fbar
 
@@ -402,50 +386,33 @@ class QuadraticModel:
         return f"y^2 + y = {self.gamma!r}"
 
 
+def kummer_residue(f: Polynomial, place: Place):
+    """f at a finite place, lc(f) at infinity when deg f is even: the
+    constant whose squareness decides how the place splits in y^2 = f;
+    None where the place ramifies."""
+    if place.infinite:
+        return f.leading() if f.degree % 2 == 0 else None
+    fbar = place.residue_field(f)
+    return None if fbar.is_zero() else fbar
+
+
 # ---------------------------------------------------------------------------
 # parametrizations
 # ---------------------------------------------------------------------------
 
 
-INF_MARK = "inf"
-
-
-@dataclass(frozen=True)
-class Moebius:
-    """m -> (a m + b)/(c m + d)."""
-    a: Element
-    b: Element
-    c: Element
-    d: Element
-
-    def apply(self, v):
-        if v == INF_MARK:
-            if self.c.is_zero():
-                return INF_MARK
-            return self.a / self.c
-        den = self.c * v + self.d
-        if den.is_zero():
-            return INF_MARK
-        return (self.a * v + self.b) / den
-
-    def as_rational_function(self, field) -> RationalFunction:
-        num = Polynomial(field, [self.b, self.a])
-        den = Polynomial(field, [self.d, self.c])
-        return RationalFunction(num, den)
-
-
 class ConicParametrization:
     """K' = K(y), y^2 = f(x) with deg f in {1, 2}: an isomorphism K' = k(m)
-    with x = X(m), y = Y(m), the involution sigma as a Moebius map in m and
-    m expressed back as m = (P + Q y)/D with P, Q, D in k[x], stored as the
-    triple `m`.
+    with x = X(m), y = Y(m), the involution sigma as a rational function of
+    degree one in m, and m expressed back as m = (P + Q y)/D with P, Q, D
+    in k[x], stored as the triple `m`.
 
     The data the descent reads off the m-line are computed once, when the
     parametrization is built: `infinity_pullback`, the divisor of poles of
-    X as {place: mult}; `sigma_fixed_points`, the rational fixed points of
-    sigma (the ramification points), each with the x-coordinate of the
-    branch place below; and `y_over_x`, the function Y/X whose residues
-    tell the poles of X apart."""
+    X as {place: mult}; `sigma_fixed_points`, the degree-one places of the
+    m-line that sigma fixes (the ramification points), each with the value
+    of X there (None at a pole of X); and `y_over_x`, the function Y/X
+    whose residues tell the poles of X apart."""
 
     def __init__(self, model: QuadraticModel, point=None):
         field = model.field
@@ -459,7 +426,7 @@ class ConicParametrization:
             f1, f0 = f[1], f[0]
             self.X = RationalFunction((x * x - f0) * f1.inverse())
             self.Y = RationalFunction(x)
-            self.sigma = Moebius(-field.one, field.zero, field.zero, field.one)
+            self.sigma = RationalFunction(-x)
             self.m = (Polynomial.zero(field), one, one)
         elif is_square(f.leading()):
             # m = y - s x with s^2 = lc(f); x = (f0 - m^2)/(2 s m - f1)
@@ -468,7 +435,8 @@ class ConicParametrization:
             two_s = field(2) * s
             self.X = RationalFunction(-(x * x) + f0, Polynomial(field, [-f1, two_s]))
             self.Y = RationalFunction(x) + self.X * s
-            self.sigma = Moebius(f1, -two_s * f0, two_s, -f1)
+            self.sigma = RationalFunction(Polynomial(field, [-two_s * f0, f1]),
+                                          Polynomial(field, [-f1, two_s]))
             self.m = (Polynomial(field, [field.zero, -s]), one, one)
         else:
             # slope parametrization through an affine point (x0, y0), y0 != 0
@@ -479,13 +447,14 @@ class ConicParametrization:
                                  Polynomial(field, [-f2, field.zero, field.one]))
             self.X = t + x0
             self.Y = RationalFunction(x) * t + y0
-            self.sigma = Moebius(-fp, field(2) * f2 * y0, -field(2) * y0, fp)
+            self.sigma = RationalFunction(Polynomial(field, [field(2) * f2 * y0, -fp]),
+                                          Polynomial(field, [fp, -field(2) * y0]))
             # m = (y - y0)/(x - x0)
             self.m = (Polynomial.constant(field, -y0), one,
                       Polynomial(field, [-x0, field.one]))
         self._check()
         self.infinity_pullback = pole_divisor(self.X, _q_hints(self.X.den))
-        self.sigma_fixed_points = _fixed_points(self.sigma, self.X)
+        self.sigma_fixed_points = self._fixed_points()
         self.y_over_x = self.Y / self.X
 
     def _find_point(self, point):
@@ -516,11 +485,24 @@ class ConicParametrization:
         rhs = RationalFunction(f).compose(self.X)
         if lhs != rhs:
             raise ArithmeticError("parametrization does not satisfy the model")
-        sig = self.sigma.as_rational_function(self.field)
+        sig = self.sigma
         if self.X.compose(sig) != self.X:
             raise ArithmeticError("involution does not fix x")
         if sig.compose(sig) != RationalFunction.x(self.field):
             raise ArithmeticError("sigma is not an involution")
+
+    def _fixed_points(self):
+        """[(place, X there or None)] over the degree-one places sigma fixes:
+        infinity when sigma has a constant denominator, and the zeros of
+        num(sigma) - m den(sigma)."""
+        sig = self.sigma
+        fix = sig.num - Polynomial.x(self.field) * sig.den
+        if fix.is_zero():
+            raise ArithmeticError("sigma is the identity")
+        places = [Place.infinity(self.field)] if sig.den.is_constant() else []
+        places += [place for place, _ in place_factors(fix, _q_hints(fix))
+                   if place.degree == 1]
+        return [(place, value_at(self.X, place)) for place in places]
 
     # -- places of the m-line ---------------------------------------------------
 
@@ -531,7 +513,7 @@ class ConicParametrization:
         if place.infinite:
             # match rho against the residue of y/x at the poles of X
             for cand in self.infinity_pullback:
-                val = _value_at_place(self.y_over_x, cand)
+                val = value_at(self.y_over_x, cand)
                 if val is not None and val == rho:
                     return cand
             raise ArithmeticError("no pole of X matches the sign choice at infinity")
@@ -561,41 +543,6 @@ class ConicParametrization:
             return Place.finite(Polynomial(field, [-val, field.one]), check=False)
         return Place.infinity(field)
 
-    def sigma_place(self, place: Place) -> Place:
-        """Image of a degree-one m-line place under sigma."""
-        if place.infinite:
-            v = self.sigma.apply(INF_MARK)
-        else:
-            if place.degree != 1:
-                raise FieldError("sigma_place implemented for degree-one places")
-            v = self.sigma.apply(-place.poly[0])
-        if v == INF_MARK:
-            return Place.infinity(self.field)
-        return Place.finite(Polynomial(self.field, [-v, self.field.one]), check=False)
-
-
-def _fixed_points(s: Moebius, X: RationalFunction):
-    """The rational fixed points of sigma = s, each with the value of X."""
-    field = X.field
-    out = []
-    if s.c.is_zero():
-        if s.a == s.d:
-            raise ArithmeticError("sigma is the identity")
-        # fixed: infinity and b/(d - a)
-        out.append((INF_MARK, _value_at(X, INF_MARK)))
-        v = s.b / (s.d - s.a)
-        out.append((v, _value_at(X, v)))
-    else:
-        # c m^2 + (d - a) m - b = 0
-        a, b, c, d = s.a, s.b, s.c, s.d
-        disc = (d - a) * (d - a) + field(4) * c * b
-        if is_square(disc):
-            r = sqrt(disc)
-            for sgn in (r, -r):
-                v = (a - d + sgn) / (field(2) * c)
-                out.append((v, _value_at(X, v)))
-    return out
-
 
 def _q_hints(poly: Polynomial):
     """The place hints `place_factors` needs for a polynomial of degree <= 2
@@ -612,35 +559,6 @@ def _q_hints(poly: Polynomial):
         return [poly.monic()]
     r = sqrt(disc)
     return [Polynomial(field, [(b - s) / (field(2) * a), field.one]) for s in (r, -r)]
-
-
-def _value_at(rf: RationalFunction, v):
-    if v == INF_MARK:
-        d = rf.degree_at_infinity()
-        if d > 0:
-            return rf.field.zero
-        if d < 0:
-            return INF_MARK
-        return rf.num.leading() / rf.den.leading()
-    den = rf.den.evaluate(v)
-    if den.is_zero():
-        return INF_MARK
-    return rf.num.evaluate(v) / den
-
-
-def _value_at_place(rf: RationalFunction, place: Place):
-    """Residue of rf at a place of the m-line (None on a pole)."""
-    if place.infinite:
-        v = _value_at(rf, INF_MARK)
-        return None if v == INF_MARK else v
-    R = place.residue_field
-    den = R(rf.den)
-    if den.is_zero():
-        return None
-    val = R(rf.num) / den
-    if place.degree == 1:
-        return R.lift(val).constant_coeff()
-    return val
 
 
 class ConstantParametrization:

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from cubica.acceptance import random_places
+from cubica.acceptance import closure_menu, random_places
 from cubica.algebra import (QQ, FieldError, Polynomial, PrimeField,
                             RationalFunction, is_irreducible, smallest_nonsquare)
 from cubica.analyzer import analyze, pole_orders_of_alpha
@@ -319,6 +319,46 @@ def test_descent_round_trip_sweep_large_q(p):
                 assert purely_cubic_closure(res.model) == model.class_data()
                 trips += 1
     assert trips >= 130
+
+
+def _random_split_places_over(model, field, rng, count):
+    """count distinct split places of degree 1 or 2 over any finite field,
+    infinity first, half the time, when it splits."""
+    elems = list(field.elements())
+    inf = Place.infinity(field)
+    places = [inf] if model.split_kind(inf) == "split" and rng.random() < 0.5 else []
+    while len(places) < count:
+        d = rng.choice((1, 2))
+        poly = Polynomial(field, [rng.choice(elems) for _ in range(d)] + [field.one])
+        if not is_irreducible(poly):
+            continue
+        place = Place.finite(poly, check=False)
+        if place not in places and model.split_kind(place) == "split":
+            places.append(place)
+    return places
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_descent_round_trip_sweep_over_f_p2(p):
+    """Seeded sweep over F_{p^2}: every conic closure of the menu (y^2 = f,
+    deg f = 1, 2) with 1-3 split places of degree <= 2 and infinity:
+    construct -> analyze -> purely_cubic_closure, reaching all three
+    divisor shapes."""
+    field = canonical_quadratic_field(PrimeField(p))
+    rng = random.Random(f"sweep-p2:{p}")
+    cases = set()
+    for model in closure_menu(field)[1:]:
+        branch = set(model.branch_places())
+        for _ in range(6):
+            T = _random_split_places_over(model, field, rng, rng.randrange(1, 4))
+            signs = [rng.choice((1, -1)) for _ in T]
+            res = construct(make_problem(model, T, signs))
+            cases.add(res.case)
+            rep = analyze(res.model)
+            assert rep.total_set() == set(T), (model, T, signs)
+            assert rep.partial_set() == branch, (model, T, signs)
+            assert purely_cubic_closure(res.model) == model.class_data()
+    assert cases == {"even", "odd_stable_point", "case_2b"}
 
 
 def test_random_places_draws_degree_4_over_f101():

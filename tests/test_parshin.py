@@ -53,10 +53,10 @@ def test_genus1_rejects_singular():
 
 def test_genus1_fibre_count():
     fam = genus1_parshin(F7.one)
-    # u^3 - 3u - x0 has three roots counted with multiplicity; away from the
-    # branch locus they are distinct
+    # u^3 - 3u - x0 has three distinct roots away from the branch values
+    # x0 = +-2, where it is (u -+ 1)^2 (u +- 2): two
     sizes = [phi_fibre_size(fam, F7(x0)) for x0 in range(7)]
-    assert all(s == 3 for s in sizes)
+    assert sizes == [3, 3, 2, 3, 3, 2, 3]
 
 
 # -- Weierstrass construction ------------------------------------------------------
@@ -73,6 +73,23 @@ def test_weierstrass_cover_over_f5():
     assert cover.genus_X == 1 and cover.genus_Y == 2
     report = weierstrass_ramification_on_x(cover)
     assert report["total_only_at_infinity"] and report["no_partial"]
+
+
+def test_weierstrass_ramification_is_read_off_the_model():
+    """Without the factor x^2 - 4c^3 in X_rhs its zeros are no Weierstrass
+    points of X, the valuation there is 1 and no_partial fails; an
+    even-degree X_rhs has two points at infinity, where v(x) = -1."""
+    F5 = PrimeField(5)
+    x = Polynomial.x(F5)
+    cover = weierstrass_parshin(x ** 3 + x + 1, F5.one)
+    report = weierstrass_ramification_on_x(cover)
+    assert report == {"v_infinity_of_x": -2, "total_only_at_infinity": True,
+                      "v_at_quadratic_factor": 2, "no_partial": True}
+    report = weierstrass_ramification_on_x(dataclasses.replace(cover, X_rhs=cover.g))
+    assert report["v_at_quadratic_factor"] == 1 and not report["no_partial"]
+    report = weierstrass_ramification_on_x(
+        dataclasses.replace(cover, X_rhs=cover.X_rhs * (x + 2)))
+    assert report["v_infinity_of_x"] == -1 and report["total_only_at_infinity"]
 
 
 def test_weierstrass_cover_genus2():
@@ -195,6 +212,16 @@ def test_verify_parshin_cover_refuses_a_wrong_constant():
         wrong = dataclasses.replace(cover, c=cover.c * 4)
         with pytest.raises(ArithmeticError, match="differs from c"):
             verify_parshin_cover(wrong)
+
+
+def test_verify_parshin_cover_refuses_a_pole_at_infinity():
+    """alpha + x^3 has the same finite poles and closure constant as alpha
+    but a pole of order 6 at the one point at infinity of X."""
+    cover = parshin_cover(paper_curve(QQ), 1, 2)
+    x = Polynomial.x(QQ)
+    tampered = dataclasses.replace(cover, A=cover.A + x ** 3 * cover.C)
+    with pytest.raises(ArithmeticError, match="pole at infinity"):
+        verify_parshin_cover(tampered)
 
 
 def test_find_ptilde_rationality_obstruction():

@@ -8,10 +8,11 @@ import pytest
 from cubica.algebra import (FieldError, Polynomial, PrimeField, QQ,
                             RationalFunction, ResidueField, is_irreducible,
                             poly_factor)
+from cubica.acceptance import closure_menu
 from cubica.analyzer import analyze
-from cubica.function_field import Place
+from cubica.function_field import Place, value_at
 from cubica.models import CubicModel
-from cubica.quadratic import (ASClass, ConicParametrization, INF_MARK,
+from cubica.quadratic import (ASClass, ConicParametrization,
                               QuadraticModel, SPLIT, INERT, RAMIFIED,
                               SquareClass, canonical_quadratic_field, classify,
                               complementary, nonsplit_as_constant,
@@ -183,7 +184,7 @@ def test_conic_parametrization_consistency(fcoeffs):
     M = QuadraticModel.kummer(f)
     par = M.parametrize()
     # sigma is an involution, X o sigma = X, Y o sigma = -Y
-    sig = par.sigma.as_rational_function(F5)
+    sig = par.sigma
     assert par.Y.compose(sig) == -par.Y
     # 2-to-1 off the branch locus: sample m-values
     seen = {}
@@ -203,7 +204,7 @@ def test_parametrize_y2_eq_x():
     par = M.parametrize()
     # x = m^2, sigma(m) = -m
     assert par.X == rf(x_of(F5) ** 2)
-    assert par.sigma.apply(F5(2)) == F5(-2)
+    assert value_at(par.sigma, Place.finite(x_of(F5) - 2)) == F5(-2)
 
 
 def test_parametrize_constant_is_triv():
@@ -248,7 +249,7 @@ def test_upstairs_place_split():
     assert up != up2
     assert up.degree == 1 and up2.degree == 1
     # the two places are swapped by sigma
-    assert par.sigma_place(up) == up2
+    assert value_at(par.sigma, up) == -up2.poly[0]
 
 
 def test_upstairs_place_infinity_split():
@@ -276,6 +277,35 @@ def test_upstairs_place_nonsquare_lc():
     up1 = par.upstairs_place(p, rho)
     up2 = par.upstairs_place(p, -rho)
     assert up1 != up2
+
+
+@pytest.mark.parametrize("field", [PrimeField(p) for p in (5, 7, 11, 13)]
+                         + [canonical_quadratic_field(F5)], ids=str)
+def test_sigma_fixed_points_match_a_scan(field):
+    """`sigma_fixed_points` against every degree-one place of the m-line
+    and infinity, each tested for sigma(m) = m by direct evaluation, on
+    each conic closure of `closure_menu`: one fixed point above each
+    degree-one branch place, with X there its x-coordinate (None at
+    infinity)."""
+    for model in closure_menu(field):
+        if model.is_constant_extension():
+            continue
+        par = model.parametrize()
+        sig, X = par.sigma, par.X
+        scan = {}
+        if sig.num.degree > sig.den.degree:
+            scan[Place.infinity(field)] = (None if X.num.degree > X.den.degree
+                                           else X.num.leading() / X.den.leading())
+        for v in field.elements():
+            den = sig.den.evaluate(v)
+            if not den.is_zero() and sig.num.evaluate(v) == v * den:
+                xden = X.den.evaluate(v)
+                scan[Place.finite(x_of(field) - v, check=False)] = (
+                    None if xden.is_zero() else X.num.evaluate(v) / xden)
+        assert dict(par.sigma_fixed_points) == scan, model
+        below = {None if b.infinite else -b.poly[0]
+                 for b in model.branch_places() if b.degree == 1}
+        assert set(scan.values()) == below, model
 
 
 def _places_up_to_degree_three(field):
