@@ -21,9 +21,9 @@ A small Riemann-Roch engine (linear algebra on functions (a + b y)/d with
 prescribed vanishing) provides principality tests - used as the independent
 oracle for the group law - and the canonical presentation of classes in the
 anti-invariant part of the Jacobian of the covering involution
-i(x, y) = (-x, -y).  The one function h spanning the space that presentation
-is read from is returned with it (`_symmetric_form`); `parshin` takes its
-descent function f from that h.
+i(x, y) = (-x, -y) (`canonicalize_prym`).  `parshin` builds no space: its
+class 3[P - i(P)] is the pullback of a class on the elliptic quotient
+y^2 = G(t), t = x^2, and takes its form from one exact division there.
 
 Local expansions take one series square root, `_series_sqrt` (a
 coefficient recurrence).  At inf+- y = +-x^(g+1) S(1/x), and
@@ -496,13 +496,7 @@ def _norm_quotient(curve: SplitCurve, a, b, den, div: WDivisor) -> Polynomial:
 
 def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     """The representative (x^2 - A, const, -1, -1) of an anti-invariant class
-    (i_* D = -D), via one interpolation in L(D + inf+ + inf-)."""
-    return _symmetric_form(curve, D)[0]
-
-
-def _symmetric_form(curve: SplitCurve, D: MumfordClass):
-    """`canonicalize_prym`'s class together with the triple (a, b, den) of
-    the h = (a + b y)/den spanning L(D + inf+ + inf-), or None when D ~ 0.
+    (i_* D = -D), or the identity when D ~ 0, from L(D + inf+ + inf-).
 
     One Riemann-Roch space decides both the identity and the sign.  For
     g >= 2 the only g^1_2 is |inf+ + inf-|, so l(D + inf+ + inf-) >= 2 iff
@@ -510,9 +504,9 @@ def _symmetric_form(curve: SplitCurve, D: MumfordClass):
     `is_principal` runs only otherwise (always for g = 1, where l is 2).
     D and D + inf+ + inf- share their Mumford pairs, hence their one
     composition, so either order of the two spaces raises the same errors.
-    When h spans the space, E' = div(h) + D + inf+ + inf- is the one
-    effective divisor of the system, its x-projection is u_s, and
-    (u_s, c, -1, -1) ~ D iff div(u_s, c) = E'.  If gcd(u_s, den) = 1, no
+    When h = (a + b y)/den spans the space, E' = div(h) + D + inf+ + inf-
+    is the one effective divisor of the system, its x-projection is u_s,
+    and (u_s, c, -1, -1) ~ D iff div(u_s, c) = E'.  If gcd(u_s, den) = 1, no
     point over u_s lies in the support of D or of den, so there E' is the
     zero divisor of a + b y; by Cantor's test (Math. Comp. 48, 1987)
     a + b y vanishes on div(u_s, c) iff u_s | a + b c, and as both divisors
@@ -527,7 +521,7 @@ def _symmetric_form(curve: SplitCurve, D: MumfordClass):
     space = rr_space(curve, lifted)
     if len(space) != 1:
         if is_principal(curve, base):
-            return identity_class(curve), None
+            return identity_class(curve)
         raise ArithmeticError("class has no unique degree-2 presentation")
     a, b, den = space[0]
     u_s = _norm_quotient(curve, a, b, den, base)
@@ -536,12 +530,11 @@ def _symmetric_form(curve: SplitCurve, D: MumfordClass):
     rem = curve.F % u_s
     if not rem.is_constant():
         raise ArithmeticError("even-model reduction failed")
-    val = rem.constant_coeff()
-    b0 = sqrt(val)
+    b0 = sqrt(rem.constant_coeff())
     disjoint = poly_gcd(u_s, den).is_one()
     for cand in (b0, -b0):
         candidate = MumfordClass(u_s, Polynomial.constant(field, cand), -1, -1)
         if (((a + b * cand) % u_s).is_zero() if disjoint
                 else classes_equal(curve, D, candidate)):
-            return candidate, space[0]
+            return candidate
     raise ArithmeticError("no matching square root for the symmetric form")

@@ -5,23 +5,21 @@ Three constructions:
   * an explicit genus-1 family (quotients of t^2 = s(s^6 - lambda s^3 + 1)),
   * the Weierstrass-point construction for X: y^2 = (x^2 - 4c^3) g(x),
   * the non-Weierstrass pipeline on a genus-2 curve with split étale double
-    cover W: y^2 = F(x), F even of degree 8: take the class 3[Qt - i(Qt)]
+    cover W: y^2 = F(x) = H(x^2) of degree 8: take the class 3[Qt - i(Qt)]
     in the anti-invariant part of Jac(W) straight from the branch of y at
     Qt (`hyper.point_minus_i_point`, no Cantor tripling), bring it to its
-    symmetric form (x^2 - a, b) with one Riemann-Roch space, locate the
-    branch point Pt = (+-sqrt(a), -b), and push alpha = lam (f + i*f) down
-    to X.
+    symmetric form (x^2 - a, b), locate the branch point
+    Pt = (+-sqrt(a), -b), and push alpha = lam (f + i*f) down to X.
 
-The descent function f, with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, comes from
-the same space: it is spanned by one h, and f = h (x + x0)^3/(x - x(Pt))
-(`_f_from_h`), a function (a + b y)/H with H a polynomial.  Nothing else is
-solved for.  f is fixed up to sign once lam = f * i*(f) is put in its
-canonical square class, and the sign of alpha is fixed by one rule on every
-field (`_normalize_presentation`).  Pole orders of alpha on X are read from
-one local expansion at each pole, in t = x - x0: y = y0 S(t) for the series
-root S (`hyper._local_root`) of X_rhs(x0 + t)/y0^2, with the shifts by
-`poly._taylor_shift`.  Series are lists of field payloads, as in `hyper`;
-the covers and their witnesses hold Elements and Polynomials.
+No Riemann-Roch space is built: E: y^2 = H(t), t = x^2, is W/j for
+j(x, y) = (-x, y) and the Prym variety of W -> X (Mumford, "Prym varieties
+I", 1974), the class is a pullback from E, and one exact division on E
+gives its form (`_tripled_class`) and f (`_descent_function`).  The sign
+of alpha is fixed by one rule on every field (`_normalize_presentation`).
+Pole orders of alpha on X are read from one local expansion at each pole:
+y = y0 S(x - x0) for the series root S (`hyper._local_root`) of
+X_rhs(x)/y0^2, shifted by `poly._taylor_shift`.  Series are lists of field
+payloads, as in `hyper`; covers and witnesses hold Elements and Polynomials.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .algebra import (Element, FieldError, FunctionField, Polynomial,
 from .algebra.poly import _add, _mul, _primitive, _qpoly, _taylor_shift, _trim
 from .function_field import _multiplicity
 from .hyper import (MumfordClass, SplitCurve, _compose_neg, _local_root,
-                    _symmetric_form, point_minus_i_point)
+                    point_minus_i_point)
 from .quadratic import canonical_square_const
 
 # ---------------------------------------------------------------------------
@@ -225,7 +223,6 @@ class CurvePoint:
     y: Element
 
 
-
 @dataclass
 class InterpolatedFunction:
     """f = (gp + gq*y)/den with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt;
@@ -259,64 +256,65 @@ def find_Ptilde(curve: SplitCurve, threeE: MumfordClass):
 
 
 def _refuse_weierstrass(*points: CurvePoint):
-    """Qt and Pt must lie off y = 0: at such a Qt, 3[Qt - i(Qt)] is not the
-    class `_f_from_h` reads, and `_orders_on_x` expands y at the images of
-    both on X."""
+    """Qt and Pt must lie off y = 0: at such a Qt, sqrt(H) has no branch w
+    through q, and `_orders_on_x` expands y at the images of both on X."""
     if any(pt.y.is_zero() for pt in points):
         raise FieldError("series expansion needs a non-Weierstrass point")
 
 
-def interpolate_f(curve: SplitCurve, Qt: CurvePoint,
-                  Pt: CurvePoint) -> InterpolatedFunction:
-    """f = G/den on W with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, from the one
-    Riemann-Roch space `canonicalize_prym` builds for 3[Qt - i(Qt)].  Pt
-    must be a point (+-sqrt(a), -b) of that class's symmetric form
-    (x^2 - a, b), as `find_Ptilde` returns it."""
-    _refuse_weierstrass(Qt, Pt)
-    threeE, h = _symmetric_form(curve, point_minus_i_point(curve, Qt.x, Qt.y, 3))
-    return _f_from_h(curve, Qt, Pt, threeE, h)
+def _tripled_class(curve: SplitCurve, Qt: CurvePoint):
+    """(x^2 - a, -w(a), -1, -1) ~ D = 3[Qt - i(Qt)], v = w(x^2) and ell.
+
+    `point_minus_i_point` gives D = ((x^2 - t0)^3, w(x^2)), t0 = x0^2, for
+    the branch w of sqrt(H) through q = (t0, y0) mod (t - t0)^3: a pullback
+    from E.  One reduction step on E (Cantor, Math. Comp. 48, 1987) is the
+    exact division ell = (H - w^2)/(t - t0)^3, of degree <= 1; for its root
+    a, r = (a, -w(a)) ~ 3q - O+ - O-, and r pulls back to a divisor
+    ~ D + inf+ + inf-.  deg ell = 0 puts r at infinity.  For y0 = 0, D is
+    already symmetric, and v and ell are None."""
+    D = point_minus_i_point(curve, Qt.x, Qt.y, 3)
+    if Qt.y.is_zero():
+        return D, None, None
+    field = curve.field
+    w = _even_part(D.v)
+    ell = (_even_part(curve.F) - w * w).exact_div(_even_part(D.u))
+    if ell.degree < 1:
+        raise ArithmeticError("class is not anti-invariant (or is special)")
+    a = -ell[0] / ell[1]
+    return (MumfordClass(Polynomial(field, [-a, field.zero, field.one]),
+                         Polynomial.constant(field, -w.evaluate(a)), -1, -1),
+            D.v, ell)
 
 
-def _f_from_h(curve, Qt, Pt, threeE, h) -> InterpolatedFunction:
-    """f = h (x + x0)^3/(x - x(Pt)) for the h = (a + b y)/den spanning
-    L(D + inf+ + inf-), D = 3[Qt - i(Qt)], Qt = (x0, y0), y0 != 0.
+def _descent_function(curve, Qt, Pt, v, ell) -> InterpolatedFunction:
+    """f = kappa (y + v)/((x - x0)^3 (x - x(Pt))), Pt = (+-sqrt(a), w(a)).
 
-    D = 3 Qt + 3 (-x0, y0) - 3 inf+ - 3 inf- = 3 Qt - 3 i(Qt) + 3 div(x + x0),
-    and E' = div(h) + D + inf+ + inf- is div(x^2 - a, b) for the symmetric
-    form (x^2 - a, b) of the class.  For Pt = (+-sqrt(a), -b),
-    div(x - x(Pt)) = Pt + (x(Pt), b) - inf+ - inf-, so
-    E' - inf+ - inf- = i(Pt) - Pt + div(x - x(Pt)) and f has the divisor
-    i(Pt) + 3 i(Qt) - Pt - 3 Qt.  den = (x^2 - x0^2)^3, so f = (a + b y)/H
-    with the polynomial H = den (x - x(Pt))/(x + x0)^3.  f is fixed up to
-    a constant; scaling it puts lam = f * i*(f) in its canonical square
-    class, which leaves f and -f, and `_normalize_presentation` picks one."""
+    y + v has the norm -(x^2 - x0^2)^3 ell(x^2) and, as deg ell = 1 keeps
+    the x^4 term of v off +-x^4, the poles 4 inf+ + 4 inf-; it vanishes to
+    order 3 at i(Qt) and (x0, -y0) and once at i(Pt) and (x(Pt), -w(a)),
+    so (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt.  f * i*(f) = -kappa^2 lc(ell) is
+    the canonical square class c for kappa^2 = c/(-lc(ell)); that leaves f
+    and -f, and `_normalize_presentation` picks one."""
     field = curve.field
     x = Polynomial.x(field)
-    if (threeE.u != x * x - Pt.x * Pt.x
-            or threeE.v != Polynomial.constant(field, -Pt.y)):
+    lc = -ell.leading()
+    c = canonical_square_const(lc)
+    kappa = sqrt(c / lc)
+    return InterpolatedFunction(gp=v * kappa, gq=Polynomial.constant(field, kappa),
+                                den=(x - Qt.x) ** 3 * (x - Pt.x), lam=c)
+
+
+def interpolate_f(curve: SplitCurve, Qt: CurvePoint,
+                  Pt: CurvePoint) -> InterpolatedFunction:
+    """f = G/den on W with (f) = i(Pt) + 3 i(Qt) - Pt - 3 Qt, in closed form
+    (`_descent_function`).  Pt must be a point (+-sqrt(a), -b) of the
+    symmetric form (x^2 - a, b) of 3[Qt - i(Qt)], as `find_Ptilde` returns
+    it."""
+    _refuse_weierstrass(Qt, Pt)
+    threeE, v, ell = _tripled_class(curve, Qt)
+    if (-threeE.u[0], threeE.v[0]) != (Pt.x * Pt.x, -Pt.y):
         raise FieldError("Pt is not a point (+-sqrt(a), -b) of the class")
-    a, b, den = h
-    H = (den * (x - Pt.x)).exact_div((x + Qt.x) ** 3)
-    lam = _constant_ratio(curve, a, b, H)
-    lam_c = canonical_square_const(lam)
-    nu_inv = sqrt(lam / lam_c).inverse()
-    return InterpolatedFunction(gp=a * nu_inv, gq=b * nu_inv, den=H, lam=lam_c)
-
-
-def _mul_pairs(curve, a1, b1, a2, b2):
-    """(a1 + b1 y)(a2 + b2 y) = (a1 a2 + b1 b2 F) + (a1 b2 + b1 a2) y."""
-    return a1 * a2 + b1 * b2 * curve.F, a1 * b2 + b1 * a2
-
-
-def _constant_ratio(curve, gp, gq, den) -> Element:
-    """lam with G * (G o i) = lam * den * den(-x) for G = gp + gq y."""
-    norm, rest = _mul_pairs(curve, gp, gq, _compose_neg(gp), -_compose_neg(gq))
-    quo, rem = divmod(norm, den * _compose_neg(den))
-    if not rest.is_zero() or not rem.is_zero() or not quo.is_constant():
-        raise ArithmeticError("f i*(f) is not constant")
-    if quo.is_zero():
-        raise ArithmeticError("degenerate constant for f i*(f)")
-    return quo.constant_coeff()
+    return _descent_function(curve, Qt, Pt, v, ell)
 
 
 # -- pushing alpha down to X --------------------------------------------------------
@@ -358,10 +356,10 @@ def parshin_cover(curve: SplitCurve, qt_x, qt_y) -> ParshinCover:
     Qt = CurvePoint(field(qt_x), field(qt_y))
     if not curve.on_curve(Qt.x, Qt.y):
         raise FieldError("the base point is not on the curve")
-    threeE, h = _symmetric_form(curve, point_minus_i_point(curve, Qt.x, Qt.y, 3))
+    threeE, v, ell = _tripled_class(curve, Qt)
     Pt, _partner = find_Ptilde(curve, threeE)
     _refuse_weierstrass(Pt, Qt)
-    f = _f_from_h(curve, Qt, Pt, threeE, h)
+    f = _descent_function(curve, Qt, Pt, v, ell)
     A, B, C, sign = _alpha_on_x(curve, f)
     if sign < 0:
         f = InterpolatedFunction(gp=-f.gp, gq=-f.gq, den=f.den, lam=f.lam)
@@ -421,9 +419,10 @@ def _normalize_presentation(field, A, B, C):
 
 def verify_parshin_cover(cover: ParshinCover):
     """alpha has a simple pole at P and a triple pole at the image of Qt,
-    no other poles (none at infinity either), and alpha^2 - 4c^3 =
+    no other poles (none at infinity either), alpha^2 - 4c^3 =
     x * (rational square) on X (the closure is the étale cover, so there
-    is no double ramification).
+    is no double ramification), and alpha = c (f + i*f) in the canonical
+    presentation of `_alpha_on_x`.
 
     The last fact follows from f * i*(f) = c, which is what is checked:
     then alpha^2 - 4c^3 = c^2 (f + i*f)^2 - 4c^2 f i*(f) = c^2 (f - i*f)^2.
@@ -449,9 +448,14 @@ def verify_parshin_cover(cover: ParshinCover):
         # conjugate point carries no pole
         if orders[0] != -want_main or orders[1] < 0:
             raise ArithmeticError(f"pole orders at x = {x0!r} are {orders}")
-    # closure check: alpha^2 - 4c^3 = x * square follows from f * i*(f) = c
-    fobj = cover.f
-    if _constant_ratio(cover.curve_W, fobj.gp, fobj.gq, fobj.den) != lam:
+    # closure check: alpha^2 - 4c^3 = x * square follows from f * i*(f) = c,
+    # and (gp + gq y)(gpi - gqi y) = gp gpi - gq gqi F + (gq gpi - gp gqi) y
+    f = cover.f
+    gpi, gqi = _compose_neg(f.gp), _compose_neg(f.gq)
+    quo, rem = divmod(f.gp * gpi - f.gq * gqi * cover.curve_W.F,
+                      f.den * _compose_neg(f.den))
+    if (not (f.gq * gpi - f.gp * gqi).is_zero() or not rem.is_zero()
+            or quo != Polynomial.constant(field, lam)):
         raise ArithmeticError("f * i*(f) differs from c")
     # no pole at the one point at infinity of X (deg X_rhs is odd): there
     # v(x) = -2 and v(y) = -deg X_rhs, so the terms of A + B y have orders
@@ -460,6 +464,8 @@ def verify_parshin_cover(cover: ParshinCover):
     tops = [2 * P.degree + w for P, w in ((A, 0), (B, X_rhs.degree)) if not P.is_zero()]
     if tops and max(tops) > 2 * C.degree:
         raise ArithmeticError("alpha has a pole at infinity on X")
+    if f.lam != lam or _alpha_on_x(cover.curve_W, f) != (A, B, C, 1):
+        raise ArithmeticError("alpha is not c (f + i*f)")
     return True
 
 

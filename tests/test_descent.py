@@ -231,41 +231,12 @@ def _random_split_places(model, field, rng, max_deg=2, count=3, allow_inf=True):
     return places[:count]
 
 
-def _closure_menu(field):
-    x = x_of(field)
-    eps = None
-    for e in field.elements():
-        from cubica.algebra import is_square
-        if not e.is_zero() and not is_square(e):
-            eps = e
-            break
-    irr = None
-    from itertools import product as iproduct
-    for b in range(field.p):
-        for a in range(field.p):
-            cand = Polynomial(field, [field(b), field(a), field.one])
-            if is_irreducible(cand):
-                irr = cand
-                break
-        if irr is not None:
-            break
-    split_quad = x * (x - 1)
-    return [
-        QuadraticModel.constant(field, eps),
-        QuadraticModel.kummer(x),
-        QuadraticModel.kummer(eps * (x - 1)),
-        QuadraticModel.kummer(split_quad),
-        QuadraticModel.kummer(irr),
-        QuadraticModel.kummer(eps * irr),
-    ]
-
-
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_descent_round_trip_random(p):
     field = PrimeField(p)
     rng = random.Random(100 + p)
     trials = 0
-    for model in _closure_menu(field):
+    for model in closure_menu(field):
         branch = set(model.branch_places())
         for _ in range(5):
             T = _random_split_places(model, field, rng,
@@ -304,7 +275,7 @@ def test_descent_round_trip_sweep_large_q(p):
     field = PrimeField(p)
     rng = random.Random(f"sweep:{p}")
     trips = 0
-    for model in _closure_menu(field):
+    for model in closure_menu(field):
         branch = set(model.branch_places())
         for count in (1, 2, 3, 3):
             T = random_places(model, field, rng, count, (2, 3, 4))
@@ -367,7 +338,7 @@ def test_random_places_draws_degree_4_over_f101():
     closure of the menu."""
     field = PrimeField(101)
     rng = random.Random("degree-4")
-    for model in _closure_menu(field):
+    for model in closure_menu(field):
         T = random_places(model, field, rng, 2, (4,))
         assert len(set(T)) == 2
         for place in T:

@@ -19,6 +19,7 @@ from cubica.hyper import (MumfordClass, SplitCurve, WDivisor, _norm_quotient,
                           identity_class, is_principal, iota_star,
                           mumford_add, mumford_neg, mumford_scalar,
                           point_class, point_minus_i_point, rr_space)
+from cubica.parshin import CurvePoint, _tripled_class
 from cubica.quadratic import canonical_quadratic_field
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -728,15 +729,20 @@ def _census_cases():
 
 
 def test_canonicalize_prym_of_both_triplings_on_the_census():
-    """On the genus-2 census inputs of seeds 502-510, the symmetric form of
-    3E is the same from Cantor's tripling and from the one-step class, and
-    so is the type and message of every refusal."""
+    """On the genus-2 census inputs of seeds 502-510, over F_p and over Q,
+    the symmetric form of 3E is the same from Cantor's tripling, from the
+    one-step class and in closed form from the elliptic quotient
+    (`parshin._tripled_class`), and so is the type and message of every
+    refusal."""
     def cantor(W, x0, y0):
         return canonicalize_prym(
             W, mumford_scalar(W, point_minus_i_point(W, x0, y0), 3))
 
     def direct(W, x0, y0):
         return canonicalize_prym(W, point_minus_i_point(W, x0, y0, 3))
+
+    def closed(W, x0, y0):
+        return _tripled_class(W, CurvePoint(x0, y0))[0]
 
     forms = refusals = 0
     for F, x0, y0 in _census_cases():
@@ -745,6 +751,7 @@ def test_canonicalize_prym_of_both_triplings_on_the_census():
             continue
         got = _outcome(direct, W, x0, y0)
         assert got == _outcome(cantor, W, x0, y0), (F, x0, y0)
+        assert got == _outcome(closed, W, x0, y0), (F, x0, y0)
         forms += isinstance(got, MumfordClass)
         refusals += isinstance(got, tuple)
     assert forms >= 1000 and refusals >= 40

@@ -224,6 +224,19 @@ def test_verify_parshin_cover_refuses_a_pole_at_infinity():
         verify_parshin_cover(tampered)
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda cover: dataclasses.replace(cover, A=cover.A + cover.C),
+    lambda cover: dataclasses.replace(cover, A=cover.A * 2, B=cover.B * 2),
+], ids=["alpha_plus_one", "twice_alpha"])
+def test_verify_parshin_cover_refuses_alpha_other_than_c_times_trace(tamper):
+    """alpha + 1, as (A + C, B, C), and 2 alpha, as (2A, 2B, C), keep the
+    poles and the closure constant of alpha, but neither is c (f + i*f):
+    its square minus 4c^3 is not x times a square on X."""
+    cover = parshin_cover(paper_curve(QQ), 1, 2)
+    with pytest.raises(ArithmeticError, match="alpha is not c"):
+        verify_parshin_cover(tamper(cover))
+
+
 def test_find_ptilde_rationality_obstruction():
     """On a curve whose tripled class has an irrational branch x-coordinate
     the obstruction is surfaced, not resolved."""
@@ -264,7 +277,7 @@ def test_parshin_cover_partner_orbit():
     assert f2.lam == QQ(5)
 
 
-# -- the descent function from the Riemann-Roch space -------------------------------
+# -- the descent function, checked against the Riemann-Roch space -----------
 
 
 def seeded_curve_points(p, seed, count):
@@ -343,7 +356,7 @@ def alpha_is_c_times_trace_of_f(cover, rng):
 def test_f_spans_the_riemann_roch_space_of_its_divisor():
     """On seeded covers over F_101, F_1009 and F_(10^9+7) and on both Q
     curves, L(Pt + 3 Qt - i(Pt) - 3 i(Qt)) is one-dimensional and spanned by
-    the f taken from `canonicalize_prym`'s space; f * i*(f) = c; alpha has
+    the closed-form f of `parshin_cover`; f * i*(f) = c; alpha has
     the canonical sign (-lc(A) does not sort before lc(A), lc(B) when
     A = 0), and over F_p alpha = c (f + i*f) at a point."""
     rng = random.Random("f-from-h")
@@ -380,16 +393,17 @@ def test_f_spans_the_riemann_roch_space_of_its_divisor():
 def test_covers_the_interpolation_search_missed(p, F, point):
     """Census inputs on which the search for f by interpolation failed
     (`rank-deficient G system`, or `G has extra zeros`) get a verified
-    cover from the Riemann-Roch space, with f * i*(f) = c."""
+    cover, with f * i*(f) = c."""
     field = PrimeField(p)
     cover = parshin_cover(SplitCurve(Polynomial(field, list(F))), *point)
     assert verify_parshin_cover(cover)
     assert closure_holds(cover)
 
 
-def test_parshin_cover_builds_one_riemann_roch_space(monkeypatch):
-    """The symmetric form of 3[Qt - i(Qt)] and f come from one space: one
-    `rr_space` and one `kernel_basis` call per cover."""
+def test_parshin_cover_builds_no_riemann_roch_space(monkeypatch):
+    """The symmetric form of 3[Qt - i(Qt)] and f come in closed form from the
+    elliptic quotient: `parshin_cover` and `interpolate_f` make no `rr_space`
+    and no `kernel_basis` call on either Q curve."""
     from cubica import hyper
     calls = dict.fromkeys(("rr_space", "kernel_basis"), 0)
     for name in calls:
@@ -398,10 +412,11 @@ def test_parshin_cover_builds_one_riemann_roch_space(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(hyper, name, counted)
     x = Polynomial.x(QQ)
-    parshin_cover(paper_curve(QQ), 1, 2)
-    assert calls == {"rr_space": 1, "kernel_basis": 1}
-    parshin_cover(SplitCurve(x ** 8 + x ** 6 - 4 * x ** 4 - x ** 2 + 4), 1, 1)
-    assert calls == {"rr_space": 2, "kernel_basis": 2}
+    for W, x0, y0 in ((paper_curve(QQ), 1, 2),
+                      (SplitCurve(x ** 8 + x ** 6 - 4 * x ** 4 - x ** 2 + 4), 1, 1)):
+        cover = parshin_cover(W, x0, y0)
+        interpolate_f(W, cover.Qt, cover.Pt)
+    assert calls == {"rr_space": 0, "kernel_basis": 0}
 
 
 def test_interpolate_f_refuses_a_point_off_the_form():
