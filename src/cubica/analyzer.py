@@ -26,7 +26,15 @@ def _odd(m):
 
 
 def analyze(model: CubicModel, hints=None) -> RamificationReport:
-    """Full ramification report of a cubic model; raises on degenerate input."""
+    """Full ramification report of a cubic model; raises on degenerate input.
+
+    The places come from `place_factors` with the caller's hints, or else
+    the model's (a descent model carries the places of T and of the branch
+    locus).  Irreducible hints never change the report: a hint that
+    divides is a place with its full multiplicity, and over a finite field
+    what no hint divides is factored."""
+    if hints is None:
+        hints = model.hints
     field = model.base
     char = field.char
     meta = {}
@@ -87,7 +95,9 @@ def verify_against(model: CubicModel, expected_total, expected_partial,
 
 
 def pole_orders_of_alpha(model: CubicModel, hints=None):
-    """{place: -v_p(alpha)} over the poles of alpha (impure models)."""
+    """{place: -v_p(alpha)} over the poles of alpha (impure models), read
+    off alpha.den with the caller's hints, or else the model's; exact for
+    any irreducible hints, as in `analyze`."""
     if model.kind != "impure":
         raise FieldError("pole orders are reported for impure models")
-    return pole_divisor(model.alpha, hints)
+    return pole_divisor(model.alpha, model.hints if hints is None else hints)

@@ -18,6 +18,7 @@ from .analyzer import analyze
 from .catalog import ALL_TAGS, class_count, enumerate_classes, family_member
 from .descent import (construct, enumerate_descents, exists_descent,
                       make_problem, twists_descent)
+from .function_field import Place
 from .jsonio import (SchemaError, decode_cubic_model, decode_element,
                      decode_places, decode_poly, decode_quadratic_model,
                      encode_cubic_model, encode_element, encode_poly,
@@ -122,7 +123,9 @@ def cmd_analyze(args):
     model = decode_cubic_model(field, _load_json(args.model, "model"))
     hints = None
     if args.hints:
-        hints = [decode_poly(field, h) for h in _load_json(args.hints, "hints")]
+        # a reducible hint would be reported as one place
+        hints = [Place.finite(decode_poly(field, h)).poly
+                 for h in _load_json(args.hints, "hints")]
     report = analyze(model, hints=hints)
     return _emit(encode_report(report))
 
@@ -282,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="ramification report of a model")
     an.add_argument("--field", required=True)
     an.add_argument("--model", required=True)
-    an.add_argument("--hints", help="factor hints (required over Q)")
+    an.add_argument("--hints", help="irreducible factor hints as JSON "
+                    "(required over Q, optional over a finite field)")
     an.set_defaults(fn=cmd_analyze)
 
     bi = sub.add_parser("bitwists", help="closed-form families")

@@ -27,6 +27,14 @@ deciding squareness again; over Q, where squareness is not decided, the
 witness is the caller's certificate.  alpha is put into normal form when
 the model is built; theta and f are kept as triples and put into normal
 form when first read.
+
+The model knows its places: it carries the polynomials of the finite
+places of T and of the branch locus of K' as place hints, which the
+analyzer divides out before it factors anything.  alpha has its poles on
+T, and for f = (U + V y)/N, alpha^2 - 4c^3 = c^2 (f - sigma f)^2 =
+4c^2 V^2 y^2 / N^2 has its odd zeros on the branch locus, so what is left
+is a square times a constant.  The hints take no part in equality,
+hashing, repr or JSON.
 """
 
 from __future__ import annotations
@@ -178,10 +186,14 @@ def _pair(t):
     return RationalFunction(U, N), RationalFunction(V, N)
 
 
-def _finish(problem, case, theta, c, ell=None, unit_form=None) -> DescentResult:
+def _finish(problem, case, theta, c, ell=None, unit_alpha=None) -> DescentResult:
     """f = ell * sigma(theta)/theta, its norm checked against c, and the
-    model y^3 = 3c y + alpha with alpha = c (f + sigma f) = 2c U/N."""
+    model y^3 = 3c y + alpha with alpha = c (f + sigma f) = 2c U/N; it and
+    the unit form y^3 = 3y + unit_alpha carry the places of T and of the
+    branch locus as place hints."""
     closure = problem.closure
+    hints = tuple(place.poly for place in problem.places + closure.branch_places()
+                  if not place.infinite)
     f = closure.f
     f_t = _sigma_quotient(theta[0], theta[1], f)
     if ell is not None:
@@ -190,7 +202,9 @@ def _finish(problem, case, theta, c, ell=None, unit_form=None) -> DescentResult:
     if lam != c:
         raise ArithmeticError("f * sigma(f) differs from the expected constant")
     alpha = RationalFunction(f_t[0] * (closure.field(2) * c), f_t[2])
-    return DescentResult(model=CubicModel.impure(c, alpha), case=case, c=c,
+    unit_form = (None if unit_alpha is None
+                 else CubicModel.impure(closure.field.one, unit_alpha, hints))
+    return DescentResult(model=CubicModel.impure(c, alpha, hints), case=case, c=c,
                          theta_triple=theta, f_triple=f_t,
                          closure=closure, problem=problem,
                          unit_form=unit_form, lam=lam)
@@ -283,7 +297,7 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
 
     eta = par.infinity_pullback
     ell = None
-    unit_form = None
+    unit_alpha = None
     c = field.one
     if deg_t % 2 == 0:
         case = "even"
@@ -304,10 +318,10 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
             for place, mult in eta.items():
                 _net_add(net, place, -e * mult)
             ell, c = _mirror_function(par)
-            unit_form = _unit_form_case_2b(problem, par, base_net, eta, deg_t)
+            unit_alpha = _unit_form_case_2b(problem, par, base_net, eta, deg_t)
 
     theta = _at_m(_realize_theta(net, field), par)
-    return _finish(problem, case, theta, c, ell, unit_form)
+    return _finish(problem, case, theta, c, ell, unit_alpha)
 
 
 def _stable_degree_one(fixed):
@@ -339,9 +353,10 @@ def _mirror_function(par):
     return (U * s, V * s, N), c_target
 
 
-def _unit_form_case_2b(problem, par, base_net, eta, deg_t) -> CubicModel:
-    """The classical c = 1 equation: theta gets a triple cancellation at the
-    smallest odd-degree chosen place, producing a single pole of order 2."""
+def _unit_form_case_2b(problem, par, base_net, eta, deg_t) -> RationalFunction:
+    """alpha of the classical c = 1 equation: theta gets a triple
+    cancellation at the smallest odd-degree chosen place, producing a
+    single pole of order 2."""
     field = par.field
     odd = [ch for ch in problem.choices if ch.place.degree % 2 == 1]
     odd.sort(key=lambda ch: (ch.place.degree,) + ch.place.sort_key())
@@ -356,7 +371,7 @@ def _unit_form_case_2b(problem, par, base_net, eta, deg_t) -> CubicModel:
     message = "unit-form f has nonunit norm (internal error)"
     if not _norm(f_t, par.model.f, message).is_one():
         raise ArithmeticError(message)
-    return CubicModel.impure(field.one, RationalFunction(f_t[0] * 2, f_t[2]))
+    return RationalFunction(f_t[0] * 2, f_t[2])
 
 
 # ---------------------------------------------------------------------------

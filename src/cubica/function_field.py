@@ -134,28 +134,36 @@ def _multiplicity(poly: Polynomial, p: Polynomial):
 
 def place_factors(poly: Polynomial, hints=None, used=None):
     """[(Place, mult)] for the finite places where poly vanishes, or for
-    those whose multiplicity the predicate `used` accepts.
+    those whose multiplicity the predicate `used` accepts: sorted by place
+    over a finite field, in hint order over Q.
 
-    Over a finite field this is `poly_factor`, which leaves the squarefree
-    pieces of the multiplicities `used` rejects unsplit, and the hints are
-    not read.  Over Q the
-    caller's hints, monic irreducible polynomials, are divided out in
-    their order and must cover every factor.
+    The hints, irreducible polynomials, are divided out first, in
+    their order; over a finite field `poly_factor` then factors what is
+    left, and leaves the squarefree pieces of the multiplicities `used`
+    rejects unsplit.  Over Q the hints must cover every factor.  The
+    answer is exact for any irreducible hints: each one that divides is a
+    place with its full multiplicity, so what is left has only the places
+    no hint names.  A missing hint costs a factorization, a hint that does
+    not divide one `divmod`.
     """
     if poly.is_constant():
         return []
-    if poly.field.order is not None:
-        return [(Place.finite(p, check=False), m) for p, m in poly_factor(poly, used)]
-    if hints is None:
+    finite = poly.field.order is not None
+    if hints is None and not finite:
         raise FieldError("factorization over Q needs caller-supplied place hints")
     rem = poly.monic()
     out = []
-    for h in hints:
-        m, rem = _multiplicity(rem, h)
+    for h in hints or ():
+        place = Place.finite(h, check=False)   # refuses a constant hint
+        m, rem = _multiplicity(rem, place.poly)
         if m and (used is None or used(m)):
-            out.append((Place.finite(h, check=False), m))
+            out.append((place, m))
     if rem.degree > 0:
-        raise FieldError("place hints do not cover all factors")
+        if not finite:
+            raise FieldError("place hints do not cover all factors")
+        out += [(Place.finite(p, check=False), m) for p, m in poly_factor(rem, used)]
+    if finite:
+        out.sort(key=lambda t: t[0].sort_key())
     return out
 
 
@@ -199,9 +207,9 @@ def divisor_of(f: RationalFunction, factors=None) -> Divisor:
     """The principal divisor of f.
 
     The places come from `place_factors`: over Q the caller must pass
-    `factors`, monic irreducible polynomials that jointly cover every
-    irreducible factor of num and den; over a finite field they are not
-    needed.
+    `factors`, irreducible polynomials that jointly cover every
+    irreducible factor of num and den; over a finite field they are
+    optional.
     """
     if f.is_zero():
         raise ZeroDivisionError("divisor of the zero function")

@@ -19,6 +19,10 @@ class CubicModel:
     beta: RationalFunction = None  # pure: y^3 = beta
     c: Element = None              # impure: y^3 = 3c y + alpha
     alpha: RationalFunction = None
+    # irreducible polynomials the analyzer divides out before it factors;
+    # they never change an answer, so equality, hashing, repr and the JSON
+    # encoders ignore them
+    hints: tuple = dfield(default=None, compare=False, repr=False)
 
     @staticmethod
     def pure(beta: RationalFunction) -> "CubicModel":
@@ -27,12 +31,13 @@ class CubicModel:
         return CubicModel(kind="pure", base=beta.field, beta=beta)
 
     @staticmethod
-    def impure(c: Element, alpha: RationalFunction) -> "CubicModel":
+    def impure(c: Element, alpha: RationalFunction, hints=None) -> "CubicModel":
         if c.is_zero():
             raise FieldError("impure model needs c != 0")
         if alpha.field != c.field:
             raise FieldError("alpha and c over different fields")
-        return CubicModel(kind="impure", base=alpha.field, c=c, alpha=alpha)
+        return CubicModel(kind="impure", base=alpha.field, c=c, alpha=alpha,
+                          hints=hints)
 
     def __repr__(self):
         if self.kind == "pure":

@@ -276,11 +276,14 @@ class QuadraticModel:
                         raise FieldError("f must be squarefree")
             if f.degree == 0 and is_square(f.constant_coeff()):
                 raise FieldError("constant extension needs a non-square")
+            self._branch = [place for place, _ in place_factors(f, _q_hints(f))]
+            if f.degree % 2 == 1:
+                self._branch.append(Place.infinity(field))
         elif kind == "artin_schreier":
             if field.char != 2:
                 raise FieldError("Artin-Schreier model needs characteristic 2")
             self._as_class = ASClass.of(gamma)
-            self._as_branch = self._as_class.ramified_places()
+            self._branch = self._as_class.ramified_places()
         else:
             raise FieldError(f"unknown quadratic model kind {kind!r}")
 
@@ -320,13 +323,8 @@ class QuadraticModel:
         return self._as_class
 
     def branch_places(self) -> list:
-        """The branch locus S on K."""
-        if self.kind == "kummer":
-            out = [place for place, _ in place_factors(self.f, _q_hints(self.f))]
-            if self.f.degree % 2 == 1:
-                out.append(Place.infinity(self.field))
-            return out
-        return list(self._as_branch)
+        """The branch locus S on K, found when the model is built."""
+        return list(self._branch)
 
     # -- splitting ---------------------------------------------------------------
 
@@ -334,7 +332,7 @@ class QuadraticModel:
         """SPLIT, INERT or RAMIFIED at place, decided from squareness alone
         (no square root is taken)."""
         if self.kind == "artin_schreier":
-            if place in self._as_branch:
+            if place in self._branch:
                 return RAMIFIED
             return self._as_class.splits_at(place)
         fbar = self._residue(place)

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from cubica.algebra import (FieldError, Polynomial, PrimeField, RationalFunction,
+from cubica import function_field, jsonio
+from cubica.algebra import (QQ, FieldError, Polynomial, PrimeField, RationalFunction,
                             ResidueField, is_irreducible, poly_factor)
-from cubica.analyzer import analyze, verify_against
+from cubica.analyzer import analyze, pole_orders_of_alpha, verify_against
 from cubica.cli import main
-from cubica.descent import construct, make_problem
+from cubica.descent import DescentProblem, UpstairsChoice, construct, make_problem
 from cubica.function_field import Place, genus_of_cubic, valuation
 from cubica.models import CubicModel
 from cubica.acceptance import closure_menu, random_places, random_split_places
+from cubica.quadratic import SPLIT, QuadraticModel, canonical_quadratic_field
 
 F5 = PrimeField(5)
 
@@ -255,3 +257,162 @@ def test_analyze_refuses_alpha_zero(p, capsys):
     assert main(["analyze", "--field", str(p), "--model",
                  '{"impure": {"c": "1", "alpha": {"num": ["0"]}}}']) == 1
     assert capsys.readouterr().err == "error: degenerate model: alpha = 0\n"
+
+
+# -- place hints ------------------------------------------------------------------
+
+
+def _irreducible_over(field, rng, degrees):
+    elems = list(field.elements())
+    while True:
+        d = rng.choice(degrees)
+        poly = Polynomial(field, [rng.choice(elems) for _ in range(d)] + [field.one])
+        if is_irreducible(poly):
+            return poly
+
+
+def _descents(field, rng, rounds=1):
+    """Seeded descents over every closure of the menu (every conic closure
+    over F_{p^2}), with 1-3 split places of degree <= 2 (<= 3 over
+    F_p, p > 100) and infinity half the time when it splits: [(T, result)]."""
+    menu = closure_menu(field)
+    if not isinstance(field, PrimeField):
+        menu = menu[1:]
+    degrees = (1, 2, 3) if field.order > 100 else (1, 2)
+    inf = Place.infinity(field)
+    out = []
+    for _ in range(rounds):
+        for closure in menu:
+            for count in (1, 2, 3):
+                T = []
+                while len(T) < count:
+                    place = Place.finite(_irreducible_over(field, rng, degrees),
+                                         check=False)
+                    if place not in T and closure.split_kind(place) == SPLIT:
+                        T.append(place)
+                if closure.split_kind(inf) == SPLIT and rng.random() < 0.5:
+                    T.append(inf)
+                signs = [rng.choice((1, -1)) for _ in T]
+                out.append((T, construct(make_problem(closure, T, signs))))
+    return out
+
+
+def _divides_none(poly, model):
+    """poly divides neither alpha.den nor the numerator of alpha^2 - 4c^3."""
+    n, d = model.alpha.num, model.alpha.den
+    disc = n * n - d * d * (model.base(4) * model.c ** 3)
+    return all(not divmod(g, poly)[1].is_zero() for g in (d, disc))
+
+
+def _answers(model, hints):
+    return analyze(model, hints), pole_orders_of_alpha(model, hints)
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), PrimeField(257),
+                                   canonical_quadratic_field(PrimeField(7))],
+                         ids=["F101", "F257", "F49"])
+def test_hints_never_change_the_answer(field):
+    """analyze and pole_orders_of_alpha give one answer (the poles in one
+    order too) whatever irreducible hints they read: the model's (the
+    places of T and of the branch locus), none, the model's with extra ones
+    that divide nothing, and those permuted; the c = 1 unit forms of
+    case_2b carry the same hints."""
+    rng = random.Random(f"hints:{field.order}")
+    models = []
+    for _, res in _descents(field, rng):
+        models.append(res.model)
+        if res.unit_form is not None:
+            assert res.unit_form.hints == res.model.hints
+            models.append(res.unit_form)
+    assert len(models) >= 18
+    for model in models:
+        own = model.hints
+        assert own and all(is_irreducible(h) for h in own)
+        extra = ()
+        while len(extra) < 2:
+            h = _irreducible_over(field, rng, (1, 2))
+            if _divides_none(h, model):
+                extra += (h,)
+        mixed = list(own + extra)
+        rng.shuffle(mixed)
+        want = _answers(model, None)
+        for hints in ((), own + extra, tuple(mixed), own[::-1]):
+            report, poles = _answers(model, hints)
+            assert report == want[0], (model, hints)
+            assert list(poles.items()) == list(want[1].items()), (model, hints)
+
+
+def test_hints_never_change_the_answer_over_q():
+    """Descents on y^2 = x over Q with rho = r at x - r^2.  The model's
+    hints (T and x) cover alpha's poles; alpha^2 - 4 = 4 B^2 x for f = A +
+    B y, so analyze also needs B's numerator, linear here.  Permuted and
+    extra non-dividing hints give the same answer; a decoded model carries
+    no hints and keeps the old refusals."""
+    x = Polynomial.x(QQ)
+    closure = QuadraticModel.kummer(x)
+    extra = (x - 7, x * x + 1)
+    for roots in ([2], [2, 3], [1, 2]):
+        places = [Place.finite(x - r * r) for r in roots]
+        res = construct(DescentProblem(closure, [
+            UpstairsChoice(place, place.residue_field(r))
+            for place, r in zip(places, roots)]))
+        model = res.model
+        assert model.hints == tuple(place.poly for place in places) + (x,)
+        B = res.f_pair[1].num
+        assert B.degree <= 1
+        full = model.hints + ((B,) if B.degree == 1 else ())
+        assert all(_divides_none(h, model) for h in extra)
+        report, poles = _answers(model, full)
+        assert report.total_set() == set(places)
+        assert report.partial_set() == {Place.finite(x), Place.infinity(QQ)}
+        for hints in (full[::-1], full + extra, extra + full):
+            assert _answers(model, hints) == (report, poles)
+        assert pole_orders_of_alpha(model) == poles
+        copy = jsonio.decode_cubic_model(QQ, jsonio.encode_cubic_model(model))
+        assert copy.hints is None and _answers(copy, full) == (report, poles)
+        for call in (analyze, pole_orders_of_alpha):
+            with pytest.raises(FieldError, match="needs caller-supplied place hints"):
+                call(copy)
+        if B.degree == 1:
+            with pytest.raises(FieldError, match="do not cover all factors"):
+                analyze(model)
+        else:
+            assert analyze(model) == report
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 257])
+def test_a_decoded_descent_model_gives_the_same_report(p):
+    """Seeded sweep over the closure menu: the JSON copy of a descent model
+    carries no hints, so analyze factors everything, and reports the same."""
+    field = PrimeField(p)
+    rng = random.Random(f"decoded:{p}")
+    for _, res in _descents(field, rng, rounds=2):
+        copy = jsonio.decode_cubic_model(field, jsonio.encode_cubic_model(res.model))
+        assert copy.hints is None
+        assert analyze(copy) == analyze(res.model), res.model
+
+
+@pytest.mark.parametrize("p", [13, 101, 257])
+def test_analyze_factors_nothing_a_place_of_t_divides(p, monkeypatch):
+    """Over F_p the places of T come from the model's hints: analyze and
+    pole_orders_of_alpha pass poly_factor no polynomial that a place of T
+    divides (alpha.den is the product of those places)."""
+    field = PrimeField(p)
+    rng = random.Random(f"factor-count:{p}")
+    cases = _descents(field, rng)
+    seen = []
+    real = function_field.poly_factor
+
+    def spy(poly, used=None):
+        seen.append(poly)
+        return real(poly, used)
+
+    monkeypatch.setattr(function_field, "poly_factor", spy)
+    for T, res in cases:
+        seen.clear()
+        assert analyze(res.model).total_set() == set(T)
+        pole_orders_of_alpha(res.model)
+        for poly in seen:
+            for place in T:
+                if not place.infinite:
+                    assert not divmod(poly, place.poly)[1].is_zero(), (res.model, place)

@@ -55,6 +55,28 @@ def test_analyze_over_q_requires_hints(capsys):
     assert doc["total"] == [{"poly": ["-2", "0", "1"]}]
 
 
+@pytest.mark.parametrize("field", ["q", "7"])
+def test_analyze_refuses_a_reducible_hint(capsys, field):
+    """A hint is a place: x^2 - 1 is refused (exit 1) instead of being
+    reported as one place of degree 2.  Its irreducible factors give the
+    two linear places, as the factorization over F_7 does without hints
+    (over Q the hints also name the zeros x^2 - 1/2 and x^2 - 3/2 of
+    alpha^2 - 4, which split over F_7)."""
+    model = '{"impure": {"c": "1", "alpha": {"num": ["1"], "den": ["-1", "0", "1"]}}}'
+    disc = ', ["-1/2", "0", "1"], ["-3/2", "0", "1"]'
+    assert main(["analyze", "--field", field, "--model", model,
+                 "--hints", f'[["-1", "0", "1"]{disc}]']) == 1
+    assert "is not irreducible" in capsys.readouterr().err
+    if field == "7":
+        disc = ""
+    code, doc = run_cli(capsys, "analyze", "--field", field, "--model", model,
+                        "--hints", f'[["-1", "1"], ["1", "1"]{disc}]')
+    assert code == 0 and len(doc["total"]) == 2
+    assert all(len(place["poly"]) == 2 for place in doc["total"])
+    if field == "7":
+        assert run_cli(capsys, "analyze", "--field", field, "--model", model) == (0, doc)
+
+
 def test_descend_document_shape(capsys):
     code, doc = run_cli(capsys, "descend", "--field", "5",
                         "--closure", '{"kummer": ["2"]}',

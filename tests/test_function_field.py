@@ -93,6 +93,9 @@ def test_place_factors_over_q_divide_out_the_hints_in_order():
         place_factors(poly)
     with pytest.raises(FieldError, match="place hints do not cover all factors"):
         place_factors(poly, hints[1:])
+    for constant in (Polynomial.constant(QQ, QQ(2)), Polynomial.zero(QQ)):
+        with pytest.raises(FieldError, match="non-constant polynomial"):
+            place_factors(poly, hints + [constant])
 
 
 def test_pole_divisor_lists_finite_poles_then_infinity():

@@ -1,8 +1,14 @@
 """JSON codec round trips and schema rejection."""
 
+import json
+import random
+
 import pytest
 
-from cubica.algebra import Polynomial, PrimeField, QQ, RationalFunction
+from cubica.acceptance import closure_menu
+from cubica.algebra import (Polynomial, PrimeField, QQ, RationalFunction,
+                            is_irreducible)
+from cubica.descent import DescentProblem, UpstairsChoice, construct, make_problem
 from cubica.function_field import Place
 from cubica.jsonio import (SchemaError, decode_cubic_model, decode_element,
                            decode_place, decode_poly, decode_quadratic_model,
@@ -91,6 +97,45 @@ def test_model_round_trips():
     assert back.c == imp.c and back.alpha == imp.alpha
     qm = QuadraticModel.kummer(x * x - 2)
     assert decode_quadratic_model(F5, encode_quadratic_model(qm)).f == qm.f
+
+
+@pytest.mark.parametrize("spec", ["13", "101", "7^2", "q"])
+def test_a_descent_model_and_its_decoded_copy_are_interchangeable(spec):
+    """The place hints a descent model carries take no part in the value:
+    the model and its JSON copy (decoded over a freshly built field, with
+    no hints) are ==, hash alike and have one repr and one JSON text."""
+    field = field_from_spec(spec)
+    if field == QQ:
+        x = Polynomial.x(QQ)
+        place = Place.finite(x - 4)
+        problems = [DescentProblem(QuadraticModel.kummer(x),
+                                   [UpstairsChoice(place, place.residue_field(2))])]
+    else:
+        rng = random.Random(f"interchangeable:{spec}")
+        elems = list(field.elements())
+        problems = []
+        for closure in closure_menu(field)[1:]:
+            T = []
+            while len(T) < 2:
+                d = rng.choice((1, 2))
+                poly = Polynomial(field, [rng.choice(elems) for _ in range(d)] + [1])
+                if is_irreducible(poly):
+                    place = Place.finite(poly, check=False)
+                    if place not in T and closure.split_kind(place) == "split":
+                        T.append(place)
+            problems.append(make_problem(closure, T, [1, -1]))
+    for problem in problems:
+        res = construct(problem)
+        for model in filter(None, (res.model, res.unit_form)):
+            assert model.hints
+            data = encode_cubic_model(model)
+            copy = decode_cubic_model(field_from_spec(spec), data)
+            assert copy.hints is None
+            assert copy == model and model == copy
+            assert hash(copy) == hash(model) and len({model, copy}) == 1
+            assert repr(copy) == repr(model)
+            assert json.dumps(encode_cubic_model(copy), sort_keys=True) == \
+                json.dumps(data, sort_keys=True)
 
 
 def test_char2_model_codec():

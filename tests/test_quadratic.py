@@ -142,6 +142,27 @@ def test_branch_places_follow_the_factorization():
         [Place.finite(x + QQ(Fraction(1, 2))), Place.infinity(QQ)]
 
 
+def test_branch_places_are_found_once_per_model(monkeypatch):
+    """The branch locus is read when the model is built: later calls factor
+    nothing, and each returns a new list, so mutating one changes no later
+    answer."""
+    import cubica.quadratic as quadratic
+    x = x_of(F7)
+    models = [QuadraticModel.kummer(f) for f in
+              ((x - 5) * (x - 3), x * x + 1, x - 3, Polynomial.constant(F7, F7(3)))]
+    models.append(QuadraticModel.artin_schreier_x(PrimeField(2)))
+
+    def refuse(*args):
+        raise AssertionError("branch_places factored again")
+
+    monkeypatch.setattr(quadratic, "place_factors", refuse)
+    for M in models:
+        first = M.branch_places()
+        want = list(first)
+        first.append(Place.infinity(M.field))
+        assert M.branch_places() == want
+
+
 def test_split_kind_over_q():
     x = x_of(QQ)
     assert QuadraticModel.kummer(x * x + 1).split_kind(Place.infinity(QQ)) == SPLIT
