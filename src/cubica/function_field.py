@@ -8,7 +8,7 @@ marker with degree 1.  Divisors are finite multiplicity maps.
 from __future__ import annotations
 
 from .algebra import (FieldError, Polynomial, RationalFunction, ResidueField,
-                      is_irreducible, poly_factor)
+                      is_irreducible, poly_factor, squarefree_decomposition)
 
 
 class Place:
@@ -140,11 +140,13 @@ def place_factors(poly: Polynomial, hints=None, used=None):
     The hints, irreducible polynomials, are divided out first, in
     their order; over a finite field `poly_factor` then factors what is
     left, and leaves the squarefree pieces of the multiplicities `used`
-    rejects unsplit.  Over Q the hints must cover every factor.  The
-    answer is exact for any irreducible hints: each one that divides is a
-    place with its full multiplicity, so what is left has only the places
-    no hint names.  A missing hint costs a factorization, a hint that does
-    not divide one `divmod`.
+    rejects unsplit.  Over Q the hints must cover every factor whose
+    multiplicity `used` accepts: the squarefree decomposition of what is
+    left shows that without factoring it.  The answer is exact for any
+    irreducible hints: each one that divides is a place with its full
+    multiplicity, so what is left has only the places no hint names.  A
+    missing hint costs a factorization, a hint that does not divide one
+    `divmod`.
     """
     if poly.is_constant():
         return []
@@ -159,9 +161,10 @@ def place_factors(poly: Polynomial, hints=None, used=None):
         if m and (used is None or used(m)):
             out.append((place, m))
     if rem.degree > 0:
-        if not finite:
+        if finite:
+            out += [(Place.finite(p, check=False), m) for p, m in poly_factor(rem, used)]
+        elif any(used is None or used(m) for _, m in squarefree_decomposition(rem)):
             raise FieldError("place hints do not cover all factors")
-        out += [(Place.finite(p, check=False), m) for p, m in poly_factor(rem, used)]
     if finite:
         out.sort(key=lambda t: t[0].sort_key())
     return out

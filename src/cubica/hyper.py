@@ -30,12 +30,12 @@ coefficient recurrence).  At inf+- y = +-x^(g+1) S(1/x), and
 `y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S; at an
 affine point y = y0 S(x - x0), with S the root of F(x0 + t)/y0^2
 (`_local_root`).  `point_minus_i_point` truncates that branch to the
-Mumford pair of n[P - i(P)] in one step, with no Cantor composition, and
-`parshin` reads pole orders on the quotient off it.  A Riemann-Roch
-space of div(u1, v1) - div(u2, v2) + n+ inf+ + n- inf- takes its affine
-conditions from one Cantor composition: h u1 = a + b y lies in the ideal of
-iota div(u1, v1) + div(u2, v2), which `_compose` writes as s (u3, y - v3),
-so h = (a + b y)/(u1/s) with a + b v3 = 0 mod u3 (rows from `coeff_vec`).
+Mumford pair of n[P - i(P)] in one step, with no Cantor composition.  A
+Riemann-Roch space of div(u1, v1) - div(u2, v2) + n+ inf+ + n- inf- takes
+its affine conditions from one Cantor composition: h u1 = a + b y lies in
+the ideal of iota div(u1, v1) + div(u2, v2), which `_compose` writes as
+s (u3, y - v3), so h = (a + b y)/(u1/s) with a + b v3 = 0 mod u3 (rows
+from `coeff_vec`).
 
 The Riemann-Roch engine runs on payloads, like the kernel of
 `algebra.poly`: the series S (`sqrt_series` caches it), the condition rows

@@ -16,10 +16,10 @@ j(x, y) = (-x, y) and the Prym variety of W -> X (Mumford, "Prym varieties
 I", 1974), the class is a pullback from E, and one exact division on E
 gives its form (`_tripled_class`) and f (`_descent_function`).  The sign
 of alpha is fixed by one rule on every field (`_normalize_presentation`).
-Pole orders of alpha on X are read from one local expansion at each pole:
-y = y0 S(x - x0) for the series root S (`hyper._local_root`) of
-X_rhs(x)/y0^2, shifted by `poly._taylor_shift`.  Series are lists of field
-payloads, as in `hyper`; covers and witnesses hold Elements and Polynomials.
+A cover is certified on W, not on X (`verify_parshin_cover`): W -> X is
+étale, so Y -> X is branched exactly below the points of W where v(f) is
+prime to 3, and div f is read off the squarefree decomposition of its
+denominator; no pole order of alpha on X is expanded in series.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (Element, FieldError, FunctionField, Polynomial,
-                      QQ, RationalFunction, is_square, poly_gcd, sqrt)
-from .algebra.poly import _add, _mul, _primitive, _qpoly, _taylor_shift, _trim
-from .function_field import _multiplicity
-from .hyper import (MumfordClass, SplitCurve, _compose_neg, _local_root,
-                    point_minus_i_point)
+                      QQ, RationalFunction, is_square, poly_gcd, sqrt,
+                      squarefree_decomposition)
+from .algebra.poly import _primitive, _qpoly
+from .hyper import MumfordClass, SplitCurve, _compose_neg, point_minus_i_point
 from .quadratic import canonical_square_const
 
 # ---------------------------------------------------------------------------
@@ -256,8 +255,11 @@ def find_Ptilde(curve: SplitCurve, threeE: MumfordClass):
 
 
 def _refuse_weierstrass(*points: CurvePoint):
-    """Qt and Pt must lie off y = 0: at such a Qt, sqrt(H) has no branch w
-    through q, and `_orders_on_x` expands y at the images of both on X."""
+    """Qt and Pt must lie off y = 0.  At such a Qt, sqrt(H) has no branch w
+    through q.  At such a Pt the certificate of `verify_parshin_cover`
+    would hold, but the refusal stays: its text is among the genus-2
+    census outcomes whose digest `tests/test_bench_digests.py` pins, and
+    lifting it belongs with building f for the Weierstrass cases."""
     if any(pt.y.is_zero() for pt in points):
         raise FieldError("series expansion needs a non-Weierstrass point")
 
@@ -418,88 +420,73 @@ def _normalize_presentation(field, A, B, C):
 
 
 def verify_parshin_cover(cover: ParshinCover):
-    """alpha has a simple pole at P and a triple pole at the image of Qt,
-    no other poles (none at infinity either), alpha^2 - 4c^3 =
-    x * (rational square) on X (the closure is the étale cover, so there
-    is no double ramification), and alpha = c (f + i*f) in the canonical
-    presentation of `_alpha_on_x`.
+    """Certify on W that z^3 = 3c z + alpha is branched over the branch
+    point alone, and that alpha = c (f + i*f) in the canonical presentation
+    of `_alpha_on_x`.
 
-    The last fact follows from f * i*(f) = c, which is what is checked:
-    then alpha^2 - 4c^3 = c^2 (f + i*f)^2 - 4c^2 f i*(f) = c^2 (f - i*f)^2.
-    f - i*f is odd under i(u, v) = (-u, -v), so it is u times an element h
-    of k(X), and (f - i*f)^2 = u^2 h^2 = x h^2 on X."""
-    field = cover.curve_W.field
+    With theta^3 = c f, z = theta + c/theta solves the cubic when
+    f * i*(f) = c, so the Galois closure of Y -> X is W(theta) and has
+    group S_3.  Its quadratic resolvent W -> X is étale, so every inertia
+    group lies in A_3: Y -> X is totally ramified exactly below the points
+    of W where v(f) is prime to 3 (the characteristic is not 3, which
+    `PrimeField` refuses), and has no double ramification.
+
+    The first check is f * i*(f) = c.  For f = kappa (y + v)/den with kappa
+    constant it proves v even and v^2 - F = (c/kappa^2) den den(-x), the
+    norm of y + v.  So y + v vanishes where den or den(-x) does, on the
+    branch y = -v, and
+
+        div f = sum_r e(r) (i(R_r) - R_r) + (ord at inf+ and inf-),
+        R_r = (r, v(r)),
+
+    over the roots r of den of multiplicity e(r); the points R_r and
+    i(R_s) are pairwise distinct (F is squarefree).  The certificate asks
+    that exactly one root, r, have e(r) prime to 3, with e(r) = 1 mod 3 so
+    that div f = i(Pt) - Pt mod 3 for Pt = R_r, that the branch point be
+    its image (r^2, r v(r)) on X, and that the orders at inf+- be 0 mod 3:
+    both are 0 unless deg v = g + 1 with lc(v) = +-1, when y = -+x^(g+1)
+    cancels the top of v at one of them and the orders are
+    +-(deg den - g - 1).  No pole order on X is expanded, so P may be a
+    Weierstrass point of X and may lie over x(Q).
+
+    alpha^2 - 4c^3 = c^2 (f + i*f)^2 - 4c^2 f i*(f) = c^2 (f - i*f)^2 is
+    x times a square on X: f - i*f is odd under i(u, v) = (-u, -v), so it
+    is u times an element h of k(X), and (f - i*f)^2 = u^2 h^2 = x h^2.
+    Last come the pole at the one point at infinity of X and the
+    recomputation of alpha from f."""
+    W = cover.curve_W
+    field = W.field
     A, B, C = cover.A, cover.B, cover.C
     lam = cover.c
-    xP = cover.branch_point.x
-    xQ = cover.Qt.x * cover.Qt.x
-    # pole support: C = const (x - xP)^e1 (x - xQ)^e2 exactly
-    rest = C
-    for root in (xP, xQ):
-        _, rest = _multiplicity(rest, Polynomial(field, [-root, field.one]))
-    if not rest.is_constant():
-        raise ArithmeticError("alpha has poles away from P and Q")
-    # orders at the two points of X over each pole x-value
-    X_rhs = _x_model(cover.curve_W)
-    yQ = cover.Qt.x * cover.Qt.y
-    for x0, y0, want_main in ((xP, cover.branch_point.y, 1), (xQ, yQ, 3)):
-        orders = sorted(_orders_on_x(field, X_rhs, A, B, C, x0, y0))
-        # one point over x0 carries the pole of the stated order, the
-        # conjugate point carries no pole
-        if orders[0] != -want_main or orders[1] < 0:
-            raise ArithmeticError(f"pole orders at x = {x0!r} are {orders}")
-    # closure check: alpha^2 - 4c^3 = x * square follows from f * i*(f) = c,
-    # and (gp + gq y)(gpi - gqi y) = gp gpi - gq gqi F + (gq gpi - gp gqi) y
     f = cover.f
+    # (gp + gq y)(gpi - gqi y) = gp gpi - gq gqi F + (gq gpi - gp gqi) y
     gpi, gqi = _compose_neg(f.gp), _compose_neg(f.gq)
-    quo, rem = divmod(f.gp * gpi - f.gq * gqi * cover.curve_W.F,
-                      f.den * _compose_neg(f.den))
+    quo, rem = divmod(f.gp * gpi - f.gq * gqi * W.F, f.den * _compose_neg(f.den))
     if (not (f.gq * gpi - f.gp * gqi).is_zero() or not rem.is_zero()
             or quo != Polynomial.constant(field, lam)):
         raise ArithmeticError("f * i*(f) differs from c")
-    # no pole at the one point at infinity of X (deg X_rhs is odd): there
-    # v(x) = -2 and v(y) = -deg X_rhs, so the terms of A + B y have orders
-    # of different parity, and
+    if f.gq.degree != 0:
+        raise ArithmeticError("f is not kappa (y + v)/den")
+    # the certificate: div f = i(Pt) - Pt mod 3 on W, Pt over the branch point
+    v = f.gp * f.gq[0].inverse()
+    prime_to_3 = [(g, e) for g, e in squarefree_decomposition(f.den) if e % 3]
+    top = W.F.degree // 2              # y = +-x^(g+1) (1 + ...) at inf+-
+    at_infinity = (f.den.degree - top
+                   if v.degree == top and v.leading() ** 2 == field.one else 0)
+    if sum(g.degree for g, _ in prime_to_3) != 1 or at_infinity % 3:
+        raise ArithmeticError("the cover is not branched over exactly one point")
+    (g, e), = prime_to_3
+    r = -g[0]
+    P = cover.branch_point
+    if e % 3 != 1 or (P.x, P.y) != (r * r, r * v.evaluate(r)):
+        raise ArithmeticError("div f is not i(Pt) - Pt mod 3 for Pt over the branch point")
+    # no pole at the one point at infinity of X (deg X_rhs = top + 1 is
+    # odd): there v(x) = -2 and v(y) = -deg X_rhs, so the terms of A + B y
+    # have orders of different parity, and
     # v(alpha) = 2 deg C - max(2 deg A, 2 deg B + deg X_rhs)
-    tops = [2 * P.degree + w for P, w in ((A, 0), (B, X_rhs.degree)) if not P.is_zero()]
+    tops = [2 * Z.degree + w for Z, w in ((A, 0), (B, top + 1)) if not Z.is_zero()]
     if tops and max(tops) > 2 * C.degree:
         raise ArithmeticError("alpha has a pole at infinity on X")
-    if f.lam != lam or _alpha_on_x(cover.curve_W, f) != (A, B, C, 1):
+    if f.lam != lam or _alpha_on_x(W, f) != (A, B, C, 1):
         raise ArithmeticError("alpha is not c (f + i*f)")
     return True
-
-
-def _orders_on_x(field, X_rhs, A, B, C, x0, y0):
-    """Valuations of (A + B y)/C at the points (x0, +-y0) of X over x = x0
-    (non-Weierstrass x0)."""
-    rhs_val = X_rhs.evaluate(x0)
-    if rhs_val.is_zero():
-        raise ArithmeticError("pole at a Weierstrass point is unexpected here")
-    if y0 * y0 != rhs_val:
-        raise ArithmeticError("the point over the pole is not on X")
-    out = []
-    prec = C.degree + 4
-    mul, zero = field._mul, field._zero_val()
-    S = _local_root(field, X_rhs, x0.val, y0.val, prec)
-    a, b, c = (_trim(_taylor_shift(field, P.vals, x0.val)[:prec], zero)
-               for P in (A, B, C))
-    for sgn in (y0, -y0):
-        yser = _trim([mul(sgn.val, s) for s in S], zero)
-        ordv = _first_nonzero(field, _poly_series_sum(field, a, b, yser, prec))
-        out.append(ordv - _first_nonzero(field, c))
-    return out
-
-
-def _poly_series_sum(field, a, b, yser, prec):
-    """The payload series of a + b y below t^prec, for a, b and y given as
-    trimmed payload series in t."""
-    zero = field._zero_val()
-    return _add(field, a, _trim(_mul(field, b, yser)[:prec], zero))
-
-
-def _first_nonzero(field, series):
-    zero = field._zero_val()
-    for i, c in enumerate(series):
-        if c != zero:
-            return i
-    raise ArithmeticError("series vanished beyond the working precision")

@@ -33,7 +33,7 @@ DIGESTS = {
 GENUS2_DIGESTS = {
     "genus2_fp": (
         "245ea87aeb1e865d6e65f0113cf73e218188509603c10ccc06653ba8b9ad9523",
-        "8777b4e2aba364a8dd52c998c62acaaf4e8e1f23eaf5a631b1849344a8c396c6"),
+        "0b6d428e2e1bc8c3f760c20a4688ba7c6741d70361760018213f96fa21c7d144"),
     "genus2_q": (
         "de69b996112932ac2651735d7f4469c5d8b9c9f988026094de0f92eaac3d654a",
         "f01ee1b13739df6b5e4f2b45e143945fe4624863f1ed426dcb41cdf748d86747"),

@@ -89,6 +89,7 @@ def test_place_factors_over_q_divide_out_the_hints_in_order():
                                           (Place.finite(x), 1),
                                           (Place.finite(x - 1), 2)]
     assert place_factors(poly, hints, lambda m: m > 1) == [(Place.finite(x - 1), 2)]
+    assert place_factors(poly, hints[1:], lambda m: m > 1) == [(Place.finite(x - 1), 2)]
     with pytest.raises(FieldError, match="needs caller-supplied place hints"):
         place_factors(poly)
     with pytest.raises(FieldError, match="place hints do not cover all factors"):

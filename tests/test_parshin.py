@@ -2,19 +2,22 @@
 and the full worked pipeline over Q with its frozen golden values."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from cubica.algebra import (FieldError, FunctionField, Polynomial,
-                            PrimeField, QQ, is_square, sqrt)
+                            PrimeField, QQ, is_square, poly_factor, sqrt)
+from cubica.function_field import _multiplicity
 from cubica.hyper import (SplitCurve, WDivisor, _compose, canonicalize_prym,
                           is_principal, mumford_scalar, point_class,
                           point_minus_i_point, rr_space)
-from cubica.parshin import (CurvePoint, find_Ptilde, genus1_parshin, genus1_sample_check,
-                            interpolate_f, parshin_cover, phi_fibre_size,
-                            verify_parshin_cover,
+from cubica.parshin import (CurvePoint, InterpolatedFunction, ParshinCover,
+                            _alpha_on_x, _x_model, find_Ptilde, genus1_parshin,
+                            genus1_sample_check, interpolate_f, parshin_cover,
+                            phi_fibre_size, verify_parshin_cover,
                             verify_weierstrass_identity_generic,
                             weierstrass_parshin, weierstrass_ramification_on_x)
 
@@ -442,3 +445,172 @@ def test_interpolate_f_refuses_a_weierstrass_point():
         interpolate_f(W, plain, weier)
     with pytest.raises(FieldError, match="non-Weierstrass"):
         interpolate_f(W, weier, plain)
+
+
+# -- the certificate on W, checked against alpha's orders on X ---------------
+
+
+def _order_at(poly, root):
+    """The multiplicity of the root in poly (None for the zero polynomial)."""
+    if poly.is_zero():
+        return None
+    return _multiplicity(poly, Polynomial(poly.field, [-root, poly.field.one]))[0]
+
+
+def _order_of_a_plus_b_y(A, B, R, x0, y0):
+    """v_P(A + B y) at P = (x0, y0) on y^2 = R(x), y0 != 0 and A + B y != 0.
+
+    Divide out the largest power m of x - x0 that A and B share; then A' +
+    B' y and A' - B' y do not both vanish over x0, so one of (x0, +-y0)
+    takes all of the order of the norm A'^2 - B'^2 R at x0."""
+    m = min(o for o in (_order_at(A, x0), _order_at(B, x0)) if o is not None)
+    lin = Polynomial(A.field, [-x0, A.field.one]) ** m
+    A, B = A.exact_div(lin), B.exact_div(lin)
+    if not (A.evaluate(x0) + B.evaluate(x0) * y0).is_zero():
+        return m
+    return m + _order_at(A * A - B * B * R, x0)
+
+
+def _poles_prime_to_3(cover):
+    """The poles of alpha = (A + B y)/C on X: y^2 = R(x) whose order is
+    prime to 3, read from the norm A^2 - B^2 R and `_multiplicity`: the
+    points over each root of C, ('inert', x0) for a place of degree 2,
+    and 'inf' for the one point at infinity."""
+    A, B, C, R = cover.A, cover.B, cover.C, cover.X_rhs
+    norm = A * A - B * B * R
+    out = []
+    for g, _ in poly_factor(C):
+        assert g.degree == 1
+        x0 = -g[0]
+        c = _order_at(C, x0)
+        r0 = R.evaluate(x0)
+        if r0.is_zero():                       # a Weierstrass point: v(x - x0) = 2
+            orders = {(x0, r0): _order_at(norm, x0) - 2 * c}
+        elif not is_square(r0):                # one place of degree 2
+            orders = {("inert", x0): _order_at(norm, x0) // 2 - c}
+        else:
+            y0 = sqrt(r0)
+            orders = {(x0, s): _order_of_a_plus_b_y(A, B, R, x0, s) - c
+                      for s in (y0, -y0)}
+        out += [pt for pt, order in orders.items() if order < 0 and order % 3]
+    at_inf = 2 * C.degree - max(2 * P.degree + w for P, w in ((A, 0), (B, R.degree))
+                                if not P.is_zero())
+    if at_inf < 0 and at_inf % 3:
+        out.append("inf")
+    return out
+
+
+def even_octics(p):
+    """Every squarefree monic x^8 + c6 x^6 + c4 x^4 + c2 x^2 + c0 over F_p."""
+    field = PrimeField(p)
+    x = Polynomial.x(field)
+    for c0, c2, c4, c6 in itertools.product(range(p), repeat=4):
+        try:
+            yield SplitCurve(x ** 8 + c6 * x ** 6 + c4 * x ** 4 + c2 * x ** 2 + c0)
+        except FieldError:
+            continue
+
+
+def _check_every_base_point(curve):
+    """parshin_cover at every affine point of the curve: a cover, a typed
+    refusal, or `class is not anti-invariant` (the degree-0 reduction step
+    on the elliptic quotient); each cover has exactly one pole of alpha of
+    order prime to 3, at its branch point.  Returns the covers."""
+    field = curve.field
+    covers = []
+    for x0 in field.elements():
+        val = curve.F.evaluate(x0)
+        if not is_square(val):
+            continue
+        for y0 in {sqrt(val), -sqrt(val)}:
+            try:
+                cover = parshin_cover(curve, x0, y0)
+            except FieldError:
+                continue
+            except ArithmeticError as exc:
+                assert str(exc) == "class is not anti-invariant (or is special)", \
+                    (curve.F, x0, y0)
+                continue
+            bp = cover.branch_point
+            assert _poles_prime_to_3(cover) == [(bp.x, bp.y)], (curve.F, x0, y0)
+            covers.append(cover)
+    return covers
+
+
+@pytest.mark.parametrize("p,sample", [(5, None), (7, 300)])
+def test_every_cover_has_one_branch_point(p, sample):
+    """Every even monic squarefree octic over F_5, and a seeded sample of
+    those over F_7, at every base point: each cover `parshin_cover` returns
+    has been certified on W, and the poles of alpha on X, read
+    independently from the norm, show exactly one of order prime to 3, at
+    the branch point.  Among them are covers with the branch point over
+    x(Q) and at a Weierstrass point of X, which the pole-order series on X
+    refused."""
+    curves = list(even_octics(p))
+    if sample:
+        curves = random.Random(f"one-branch-point:{p}").sample(curves, sample)
+    covers = [c for curve in curves for c in _check_every_base_point(curve)]
+    over_q = [c for c in covers if c.branch_point.x == c.Qt.x * c.Qt.x]
+    weierstrass = [c for c in covers if c.branch_point.y.is_zero()]
+    assert len(covers) > 300 and over_q and weierstrass
+
+
+def test_verify_parshin_cover_refuses_f_branched_over_more_than_one_point():
+    """f = (y + v)/den with F = v^2 + k prod (x^2 - r_i^2), k = 1 - lc(v)^2,
+    and den = prod (x - r_i) has f * i*(f) = -k, a constant, but a simple
+    pole at each (r_i, v(r_i)): the cover is branched over four points."""
+    field = PrimeField(11)
+    x = Polynomial.x(field)
+    rng = random.Random("four-branch-points")
+    while True:
+        roots = rng.sample(range(1, 6), 4)         # r_i^2 distinct, r_i != 0
+        v = rng.randrange(11) + rng.randrange(11) * x ** 2 + 2 * x ** 4
+        den = Polynomial.one(field)
+        for r in roots:
+            den = den * (x - r)
+        k = 1 - v.leading() ** 2
+        try:
+            curve = SplitCurve(v * v + den * den.compose(-x) * k)
+        except FieldError:
+            continue
+        break
+    f = InterpolatedFunction(gp=v, gq=Polynomial.one(field), den=den, lam=-k)
+    A, B, C, sign = _alpha_on_x(curve, f)
+    if sign < 0:
+        f = InterpolatedFunction(gp=-v, gq=-f.gq, den=den, lam=-k)
+    r = field(roots[0])
+    point = CurvePoint(r, v.evaluate(r))
+    cover = ParshinCover(curve_W=curve, X_rhs=_x_model(curve), c=-k, A=A, B=B,
+                         C=C, branch_point=CurvePoint(r * r, r * point.y),
+                         Qt=point, Pt=point, threeE=None, f=f)
+    assert closure_holds(cover)
+    with pytest.raises(ArithmeticError, match="not branched over exactly one point"):
+        verify_parshin_cover(cover)
+
+
+def test_verify_parshin_cover_refuses_a_moved_branch_point():
+    """The golden cover with its branch point moved to the conjugate point
+    of X, or to another point of X, is refused: neither is the image of the
+    pole of f of order prime to 3."""
+    cover = parshin_cover(paper_curve(QQ), 1, 2)
+    P = cover.branch_point
+    assert cover.X_rhs.evaluate(QQ(1)) == QQ(4)
+    for moved in (CurvePoint(P.x, -P.y), CurvePoint(QQ(1), QQ(2))):
+        with pytest.raises(ArithmeticError, match="for Pt over the branch point"):
+            verify_parshin_cover(dataclasses.replace(cover, branch_point=moved))
+
+
+def test_verify_parshin_cover_reads_only_kappa_y_plus_v_over_den():
+    """The certificate reads div f off f = kappa (y + v)/den: the golden f
+    with gp, gq and den all multiplied by x^2 + 1 is the same function, with
+    the same f * i*(f), but its y-coefficient is not constant, and it is
+    refused."""
+    cover = parshin_cover(paper_curve(QQ), 1, 2)
+    even = Polynomial.x(QQ) ** 2 + 1
+    f = cover.f
+    scaled = InterpolatedFunction(gp=f.gp * even, gq=f.gq * even,
+                                  den=f.den * even, lam=f.lam)
+    tampered = dataclasses.replace(cover, f=scaled)
+    assert closure_holds(tampered)
+    with pytest.raises(ArithmeticError, match="not kappa"):
+        verify_parshin_cover(tampered)
