@@ -10,16 +10,15 @@ import random
 import time
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
-from .algebra import (Polynomial, PrimeField, QQ, RationalFunction,
-                      is_irreducible, is_square, sqrt)
+from .algebra import (FieldError, Polynomial, PrimeField, QQ,
+                      RationalFunction, is_irreducible, is_square, sqrt)
 from .analyzer import analyze, pole_orders_of_alpha
 from .catalog import (R322, R3322, R33, R332_CHAR2, R32_CHAR2, R33_PURE3,
                       class_count, enumerate_classes, expected_signature)
 from .descent import (construct, enumerate_descents, make_problem,
-                      serre_count)
+                      serre_count, twists_descent)
 from .function_field import Place, divisor_of
 from .pure_cubic import (count_pure, recursion_iterate, recursion_pair,
                          smallest_irreducible)
@@ -107,51 +106,77 @@ def closure_menu(field):
     ]
 
 
-@lru_cache(maxsize=16)
-def _finite_places(field, max_deg):
-    """The finite places of F_p of degree <= max_deg, by degree, then by
-    low coefficients as `product` lists them; computed once per field."""
-    out = []
-    for d in range(1, max_deg + 1):
-        for low in product(range(field.p), repeat=d):
-            poly = Polynomial(field, list(low) + [1])
-            if is_irreducible(poly):
-                out.append(Place.finite(poly, check=False))
-    return tuple(out)
-
-
-def random_split_places(model, field, rng, count):
-    places = []
-    if model.split_kind(Place.infinity(field)) == "split":
-        places.append(Place.infinity(field))
-    candidates = list(_finite_places(field, 2))
-    rng.shuffle(candidates)
-    for p in candidates:
-        if model.split_kind(p) == "split":
-            places.append(p)
-        if len(places) >= count + 3:
-            break
-    rng.shuffle(places)
-    return places[:count]
-
-
-def random_places(model, field, rng, count, degrees):
-    """count distinct finite places of F_p that split in the quadratic
-    model: for each draw a degree from `degrees`, then a random monic
-    polynomial of that degree, kept when it is irreducible and its place
-    splits and is new.  Unlike `random_split_places` it lists no places
-    beforehand, so the cost does not grow with p^max(degrees); the split
-    places of those degrees must number at least count."""
-    places = []
+def random_places(model, field, rng, count, degrees=(1, 2), infinity=False):
+    """count distinct places of k(x), k a finite field, that split in the
+    quadratic model.  With `infinity`, infinity comes first, half the time,
+    when it splits.  Each further draw takes a degree from `degrees`, then a
+    random monic polynomial of that degree, kept when it is irreducible and
+    its place splits and is new.  No place is listed beforehand, so the cost
+    does not grow with q^max(degrees).  FieldError once every monic
+    polynomial of those degrees has been drawn and fewer than count split."""
+    elems = list(field.elements())
+    inf = Place.infinity(field)
+    split_inf = infinity and model.split_kind(inf) == "split"
+    places = [inf] if split_inf and rng.random() < 0.5 else []
+    drawn = set()
+    total = sum(len(elems) ** d for d in set(degrees))
     while len(places) < count:
+        if len(drawn) == total:
+            raise FieldError(f"fewer than {count} places of degree in "
+                             f"{degrees} split in {model!r}")
         d = rng.choice(degrees)
-        poly = Polynomial(field, [rng.randrange(field.p) for _ in range(d)] + [1])
+        low = tuple(rng.randrange(len(elems)) for _ in range(d))
+        drawn.add(low)
+        poly = Polynomial(field, [elems[i] for i in low] + [field.one])
         if not is_irreducible(poly):
             continue
         place = Place.finite(poly, check=False)
         if place not in places and model.split_kind(place) == "split":
             places.append(place)
     return places
+
+
+def round_trip_failures(closure, T, res) -> list:
+    """What is wrong with the descent res of the quadratic closure with
+    total ramification T: the model must be totally ramified exactly at T
+    and partially exactly at the branch locus, with purely cubic closure
+    the closure; alpha has a simple pole at each place of T and nowhere
+    else; f sigma(f) = c; the c = 1 unit form exists exactly in case_2b,
+    ramified alike, with one double pole and the other poles simple; over
+    a constant closure every twist is ramified alike."""
+    out = []
+    T, branch = set(T), set(closure.branch_places())
+
+    def ramification(model, what):
+        rep = analyze(model)
+        if rep.total_set() != T:
+            out.append(f"{what}: total ramification {rep.total_set()} is not T")
+        if rep.partial_set() != branch:
+            out.append(f"{what}: partial ramification is not the branch locus")
+
+    ramification(res.model, "model")
+    if purely_cubic_closure(res.model) != closure.class_data():
+        out.append("closure round trip failed")
+    orders = pole_orders_of_alpha(res.model)
+    if set(orders) != T or any(v != 1 for v in orders.values()):
+        out.append(f"pole bound broken: {orders}")
+    A, B = res.f_pair
+    d = (closure.f.constant_coeff() if closure.is_constant_extension()
+         else RationalFunction(closure.f))
+    norm = A * A - B * B * d
+    if not (norm.is_constant() and norm.constant_value() == res.c):
+        out.append("f sigma(f) is not the constant c")
+    if (res.unit_form is not None) != (res.case == "case_2b"):
+        out.append(f"case {res.case} with unit form {res.unit_form!r}")
+    elif res.unit_form is not None:
+        o1 = pole_orders_of_alpha(res.unit_form)
+        if set(o1) != T or sorted(o1.values()) != [1] * (len(T) - 1) + [2]:
+            out.append(f"unit form lacks the single double pole: {o1}")
+        ramification(res.unit_form, "unit form")
+    if closure.is_constant_extension():
+        for i, twist in enumerate(twists_descent(res)):
+            ramification(twist, f"twist {i}")
+    return out
 
 
 def criterion_descent_round_trip():
@@ -162,36 +187,18 @@ def criterion_descent_round_trip():
             field = PrimeField(p)
             rng = random.Random(repr((2024, p)))
             menu = closure_menu(field)
-            while done < 25 * ((5, 7, 11, 13).index(p) + 1):
+            while done < 50 * ((5, 7, 11, 13).index(p) + 1):
                 model = menu[rng.randrange(len(menu))]
-                T = random_split_places(model, field, rng, rng.randrange(1, 5))
-                if not T:
-                    continue
+                T = random_places(model, field, rng, rng.randrange(1, 5),
+                                  infinity=True)
                 signs = [rng.choice((1, -1)) for _ in T]
                 res = construct(make_problem(model, T, signs))
                 done += 1
-                rep = analyze(res.model)
-                if rep.total_set() != set(T):
-                    failures.append(f"F{p}: total mismatch for {model!r}, {T}")
-                if rep.partial_set() != set(model.branch_places()):
-                    failures.append(f"F{p}: partial mismatch for {model!r}")
-                if purely_cubic_closure(res.model) != model.class_data():
-                    failures.append(f"F{p}: closure round trip failed")
-                orders = pole_orders_of_alpha(res.model)
-                if set(orders) != set(T) or any(v != 1 for v in orders.values()):
-                    failures.append(f"F{p}: pole bound broken: {orders}")
-                if res.case == "case_2b":
-                    cases_2b += 1
-                    o1 = pole_orders_of_alpha(res.unit_form)
-                    if sorted(o1.values()).count(2) != 1 or max(o1.values()) != 2:
-                        failures.append(f"F{p}: unit form lacks the single -2 pole")
-                    rep1 = analyze(res.unit_form)
-                    if rep1.total_set() != set(T) or rep1.partial_set() != set(model.branch_places()):
-                        failures.append(f"F{p}: unit form ramification mismatch")
-                elif res.unit_form is not None:
-                    failures.append(f"F{p}: unexpected unit form outside case_2b")
+                cases_2b += res.case == "case_2b"
+                failures.extend(f"F{p}: {model!r}, T = {T}: {m}"
+                                for m in round_trip_failures(model, T, res))
         return f"{done} problems, {cases_2b} in case_2b"
-    return _run("descent round trip (100 random problems over F5..F13)", 30.0, body)
+    return _run("descent round trip (200 random problems over F5..F13)", 30.0, body)
 
 
 def criterion_descent_counts():
@@ -200,8 +207,8 @@ def criterion_descent_counts():
         rng = random.Random("criterion4")
         x = Polynomial.x(field)
         closure = QuadraticModel.kummer(x)
-        pool = random_split_places(closure, field, rng, 5)
-        for t in range(1, min(len(pool), 5) + 1):
+        pool = random_places(closure, field, rng, 5)
+        for t in range(1, 6):
             res = enumerate_descents(closure, pool[:t])
             if len(res) != 2 ** (t - 1):
                 failures.append(f"t={t}: {len(res)} descents != 2^(t-1)")
@@ -360,22 +367,15 @@ def criterion_property_suite():
                     if r * r != e:
                         failures.append(f"sqrt wrong in order {fld.order}")
                         break
-        # f sigma(f) constant in a fresh batch of descents
+        # round trips, f sigma(f) = c among them, in a fresh batch of descents
         for p in (5, 7):
             fld = PrimeField(p)
             rng2 = random.Random(f"c9-{p}")
-            for model in closure_menu(fld)[:4]:
-                T = random_split_places(model, fld, rng2, 2)
-                if not T:
-                    continue
+            for model in closure_menu(fld) * 2:
+                T = random_places(model, fld, rng2, 2, infinity=True)
                 res = construct(make_problem(model, T))
-                A, B = res.f_pair
-                if model.is_constant_extension():
-                    norm = A * A - B * B * model.f.constant_coeff()
-                else:
-                    norm = A * A - B * B * RationalFunction(model.f)
-                if not (norm.is_constant() and norm.constant_value() == res.c):
-                    failures.append(f"f sigma(f) not the constant c over F{p}")
+                failures.extend(f"F{p}: {model!r}, T = {T}: {m}"
+                                for m in round_trip_failures(model, T, res))
         # Mumford bilinearity samples mod 11 and 13
         from .hyper import (SplitCurve, classes_equal, mumford_add,
                             mumford_scalar, point_minus_i_point)

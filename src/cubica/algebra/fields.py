@@ -114,11 +114,6 @@ class Element:
         return self.val == other.val
 
     def __hash__(self):
-        # the hash of the constant Polynomial of the value (the zero
-        # Polynomial has no coefficients), though the two never compare
-        # equal: kept because set and dict order can reach outputs
-        if self.is_zero():
-            return hash((self.field._hash,))
         return hash((self.field._hash, self._hash_val()))
 
     def _hash_val(self):
@@ -132,17 +127,24 @@ class Element:
         return self.field.format_element(self.val)
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _factor_int(n):
+    """The (prime, exponent) pairs of an integer n >= 2 in increasing order,
+    by trial division by 2 and then by odd d; none for n < 2.  A generator,
+    so a caller may stop at the first prime found."""
+    d, step = 2, 1
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        e = 0
+        while n % d == 0:
+            e, n = e + 1, n // d
+        if e:
+            yield d, e
+        d, step = d + step, 2
+    if n > 1:
+        yield n, 1
+
+
+def _is_prime(n):
+    return n >= 2 and next(_factor_int(n))[0] == n
 
 
 class PrimeField:

@@ -40,7 +40,8 @@ import math
 import random
 from fractions import Fraction
 
-from .fields import Element, FieldError, PrimeField, RationalField, _pow
+from .fields import (Element, FieldError, PrimeField, RationalField,
+                     _factor_int, _pow)
 
 
 # -- the kernel: payload lists, lowest degree first -------------------------------
@@ -1003,27 +1004,13 @@ def is_irreducible(f: Polynomial) -> bool:
     # d = n/r, r a prime divisor of n; x^(q^d) by iterating the Frobenius
     frob = _Frobenius(field, f.vals)
     x = Polynomial.x(field)
-    coprime_at = {n // r for r in _prime_divisors(n)}
+    coprime_at = {n // r for r, _ in _factor_int(n)}
     h = x
     for d in range(1, n + 1):
         h = _plain(field, frob(h.vals))
         if d in coprime_at and not poly_gcd(f, h - x).is_one():
             return False
     return h == x
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _is_irreducible_over_q(f: Polynomial) -> bool:
@@ -1052,14 +1039,10 @@ def _is_irreducible_over_q(f: Polynomial) -> bool:
 
 
 def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+    """The positive divisors of n, increasing; none for n = 0."""
+    out = [1] if n else []
+    for r, e in _factor_int(abs(n)):
+        out = [d * r ** i for d in out for i in range(e + 1)]
     return sorted(out)
 
 

@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import product
 
 from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
-from .algebra.poly import _prime_divisors
+from .algebra.fields import _factor_int
 from .function_field import Place, value_at
 from .models import CubicModel, sorted_places
 from .quadratic import (ConicParametrization, QuadraticModel, SPLIT,
@@ -397,7 +397,7 @@ def _multiplicative_generator(qfield):
     """The first element of q^* in element order whose order is q - 1: e
     with e^((q - 1)/r) != 1 for every prime r dividing q - 1."""
     n = qfield.order - 1
-    cofactors = [n // r for r in _prime_divisors(n)]
+    cofactors = [n // r for r, _ in _factor_int(n)]
     for e in qfield.elements():
         if e.is_zero():
             continue

@@ -18,6 +18,7 @@ from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       RationalFunction, ResidueField, is_irreducible,
                       is_square, poly_gcd, smallest_nonsquare,
                       sqrt, squarefree_decomposition, trace_to_f2)
+from .algebra.fields import _factor_int
 from .function_field import Place, place_factors, pole_divisor, value_at
 from .models import CubicModel
 
@@ -31,19 +32,11 @@ def _squarefree_int(n: int) -> int:
     """Signed squarefree part of an integer."""
     if n == 0:
         raise ZeroDivisionError("square class of zero")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2 == 1:
-            out *= d
-        d += 1
-    return sign * out * n
+    out = -1 if n < 0 else 1
+    for r, e in _factor_int(abs(n)):
+        if e % 2:
+            out *= r
+    return out
 
 
 def canonical_square_const(c: Element) -> Element:

@@ -1,8 +1,10 @@
 """Field, polynomial and residue-field arithmetic against brute-force oracles."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import islice, product
+from math import isqrt
 
 import pytest
 
@@ -11,10 +13,12 @@ from cubica.algebra import (Element, FunctionField, Polynomial, PrimeField, QQ,
                             FieldError, is_irreducible, is_square, poly_factor,
                             poly_gcd, poly_xgcd, pow_mod, smallest_nonsquare,
                             sqrt, squarefree_decomposition, trace_to_f2)
-from cubica.algebra.poly import _divmod, _mul, _rem, _taylor_shift
+from cubica.algebra.fields import _factor_int, _is_prime
+from cubica.algebra.poly import _divisors, _divmod, _mul, _rem, _taylor_shift
 from cubica.function_field import Place
 from cubica.hyper import MumfordClass
-from cubica.quadratic import ASClass, SquareClass, canonical_quadratic_field
+from cubica.quadratic import (ASClass, SquareClass, _squarefree_int,
+                              canonical_quadratic_field)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -42,6 +46,68 @@ def test_prime_field_rejects_three_and_composites():
         PrimeField(3)
     with pytest.raises(Exception):
         PrimeField(6)
+
+
+def _ref_is_prime(n):
+    return n == 2 or (n > 2 and n % 2 == 1
+                      and all(n % d for d in range(3, isqrt(n) + 1, 2)))
+
+
+def _ref_prime_divisors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _ref_divisors(n):
+    n = abs(n)
+    return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
+
+
+def _ref_squarefree_int(n):
+    sign, n, out, d = -1 if n < 0 else 1, abs(n), 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        out *= d if e % 2 else 1
+        d += 1
+    return sign * out * n
+
+
+def test_one_integer_factorization_gives_the_four_trial_divisions():
+    """Primality, prime divisors, divisors and the signed squarefree part,
+    all read off `_factor_int`, against one trial-division loop each, on
+    every n in [-1000, 10^4], the benchmark's primes and seeded n up to 10^18
+    (two factors below 10^9, one 1000-smooth, so the references stay fast;
+    the O(sqrt n) divisor reference stops at 10^10); and a composite with a
+    small factor is refused at its first prime, not after 5 * 10^8 divisions."""
+    rng = random.Random("factor-int")
+    smooth = [1]
+    for _ in range(60):
+        s = 1
+        while s * 1000 < 10 ** 9:
+            s *= rng.randrange(2, 1000)
+        smooth.append(s)
+    big = [s * rng.randrange(1, 10 ** 9) for s in smooth]
+    primes = [5, 7, 11, 13, 101, 257, 1009, 998244353, 10 ** 9 + 7, 10 ** 9 + 9]
+    mid = [rng.randrange(10 ** 10) for _ in range(20)]
+    for n in list(range(-1000, 10 ** 4 + 1)) + big + primes + [p - 1 for p in primes]:
+        assert _is_prime(n) == _ref_is_prime(n), n
+        assert [r for r, _ in _factor_int(n)] == _ref_prime_divisors(n), n
+        if n:
+            assert _squarefree_int(n) == _ref_squarefree_int(n), n
+    for n in list(range(-1000, 10 ** 4 + 1)) + mid + primes:
+        assert _divisors(n) == _ref_divisors(n), n
+    with pytest.raises(ZeroDivisionError):
+        _squarefree_int(0)
+    start = time.perf_counter()
+    assert not _is_prime(2 * (10 ** 18 + 3)) and time.perf_counter() - start < 1.0
 
 
 def test_poly_gcd_examples():

@@ -13,7 +13,7 @@ from cubica.cli import main
 from cubica.descent import DescentProblem, UpstairsChoice, construct, make_problem
 from cubica.function_field import Place, genus_of_cubic, valuation
 from cubica.models import CubicModel
-from cubica.acceptance import closure_menu, random_places, random_split_places
+from cubica.acceptance import closure_menu, random_places
 from cubica.quadratic import SPLIT, QuadraticModel, canonical_quadratic_field
 
 F5 = PrimeField(5)
@@ -66,12 +66,10 @@ def test_analyze_against_upstairs_valuations(p):
     field = PrimeField(p)
     rng = random.Random(f"oracle-{p}")
     checked = 0
-    for model in closure_menu(field):
+    for model in closure_menu(field) * 3:
         if model.is_constant_extension():
             continue
-        T = random_split_places(model, field, rng, 2)
-        if not T:
-            continue
+        T = random_places(model, field, rng, 2, infinity=True)
         res = construct(make_problem(model, T))
         par = model.parametrize()
         # rebuild f on the m-line from the reported pair: f = A + B y
@@ -83,7 +81,7 @@ def test_analyze_against_upstairs_valuations(p):
             v = valuation(f_m, up)
             assert v % 3 != 0, (model, ch.place)
         # and at upstairs places over a random unramified split place: v = 0 mod 3
-        others = random_split_places(model, field, rng, 3)
+        others = random_places(model, field, rng, 3, infinity=True)
         for q_place in others:
             if q_place in [ch.place for ch in res.problem.choices]:
                 continue

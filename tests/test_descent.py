@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from cubica.acceptance import closure_menu, random_places
+from cubica.acceptance import closure_menu, random_places, round_trip_failures
 from cubica.algebra import (QQ, FieldError, Polynomial, PrimeField,
                             RationalFunction, is_irreducible, smallest_nonsquare)
 from cubica.analyzer import analyze, pole_orders_of_alpha
@@ -19,7 +19,7 @@ from cubica.function_field import Place
 from cubica.models import CubicModel
 from cubica.pure_cubic import count_pure
 from cubica.quadratic import (QuadraticModel, SquareClass,
-                              canonical_quadratic_field, purely_cubic_closure)
+                              canonical_quadratic_field)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -209,74 +209,27 @@ def test_construct_refuses_a_wrong_rho_at_infinity(p):
 # -- random round trips --------------------------------------------------------------
 
 
-def _random_split_places(model, field, rng, max_deg=2, count=3, allow_inf=True):
-    from itertools import product as iproduct
-    places = []
-    if allow_inf and model.split_kind(Place.infinity(field)) == "split":
-        places.append(Place.infinity(field))
-    polys = []
-    for d in range(1, max_deg + 1):
-        for low in iproduct(range(field.p), repeat=d):
-            poly = Polynomial(field, [field(c) for c in low] + [field.one])
-            if is_irreducible(poly):
-                polys.append(poly)
-    rng.shuffle(polys)
-    for poly in polys:
-        p = Place.finite(poly, check=False)
-        if model.split_kind(p) == "split":
-            places.append(p)
-        if len(places) >= count + 2:
-            break
-    rng.shuffle(places)
-    return places[:count]
-
-
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_descent_round_trip_random(p):
     field = PrimeField(p)
     rng = random.Random(100 + p)
-    trials = 0
     for model in closure_menu(field):
-        branch = set(model.branch_places())
-        for _ in range(5):
-            T = _random_split_places(model, field, rng,
-                                     count=rng.randrange(1, 5))
-            if not T or len(set(T)) != len(T):
-                continue
+        for _ in range(10):
+            T = random_places(model, field, rng, rng.randrange(1, 5), infinity=True)
             signs = [rng.choice((1, -1)) for _ in T]
             res = construct(make_problem(model, T, signs))
-            trials += 1
-            rep = analyze(res.model)
-            assert rep.total_set() == set(T), (model, T)
-            assert rep.partial_set() == branch, (model, T)
-            # closure round trip
-            assert purely_cubic_closure(res.model) == model.class_data()
-            # pole bound: all simple for the minimal model
-            orders = pole_orders_of_alpha(res.model)
-            assert set(orders) == set(T)
-            assert all(v == 1 for v in orders.values())
-            if res.case == "case_2b":
-                o1 = pole_orders_of_alpha(res.unit_form)
-                assert sorted(o1.values()) in ([2], [1] * (len(T) - 1) + [2])
-                assert sum(1 for v in o1.values() if v == 2) == 1
-            # f sigma(f) is the constant c
-            A, B = res.f_pair
-            a_r, b_r = _generator_minpoly(model)
-            norm = A * A + a_r * A * B - b_r * B * B
-            assert norm.is_constant() and norm.constant_value() == res.c
-    assert trials >= 20
+            assert round_trip_failures(model, T, res) == [], (model, T, signs)
 
 
 @pytest.mark.parametrize("p", [101, 257])
 def test_descent_round_trip_sweep_large_q(p):
     """Seeded places of degree 2-4 (and infinity when it splits, half the
     time) over F_101 and F_257, every closure of the menu and every sign
-    choice: construct -> analyze -> purely_cubic_closure."""
+    choice: the whole round trip of `round_trip_failures`."""
     field = PrimeField(p)
     rng = random.Random(f"sweep:{p}")
     trips = 0
     for model in closure_menu(field):
-        branch = set(model.branch_places())
         for count in (1, 2, 3, 3):
             T = random_places(model, field, rng, count, (2, 3, 4))
             inf = Place.infinity(field)
@@ -284,77 +237,61 @@ def test_descent_round_trip_sweep_large_q(p):
                 T.append(inf)
             for signs in product((1, -1), repeat=len(T)):
                 res = construct(make_problem(model, T, list(signs)))
-                rep = analyze(res.model)
-                assert rep.total_set() == set(T), (model, T, signs)
-                assert rep.partial_set() == branch, (model, T, signs)
-                assert purely_cubic_closure(res.model) == model.class_data()
+                assert round_trip_failures(model, T, res) == [], (model, T, signs)
                 trips += 1
     assert trips >= 130
-
-
-def _random_split_places_over(model, field, rng, count):
-    """count distinct split places of degree 1 or 2 over any finite field,
-    infinity first, half the time, when it splits."""
-    elems = list(field.elements())
-    inf = Place.infinity(field)
-    places = [inf] if model.split_kind(inf) == "split" and rng.random() < 0.5 else []
-    while len(places) < count:
-        d = rng.choice((1, 2))
-        poly = Polynomial(field, [rng.choice(elems) for _ in range(d)] + [field.one])
-        if not is_irreducible(poly):
-            continue
-        place = Place.finite(poly, check=False)
-        if place not in places and model.split_kind(place) == "split":
-            places.append(place)
-    return places
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_descent_round_trip_sweep_over_f_p2(p):
     """Seeded sweep over F_{p^2}: every conic closure of the menu (y^2 = f,
-    deg f = 1, 2) with 1-3 split places of degree <= 2 and infinity:
-    construct -> analyze -> purely_cubic_closure, reaching all three
-    divisor shapes."""
+    deg f = 1, 2) with 1-3 split places of degree <= 2 and infinity: the
+    whole round trip of `round_trip_failures`, reaching all three divisor
+    shapes."""
     field = canonical_quadratic_field(PrimeField(p))
     rng = random.Random(f"sweep-p2:{p}")
     cases = set()
     for model in closure_menu(field)[1:]:
-        branch = set(model.branch_places())
         for _ in range(6):
-            T = _random_split_places_over(model, field, rng, rng.randrange(1, 4))
+            T = random_places(model, field, rng, rng.randrange(1, 4), infinity=True)
             signs = [rng.choice((1, -1)) for _ in T]
             res = construct(make_problem(model, T, signs))
             cases.add(res.case)
-            rep = analyze(res.model)
-            assert rep.total_set() == set(T), (model, T, signs)
-            assert rep.partial_set() == branch, (model, T, signs)
-            assert purely_cubic_closure(res.model) == model.class_data()
+            assert round_trip_failures(model, T, res) == [], (model, T, signs)
     assert cases == {"even", "odd_stable_point", "case_2b"}
 
 
 def test_random_places_draws_degree_4_over_f101():
-    """Split places of degree 4 over F_101, where `random_split_places`
-    would first test all 101^4 monic quartics; one round trip on each
-    closure of the menu."""
-    field = PrimeField(101)
-    rng = random.Random("degree-4")
-    for model in closure_menu(field):
-        T = random_places(model, field, rng, 2, (4,))
-        assert len(set(T)) == 2
-        for place in T:
-            assert place.degree == 4 and is_irreducible(place.poly)
-            assert model.split_kind(place) == "split"
-        rep = analyze(construct(make_problem(model, T)).model)
-        assert rep.total_set() == set(T)
-        assert rep.partial_set() == set(model.branch_places())
+    """Split places of degree 4 over F_101, and over F_{5^2} with infinity
+    half the time when it splits, drawn without listing the 101^4 or 25^4
+    monic quartics first; one round trip on each closure of the menu (a
+    constant closure is built over a prime field only)."""
+    F25 = canonical_quadratic_field(F5)
+    for field, menu, infinity, seed in (
+            (PrimeField(101), closure_menu(PrimeField(101)), False, "degree-4"),
+            (F25, closure_menu(F25)[1:], True, "degree-4:F25")):
+        rng = random.Random(seed)
+        for model in menu:
+            T = random_places(model, field, rng, 2, (4,), infinity=infinity)
+            assert len(set(T)) == 2
+            for place in T:
+                assert model.split_kind(place) == "split"
+                assert (infinity and place.infinite) or (
+                    place.degree == 4 and is_irreducible(place.poly))
+            res = construct(make_problem(model, T))
+            assert round_trip_failures(model, T, res) == [], (model, T)
 
 
-def _generator_minpoly(model):
-    field = model.field
-    if model.is_constant_extension():
-        return (RationalFunction.zero(field),
-                RationalFunction.from_const(field, model.f.constant_coeff()))
-    return RationalFunction.zero(field), RationalFunction(model.f)
+def test_random_places_refuses_when_too_few_places_split():
+    """Odd-degree places are inert in a constant extension: once all five
+    monic linear polynomials over F_5 are drawn, the sampler refuses; with
+    degree 2 allowed it finds them."""
+    closure = QuadraticModel.constant(F5, F5(2))
+    with pytest.raises(FieldError, match="fewer than 1 places"):
+        random_places(closure, F5, random.Random(0), 1, (1,))
+    with pytest.raises(FieldError, match="fewer than 11 places"):
+        random_places(closure, F5, random.Random(0), 11, (1, 2))
+    assert len(random_places(closure, F5, random.Random(0), 10, (1, 2))) == 10
 
 
 def test_flipping_all_signs_gives_same_alpha():
@@ -362,11 +299,8 @@ def test_flipping_all_signs_gives_same_alpha():
     exactly, in every divisor case."""
     rng = random.Random(3)
     for field in (F5, F7):
-        from cubica.acceptance import closure_menu, random_split_places
-        for M in closure_menu(field):
-            T = random_split_places(M, field, rng, rng.randrange(1, 4))
-            if not T:
-                continue
+        for M in closure_menu(field) * 2:
+            T = random_places(M, field, rng, rng.randrange(1, 4), infinity=True)
             res_plus = construct(make_problem(M, T, [1] * len(T)))
             res_minus = construct(make_problem(M, T, [-1] * len(T)))
             assert res_plus.model.alpha == res_minus.model.alpha, (M, T)
@@ -381,7 +315,7 @@ def test_enumerate_descents_counts():
     one = enumerate_descents(M, [Place.finite(x ** 2 + 2)])
     assert len(one) == 1
     Kx = QuadraticModel.kummer(x)
-    T3 = _random_split_places(Kx, F5, random.Random(11), count=3, allow_inf=False)
+    T3 = random_places(Kx, F5, random.Random(11), 3, (2,))
     assert len(T3) == 3
     res = enumerate_descents(Kx, T3)
     assert len(res) == 4
@@ -396,7 +330,7 @@ def test_enumerate_descents_counts():
 def test_enumerate_matches_serre():
     x = x_of(F5)
     Kx = QuadraticModel.kummer(x)
-    pool = _random_split_places(Kx, F5, random.Random(17), count=3, allow_inf=False)
+    pool = random_places(Kx, F5, random.Random(17), 3)
     for t in (1, 2, 3):
         T = pool[:t]
         assert len(enumerate_descents(Kx, T)) == serre_count(2, t)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.acceptance import random_split_places
+from cubica.acceptance import random_places
 from cubica.algebra import (Polynomial, PrimeField, QQ, RationalFunction,
                             is_square, smallest_nonsquare)
 from cubica.descent import (_at_m, _norm, _pair, _sigma_quotient, construct,
@@ -196,7 +196,7 @@ def test_constant_closure_matches_the_q_reference(p):
     rng = random.Random(f"descent-eval:constant:{p}")
     twisted = 0
     for count in (1, 1, 2, 2, 3, 3, 4):
-        T = random_split_places(closure, field, rng, count)
+        T = random_places(closure, field, rng, count)
         res = construct(make_problem(closure, T, [rng.choice((1, -1)) for _ in T]))
         theta = Polynomial.one(q)
         for ch in res.problem.choices:
