@@ -4,15 +4,12 @@ polynomials.
 A matrix is a list of rows, each a list of the field's payloads (an int in
 [0, p) over F_p, a coefficient tuple over a residue field, a Fraction over
 Q, ...), the layout ``poly.py`` keeps coefficients in; the vectors returned
-are payload lists too.  Over F_p, chosen by the field's type, elimination
-runs on raw ints with one reduction mod p per entry; other fields go
-through the payload protocol (``_sub``/``_mul``/``_inv``).  Sizes here are
-tiny, so this is plain Gauss-Jordan elimination with field division.
+are payload lists too.  One elimination loop serves every field through
+the payload protocol (``_sub``/``_mul``/``_inv``).  Sizes here are tiny, so
+this is plain Gauss-Jordan elimination with field division.
 """
 
 from __future__ import annotations
-
-from .fields import PrimeField
 
 
 def _rref(F, rows, ncols):
@@ -20,8 +17,7 @@ def _rref(F, rows, ncols):
     columns, in place; returns the pivot column list.  Rows are replaced,
     never mutated, so the caller's row lists may be shared."""
     zero = F._zero_val()
-    prime = isinstance(F, PrimeField)
-    sub, mul, p = F._sub, F._mul, F.p if prime else None
+    sub, mul = F._sub, F._mul
     pivots = []
     r = 0
     for c in range(ncols):
@@ -30,20 +26,12 @@ def _rref(F, rows, ncols):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        if prime:
-            inv = pow(rows[r][c], -1, p)
-            prow = rows[r] = [e * inv % p for e in rows[r]]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-        else:
-            inv = F._inv(rows[r][c])
-            prow = rows[r] = [mul(e, inv) for e in rows[r]]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f != zero and i != r:
-                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, prow)]
+        inv = F._inv(rows[r][c])
+        prow = rows[r] = [mul(e, inv) for e in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f != zero and i != r:
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -7,19 +7,21 @@ tuple over a residue field (F_{p^2} included), a RationalFunction over
 k(t).  Arithmetic runs on these lists through the field's payload protocol
 (``_add``/``_sub``/``_mul``/``_inv``/``_zero_val``); the kernels also take
 tuples, on which a residue field runs its own arithmetic.  Over F_p the
-product and the long division run on raw ints with one reduction mod p per
-output coefficient.  A polynomial over Q (a ``_QPolynomial``) stores the
-integer form ``q``: integer numerators over one positive denominator, the
-layout of FLINT's ``fmpq_poly``.  Its arithmetic, ``==``, degree and
-predicates, ``evaluate``, ``poly_gcd`` and ``poly_xgcd`` run on that form
-(pseudo-division, Knuth's Algorithm R, for the division) and reduce each
-result by one content gcd; ``vals``, the lowest-terms Fractions, is built
-only when something reads it (``coeffs``, ``hash``, ``sort_key``, ``repr``,
-an encoder).  Lists of Fractions handed to the payload kernels (by residue
-fields over Q and the Riemann-Roch rows) pass through the same integer
-loops.  ``Element``s appear only at the boundary: the constructor
-takes them, ``coeffs``, ``leading()``, ``constant_coeff()``, ``f[i]`` and
-``evaluate`` return them, and ``map_coeffs`` hands them to its function.
+product, the long division, the remainder and the Frobenius map run on raw
+ints with one reduction mod p per output coefficient; every other kernel
+runs one loop on every field.  A polynomial over Q (a ``_QPolynomial``)
+stores the integer form ``q``: integer numerators over one positive
+denominator, the layout of FLINT's ``fmpq_poly``.  Its arithmetic, ``==``,
+degree and predicates, ``evaluate``, ``poly_gcd`` and ``poly_xgcd`` run on
+that form (pseudo-division, Knuth's Algorithm R, for the division) and
+reduce each result by one content gcd; ``vals``, the lowest-terms
+Fractions, is built only when something reads it (``coeffs``, ``hash``,
+``sort_key``, ``repr``, an encoder).  Lists of Fractions handed to the
+payload kernels (by residue fields over Q and the Riemann-Roch rows) run
+the generic payload loops.  ``Element``s appear only at the boundary: the
+constructor takes them, ``coeffs``, ``leading()``, ``constant_coeff()``,
+``f[i]`` and ``evaluate`` return them, and ``map_coeffs`` hands them to
+its function.
 
 Factorization over finite fields runs squarefree / distinct-degree /
 equal-degree splitting.  The factors are unique and sorted canonically, so
@@ -244,8 +246,6 @@ def _mul(F, a, b):
                     out[j] += x * y
         p = F.p
         return [c % p for c in out]
-    if isinstance(F, RationalField):
-        return _q_vals(_q_mul(_q_form(a), _q_form(b)))
     add, mul, zero = F._add, F._mul, F._zero_val()
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -270,9 +270,6 @@ def _divmod(F, a, b):
                 for i, y in enumerate(low, k):
                     r[i] -= c * y
         return q, _trim([x % p for x in r[:n]], 0)
-    if isinstance(F, RationalField):
-        q, r = _q_divmod(_q_form(a), _q_form(b))
-        return _q_vals(q), _q_vals(r)
     r, low, inv = list(a), b[:-1], F._inv(b[-1])
     sub, mul, zero = F._sub, F._mul, F._zero_val()
     q = [zero] * (len(a) - n)
@@ -311,12 +308,6 @@ def _taylor_shift(F, a, c):
     trimmed output."""
     b = list(a)
     n = len(b)
-    if isinstance(F, PrimeField):
-        p = F.p
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                b[j] = (b[j] + c * b[j + 1]) % p
-        return b
     add, mul = F._add, F._mul
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):

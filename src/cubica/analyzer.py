@@ -25,16 +25,15 @@ def _odd(m):
     return m % 2 == 1
 
 
-def analyze(model: CubicModel, hints=None) -> RamificationReport:
+def analyze(model: CubicModel) -> RamificationReport:
     """Full ramification report of a cubic model; raises on degenerate input.
 
-    The places come from `place_factors` with the caller's hints, or else
-    the model's (a descent model carries the places of T and of the branch
-    locus).  Irreducible hints never change the report: a hint that
-    divides is a place with its full multiplicity, and over a finite field
-    what no hint divides is factored."""
-    if hints is None:
-        hints = model.hints
+    The places come from `place_factors` with the model's hints (a descent
+    model carries the places of T and of the branch locus).  Irreducible
+    hints never change the report: a hint that divides is a place with its
+    full multiplicity, and over a finite field what no hint divides is
+    factored."""
+    hints = model.hints
     field = model.base
     char = field.char
     meta = {}
@@ -77,11 +76,10 @@ def analyze(model: CubicModel, hints=None) -> RamificationReport:
     return RamificationReport(total=total, partial=partial, genus=genus, metadata=meta)
 
 
-def verify_against(model: CubicModel, expected_total, expected_partial,
-                   hints=None):
+def verify_against(model: CubicModel, expected_total, expected_partial):
     """(ok, diff): set comparison of the computed ramification against the
     expected one, with a structured diff on mismatch."""
-    report = analyze(model, hints=hints)
+    report = analyze(model)
     got_t, got_s = report.total_set(), report.partial_set()
     want_t, want_s = set(expected_total), set(expected_partial)
     diff = {}
@@ -94,10 +92,10 @@ def verify_against(model: CubicModel, expected_total, expected_partial,
     return (not diff), diff
 
 
-def pole_orders_of_alpha(model: CubicModel, hints=None):
+def pole_orders_of_alpha(model: CubicModel):
     """{place: -v_p(alpha)} over the poles of alpha (impure models), read
-    off alpha.den with the caller's hints, or else the model's; exact for
-    any irreducible hints, as in `analyze`."""
+    off alpha.den with the model's hints; exact for any irreducible hints,
+    as in `analyze`."""
     if model.kind != "impure":
         raise FieldError("pole orders are reported for impure models")
-    return pole_divisor(model.alpha, model.hints if hints is None else hints)
+    return pole_divisor(model.alpha, model.hints)

@@ -10,6 +10,7 @@ and takes no seed, so equal input gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -121,13 +122,12 @@ def cmd_descend(args):
 def cmd_analyze(args):
     field = field_from_spec(args.field)
     model = decode_cubic_model(field, _load_json(args.model, "model"))
-    hints = None
     if args.hints:
         # a reducible hint would be reported as one place
-        hints = [Place.finite(decode_poly(field, h)).poly
-                 for h in _load_json(args.hints, "hints")]
-    report = analyze(model, hints=hints)
-    return _emit(encode_report(report))
+        model = dataclasses.replace(model, hints=tuple(
+            Place.finite(decode_poly(field, h)).poly
+            for h in _load_json(args.hints, "hints")))
+    return _emit(encode_report(analyze(model)))
 
 
 # -- bitwists -------------------------------------------------------------------------

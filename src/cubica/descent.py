@@ -83,7 +83,6 @@ class DescentResult:
     closure: QuadraticModel
     problem: DescentProblem
     unit_form: CubicModel = None   # case_2b: the classical c = 1 model
-    lam: Element = None            # the constant f * sigma(f)
 
     @cached_property
     def theta(self) -> tuple:
@@ -198,8 +197,7 @@ def _finish(problem, case, theta, c, ell=None, unit_alpha=None) -> DescentResult
     f_t = _sigma_quotient(theta[0], theta[1], f)
     if ell is not None:
         f_t = _times(ell, f_t, f)
-    lam = _norm(f_t, f, "f * sigma(f) is not constant (internal error)")
-    if lam != c:
+    if _norm(f_t, f, "f * sigma(f) is not constant (internal error)") != c:
         raise ArithmeticError("f * sigma(f) differs from the expected constant")
     alpha = RationalFunction(f_t[0] * (closure.field(2) * c), f_t[2])
     unit_form = (None if unit_alpha is None
@@ -207,7 +205,7 @@ def _finish(problem, case, theta, c, ell=None, unit_alpha=None) -> DescentResult
     return DescentResult(model=CubicModel.impure(c, alpha, hints), case=case, c=c,
                          theta_triple=theta, f_triple=f_t,
                          closure=closure, problem=problem,
-                         unit_form=unit_form, lam=lam)
+                         unit_form=unit_form)
 
 
 # ---------------------------------------------------------------------------

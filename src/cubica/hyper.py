@@ -40,8 +40,9 @@ from `coeff_vec`).
 The Riemann-Roch engine runs on payloads, like the kernel of
 `algebra.poly`: the series S (`sqrt_series` caches it), the condition rows
 of `coeff_vec` and of the infinite points, and the kernel vectors from
-`linalg.kernel_basis` are lists of field payloads, with raw int loops over
-F_p.  Elements and Polynomials appear only at the API: classes and the
+`linalg.kernel_basis` are lists of field payloads.  The series root runs
+on integers over Q and through the payload protocol over every other
+field.  Elements and Polynomials appear only at the API: classes and the
 triples of `rr_space`.
 """
 
@@ -51,8 +52,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Element, FieldError, Polynomial, PrimeField,
-                      RationalField, poly_gcd, poly_xgcd, sqrt)
+from .algebra import (Element, FieldError, Polynomial, RationalField,
+                      poly_gcd, poly_xgcd, sqrt)
 from .algebra.linalg import kernel_basis
 from .algebra.poly import _poly, _rem, _taylor_shift, _trim
 
@@ -66,7 +67,8 @@ def _series_sqrt(F, a, prec):
     """The first prec coefficients of the square root s of a payload series a
     over F with a[0] = 1, s[0] = 1, by the recurrence
     2 s_n = a_n - sum_{0<k<n} s_k s_(n-k) (no division by n, so it holds
-    whatever the characteristic, 2 apart); over F_p and Q on raw ints."""
+    whatever the characteristic, 2 apart); on integers over Q, through the
+    payload protocol over every other field."""
     one, zero = F._one_val(), F._zero_val()
     if a[0] != one:
         raise FieldError("series sqrt needs constant term 1")
@@ -87,15 +89,6 @@ def _series_sqrt(F, a, prec):
                 acc -= T[n // 2] * T[n // 2]
             T.append(acc // 2)
             out.append(Fraction(T[n], scale))
-        return out
-    if isinstance(F, PrimeField):
-        p = F.p
-        half = pow(2, -1, p)
-        for n in range(1, prec):
-            acc = a[n] if n < len(a) else 0
-            for k in range(1, n):
-                acc -= out[k] * out[n - k]
-            out.append(acc * half % p)
         return out
     sub, mul = F._sub, F._mul
     half = F._inv(F._add(one, one))

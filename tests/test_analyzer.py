@@ -2,6 +2,7 @@
 inverse-generator symmetry for pure models, and structured diffs."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -303,7 +304,8 @@ def _divides_none(poly, model):
 
 
 def _answers(model, hints):
-    return analyze(model, hints), pole_orders_of_alpha(model, hints)
+    model = replace(model, hints=hints)
+    return analyze(model), pole_orders_of_alpha(model)
 
 
 @pytest.mark.parametrize("field", [PrimeField(101), PrimeField(257),
@@ -333,7 +335,7 @@ def test_hints_never_change_the_answer(field):
                 extra += (h,)
         mixed = list(own + extra)
         rng.shuffle(mixed)
-        want = _answers(model, None)
+        want = _answers(model, own)
         for hints in ((), own + extra, tuple(mixed), own[::-1]):
             report, poles = _answers(model, hints)
             assert report == want[0], (model, hints)

@@ -49,6 +49,18 @@ def test_a_gain_inside_the_base_spread_is_not_clear():
     assert not s["ms"]["clear_gain"]
 
 
+def test_a_loss_is_checked_against_the_bound():
+    pairs = [pair(100, 70, 10.0, 11.0) for _ in range(10)]
+    s = bench_pairs._summary(pairs, METRICS)
+    assert s["rate"]["worse_by"] == pytest.approx(0.3)
+    assert not s["rate"]["within_bound"]
+    assert s["ms"]["worse_by"] == pytest.approx(0.1) and s["ms"]["within_bound"]
+    pairs = [pair(100, 90, 10.0, 9.0) for _ in range(10)]
+    s = bench_pairs._summary(pairs, METRICS)
+    assert s["rate"]["worse_by"] == pytest.approx(0.1) and s["rate"]["within_bound"]
+    assert s["ms"]["worse_by"] == pytest.approx(-0.1) and s["ms"]["within_bound"]
+
+
 def needs_git_checkout():
     if subprocess.run(["git", "rev-parse", "HEAD"], cwd=bench_pairs.ROOT,
                       capture_output=True).returncode != 0:

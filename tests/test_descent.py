@@ -3,6 +3,7 @@ against the explicit formulas), round trips through the analyzer, counts,
 twists and the character-sum cross count."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -185,7 +186,7 @@ def test_construct_takes_a_witness_over_q():
     with pytest.raises(FieldError, match="caller-certified"):
         make_problem(closure, [place])
     res = construct(_one_choice(closure, place, place.residue_field(2)))
-    assert analyze(res.model, hints=[x - 4, x]).total_set() == {place}
+    assert analyze(replace(res.model, hints=(x - 4, x))).total_set() == {place}
     with pytest.raises(FieldError, match="caller-certified"):
         construct(_one_choice(closure, place, place.residue_field(3)))
 

@@ -58,7 +58,9 @@ def _unread_parameters(tree):
     """(function, parameter, line) for each parameter that the function's
     body never reads.  A method's first parameter (self or cls), dunder
     methods (their signature is Python's) and the CLI's ``cmd_*`` handlers
-    (they share the ``args.fn(args)`` dispatch signature) are exempt."""
+    (they share the ``args.fn(args)`` dispatch signature) are exempt.  The
+    target of an augmented assignment (``x += ...``) is read: the statement
+    reads it before it stores."""
     methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                for item in node.body
                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
@@ -75,11 +77,19 @@ def _unread_parameters(tree):
                      for d in node.decorator_list)
         if id(node) in methods and not static:
             params = params[1:]
-        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+        body = [n for stmt in node.body for n in ast.walk(stmt)]
+        read = {n.id for n in body
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in body
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
         for p in params:
             if p.arg not in read:
                 yield name, p.arg, node.lineno
+
+
+def test_an_augmented_assignment_reads_its_target():
+    tree = ast.parse("def f(x):\n    x += [1]\n\ndef g(y):\n    return 1\n")
+    assert list(_unread_parameters(tree)) == [("g", "y", 4)]
 
 
 def test_every_parameter_is_read():

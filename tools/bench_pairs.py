@@ -18,11 +18,14 @@ A run that is not `correct` stops the script with exit status 1.
 Otherwise the file gets (or replaces) one entry per workload and seed list:
 each pair's run and census digests on both sides, the per-pair values of
 every end-to-end metric of `BENCHMARK.json`, each side's median and
-quartiles, the change's wins (ties count for neither) and whether the gain
-is clear: wins in at least nine tenths of the pairs and a median gap wider
-than the base's interquartile range.  Each entry also records the Python
-version, the machine, both revisions (with the paths `git status` lists as
-edited) and the run settings.  If the digests of any pair differ between
+quartiles, the change's wins (ties count for neither), whether the gain
+is clear (wins in at least nine tenths of the pairs and a median gap wider
+than the base's interquartile range), and whether a loss stays within the
+metric's bound: `worse_by` is the change median's shortfall against the
+base median in the metric's bad direction, over the base median (<= 0 when
+the change is better), and `within_bound` is `worse_by <= bound`.  Each
+entry also records the Python version, the machine, both revisions (with
+the paths `git status` lists as edited) and the run settings.  If the digests of any pair differ between
 the sides, the script exits with status 1 after writing the file.
 """
 
@@ -129,6 +132,7 @@ def _summary(pairs, metrics) -> dict:
         bq, cq = _quartiles(base), _quartiles(change)
         gain = (cq["median"] - bq["median"]) * (1 if higher else -1)
         iqr = bq["q3"] - bq["q1"]
+        worse_by = -gain / bq["median"] if bq["median"] else None
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "base": bq, "change": cq,
@@ -136,6 +140,8 @@ def _summary(pairs, metrics) -> dict:
             "change_wins": wins, "pairs": len(pairs),
             "median_gain": gain, "base_iqr": iqr,
             "clear_gain": wins * 10 >= 9 * len(pairs) and gain > iqr,
+            "worse_by": worse_by,
+            "within_bound": worse_by is not None and worse_by <= m["bound"],
         }
     return out
 
