@@ -1,5 +1,5 @@
-"""Small exact linear algebra over any field: kernels, solving, minimal
-polynomials.
+"""Small exact linear algebra over any field: solving and minimal
+polynomials, for the residue fields' `min_poly`.
 
 A matrix is a list of rows, each a list of the field's payloads (an int in
 [0, p) over F_p, a coefficient tuple over a residue field, a Fraction over
@@ -37,27 +37,6 @@ def _rref(F, rows, ncols):
         if r == len(rows):
             break
     return pivots
-
-
-def kernel_basis(F, rows, ncols):
-    """Basis of the right kernel of the matrix, as payload vectors.
-
-    The basis is the canonical one from reduced row echelon form (one vector
-    per free column, deterministic)."""
-    work = list(rows)
-    pivots = _rref(F, work, ncols)
-    pivot_set = set(pivots)
-    zero, one = F._zero_val(), F._one_val()
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = F._neg(work[r][fc])
-        basis.append(vec)
-    return basis
 
 
 def solve(F, rows, rhs, ncols):

@@ -17,8 +17,7 @@ that form (pseudo-division, Knuth's Algorithm R, for the division) and
 reduce each result by one content gcd; ``vals``, the lowest-terms
 Fractions, is built only when something reads it (``coeffs``, ``hash``,
 ``sort_key``, ``repr``, an encoder).  Lists of Fractions handed to the
-payload kernels (by residue fields over Q and the Riemann-Roch rows) run
-the generic payload loops.  ``Element``s appear only at the boundary: the
+payload kernels (by residue fields over Q) run the generic payload loops.  ``Element``s appear only at the boundary: the
 constructor takes them, ``coeffs``, ``leading()``, ``constant_coeff()``,
 ``f[i]`` and ``evaluate`` return them, and ``map_coeffs`` hands them to
 its function.

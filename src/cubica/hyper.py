@@ -13,37 +13,31 @@ and an addition with gcd(u1, u2) = 1 glues v1 and v2 by the Chinese
 remainder theorem from one extended gcd, so neither needs the second gcd
 of the general composition.  Every other input (a common factor of u1 and
 u2, a doubling through a Weierstrass point) takes the general composition,
-and every path checks the Mumford invariant v^2 = F mod u.  Reduction
-replaces v by its representative congruent to the polynomial square root
-V+ of F, which makes each step drop deg u below g + 1.
+and every path checks the Mumford invariant v^2 = F mod u.
 
-A small Riemann-Roch engine (linear algebra on functions (a + b y)/d with
-prescribed vanishing) provides principality tests - used as the independent
-oracle for the group law - and the canonical presentation of classes in the
-anti-invariant part of the Jacobian of the covering involution
-i(x, y) = (-x, -y) (`canonicalize_prym`).  `parshin` builds no space: its
-class 3[P - i(P)] is the pullback of a class on the elliptic quotient
-y^2 = G(t), t = x^2, and takes its form from one exact division there.
+Every class has exactly one balanced representative (Paulus and Rueck,
+Math. Comp. 68, 1999; Galbraith, Harrison and Mireles Morales, ANTS VIII,
+LNCS 5011, 2008): deg u <= g and 0 <= n+ + ceil(g/2) <= g - deg u, so that
+n- + floor(g/2) >= 0 too.  One step function reaches it (`_reduce_once`):
+a step of sign s subtracts the divisor of y - vt, vt = Vs - ((Vs - v) mod u)
+for the polynomial part Vs = s V+ of y at inf_s.  Its pole at the far point
+inf_-s has order deg(vt + Vs), g + 1 when deg(Vs - vt) <= g, and its order
+at the near point follows from the degree balance.  Steps of sign +1 reduce
+until deg u <= g (`_reduced`); signed steps then balance the weights
+(`_balanced`).  Two classes are equal iff their balanced forms are
+(`classes_equal`), and the symmetric form (x^2 - A, c, -1, -1) of a class in
+the anti-invariant part of the covering involution i(x, y) = (-x, -y) is
+its balanced form (`canonicalize_prym`).  `parshin` takes its class
+3[P - i(P)] from one exact division on the elliptic quotient y^2 = G(t),
+t = x^2, instead.
 
 Local expansions take one series square root, `_series_sqrt` (a
-coefficient recurrence).  At inf+- y = +-x^(g+1) S(1/x), and
-`y_coeff_at_infinity` reads the coefficient of x^j in x^i y off S; at an
-affine point y = y0 S(x - x0), with S the root of F(x0 + t)/y0^2
-(`_local_root`).  `point_minus_i_point` truncates that branch to the
-Mumford pair of n[P - i(P)] in one step, with no Cantor composition.  A
-Riemann-Roch space of div(u1, v1) - div(u2, v2) + n+ inf+ + n- inf- takes
-its affine conditions from one Cantor composition: h u1 = a + b y lies in
-the ideal of iota div(u1, v1) + div(u2, v2), which `_compose` writes as
-s (u3, y - v3), so h = (a + b y)/(u1/s) with a + b v3 = 0 mod u3 (rows
-from `coeff_vec`).
-
-The Riemann-Roch engine runs on payloads, like the kernel of
-`algebra.poly`: the series S (`sqrt_series` caches it), the condition rows
-of `coeff_vec` and of the infinite points, and the kernel vectors from
-`linalg.kernel_basis` are lists of field payloads.  The series root runs
-on integers over Q and through the payload protocol over every other
-field.  Elements and Polynomials appear only at the API: classes and the
-triples of `rr_space`.
+coefficient recurrence), on payload lists: on integers over Q and through
+the payload protocol over every other field.  At inf+- y = +-x^(g+1) S(1/x)
+(`sqrt_series`), whose top coefficients give V+; at an affine point
+y = y0 S(x - x0), with S the root of F(x0 + t)/y0^2 (`_local_root`).
+`point_minus_i_point` truncates that branch to the Mumford pair of
+n[P - i(P)] in one step, with no Cantor composition.
 """
 
 from __future__ import annotations
@@ -53,9 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Element, FieldError, Polynomial, RationalField,
-                      poly_gcd, poly_xgcd, sqrt)
-from .algebra.linalg import kernel_basis
-from .algebra.poly import _poly, _rem, _taylor_shift, _trim
+                      poly_gcd, poly_xgcd)
+from .algebra.poly import _poly, _taylor_shift, _trim
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +120,6 @@ class SplitCurve:
         self.F = F
         self.field = F.field
         self.g = (F.degree - 2) // 2
-        self._series_cache = {}
         self.Vplus = self._sqrt_poly_part()
 
     def _sqrt_poly_part(self) -> Polynomial:
@@ -142,26 +134,13 @@ class SplitCurve:
     def sqrt_series(self, prec: int):
         """The payloads of S(T) with S^2 = T^(2g+2) F(1/T), S(0) = 1;
         y = +-x^(g+1) S(1/x) at the two infinite points."""
-        S = self._series_cache.get(prec)
-        if S is None:
-            S = self._series_cache[prec] = _series_sqrt(
-                self.field, self.F.vals[::-1], prec)
-        return S
+        return _series_sqrt(self.field, self.F.vals[::-1], prec)
 
     def is_even_model(self) -> bool:
         return all(self.F[i].is_zero() for i in range(1, self.F.degree + 1, 2))
 
     def on_curve(self, x0: Element, y0: Element) -> bool:
         return self.F.evaluate(x0) == y0 * y0
-
-    def y_coeff_at_infinity(self, i: int, j: int, sign: int, S):
-        """The payload of the coefficient of x^j in x^i * y at inf+-
-        (y = sign * x^(g+1) S(1/x)): sign * S[i + g + 1 - j], zero beyond
-        the payload series S."""
-        k = i + self.g + 1 - j
-        if not 0 <= k < len(S):
-            return self.field._zero_val()
-        return S[k] if sign > 0 else self.field._neg(S[k])
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +260,56 @@ def _checked_sum(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass,
                         D1.n_minus + D2.n_minus + s.degree), s
 
 
-def _reduce_once(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
-    """One V+-adapted reduction step for deg u >= g + 1: D minus the divisor
-    of y - vt, vt = v mod u.  As y - V+ vanishes at inf+, y - vt has a pole
-    of order deg r at inf+ and, as y + V+ vanishes at inf-, one of order
-    deg(vt + V+) at inf-, which is g + 1 when deg r <= g."""
+def _reduce_once(curve: SplitCurve, D: MumfordClass, sign: int) -> MumfordClass:
+    """One step toward inf_sign, the near point, where y has the polynomial
+    part Vs = sign V+: D minus the divisor of y - vt, vt = Vs - r for
+    r = (Vs - v) mod u, so vt = v mod u and w = (F - vt^2)/u.  As y + Vs
+    vanishes at the far point inf_-sign, y - vt has a pole of order
+    deg(vt + Vs) there, which is g + 1 when deg r <= g.  The order at the
+    near point follows from the degree balance of div(y - vt): its affine
+    zeros have degree deg u + deg w, so the order is deg u + deg w - far
+    (deg r when r != 0; r = 0 makes y - Vs vanish there, which happens in
+    balancing steps).  With sign = +1 and deg u >= g + 1 the step reduces."""
     field = curve.field
     u, v = D.u, D.v
-    r = (curve.Vplus - v) % u
-    vt = curve.Vplus - r          # = v mod u
-    diff = curve.F - vt * vt
-    w = diff.exact_div(u).monic()
+    Vs = curve.Vplus if sign > 0 else -curve.Vplus
+    r = (Vs - v) % u
+    vt = Vs - r                   # = v mod u
+    w = (curve.F - vt * vt).exact_div(u).monic()
     v_new = (-vt) % w if not w.is_constant() else Polynomial.zero(field)
-    if r.is_zero():
-        raise ArithmeticError("reduction degenerated (F a perfect square?)")
-    pole_minus = (curve.g + 1 if r.degree <= curve.g
-                  else (vt + curve.Vplus).degree)
-    n_plus = D.n_plus + r.degree - w.degree
-    n_minus = D.n_minus + pole_minus - w.degree
-    return MumfordClass(w, v_new, n_plus, n_minus)
+    far = curve.g + 1 if r.degree <= curve.g else (vt + Vs).degree
+    near = u.degree + w.degree - far
+    pole_plus, pole_minus = (near, far) if sign > 0 else (far, near)
+    return MumfordClass(w, v_new, D.n_plus + pole_plus - w.degree,
+                        D.n_minus + pole_minus - w.degree)
 
 
 def _reduced(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
     while D.u.degree > curve.g:
-        D = _reduce_once(curve, D)
+        D = _reduce_once(curve, D, 1)
     return D
+
+
+def _balanced(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
+    """The one balanced representative of the class of D: reduced, with
+    n+ + ceil(g/2) >= 0 and n- + floor(g/2) >= 0, which sum to g - deg u
+    (Paulus and Rueck, Math. Comp. 68, 1999; Galbraith, Harrison and
+    Mireles Morales, ANTS VIII, LNCS 5011, 2008).  On a reduced class a
+    step of sign s lowers n_s by g + 1 - deg u and raises the other
+    weight, so a step toward inf+ runs while n- is too low, one toward inf-
+    while n+ is, and neither takes its weight below the bound.  A class of
+    nonzero degree has no such form."""
+    if D.degree_check() != 0:
+        raise FieldError("the class must have total degree zero")
+    D = _reduced(curve, D)
+    low = curve.g // 2
+    while True:
+        if D.n_minus + low < 0:
+            D = _reduce_once(curve, D, 1)
+        elif D.n_plus + curve.g - low < 0:
+            D = _reduce_once(curve, D, -1)
+        else:
+            return D
 
 
 def mumford_add(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> MumfordClass:
@@ -363,171 +367,32 @@ def iota_star(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Roch spaces: the independent class-group oracle
+# comparisons of balanced forms
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class WDivisor:
-    """div(u1, v1) - div(u2, v2) + n+ inf+ + n- inf- for the semi-reduced
-    Mumford pairs pos = (u1, v1) and neg = (u2, v2), u1 and u2 monic."""
-    pos: tuple
-    neg: tuple
-    n_plus: int
-    n_minus: int
-
-    def degree(self):
-        return (self.pos[0].degree - self.neg[0].degree
-                + self.n_plus + self.n_minus)
-
-
-def divisor_of_class(curve: SplitCurve, D: MumfordClass) -> WDivisor:
-    field = curve.field
-    one, zero = Polynomial.one(field), Polynomial.zero(field)
-    return WDivisor((D.u, D.v), (one, zero), D.n_plus, D.n_minus)
-
-
-def divisor_difference(D1: MumfordClass, D2: MumfordClass) -> WDivisor:
-    return WDivisor((D1.u, D1.v), (D2.u, D2.v),
-                    D1.n_plus - D2.n_plus, D1.n_minus - D2.n_minus)
-
-
-def coeff_vec(poly_for_a, poly_for_b, modulus, na, nb, cols):
-    """Payload rows of the conditions A*a + B*b = 0 mod modulus on
-    a = sum a_i x^i (i <= na) and b = sum b_i x^i (i <= nb), for
-    A = poly_for_a and B = poly_for_b: one row per x^d below deg modulus,
-    columns a_i then b_i.  The column of x^i A is x times that of x^(i-1) A,
-    reduced mod modulus."""
-    F, m = modulus.field, modulus.vals
-    zero = F._zero_val()
-    rows = [[zero] * cols for _ in range(modulus.degree)]
-    for poly, first, count in ((poly_for_a, 0, na + 1),
-                               (poly_for_b, na + 1, nb + 1)):
-        rem = _rem(F, poly.vals, m)
-        for i in range(first, first + count):
-            if i > first and rem:
-                rem = _rem(F, [zero] + rem, m)
-            for d, c in enumerate(rem):
-                rows[d][i] = c
-    return rows
-
-
-def rr_space(curve: SplitCurve, div: WDivisor):
-    """Basis of L(div) = {h : (h) + div >= 0} as triples (a, b, den) with
-    h = (a + b y)/den.
-
-    For div = div(u1, v1) - div(u2, v2) + ..., h u1 is regular on the affine
-    part, so it is a + b y, and as div(u1) = div(u1, v1) + iota div(u1, v1)
-    it lies in the ideal of iota div(u1, v1) + div(u2, v2).  Cantor's
-    composition of (u1, -v1) with (u2, v2) writes that ideal as
-    s (u3, y - v3); so den = u1/s, and the affine conditions on
-    h = (a + b y)/den are a + b v3 = 0 mod u3."""
-    field = curve.field
-    (u1, v1), (u2, v2) = div.pos, div.neg
-    E, s = _compose(curve, MumfordClass(u1, (-v1) % u1, 0, 0),
-                    MumfordClass(u2, v2, 0, 0))
-    den = u1.exact_div(s)
-    na = den.degree + max(0, div.n_plus, div.n_minus)
-    nb = na - (curve.g + 1)
-    cols = (na + 1) + (nb + 1 if nb >= 0 else 0)
-    if cols <= 0:
-        return []
-
-    zero = field._zero_val()
-    rows = coeff_vec(Polynomial.one(field), E.v, E.u, na, nb, cols)
-    # infinity conditions
-    for sign, weight in ((1, div.n_plus), (-1, div.n_minus)):
-        w = -weight - den.degree
-        top = max(na, nb + curve.g + 1) if nb >= 0 else na
-        jmin = -w + 1
-        if top < jmin:
-            continue
-        S = curve.sqrt_series(top - jmin + curve.g + 3)
-        for j in range(jmin, top + 1):
-            row = [zero] * cols
-            if 0 <= j <= na:
-                row[j] = field._one_val()
-            for i in range(nb + 1):
-                row[na + 1 + i] = curve.y_coeff_at_infinity(i, j, sign, S)
-            rows.append(row)
-    out = []
-    for vec in kernel_basis(field, rows, cols):
-        a = _poly(field, _trim(vec[:na + 1], zero))
-        b = _poly(field, _trim(vec[na + 1:], zero))
-        out.append((a, b, den))
-    return out
-
-
-def is_principal(curve: SplitCurve, div: WDivisor) -> bool:
-    if div.degree() != 0:
-        return False
-    return len(rr_space(curve, div)) == 1
 
 
 def classes_equal(curve: SplitCurve, D1: MumfordClass, D2: MumfordClass) -> bool:
+    """D1 ~ D2: equal representatives are, classes of different total
+    degree are not, and otherwise the balanced forms decide."""
     if (D1.u, D1.v, D1.n_plus, D1.n_minus) == (D2.u, D2.v, D2.n_plus, D2.n_minus):
         return True
-    return is_principal(curve, divisor_difference(D1, D2))
-
-
-# ---------------------------------------------------------------------------
-# canonical symmetric presentation of anti-invariant classes
-# ---------------------------------------------------------------------------
-
-
-def _norm_quotient(curve: SplitCurve, a, b, den, div: WDivisor) -> Polynomial:
-    """The monic x-projection of the affine part of div(h) + div for
-    h = (a + b y)/den and div = div(u1, v1) - div(u2, v2) + ...: the norm
-    a^2 - b^2 F times u1, divided exactly by den^2 u2.  The division leaves
-    a remainder iff the reduced quotient has a nonconstant denominator."""
-    u_s, rem = divmod((a * a - b * b * curve.F) * div.pos[0],
-                      den * den * div.neg[0])
-    if not rem.is_zero():
-        raise ArithmeticError("unexpected denominator in the norm quotient")
-    return u_s.monic()
+    if D1.degree_check() != D2.degree_check():
+        return False
+    return _balanced(curve, D1) == _balanced(curve, D2)
 
 
 def canonicalize_prym(curve: SplitCurve, D: MumfordClass) -> MumfordClass:
-    """The representative (x^2 - A, const, -1, -1) of an anti-invariant class
-    (i_* D = -D), or the identity when D ~ 0, from L(D + inf+ + inf-).
-
-    One Riemann-Roch space decides both the identity and the sign.  For
-    g >= 2 the only g^1_2 is |inf+ + inf-|, so l(D + inf+ + inf-) >= 2 iff
-    D ~ 0: a space of dimension 1 already proves D not principal, and
-    `is_principal` runs only otherwise (always for g = 1, where l is 2).
-    D and D + inf+ + inf- share their Mumford pairs, hence their one
-    composition, so either order of the two spaces raises the same errors.
-    When h = (a + b y)/den spans the space, E' = div(h) + D + inf+ + inf-
-    is the one effective divisor of the system, its x-projection is u_s,
-    and (u_s, c, -1, -1) ~ D iff div(u_s, c) = E'.  If gcd(u_s, den) = 1, no
-    point over u_s lies in the support of D or of den, so there E' is the
-    zero divisor of a + b y; by Cantor's test (Math. Comp. 48, 1987)
-    a + b y vanishes on div(u_s, c) iff u_s | a + b c, and as both divisors
-    have degree 2 that is the equality.  Otherwise the sign is tested with
-    `classes_equal`.  D need not be reduced: the space, and so the form,
-    depends only on the class."""
-    field = curve.field
+    """The representative (x^2 - A, c, -1, -1) of a class in the
+    anti-invariant part of the covering involution i(x, y) = (-x, -y), or
+    the identity when D ~ 0.  For g >= 2 that shape is balanced, so a class
+    has it iff its balanced form does; every other class is refused with
+    one error (for g = 1 every class but the identity, as deg u <= 1 in a
+    balanced form there).  D need not be reduced."""
     if not curve.is_even_model():
         raise FieldError("anti-invariant classes need an even model")
-    base = divisor_of_class(curve, D)
-    lifted = WDivisor(base.pos, base.neg, base.n_plus + 1, base.n_minus + 1)
-    space = rr_space(curve, lifted)
-    if len(space) != 1:
-        if is_principal(curve, base):
-            return identity_class(curve)
-        raise ArithmeticError("class has no unique degree-2 presentation")
-    a, b, den = space[0]
-    u_s = _norm_quotient(curve, a, b, den, base)
-    if u_s.degree != 2 or not u_s[1].is_zero():
-        raise ArithmeticError("class is not anti-invariant (or is special)")
-    rem = curve.F % u_s
-    if not rem.is_constant():
-        raise ArithmeticError("even-model reduction failed")
-    b0 = sqrt(rem.constant_coeff())
-    disjoint = poly_gcd(u_s, den).is_one()
-    for cand in (b0, -b0):
-        candidate = MumfordClass(u_s, Polynomial.constant(field, cand), -1, -1)
-        if (((a + b * cand) % u_s).is_zero() if disjoint
-                else classes_equal(curve, D, candidate)):
-            return candidate
-    raise ArithmeticError("no matching square root for the symmetric form")
+    B = _balanced(curve, D)
+    if B == identity_class(curve) or (
+            B.u.degree == 2 and B.u[1].is_zero() and B.v.is_constant()
+            and (B.n_plus, B.n_minus) == (-1, -1)):
+        return B
+    raise ArithmeticError("class is not anti-invariant (or is special)")

@@ -1,6 +1,12 @@
 """Split-model Mumford arithmetic: the worked tripling over Q, group-law
 properties against the principality oracle mod 11 and 13, involution
-equivariance, canonical symmetric forms."""
+equivariance, balanced forms and canonical symmetric forms.
+
+The principality oracle is `rr_oracle`, Riemann-Roch spaces built by linear
+algebra: it shares no reduction step with the library, whose
+`classes_equal` and `canonicalize_prym` compare balanced forms.  Where a
+test checks the group law against the oracle it calls `rr_classes_equal`;
+the `classes_equal` tests assert that the library and the oracle agree."""
 
 import random
 import sys
@@ -13,14 +19,16 @@ from cubica import hyper, jsonio
 from cubica.algebra import (Element, FieldError, Polynomial, PrimeField, QQ,
                             RationalFunction, ResidueField, poly_gcd,
                             poly_xgcd, squarefree_decomposition)
-from cubica.hyper import (MumfordClass, SplitCurve, WDivisor, _norm_quotient,
-                          _reduced, _series_sqrt, canonicalize_prym, classes_equal,
-                          divisor_difference, divisor_of_class, i_star,
-                          identity_class, is_principal, iota_star,
-                          mumford_add, mumford_neg, mumford_scalar,
-                          point_class, point_minus_i_point, rr_space)
+from cubica.hyper import (MumfordClass, SplitCurve, _balanced, _reduced,
+                          _series_sqrt, canonicalize_prym, classes_equal,
+                          i_star, identity_class, iota_star, mumford_add,
+                          mumford_neg, mumford_scalar, point_class,
+                          point_minus_i_point)
 from cubica.parshin import CurvePoint, _tripled_class
 from cubica.quadratic import canonical_quadratic_field
+from rr_oracle import (WDivisor, _norm_quotient, divisor_difference,
+                       divisor_of_class, is_principal, rr_classes_equal,
+                       rr_space, y_coeff_at_infinity)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -176,9 +184,9 @@ def test_infinite_points_are_told_apart():
     W = example_curve(QQ)
     g, S = W.g, W.sqrt_series(W.g + 2)
     for sign in (1, -1):
-        assert W.y_coeff_at_infinity(0, g + 1, sign, S) == sign
+        assert y_coeff_at_infinity(W, 0, g + 1, sign, S) == sign
     # the coefficients of x^0, ..., x^(g+1) of y - V+ at inf+ and at inf-
-    plus, minus = ([W.y_coeff_at_infinity(0, j, sign, S) - W.Vplus[j].val
+    plus, minus = ([y_coeff_at_infinity(W, 0, j, sign, S) - W.Vplus[j].val
                     for j in range(g + 2)] for sign in (1, -1))
     assert not any(plus)
     assert minus[g + 1] == -2
@@ -292,8 +300,9 @@ def test_double_is_consistent_with_oracle():
     assert is_principal(W, D)
     # E + (-E) = 0
     zero = mumford_add(W, E, mumford_neg(W, E))
-    assert classes_equal(W, zero, identity_class(W))
-    assert not classes_equal(W, twoE, identity_class(W))
+    for equal in (classes_equal, rr_classes_equal):
+        assert equal(W, zero, identity_class(W))
+        assert not equal(W, twoE, identity_class(W))
 
 
 def _random_monic(field, rng, degree):
@@ -344,10 +353,10 @@ def test_reduction_of_degree_three_sums_on_octics(p):
         D = raw
         while D.u.degree > W.g:
             steps.add(((W.Vplus - D.v) % D.u).degree > W.g)
-            D = _reduce_once(W, D)
+            D = _reduce_once(W, D, 1)
         assert D == mumford_add(W, D1, D2)
         assert D.degree_check() == 0
-        assert classes_equal(W, D, raw)
+        assert rr_classes_equal(W, D, raw)
     assert steps == {True, False}
 
 
@@ -419,6 +428,8 @@ def _checking_compositions(monkeypatch):
 def _draw(field, rng):
     if field is QQ:
         return QQ(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+    if isinstance(field, ResidueField):
+        return field(tuple(rng.randrange(field.char) for _ in range(field.deg)))
     return field(rng.randrange(field.p))
 
 
@@ -545,7 +556,7 @@ def test_group_law_bilinearity_mod_p(p):
             for n in range(0, 4):
                 lhs = powers[m + n]
                 rhs = mumford_add(W, powers[m], powers[n])
-                assert classes_equal(W, lhs, rhs), (p, m, n)
+                assert rr_classes_equal(W, lhs, rhs), (p, m, n)
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -557,9 +568,9 @@ def test_i_equivariance(p):
         for n in (2, 3, 5):
             lhs = mumford_scalar(W, i_star(W, D), n)
             rhs = i_star(W, mumford_scalar(W, D, n))
-            assert classes_equal(W, lhs, rhs)
+            assert rr_classes_equal(W, lhs, rhs)
         # anti-invariance: i_* D = -D
-        assert classes_equal(W, i_star(W, D), mumford_neg(W, D))
+        assert rr_classes_equal(W, i_star(W, D), mumford_neg(W, D))
 
 
 def test_canonicalize_prym_mod_p():
@@ -569,7 +580,7 @@ def test_canonicalize_prym_mod_p():
     for D in _anti_invariant_samples(W, field, rng, 2):
         for n in (1, 2, 3, 4):
             C = mumford_scalar(W, D, n)
-            if classes_equal(W, C, identity_class(W)):
+            if rr_classes_equal(W, C, identity_class(W)):
                 continue
             try:
                 sym = canonicalize_prym(W, C)
@@ -577,7 +588,7 @@ def test_canonicalize_prym_mod_p():
                 continue  # special class without affine symmetric form
             assert sym.u.degree == 2 and sym.u[1].is_zero()
             assert sym.v.is_constant()
-            assert classes_equal(W, sym, C)
+            assert rr_classes_equal(W, sym, C)
 
 
 def test_even_multiples_have_no_symmetric_form():
@@ -588,7 +599,7 @@ def test_even_multiples_have_no_symmetric_form():
     W = example_curve(QQ)
     E = point_minus_i_point(W, 1, 2)
     twoE = mumford_add(W, E, E)
-    assert not classes_equal(W, twoE, identity_class(W))
+    assert not rr_classes_equal(W, twoE, identity_class(W))
     with pytest.raises(ArithmeticError):
         canonicalize_prym(W, twoE)
     # the odd neighbours both canonicalize
@@ -660,7 +671,7 @@ def test_canonicalize_prym_sweep_mod_p(p):
                 continue
             assert sym.u.degree == 2 and sym.u[1].is_zero() and sym.v.is_constant()
             assert (sym.n_plus, sym.n_minus) == (-1, -1)
-            assert classes_equal(W, D, sym)
+            assert rr_classes_equal(W, D, sym)
             returned += 1
     assert returned >= 40 and raised >= 20
 
@@ -682,7 +693,7 @@ def test_point_minus_i_point_multiples_mod_p(p):
             assert D.v.degree < 2 * n
             assert all(D.v[i].is_zero() for i in range(1, D.v.degree + 1, 2))
             assert (D.n_plus, D.n_minus) == (-n, -n)
-            assert classes_equal(W, D, mumford_scalar(W, E, n)), (p, n)
+            assert rr_classes_equal(W, D, mumford_scalar(W, E, n)), (p, n)
             checked += 1
     assert checked >= 30
 
@@ -695,7 +706,7 @@ def test_point_minus_i_point_multiples_over_q():
     for n in range(1, 5):
         D = point_minus_i_point(W, 1, 2, n)
         assert (D.v * D.v - W.F) % D.u == Polynomial.zero(QQ)
-        assert classes_equal(W, D, mumford_scalar(W, E, n)), n
+        assert rr_classes_equal(W, D, mumford_scalar(W, E, n)), n
     with pytest.raises(FieldError, match="positive"):
         point_minus_i_point(W, 1, 2, 0)
 
@@ -709,12 +720,12 @@ def test_point_minus_i_point_at_a_weierstrass_point():
     W = SplitCurve(F)
     E = point_minus_i_point(W, 2, 0)
     assert E == MumfordClass(x ** 2 - 4, Polynomial.zero(field), -1, -1)
-    assert not classes_equal(W, E, identity_class(W))
+    assert not rr_classes_equal(W, E, identity_class(W))
     assert point_minus_i_point(W, 2, 0, 2) == identity_class(W)
     assert point_minus_i_point(W, 2, 0, 3) == E
     for n in (2, 3):
-        assert classes_equal(W, point_minus_i_point(W, 2, 0, n),
-                             mumford_scalar(W, E, n))
+        assert rr_classes_equal(W, point_minus_i_point(W, 2, 0, n),
+                                mumford_scalar(W, E, n))
 
 
 def _census_cases():
@@ -757,45 +768,28 @@ def test_canonicalize_prym_of_both_triplings_on_the_census():
     assert forms >= 1000 and refusals >= 40
 
 
-def _counting(monkeypatch, *names):
-    """Patch the named functions of cubica.hyper to count their calls."""
-    import cubica.hyper as hyper
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(hyper, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(hyper, name, counted)
-    return calls
-
-
-def test_canonicalize_prym_on_disjoint_support_builds_one_space(monkeypatch):
-    """When u_s is prime to the denominator of L(D + inf+ + inf-), one
-    Riemann-Roch space and the congruence u_s | a + b c decide the form."""
+def test_canonicalize_prym_on_disjoint_support():
+    """The golden form over Q, where u_s of 3E is prime to the denominator
+    of L(3E + inf+ + inf-)."""
     W = example_curve(QQ)
     threeE = mumford_scalar(W, point_minus_i_point(W, 1, 2), 3)
-    calls = _counting(monkeypatch, "rr_space", "classes_equal")
     sym = canonicalize_prym(W, threeE)
-    assert calls == {"rr_space": 1, "classes_equal": 0}
     x = Polynomial.x(QQ)
     assert sym == MumfordClass(x ** 2 - Fraction(49, 9),
                                Polynomial.constant(QQ, Fraction(3278, 81)), -1, -1)
 
 
-def test_canonicalize_prym_with_shared_support_tests_classes(monkeypatch):
+def test_canonicalize_prym_with_shared_support():
     """Over F_13 on x^8 + 5x^6 + 6x^4 + 7x^2 + 6 through (2, 2), u_s of 3E
-    meets the denominator, so the sign goes to classes_equal: the first
-    root fails and the second is the form."""
+    meets the denominator of L(3E + inf+ + inf-), and the form takes the
+    second square root of F mod u_s."""
     field = PrimeField(13)
     W = SplitCurve(Polynomial(field, [6, 0, 7, 0, 6, 0, 5, 0, 1]))
     threeE = mumford_scalar(W, point_minus_i_point(W, 2, 2), 3)
-    calls = _counting(monkeypatch, "classes_equal")
     sym = canonicalize_prym(W, threeE)
-    assert calls == {"classes_equal": 2}
     x = Polynomial.x(field)
     assert sym == MumfordClass(x ** 2 + 5, Polynomial.constant(field, 11), -1, -1)
-    monkeypatch.undo()
-    assert classes_equal(W, threeE, sym)
+    assert rr_classes_equal(W, threeE, sym)
 
 
 def test_canonicalize_prym_of_a_principal_class_is_the_identity():
@@ -863,8 +857,9 @@ def test_mixed_point_classes_and_oracle():
     S = mumford_add(W, P, Q)
     assert S.degree_check() == 0
     # P - P principal, P - Q not
-    assert classes_equal(W, P, P)
-    assert not classes_equal(W, P, Q)
+    for equal in (classes_equal, rr_classes_equal):
+        assert equal(W, P, P)
+        assert not equal(W, P, Q)
     # iota reverses sign of a point class up to the infinity pencil
     R = mumford_add(W, P, iota_star(W, P))
     # P + iota(P) ~ inf+ + inf- - 2 inf+ ... = pencil class; check degree 0
@@ -900,9 +895,10 @@ def test_classes_equal_peels_weierstrass_content(p):
         assert poly_gcd(S.u, S.v) == Polynomial.x(field) - a
         other_path = mumford_add(W, mumford_add(W, S, R), mumford_neg(W, R))
         assert other_path != S
-        assert classes_equal(W, S, other_path)
-        assert classes_equal(W, other_path, S)
-        assert not classes_equal(W, S, mumford_add(W, PW, Q2))
+        for equal in (classes_equal, rr_classes_equal):
+            assert equal(W, S, other_path)
+            assert equal(W, other_path, S)
+            assert not equal(W, S, mumford_add(W, PW, Q2))
 
 
 def _sextic_with_a_tangent_point(field, rng):
@@ -949,10 +945,11 @@ def test_classes_equal_splits_a_shared_u_with_different_v(p):
         assert D1.u == D2.u == D3.u and D1.v != D2.v == D3.v
         assert (D2.n_plus, D2.n_minus, D3.n_plus, D3.n_minus) == (-2, 0, 0, -2)
         doubled = mumford_scalar(W, Q, 2)
-        assert not classes_equal(W, doubled, MumfordClass(one, zero, -1, 1))
-        assert not classes_equal(W, D1, D2)
-        assert classes_equal(W, doubled, MumfordClass(one, zero, 1, -1)) == tangent
-        assert classes_equal(W, D1, D3) == tangent
+        for equal in (classes_equal, rr_classes_equal):
+            assert not equal(W, doubled, MumfordClass(one, zero, -1, 1))
+            assert not equal(W, D1, D2)
+            assert equal(W, doubled, MumfordClass(one, zero, 1, -1)) == tangent
+            assert equal(W, D1, D3) == tangent
 
 
 def test_classes_equal_of_a_weierstrass_class_and_its_conjugate():
@@ -971,9 +968,10 @@ def test_classes_equal_of_a_weierstrass_class_and_its_conjugate():
         assert (D.u % (x - a)).is_zero() and D.v.evaluate(a).is_zero()
         assert not D.v.is_zero()
         conj = iota_star(W, D)
-        want = classes_equal(W, mumford_add(W, D, mumford_neg(W, conj)),
-                             identity_class(W))
+        want = (_balanced(W, mumford_add(W, D, mumford_neg(W, conj)))
+                == identity_class(W))
         assert classes_equal(W, D, conj) == want
+        assert rr_classes_equal(W, D, conj) == want
 
 
 def test_point_classes_with_colliding_hashes_stay_apart():
@@ -988,6 +986,96 @@ def test_point_classes_with_colliding_hashes_stay_apart():
     space = rr_space(W, WDivisor(D.pos, D.neg, 1, 1))
     assert len(space) == 2 and {den for _, _, den in space} == {x - 1}
     assert not classes_equal(W, P, Q)
+    assert not rr_classes_equal(W, P, Q)
+
+
+_BALANCED_FIELDS = [PrimeField(101), PrimeField(1009), F25,
+                    canonical_quadratic_field(PrimeField(13)), QQ]
+
+
+def _is_balanced(W, B):
+    """deg u <= g, total degree 0 and 0 <= n+ + ceil(g/2) <= g - deg u."""
+    low = B.n_plus + W.g - W.g // 2
+    return (B.u.degree <= W.g and B.degree_check() == 0
+            and 0 <= low <= W.g - B.u.degree)
+
+
+def _draw_class(W, terms, rng):
+    """A sum of at most six of the terms, each with either sign."""
+    D = identity_class(W)
+    for _ in range(rng.randint(0, 6)):
+        T = rng.choice(terms)
+        D = mumford_add(W, D, T if rng.random() < 0.5 else mumford_neg(W, T))
+    return D
+
+
+@pytest.mark.parametrize("field", _BALANCED_FIELDS, ids=repr)
+def test_balanced_forms_are_equal_iff_the_oracle_says_so(field, monkeypatch):
+    """Over F_101, F_1009, F_{5^2}, F_{13^2} and Q, on seeded curves of genus
+    1-4 through affine points and a Weierstrass point P_W, a class A is a
+    sum of up to six of the point classes [P - inf+], their iota-images
+    [iota(P) - inf-], [P_W - inf+] and inf+ - inf-, each with either sign.  A is
+    compared with A + B - B and with an independent draw: the balanced forms
+    are equal iff the Riemann-Roch oracle finds the difference principal,
+    and `classes_equal` agrees.  Every balanced form is balanced and is its
+    own balanced form.  With the class inf+ - inf- among the terms, and its
+    multiples +-(g + 1) balanced on their own, the sweep takes balancing
+    steps of both signs, with r = (Vs - v) mod u zero and not."""
+    import cubica.hyper as hyper
+    signs, step = set(), hyper._reduce_once
+
+    def recorded(curve, D, sign):
+        if D.u.degree <= curve.g:
+            Vs = curve.Vplus if sign > 0 else -curve.Vplus
+            signs.add((sign, ((Vs - D.v) % D.u).is_zero()))
+        return step(curve, D, sign)
+    monkeypatch.setattr(hyper, "_reduce_once", recorded)
+    rng = random.Random(f"balanced:{field!r}")
+    seen = {True: 0, False: 0, "other representative": 0}
+    infinity = MumfordClass(Polynomial.one(field), Polynomial.zero(field), 1, -1)
+    for g in (1, 1, 2, 2, 3, 3, 4, 4):
+        W, pts, a = _curve_through_points(field, rng, 2 * g + 2, 2 * g,
+                                          weierstrass=True)
+        P = [point_class(W, *pt) for pt in pts]
+        terms = P + [iota_star(W, D) for D in P] + [point_class(W, a, 0),
+                                                    infinity]
+        for _ in range(8):
+            A, B, C = (_draw_class(W, terms, rng) for _ in range(3))
+            same = mumford_add(W, mumford_add(W, A, B), mumford_neg(W, B))
+            for other in (same, C):
+                want = rr_classes_equal(W, A, other)
+                forms = _balanced(W, A), _balanced(W, other)
+                assert (forms[0] == forms[1]) == want, (g, A, other)
+                assert classes_equal(W, A, other) == want
+                for form in forms:
+                    assert _is_balanced(W, form) and _balanced(W, form) == form
+                seen[want] += 1
+                seen["other representative"] += want and A != other
+            assert rr_classes_equal(W, A, same)
+        for k in (g + 1, -g - 1):
+            # u = 1 leaves r = 0: y - Vs vanishes at the near point
+            D = mumford_scalar(W, infinity, k)
+            assert _is_balanced(W, _balanced(W, D))
+            assert rr_classes_equal(W, D, _balanced(W, D))
+    assert seen[False] >= 40 and seen["other representative"] >= 12, seen
+    assert signs == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+def test_classes_of_nonzero_degree_have_no_balanced_form():
+    """A class of total degree d != 0 has no balanced form (for d < -g the
+    steps would never end): `_balanced`, and so `canonicalize_prym`, refuse
+    it with a typed error, and `classes_equal` finds classes of different
+    total degrees unequal."""
+    W = example_curve(QQ)
+    E = point_minus_i_point(W, 1, 2)
+    one, zero = Polynomial.one(QQ), Polynomial.zero(QQ)
+    for D in (MumfordClass(E.u, E.v, -1, 0), MumfordClass(E.u, E.v, 0, 0),
+              MumfordClass(one, zero, 1, 0), MumfordClass(one, zero, -5, -5)):
+        for fn in (_balanced, canonicalize_prym):
+            with pytest.raises(FieldError, match="total degree zero"):
+                fn(W, D)
+        assert not classes_equal(W, D, E)
+        assert not classes_equal(W, E, D)
 
 
 def test_rr_space_dimensions():

@@ -1,8 +1,9 @@
 """The payload linear algebra of `algebra.linalg` against a boxed reference:
 Gauss-Jordan elimination on field Elements, the form `_rref` had before it
 ran on payload rows.  Seeded random matrices, rank-deficient, wide and tall,
-over F_13, F_{10^9+7}, F_{13^2} and Q; and `ResidueField.min_poly`, whose
-solve goes through the same elimination."""
+over F_13, F_{10^9+7}, F_{13^2} and Q; `ResidueField.min_poly`, whose
+solve goes through the same elimination; and the kernels that the tests'
+Riemann-Roch oracle (`rr_oracle.kernel_basis`) takes from it."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 from cubica.algebra import Element, Polynomial, PrimeField, QQ, ResidueField
-from cubica.algebra.linalg import _rref, kernel_basis, solve
+from cubica.algebra.linalg import _rref, solve
 from cubica.quadratic import canonical_quadratic_field
+from rr_oracle import kernel_basis
 
 
 def ref_rref(rows, ncols):
