@@ -19,7 +19,9 @@ Three divisor shapes, by the parity of deg T and the stable points of K':
 
 Both closure shapes are K' = K(y) with y^2 = f, f the constant d for the
 constant closure qK, and the elements theta, f and l are carried as
-polynomial triples (U, V, N) over k[x], meaning (U + V y)/N.
+polynomial triples (U, V, N) over k[x], meaning (U + V y)/N.  On a conic
+K' = k(m), theta(m) and l(m) are sums over the powers of m = (P + Q y)/D,
+which the parametrization keeps, as it keeps l: both are built once.
 
 `make_problem` takes the square root rho of f at every place of T, and
 `construct` checks each rho as a witness (one residue product) instead of
@@ -39,6 +41,7 @@ hashing, repr or JSON.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,6 +49,7 @@ from itertools import product
 
 from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
 from .algebra.fields import _factor_int
+from .algebra.poly import _add, _mul, _poly
 from .function_field import Place, value_at
 from .models import CubicModel, sorted_places
 from .quadratic import (ConicParametrization, QuadraticModel, SPLIT,
@@ -185,21 +189,25 @@ def _pair(t):
     return RationalFunction(U, N), RationalFunction(V, N)
 
 
-def _finish(problem, case, theta, c, ell=None, unit_alpha=None) -> DescentResult:
-    """f = ell * sigma(theta)/theta, its norm checked against c, and the
-    model y^3 = 3c y + alpha with alpha = c (f + sigma f) = 2c U/N; it and
-    the unit form y^3 = 3y + unit_alpha carry the places of T and of the
-    branch locus as place hints."""
-    closure = problem.closure
-    hints = tuple(place.poly for place in problem.places + closure.branch_places()
-                  if not place.infinite)
-    f = closure.f
+def _f_and_alpha(theta, f, c, ell=None):
+    """f = ell * sigma(theta)/theta, its norm checked against c, and
+    alpha = c (f + sigma f) = 2c U/N for f = (U + V y)/N."""
     f_t = _sigma_quotient(theta[0], theta[1], f)
     if ell is not None:
         f_t = _times(ell, f_t, f)
     if _norm(f_t, f, "f * sigma(f) is not constant (internal error)") != c:
         raise ArithmeticError("f * sigma(f) differs from the expected constant")
-    alpha = RationalFunction(f_t[0] * (closure.field(2) * c), f_t[2])
+    return f_t, RationalFunction(f_t[0] * (c + c), f_t[2])
+
+
+def _finish(problem, case, theta, c, ell=None, unit_alpha=None) -> DescentResult:
+    """The model y^3 = 3c y + alpha of `_f_and_alpha`; it and the unit form
+    y^3 = 3y + unit_alpha carry the places of T and of the branch locus as
+    place hints."""
+    closure = problem.closure
+    hints = tuple(place.poly for place in problem.places + closure.branch_places()
+                  if not place.infinite)
+    f_t, alpha = _f_and_alpha(theta, closure.f, c, ell)
     unit_form = (None if unit_alpha is None
                  else CubicModel.impure(closure.field.one, unit_alpha, hints))
     return DescentResult(model=CubicModel.impure(c, alpha, hints), case=case, c=c,
@@ -235,23 +243,32 @@ def _at_m(rf: RationalFunction, par: ConicParametrization):
     triple (U, V, N) with rf(m) = (U + V y)/N.
 
     With n = max(deg num, deg den), num(m) and den(m) times D^n are the
-    sums c_i (P + Q y)^i D^(n-i); Horner's rule gives each as a pair A + B y
-    of polynomials, reducing y^2 = f.  Dividing by A_2 + B_2 y through its
-    norm N = A_2^2 - B_2^2 f leaves U = A_1 A_2 - B_1 B_2 f,
-    V = B_1 A_2 - A_1 B_2.  Nothing is reduced to normal form on the way."""
+    sums c_i (A_i + B_i y) D^(n-i) over the powers (P + Q y)^i = A_i + B_i y
+    reduced by y^2 = f: scalar multiples added on payload lists, with a
+    Horner pass in D on the slope chart, where D = x - x0 is not 1.  The
+    powers are the list `par.m_powers`, extended to n + 1 entries when it
+    is shorter.  Dividing by A_2 + B_2 y through its norm
+    N = A_2^2 - B_2^2 f leaves U = A_1 A_2 - B_1 B_2 f, V = B_1 A_2 - A_1 B_2.
+    Nothing is reduced to normal form on the way."""
     f = par.model.f
-    P, Q, D = par.m
-    Qf = Q * f
+    F, zero = f.field, f.field._zero_val()
+    P, Q, D = (g.vals for g in par.m)
     n = max(rf.num.degree, rf.den.degree, 0)
-    d_pows = [Polynomial.one(f.field)]
-    for _ in range(n):
-        d_pows.append(d_pows[-1] * D)
+    pows = par.m_powers
+    while len(pows) <= n:
+        A, B = pows[-1]
+        pows.append((_add(F, _mul(F, A, P), _mul(F, _mul(F, B, Q), f.vals)),
+                     _add(F, _mul(F, A, Q), _mul(F, B, P))))
 
     def homogenized(poly):
-        A = B = Polynomial.zero(f.field)
-        for i in range(poly.degree, -1, -1):
-            A, B = A * P + B * Qf + d_pows[n - i] * poly[i], A * Q + B * P
-        return A, B
+        A = B = []
+        for i, (Ai, Bi) in zip(range(n + 1), pows):
+            if len(D) > 1:   # the slope chart
+                A, B = _mul(F, A, D), _mul(F, B, D)
+            c = poly.vals[i] if i <= poly.degree else zero
+            if c != zero:
+                A, B = _add(F, A, _mul(F, [c], Ai)), _add(F, B, _mul(F, [c], Bi))
+        return _poly(F, A), _poly(F, B)
 
     a1, b1 = homogenized(rf.num)
     a2, b2 = homogenized(rf.den)
@@ -259,27 +276,26 @@ def _at_m(rf: RationalFunction, par: ConicParametrization):
             a2 * a2 - b2 * b2 * f)
 
 
-def _realize_theta(net, field) -> RationalFunction:
-    num = Polynomial.one(field)
-    den = Polynomial.one(field)
-    inf_mult = 0
+def _theta_at_m(par, ups, extra, e):
+    """theta(m) as a triple, for theta with divisor the sum of the places
+    ups, plus the (place, mult) pairs of extra, minus e times the pullback
+    of infinity."""
+    field = par.field
+    net = Counter(ups)
+    for place, mult in extra + [(p, -e * m) for p, m in par.infinity_pullback.items()]:
+        net[place] += mult
+    num = den = Polynomial.one(field)
     for place, mult in net.items():
-        if mult == 0:
+        if place.infinite or mult == 0:
             continue
-        if place.infinite:
-            inf_mult = mult
-        elif mult > 0:
+        if mult > 0:
             num = num * place.poly ** mult
         else:
             den = den * place.poly ** (-mult)
     theta = RationalFunction(num, den)
-    if theta.degree_at_infinity() != inf_mult:
+    if theta.degree_at_infinity() != net[Place.infinity(field)]:
         raise ArithmeticError("theta divisor is not balanced (internal error)")
-    return theta
-
-
-def _net_add(net, place, mult):
-    net[place] = net.get(place, 0) + mult
+    return _at_m(theta, par)
 
 
 def _construct_conic(problem: DescentProblem) -> DescentResult:
@@ -287,38 +303,26 @@ def _construct_conic(problem: DescentProblem) -> DescentResult:
     field = closure.field
     par = closure.parametrize()
     deg_t = sum(ch.place.degree for ch in problem.choices)
-
-    net = {}
-    for ch in problem.choices:
-        _net_add(net, par.upstairs_place(ch.place, ch.rho), 1)
-    base_net = dict(net)
-
-    eta = par.infinity_pullback
+    ups = [par.upstairs_place(ch.place, ch.rho) for ch in problem.choices]
     ell = None
     unit_alpha = None
     c = field.one
     if deg_t % 2 == 0:
         case = "even"
-        e = deg_t // 2
-        for place, mult in eta.items():
-            _net_add(net, place, -e * mult)
+        theta = _theta_at_m(par, ups, [], deg_t // 2)
     else:
         stable = _stable_degree_one(par.sigma_fixed_points)
         if stable is not None:
             case = "odd_stable_point"
-            _net_add(net, stable, -deg_t)
+            theta = _theta_at_m(par, ups, [(stable, -deg_t)], 0)
         else:
             # sigma has no rational fixed point, so infinity moves: kappa^-
             # is infinity and kappa^+ = sigma(infinity) = a/c is finite
             case = "case_2b"
-            e = (deg_t + 1) // 2
-            _net_add(net, Place.infinity(field), 1)
-            for place, mult in eta.items():
-                _net_add(net, place, -e * mult)
+            theta = _theta_at_m(par, ups, [(Place.infinity(field), 1)],
+                                (deg_t + 1) // 2)
             ell, c = _mirror_function(par)
-            unit_alpha = _unit_form_case_2b(problem, par, base_net, eta, deg_t)
-
-    theta = _at_m(_realize_theta(net, field), par)
+            unit_alpha = _unit_form_case_2b(problem.choices, ups, par, deg_t)
     return _finish(problem, case, theta, c, ell, unit_alpha)
 
 
@@ -338,38 +342,30 @@ def _mirror_function(par):
     """l = 1/(m - sigma(infinity)), with div(l) = kappa^- - kappa^+ for
     kappa^- = infinity, rescaled so that the constant c = l * sigma(l) is
     the canonical square-class representative.  sigma moves infinity here,
-    so kappa^+ = sigma(infinity) is finite."""
-    field = par.field
-    kappa_plus = Polynomial(field, [-value_at(par.sigma, Place.infinity(field)),
-                                    field.one])
-    ell = RationalFunction(Polynomial.one(field), kappa_plus)
-    U, V, N = _at_m(ell, par)
-    c0 = _norm((U, V, N), par.model.f,
-               "l * sigma(l) is not constant (internal error)")
-    c_target = canonical_square_const(c0)
-    s = sqrt(c_target / c0)
-    return (U * s, V * s, N), c_target
+    so kappa^+ = sigma(infinity) is finite.  Built once per
+    parametrization, which keeps it as `mirror`."""
+    if par.mirror is None:
+        field = par.field
+        kappa_plus = Polynomial(field, [-value_at(par.sigma, Place.infinity(field)),
+                                        field.one])
+        U, V, N = _at_m(RationalFunction(Polynomial.one(field), kappa_plus), par)
+        c0 = _norm((U, V, N), par.model.f,
+                   "l * sigma(l) is not constant (internal error)")
+        c_target = canonical_square_const(c0)
+        s = sqrt(c_target / c0)
+        par.mirror = (U * s, V * s, N), c_target
+    return par.mirror
 
 
-def _unit_form_case_2b(problem, par, base_net, eta, deg_t) -> RationalFunction:
+def _unit_form_case_2b(choices, ups, par, deg_t) -> RationalFunction:
     """alpha of the classical c = 1 equation: theta gets a triple
-    cancellation at the smallest odd-degree chosen place, producing a
-    single pole of order 2."""
-    field = par.field
-    odd = [ch for ch in problem.choices if ch.place.degree % 2 == 1]
-    odd.sort(key=lambda ch: (ch.place.degree,) + ch.place.sort_key())
-    p1 = odd[0]
-    net = dict(base_net)
-    _net_add(net, par.upstairs_place(p1.place, p1.rho), -3)
-    e = (deg_t - 3 * p1.place.degree) // 2
-    for place, mult in eta.items():
-        _net_add(net, place, -e * mult)
-    U, V, _ = _at_m(_realize_theta(net, field), par)
-    f_t = _sigma_quotient(U, V, par.model.f)
-    message = "unit-form f has nonunit norm (internal error)"
-    if not _norm(f_t, par.model.f, message).is_one():
-        raise ArithmeticError(message)
-    return RationalFunction(f_t[0] * 2, f_t[2])
+    cancellation at the smallest odd-degree chosen place (ups holds the
+    upstairs place of each choice), producing a single pole of order 2."""
+    p1, up = min(((ch, up) for ch, up in zip(choices, ups)
+                  if ch.place.degree % 2 == 1),
+                 key=lambda t: (t[0].place.degree,) + t[0].place.sort_key())
+    theta = _theta_at_m(par, ups, [(up, -3)], (deg_t - 3 * p1.place.degree) // 2)
+    return _f_and_alpha(theta, par.model.f, par.field.one)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -398,12 +398,14 @@ class ConicParametrization:
     degree one in m, and m expressed back as m = (P + Q y)/D with P, Q, D
     in k[x], stored as the triple `m`.
 
-    The data the descent reads off the m-line are computed once, when the
-    parametrization is built: `infinity_pullback`, the divisor of poles of
-    X as {place: mult}; `sigma_fixed_points`, the degree-one places of the
-    m-line that sigma fixes (the ramification points), each with the value
-    of X there (None at a pole of X); and `y_over_x`, the function Y/X
-    whose residues tell the poles of X apart."""
+    The data the descent reads off the m-line are computed once per
+    parametrization.  When it is built: `infinity_pullback`, the divisor of
+    poles of X as {place: mult}; `sigma_fixed_points`, the degree-one places
+    of the m-line that sigma fixes (the ramification points), each with the
+    value of X there (None at a pole of X); and `y_over_x`, the function Y/X
+    whose residues tell the poles of X apart.  On first use, the descent
+    fills `m_powers`, the payload pairs (A_i, B_i) with (P + Q y)^i =
+    A_i + B_i y, and `mirror`, case_2b's mirror function."""
 
     def __init__(self, model: QuadraticModel, point=None):
         field = model.field
@@ -447,6 +449,8 @@ class ConicParametrization:
         self.infinity_pullback = pole_divisor(self.X, _q_hints(self.X.den))
         self.sigma_fixed_points = self._fixed_points()
         self.y_over_x = self.Y / self.X
+        self.m_powers = [([field._one_val()], [])]
+        self.mirror = None
 
     def _find_point(self, point):
         field = self.field

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from cubica import descent
 from cubica.acceptance import closure_menu, random_places, round_trip_failures
 from cubica.algebra import (QQ, FieldError, Polynomial, PrimeField,
                             RationalFunction, is_irreducible, smallest_nonsquare)
@@ -20,7 +21,7 @@ from cubica.function_field import Place
 from cubica.models import CubicModel
 from cubica.pure_cubic import count_pure
 from cubica.quadratic import (QuadraticModel, SquareClass,
-                              canonical_quadratic_field)
+                              canonical_quadratic_field, canonical_square_const)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -107,6 +108,31 @@ def test_case_2b_frozen():
     rep1 = analyze(res.unit_form)
     assert rep1.total_set() == {p}
     assert rep1.partial_set() == {Place.finite(x ** 2 - 2)}
+
+
+def test_enumerate_descents_builds_the_mirror_function_once(monkeypatch):
+    """A case_2b closure keeps its mirror function l: the four descents of
+    one T build it once, and each model and unit form equals the one built
+    on a fresh model of the same closure, with its own l and powers of m."""
+    field = PrimeField(13)
+    x = x_of(field)
+    f = x ** 2 + 2   # irreducible with a square leading coefficient: sigma fixes no rational place
+    builds = []
+
+    def counted(c):
+        builds.append(c)
+        return canonical_square_const(c)
+
+    monkeypatch.setattr(descent, "canonical_square_const", counted)
+    M = QuadraticModel.kummer(f)
+    T = random_places(M, field, random.Random(29), 3, (1,))
+    results = enumerate_descents(M, T)
+    assert len(results) == 4 and {res.case for res in results} == {"case_2b"}
+    assert len(builds) == 1
+    for res in results:
+        fresh = construct(DescentProblem(QuadraticModel.kummer(f), res.problem.choices))
+        assert fresh.model == res.model and fresh.unit_form == res.unit_form
+    assert len(builds) == 5
 
 
 def test_theta_and_f_data_consistency():

@@ -5,7 +5,9 @@ Nonconstant closures: Horner's rule over A + B*y with rational-function
 parts (each step in normal form), then a division through the norm; seeded
 rational functions of degree 0-6 in m, over F_5, F_13, F_101 and Q, on all
 three branches of `ConicParametrization`: deg f = 1, a square leading
-coefficient, and the slope through an affine point.
+coefficient, and the slope through an affine point.  The same reference
+checks the table of powers of m that a parametrization keeps, asked for
+in any order, and the table of a second chart through another point.
 
 Constant closures qK, q = k(sqrt(d)): the computation over q(x), where
 sigma is the coefficient-wise Frobenius: f = conj(theta)/theta, and each
@@ -150,6 +152,66 @@ def test_pair_evaluation_matches_the_boxed_horner(name, branch):
             assert normal_form(_pair(f_t)) == normal_form(
                 ref_sigma_quotient(ref, RationalFunction(f)))
             assert _norm(f_t, f, "f * sigma(f) is not constant").is_one()
+
+
+# -- the power table of one parametrization ----------------------------------------
+
+
+def degree_in_m(rf):
+    return max(rf.num.degree, rf.den.degree, 0)
+
+
+def value(rf, t):
+    return rf.num.evaluate(t) / rf.den.evaluate(t)
+
+
+def another_point(par):
+    """A point (X(t), Y(t)) of the conic with y != 0, other than the
+    center (x0, y0) of a slope chart, for t = 1, 2, ..."""
+    P, _, D = par.m
+    center = (-D.constant_coeff(), -P.constant_coeff())
+    for k in range(1, 20):
+        t = par.field(k)
+        if par.X.den.evaluate(t).is_zero():
+            continue
+        x, y = value(par.X, t), value(par.Y, t)
+        if not y.is_zero() and (x, y) != center:
+            return x, y
+    raise AssertionError("no second point found")
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_the_power_table_gives_the_same_values_in_any_order(name, branch):
+    """One parametrization's table, asked for n in descending, ascending
+    and shuffled repeated order (each on a fresh model of the same f), gives
+    the boxed Horner's values and never holds more than max n + 1 powers;
+    a chart of the same model through another point keeps its own table."""
+    field = FIELDS[name]
+    seed = f"descent-eval-order:{name}:{branch}"
+    rfs = sorted(rational_functions(field, random.Random(seed)), key=degree_in_m)
+    if field.order is None:
+        rfs = rfs[::3]   # the boxed reference's gcds dominate over Q
+    ref_par = parametrization(field, branch, random.Random(seed))
+    refs = [normal_form(ref_at_m(rf, ref_par)) for rf in rfs]
+    ascending = list(range(len(rfs)))
+    repeated = ascending * 2
+    random.Random(seed).shuffle(repeated)
+    for order in (ascending[::-1], ascending, repeated):
+        par = parametrization(field, branch, random.Random(seed))
+        top = 0
+        for k in order:
+            assert normal_form(_pair(_at_m(rfs[k], par))) == refs[k]
+            top = max(top, degree_in_m(rfs[k]))
+            assert len(par.m_powers) == top + 1
+    other = par.model.parametrize(point=another_point(par))
+    assert other is not par and other.m_powers is not par.m_powers
+    if branch == "slope":
+        assert other.m != par.m
+    for rf in rfs[::2]:
+        assert normal_form(_pair(_at_m(rf, other))) == normal_form(ref_at_m(rf, other))
+    assert len(other.m_powers) == max(map(degree_in_m, rfs[::2])) + 1
+    assert len(par.m_powers) == top + 1
 
 
 # -- constant closures: the reference over q(x) -----------------------------------
