@@ -107,7 +107,7 @@ def cmd_descend(args):
     if args.signs:
         signs = _load_json(args.signs, "signs")
         if (not isinstance(signs, list) or len(signs) != len(places)
-                or any(s not in (1, -1) for s in signs)):
+                or any(type(s) is not int or s not in (1, -1) for s in signs)):
             raise SchemaError("signs must be a list of +-1 matching the places")
     res = construct(make_problem(closure, places, signs))
     doc = _descent_doc(res)
@@ -123,10 +123,12 @@ def cmd_analyze(args):
     field = field_from_spec(args.field)
     model = decode_cubic_model(field, _load_json(args.model, "model"))
     if args.hints:
+        hints = _load_json(args.hints, "hints")
+        if not isinstance(hints, list):
+            raise SchemaError("hints must be a list of polynomials")
         # a reducible hint would be reported as one place
         model = dataclasses.replace(model, hints=tuple(
-            Place.finite(decode_poly(field, h)).poly
-            for h in _load_json(args.hints, "hints")))
+            Place.finite(decode_poly(field, h)).poly for h in hints))
     return _emit(encode_report(analyze(model)))
 
 
@@ -142,7 +144,11 @@ def cmd_bitwists(args):
         params = _load_json(args.params, "params")
         if not isinstance(params, dict):
             raise SchemaError("params must be an object")
-        model = family_member(tag, field, **params)
+        params = {k: decode_element(field, v) for k, v in params.items()}
+        try:
+            model = family_member(tag, field, **params)
+        except KeyError as exc:
+            raise SchemaError(f"params for {tag} need {exc}")
         return _emit({"model": encode_cubic_model(model),
                       "report": encode_report(analyze(model))})
     models = enumerate_classes(tag, field)

@@ -18,10 +18,12 @@ Three divisor shapes, by the parity of deg T and the stable points of K':
                    order 2, is attached as `unit_form`).
 
 Both closure shapes are K' = K(y) with y^2 = f, f the constant d for the
-constant closure qK, and the elements theta, f and l are carried as
-polynomial triples (U, V, N) over k[x], meaning (U + V y)/N.  On a conic
-K' = k(m), theta(m) and l(m) are sums over the powers of m = (P + Q y)/D,
-which the parametrization keeps, as it keeps l: both are built once.
+constant closure qK (where deg T is always even), and one construction
+serves both: theta is built from its divisor on the line of K' and the
+parametrization's `at_m` gives it, like f and l, as a polynomial triple
+(U, V, N) over k[x], meaning (U + V y)/N.  On a conic K' = k(m), theta(m)
+and l(m) are sums over the powers of m = (P + y)/D, which the
+parametrization keeps, as it keeps l: both are built once.
 
 `make_problem` takes the square root rho of f at every place of T, and
 `construct` checks each rho as a witness (one residue product) instead of
@@ -49,11 +51,10 @@ from itertools import product
 
 from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
 from .algebra.fields import _factor_int
-from .algebra.poly import _add, _mul, _poly
 from .function_field import Place, value_at
 from .models import CubicModel, sorted_places
-from .quadratic import (ConicParametrization, QuadraticModel, SPLIT,
-                        canonical_square_const, kummer_residue)
+from .quadratic import (QuadraticModel, SPLIT, canonical_square_const,
+                        kummer_residue)
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,22 @@ def make_problem(closure: QuadraticModel, places, signs=None) -> DescentProblem:
 
 
 def construct(problem: DescentProblem) -> DescentResult:
-    """The explicit minimal model for the given problem.
+    """The explicit minimal model for the given problem, for either closure
+    shape: theta by the shape of its divisor (module docstring) on the line
+    of K', carried down by the parametrization's `at_m`.
 
     Each residue sign rho is checked as a witness that its place splits:
     rho != 0 and rho^2 = f at the place.  Only when that fails is the
     splitting decided, to tell a place that does not split from a wrong
     rho."""
     closure = problem.closure
+    field = closure.field
     places = problem.places
     if not places:
         raise FieldError("T must be nonempty")
     if len(set(places)) != len(places):
         raise FieldError("places of T must be distinct")
-    if closure.field.char == 2:
+    if field.char == 2:
         raise FieldError("characteristic-2 descent is not supported")
     for ch in problem.choices:
         if not _is_root(closure.f, ch):
@@ -142,9 +146,28 @@ def construct(problem: DescentProblem) -> DescentResult:
                 raise FieldError("some place of T does not split in the closure")
             raise FieldError("the residue sign is not a square root of f "
                              f"at {ch.place!r}")
-    if closure.is_constant_extension():
-        return _construct_constant(problem)
-    return _construct_conic(problem)
+    par = closure.parametrize()
+    deg_t = sum(ch.place.degree for ch in problem.choices)
+    ups = [par.upstairs_place(ch.place, ch.rho) for ch in problem.choices]
+    ell = unit_alpha = None
+    c = field.one
+    if deg_t % 2 == 0:
+        case = "even"
+        theta = _theta_at_m(par, ups, [], deg_t // 2)
+    else:
+        stable = _stable_degree_one(par.sigma_fixed_points)
+        if stable is not None:
+            case = "odd_stable_point"
+            theta = _theta_at_m(par, ups, [(stable, -deg_t)], 0)
+        else:
+            # sigma has no rational fixed point, so infinity moves: kappa^-
+            # is infinity and kappa^+ = sigma(infinity) = a/c is finite
+            case = "case_2b"
+            theta = _theta_at_m(par, ups, [(Place.infinity(field), 1)],
+                                (deg_t + 1) // 2)
+            ell, c = _mirror_function(par)
+            unit_alpha = _unit_form_case_2b(problem.choices, ups, par, deg_t)
+    return _finish(problem, case, theta, c, ell, unit_alpha)
 
 
 def _is_root(f, choice: UpstairsChoice) -> bool:
@@ -217,70 +240,15 @@ def _finish(problem, case, theta, c, ell=None, unit_alpha=None) -> DescentResult
 
 
 # ---------------------------------------------------------------------------
-# constant closure K' = qK, q = k(sqrt(d)): theta = A + B sqrt(d) over k[x]
+# theta on the line of the closure: the m-line of a conic, q(x) for qK
 # ---------------------------------------------------------------------------
-
-
-def _construct_constant(problem: DescentProblem) -> DescentResult:
-    field = problem.closure.field
-    par = problem.closure.parametrize()
-    theta = Polynomial.one(par.qfield)
-    for ch in problem.choices:
-        theta = theta * par.upstairs_place(ch.place, ch.rho)
-    parts = [par.split(e) for e in theta.coeffs]
-    A = Polynomial(field, [a for a, _ in parts])
-    B = Polynomial(field, [b for _, b in parts])
-    return _finish(problem, "even", (A, B, Polynomial.one(field)), field.one)
-
-
-# ---------------------------------------------------------------------------
-# nonconstant closure: work on the parametrized m-line
-# ---------------------------------------------------------------------------
-
-
-def _at_m(rf: RationalFunction, par: ConicParametrization):
-    """rf(m) for m = (P + Q y)/D = par.m in K' = K(y), y^2 = f, as the
-    triple (U, V, N) with rf(m) = (U + V y)/N.
-
-    With n = max(deg num, deg den), num(m) and den(m) times D^n are the
-    sums c_i (A_i + B_i y) D^(n-i) over the powers (P + Q y)^i = A_i + B_i y
-    reduced by y^2 = f: scalar multiples added on payload lists, with a
-    Horner pass in D on the slope chart, where D = x - x0 is not 1.  The
-    powers are the list `par.m_powers`, extended to n + 1 entries when it
-    is shorter.  Dividing by A_2 + B_2 y through its norm
-    N = A_2^2 - B_2^2 f leaves U = A_1 A_2 - B_1 B_2 f, V = B_1 A_2 - A_1 B_2.
-    Nothing is reduced to normal form on the way."""
-    f = par.model.f
-    F, zero = f.field, f.field._zero_val()
-    P, Q, D = (g.vals for g in par.m)
-    n = max(rf.num.degree, rf.den.degree, 0)
-    pows = par.m_powers
-    while len(pows) <= n:
-        A, B = pows[-1]
-        pows.append((_add(F, _mul(F, A, P), _mul(F, _mul(F, B, Q), f.vals)),
-                     _add(F, _mul(F, A, Q), _mul(F, B, P))))
-
-    def homogenized(poly):
-        A = B = []
-        for i, (Ai, Bi) in zip(range(n + 1), pows):
-            if len(D) > 1:   # the slope chart
-                A, B = _mul(F, A, D), _mul(F, B, D)
-            c = poly.vals[i] if i <= poly.degree else zero
-            if c != zero:
-                A, B = _add(F, A, _mul(F, [c], Ai)), _add(F, B, _mul(F, [c], Bi))
-        return _poly(F, A), _poly(F, B)
-
-    a1, b1 = homogenized(rf.num)
-    a2, b2 = homogenized(rf.den)
-    return (a1 * a2 - b1 * b2 * f, b1 * a2 - a1 * b2,
-            a2 * a2 - b2 * b2 * f)
 
 
 def _theta_at_m(par, ups, extra, e):
     """theta(m) as a triple, for theta with divisor the sum of the places
     ups, plus the (place, mult) pairs of extra, minus e times the pullback
-    of infinity."""
-    field = par.field
+    of infinity; the places lie on the line of the closure, over q for qK."""
+    field = ups[0].field
     net = Counter(ups)
     for place, mult in extra + [(p, -e * m) for p, m in par.infinity_pullback.items()]:
         net[place] += mult
@@ -293,37 +261,9 @@ def _theta_at_m(par, ups, extra, e):
         else:
             den = den * place.poly ** (-mult)
     theta = RationalFunction(num, den)
-    if theta.degree_at_infinity() != net[Place.infinity(field)]:
+    if theta.degree_at_infinity() != net[Place.infinity(theta.field)]:
         raise ArithmeticError("theta divisor is not balanced (internal error)")
-    return _at_m(theta, par)
-
-
-def _construct_conic(problem: DescentProblem) -> DescentResult:
-    closure = problem.closure
-    field = closure.field
-    par = closure.parametrize()
-    deg_t = sum(ch.place.degree for ch in problem.choices)
-    ups = [par.upstairs_place(ch.place, ch.rho) for ch in problem.choices]
-    ell = None
-    unit_alpha = None
-    c = field.one
-    if deg_t % 2 == 0:
-        case = "even"
-        theta = _theta_at_m(par, ups, [], deg_t // 2)
-    else:
-        stable = _stable_degree_one(par.sigma_fixed_points)
-        if stable is not None:
-            case = "odd_stable_point"
-            theta = _theta_at_m(par, ups, [(stable, -deg_t)], 0)
-        else:
-            # sigma has no rational fixed point, so infinity moves: kappa^-
-            # is infinity and kappa^+ = sigma(infinity) = a/c is finite
-            case = "case_2b"
-            theta = _theta_at_m(par, ups, [(Place.infinity(field), 1)],
-                                (deg_t + 1) // 2)
-            ell, c = _mirror_function(par)
-            unit_alpha = _unit_form_case_2b(problem.choices, ups, par, deg_t)
-    return _finish(problem, case, theta, c, ell, unit_alpha)
+    return par.at_m(theta)
 
 
 def _stable_degree_one(fixed):
@@ -348,7 +288,7 @@ def _mirror_function(par):
         field = par.field
         kappa_plus = Polynomial(field, [-value_at(par.sigma, Place.infinity(field)),
                                         field.one])
-        U, V, N = _at_m(RationalFunction(Polynomial.one(field), kappa_plus), par)
+        U, V, N = par.at_m(RationalFunction(Polynomial.one(field), kappa_plus))
         c0 = _norm((U, V, N), par.model.f,
                    "l * sigma(l) is not constant (internal error)")
         c_target = canonical_square_const(c0)

@@ -40,7 +40,7 @@ def encode_element(e: Element) -> str:
 
 
 def decode_element(field, data) -> Element:
-    if isinstance(data, int):
+    if type(data) is int:   # not a JSON true/false
         return field(data)
     if isinstance(data, str):
         try:
@@ -168,6 +168,8 @@ def decode_cubic_model(field, data) -> CubicModel:
         return CubicModel.pure(decode_ratfunc(field, data["pure"]))
     if "impure" in data:
         body = data["impure"]
+        if not isinstance(body, dict) or "alpha" not in body:
+            raise SchemaError("impure model needs {'alpha': ..., 'c': ...}")
         c = decode_element(field, body.get("c", "1"))
         alpha = decode_ratfunc(field, body["alpha"])
         try:

@@ -19,6 +19,7 @@ from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       is_square, poly_gcd, smallest_nonsquare,
                       sqrt, squarefree_decomposition, trace_to_f2)
 from .algebra.fields import _factor_int
+from .algebra.poly import _add, _mul, _poly
 from .function_field import Place, place_factors, pole_divisor, value_at
 from .models import CubicModel
 
@@ -395,17 +396,17 @@ def kummer_residue(f: Polynomial, place: Place):
 class ConicParametrization:
     """K' = K(y), y^2 = f(x) with deg f in {1, 2}: an isomorphism K' = k(m)
     with x = X(m), y = Y(m), the involution sigma as a rational function of
-    degree one in m, and m expressed back as m = (P + Q y)/D with P, Q, D
-    in k[x], stored as the triple `m`.
+    degree one in m, and m expressed back as m = (P + y)/D with P, D in
+    k[x], stored as the pair `m`.
 
     The data the descent reads off the m-line are computed once per
     parametrization.  When it is built: `infinity_pullback`, the divisor of
     poles of X as {place: mult}; `sigma_fixed_points`, the degree-one places
     of the m-line that sigma fixes (the ramification points), each with the
     value of X there (None at a pole of X); and `y_over_x`, the function Y/X
-    whose residues tell the poles of X apart.  On first use, the descent
-    fills `m_powers`, the payload pairs (A_i, B_i) with (P + Q y)^i =
-    A_i + B_i y, and `mirror`, case_2b's mirror function."""
+    whose residues tell the poles of X apart.  On first use, `at_m` fills
+    `m_powers`, the payload pairs (A_i, B_i) with (P + y)^i = A_i + B_i y,
+    and the descent fills `mirror`, case_2b's mirror function."""
 
     def __init__(self, model: QuadraticModel, point=None):
         field = model.field
@@ -420,7 +421,7 @@ class ConicParametrization:
             self.X = RationalFunction((x * x - f0) * f1.inverse())
             self.Y = RationalFunction(x)
             self.sigma = RationalFunction(-x)
-            self.m = (Polynomial.zero(field), one, one)
+            self.m = (Polynomial.zero(field), one)
         elif is_square(f.leading()):
             # m = y - s x with s^2 = lc(f); x = (f0 - m^2)/(2 s m - f1)
             s = sqrt(f.leading())
@@ -430,7 +431,7 @@ class ConicParametrization:
             self.Y = RationalFunction(x) + self.X * s
             self.sigma = RationalFunction(Polynomial(field, [-two_s * f0, f1]),
                                           Polynomial(field, [-f1, two_s]))
-            self.m = (Polynomial(field, [field.zero, -s]), one, one)
+            self.m = (Polynomial(field, [field.zero, -s]), one)
         else:
             # slope parametrization through an affine point (x0, y0), y0 != 0
             x0, y0 = self._find_point(point)
@@ -443,7 +444,7 @@ class ConicParametrization:
             self.sigma = RationalFunction(Polynomial(field, [field(2) * f2 * y0, -fp]),
                                           Polynomial(field, [fp, -field(2) * y0]))
             # m = (y - y0)/(x - x0)
-            self.m = (Polynomial.constant(field, -y0), one,
+            self.m = (Polynomial.constant(field, -y0),
                       Polynomial(field, [-x0, field.one]))
         self._check()
         self.infinity_pullback = pole_divisor(self.X, _q_hints(self.X.den))
@@ -513,12 +514,12 @@ class ConicParametrization:
                     return cand
             raise ArithmeticError("no pole of X matches the sign choice at infinity")
         R = place.residue_field
-        P, Q, D = self.m
+        P, D = self.m
         dbar = R(D)
         if dbar.is_zero():
             # m has its single pole above this place; only possible in degree 1
             return self._upstairs_degree_one_special(place, rho)
-        mbar = (R(P) + R(Q) * rho) / dbar
+        mbar = (R(P) + rho) / dbar
         mp = R.min_poly(mbar)
         if mp.degree != place.degree:
             raise ArithmeticError("residue of m does not generate the residue field")
@@ -537,6 +538,43 @@ class ConicParametrization:
             val = self.model.f.derivative().evaluate(x0) / (field(2) * y0)
             return Place.finite(Polynomial(field, [-val, field.one]), check=False)
         return Place.infinity(field)
+
+    def at_m(self, rf: RationalFunction):
+        """rf(m) for m = (P + y)/D in K' = K(y), y^2 = f, as the triple
+        (U, V, N) with rf(m) = (U + V y)/N.
+
+        With n = max(deg num, deg den), num(m) and den(m) times D^n are the
+        sums c_i (A_i + B_i y) D^(n-i) over the powers (P + y)^i = A_i + B_i y
+        reduced by y^2 = f: scalar multiples added on payload lists, with a
+        Horner pass in D on the slope chart, where D = x - x0 is not 1.  The
+        powers are the list `m_powers`, extended to n + 1 entries when it is
+        shorter.  Dividing by A_2 + B_2 y through its norm
+        N = A_2^2 - B_2^2 f leaves U = A_1 A_2 - B_1 B_2 f, V = B_1 A_2 - A_1 B_2.
+        Nothing is reduced to normal form on the way."""
+        f = self.model.f
+        F, zero = self.field, self.field._zero_val()
+        P, D = (g.vals for g in self.m)
+        n = max(rf.num.degree, rf.den.degree, 0)
+        pows = self.m_powers
+        while len(pows) <= n:
+            A, B = pows[-1]
+            pows.append((_add(F, _mul(F, A, P), _mul(F, B, f.vals)),
+                         _add(F, A, _mul(F, B, P))))
+
+        def homogenized(poly):
+            A = B = []
+            for i, (Ai, Bi) in zip(range(n + 1), pows):
+                if len(D) > 1:   # the slope chart
+                    A, B = _mul(F, A, D), _mul(F, B, D)
+                c = poly.vals[i] if i <= poly.degree else zero
+                if c != zero:
+                    A, B = _add(F, A, _mul(F, [c], Ai)), _add(F, B, _mul(F, [c], Bi))
+            return _poly(F, A), _poly(F, B)
+
+        a1, b1 = homogenized(rf.num)
+        a2, b2 = homogenized(rf.den)
+        return (a1 * a2 - b1 * b2 * f, b1 * a2 - a1 * b2,
+                a2 * a2 - b2 * b2 * f)
 
 
 def _q_hints(poly: Polynomial):
@@ -558,7 +596,8 @@ def _q_hints(poly: Polynomial):
 
 class ConstantParametrization:
     """K' = qK for the constant quadratic extension q = k(sqrt(d)) of k: the
-    coordinate is x itself and sigma acts on constants."""
+    coordinate is x itself, sigma acts on constants, and the line of K' is
+    q(x), with `infinity_pullback` its infinity."""
 
     def __init__(self, model: QuadraticModel):
         field = model.field
@@ -569,6 +608,7 @@ class ConstantParametrization:
         self.d = model.f.constant_coeff()
         self.qfield = canonical_quadratic_field(field)
         self.root_d = sqrt(self.qfield(self.d.val))
+        self.infinity_pullback = {Place.infinity(self.qfield): 1}
 
     def split(self, e: Element):
         """(e0, e1) over k with e = e0 + e1 sqrt(d) for e in q."""
@@ -576,9 +616,9 @@ class ConstantParametrization:
         e1 = c[1] / r[1]
         return c[0] - e1 * r[0], e1
 
-    def upstairs_place(self, place: Place, rho) -> Polynomial:
-        """The monic irreducible factor of the place polynomial over q picked
-        by the embedding sqrt(d) -> rho; returned as a polynomial over q."""
+    def upstairs_place(self, place: Place, rho) -> Place:
+        """The place of q(x) above `place` picked by the embedding sqrt(d)
+        -> rho: the monic irreducible factor over q of the place polynomial."""
         if place.infinite:
             raise FieldError("infinity is inert in a constant extension")
         q = self.qfield
@@ -587,7 +627,18 @@ class ConstantParametrization:
         g = poly_gcd(pq, rho_lift - Polynomial.constant(q, self.root_d))
         if 2 * g.degree != place.degree:
             raise ArithmeticError("sign choice does not pick out a conjugate factor")
-        return g
+        return Place.finite(g, check=False)
+
+    def at_m(self, rf: RationalFunction):
+        """rf over q(x) as the triple (A, B, 1) with rf = A + B sqrt(d), A
+        and B over k(x), for rf with denominator 1: the only shape of theta
+        the even case builds over qK."""
+        if not rf.den.is_one():
+            raise ArithmeticError("theta over qK has a denominator (internal error)")
+        parts = [self.split(e) for e in rf.num.coeffs]
+        return (Polynomial(self.field, [a for a, _ in parts]),
+                Polynomial(self.field, [b for _, b in parts]),
+                Polynomial.one(self.field))
 
 
 def canonical_quadratic_field(field: PrimeField) -> ResidueField:

@@ -220,6 +220,30 @@ def test_schema_errors_exit_2(capsys):
     assert main(["parshin", "weierstrass", "--field", "5^2", "--g",
                  '[[1, 2], "0", "0", "1"]', "--c", "1"]) == 0
     assert '"1+2*t"' in capsys.readouterr().out
+    # family parameters: a missing one (an unknown one does not stand in for
+    # it) or a value that is not an element of the field
+    for params in ('{}', '{"e": 1}', '{"d": "x"}', '{"d": true}'):
+        assert main(["bitwists", "--tag", "R322", "--field", "5",
+                     "--params", params]) == 2
+        assert "schema error" in capsys.readouterr().err
+    # a sign is the integer 1 or -1, not a JSON boolean or float
+    for signs in ('[true]', '[1.0]'):
+        assert main(["descend", "--field", "13", "--closure", '{"kummer": ["0", "1"]}',
+                     "--places", '[{"poly": ["12", "1"]}]', "--signs", signs]) == 2
+        assert "schema error" in capsys.readouterr().err
+    # JSON true/false is no coefficient
+    for coeff in ('true', 'false'):
+        assert main(["analyze", "--field", "5", "--model",
+                     f'{{"impure": {{"alpha": {{"num": [{coeff}, 1]}}}}}}']) == 2
+        assert "bad element" in capsys.readouterr().err
+    # an impure model is an object with alpha; hints are a list of polynomials
+    for model in ('{"impure": {}}', '{"impure": 5}'):
+        assert main(["analyze", "--field", "5", "--model", model]) == 2
+        assert "impure model needs" in capsys.readouterr().err
+    for hints in ('5', '"x"'):
+        assert main(["analyze", "--field", "5", "--model",
+                     '{"impure": {"alpha": {"num": [1, 1]}}}', "--hints", hints]) == 2
+        assert "hints must be a list" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_1(capsys):

@@ -12,7 +12,8 @@ in any order, and the table of a second chart through another point.
 Constant closures qK, q = k(sqrt(d)): the computation over q(x), where
 sigma is the coefficient-wise Frobenius: f = conj(theta)/theta, and each
 e = P + Q sqrt(d) split as P = (e + conj e)/2, Q = (e - conj e)/(2 sqrt(d));
-over F_5, F_13 and F_101, for theta, f and the twists."""
+over F_5, F_13 and F_101, for each upstairs factor (times its conjugate,
+the place polynomial), the split `at_m`, theta, f and the twists."""
 
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 from cubica.acceptance import random_places
 from cubica.algebra import (Polynomial, PrimeField, QQ, RationalFunction,
                             is_square, smallest_nonsquare)
-from cubica.descent import (_at_m, _norm, _pair, _sigma_quotient, construct,
+from cubica.descent import (_norm, _pair, _sigma_quotient, construct,
                             make_problem, norm_one_cube_reps, twists_descent)
 from cubica.quadratic import QuadraticModel
 
@@ -57,8 +58,8 @@ def ref_horner(field, poly, m, f_rat):
 
 def ref_at_m(rf, par):
     field, f_rat = par.field, RationalFunction(par.model.f)
-    P, Q, D = par.m
-    m = (RationalFunction(P, D), RationalFunction(Q, D))
+    P, D = par.m
+    m = (RationalFunction(P, D), RationalFunction(Polynomial.one(field), D))
     return ref_div(f_rat, ref_horner(field, rf.num, m, f_rat),
                    ref_horner(field, rf.den, m, f_rat))
 
@@ -144,7 +145,7 @@ def test_pair_evaluation_matches_the_boxed_horner(name, branch):
         par = parametrization(field, branch, rng)
         f = par.model.f
         for rf in rational_functions(field, rng):
-            U, V, N = _at_m(rf, par)
+            U, V, N = par.at_m(rf)
             theta = _pair((U, V, N))
             ref = ref_at_m(rf, par)
             assert normal_form(theta) == normal_form(ref)
@@ -168,7 +169,7 @@ def value(rf, t):
 def another_point(par):
     """A point (X(t), Y(t)) of the conic with y != 0, other than the
     center (x0, y0) of a slope chart, for t = 1, 2, ..."""
-    P, _, D = par.m
+    P, D = par.m
     center = (-D.constant_coeff(), -P.constant_coeff())
     for k in range(1, 20):
         t = par.field(k)
@@ -201,7 +202,7 @@ def test_the_power_table_gives_the_same_values_in_any_order(name, branch):
         par = parametrization(field, branch, random.Random(seed))
         top = 0
         for k in order:
-            assert normal_form(_pair(_at_m(rfs[k], par))) == refs[k]
+            assert normal_form(_pair(par.at_m(rfs[k]))) == refs[k]
             top = max(top, degree_in_m(rfs[k]))
             assert len(par.m_powers) == top + 1
     other = par.model.parametrize(point=another_point(par))
@@ -209,7 +210,7 @@ def test_the_power_table_gives_the_same_values_in_any_order(name, branch):
     if branch == "slope":
         assert other.m != par.m
     for rf in rfs[::2]:
-        assert normal_form(_pair(_at_m(rf, other))) == normal_form(ref_at_m(rf, other))
+        assert normal_form(_pair(other.at_m(rf))) == normal_form(ref_at_m(rf, other))
     assert len(other.m_powers) == max(map(degree_in_m, rfs[::2])) + 1
     assert len(par.m_powers) == top + 1
 
@@ -262,9 +263,12 @@ def test_constant_closure_matches_the_q_reference(p):
         res = construct(make_problem(closure, T, [rng.choice((1, -1)) for _ in T]))
         theta = Polynomial.one(q)
         for ch in res.problem.choices:
-            theta = theta * par.upstairs_place(ch.place, ch.rho)
+            g = par.upstairs_place(ch.place, ch.rho).poly
+            assert g * conj_rf(RationalFunction(g)).num == ch.place.poly.map_coeffs(q, q)
+            theta = theta * g
         theta = RationalFunction(theta)
         f = conj_rf(theta) / theta
+        assert normal_form(_pair(par.at_m(theta))) == normal_form(ref_split(theta, par))
         assert normal_form(res.theta) == normal_form(ref_split(theta, par))
         assert normal_form(res.f_pair) == normal_form(ref_split(f, par))
         P, Q = res.f_pair
