@@ -434,8 +434,10 @@ def _root(field, v):
     of order q, with s = (q^k - 1)/(q - 1) odd and a^s = N(a), the root is
     a^((s+1)/2)/sqrt(N(a)); as (s + 1)/2 = 1 + q (q + 1)/2 (1 + q^2 + ... +
     q^(k-3)), a^((s+1)/2) is a c c^(q^2) ... c^(q^(k-3)) for c =
-    (a^((q+1)/2))^q, by the Frobenius map ``_frob`` (a c for k = 3).  F_p
-    and residue fields of even degree above 2 run Tonelli-Shanks."""
+    (a^((q+1)/2))^q, by the Frobenius map ``_frob`` (a c for k = 3).  F_p,
+    residue fields of even degree above 2 and a field of the element
+    protocol that is no ResidueField (it has no ``_trace``) run
+    Tonelli-Shanks."""
     if isinstance(field, PrimeField):
         p = field.p
         return _tonelli_shanks(field, v) if pow(v, (p - 1) // 2, p) == 1 else None

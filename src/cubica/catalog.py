@@ -11,7 +11,10 @@ keyed by ramification signature (triple part, double part):
   R332_CHAR2   (3^2 2^1, 1) y^3 = y + l/(x^2 + x + a)
   R33_CHAR2_AS (3^2, 0)     y^3 = y + 1/(x^2 + x + a) in characteristic 2
 
-Family parameters are validated against their domains; class enumeration
+Each family's parameters are named once, in `FAMILY_PARAMS`; a member is
+refused with `ParameterError` when one it needs is missing or one it does
+not take is given, and its parameter values are validated against their
+domains.  Class enumeration
 follows the finite-field counts (one parameter value per bi-isomorphism
 class, crossed with the two-element twist group where applicable)."""
 
@@ -37,6 +40,19 @@ ALL_TAGS = (R33, R33_PURE3, R322, R3322, R3322_MU,
 
 _CHAR2_TAGS = {R32_CHAR2, R332_CHAR2, R33_CHAR2_AS}
 
+# tag: {parameter: default, None for a required one}; R33 in characteristic
+# 2 is R33_CHAR2_AS, and R33_PURE3 has no single member
+FAMILY_PARAMS = {
+    R33: {"a": None, "b": None}, R33_CHAR2_AS: {"a": None}, R322: {"d": None},
+    R3322: {"nu": None, "d": 1}, R3322_MU: {"mu": None}, R32_CHAR2: {},
+    R332_CHAR2: {"lam": None, "a": 0},
+}
+
+
+class ParameterError(FieldError):
+    """A family member asked for without a parameter it needs, or with one
+    its family does not take."""
+
 
 def _require_char(field, tag):
     if tag in _CHAR2_TAGS:
@@ -48,12 +64,21 @@ def _require_char(field, tag):
 
 
 def family_member(tag: str, field, **params) -> CubicModel:
-    """The model of one family member; raises on out-of-domain parameters."""
+    """The model of one family member; raises on out-of-domain parameters,
+    and ParameterError on parameter names outside `FAMILY_PARAMS`."""
     _require_char(field, tag)
+    if tag == R33 and field.char == 2:
+        tag = R33_CHAR2_AS
+    if tag not in FAMILY_PARAMS:
+        raise FieldError(f"unknown family tag {tag!r}")
+    names, given = FAMILY_PARAMS[tag], sorted(params)
+    params = {**names, **params}
+    if params.keys() != names.keys() or None in params.values():
+        required = [name for name, default in names.items() if default is None]
+        raise ParameterError(f"{tag} takes the parameters {list(names)} "
+                             f"(required: {required}), not {given}")
     x = Polynomial.x(field)
     if tag == R33:
-        if field.char == 2:
-            return family_member(R33_CHAR2_AS, field, **params)
         a, b = field(params["a"]), field(params["b"])
         quad = x * x + a * x + b
         if not is_irreducible(quad):
@@ -75,7 +100,7 @@ def family_member(tag: str, field, **params) -> CubicModel:
         return CubicModel.impure(field.one,
                                  RationalFunction(2 * (2 * x * x - d) * dinv))
     if tag == R3322:
-        nu, d = field(params["nu"]), field(params.get("d", 1))
+        nu, d = field(params["nu"]), field(params["d"])
         if nu.is_zero() or nu.is_one() or d.is_zero():
             raise FieldError("need nu outside {0, 1} and d nonzero")
         num = 2 * ((2 * nu - 1) * x * x - d * nu)
@@ -92,13 +117,12 @@ def family_member(tag: str, field, **params) -> CubicModel:
         return CubicModel.impure(field.one, RationalFunction(x))
     if tag == R332_CHAR2:
         lam = field(params["lam"])
-        a = field(params.get("a", 0))
+        a = field(params["a"])
         if lam.is_zero() or lam.is_one():
             raise FieldError("need lambda outside {0, 1}")
         den = x * x + x + Polynomial.constant(field, a)
         return CubicModel.impure(field.one,
                                  RationalFunction(Polynomial.constant(field, lam), den))
-    raise FieldError(f"unknown family tag {tag!r}")
 
 
 def class_count(tag: str, field) -> int:

@@ -16,7 +16,8 @@ import sys
 
 from .algebra import FieldError, QQ
 from .analyzer import analyze
-from .catalog import ALL_TAGS, class_count, enumerate_classes, family_member
+from .catalog import (ALL_TAGS, ParameterError, class_count, enumerate_classes,
+                      family_member)
 from .descent import (construct, enumerate_descents, exists_descent,
                       make_problem, twists_descent)
 from .function_field import Place
@@ -147,8 +148,8 @@ def cmd_bitwists(args):
         params = {k: decode_element(field, v) for k, v in params.items()}
         try:
             model = family_member(tag, field, **params)
-        except KeyError as exc:
-            raise SchemaError(f"params for {tag} need {exc}")
+        except ParameterError as exc:
+            raise SchemaError(str(exc))
         return _emit({"model": encode_cubic_model(model),
                       "report": encode_report(analyze(model))})
     models = enumerate_classes(tag, field)

@@ -22,8 +22,10 @@ constant closure qK (where deg T is always even), and one construction
 serves both: theta is built from its divisor on the line of K' and the
 parametrization's `at_m` gives it, like f and l, as a polynomial triple
 (U, V, N) over k[x], meaning (U + V y)/N.  On a conic K' = k(m), theta(m)
-and l(m) are sums over the powers of m = (P + y)/D, which the
-parametrization keeps, as it keeps l: both are built once.
+and l(m) are sums over the powers of m = (P + y)/D.  The parametrization
+builds and keeps what is read off its m-line: the powers of m, the stable
+place (the point above a degree-one branch place) and l; `construct` only
+reads them.
 
 `make_problem` takes the square root rho of f at every place of T, and
 `construct` checks each rho as a witness (one residue product) instead of
@@ -49,12 +51,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .algebra import Element, FieldError, Polynomial, RationalFunction, sqrt
+from .algebra import Element, FieldError, Polynomial, RationalFunction
 from .algebra.fields import _factor_int
-from .function_field import Place, value_at
+from .function_field import Place
 from .models import CubicModel, sorted_places
-from .quadratic import (QuadraticModel, SPLIT, canonical_square_const,
-                        kummer_residue)
+from .quadratic import QuadraticModel, SPLIT, _norm, kummer_residue
 
 
 @dataclass(frozen=True)
@@ -154,19 +155,17 @@ def construct(problem: DescentProblem) -> DescentResult:
     if deg_t % 2 == 0:
         case = "even"
         theta = _theta_at_m(par, ups, [], deg_t // 2)
+    elif par.stable_place is not None:
+        case = "odd_stable_point"
+        theta = _theta_at_m(par, ups, [(par.stable_place, -deg_t)], 0)
     else:
-        stable = _stable_degree_one(par.sigma_fixed_points)
-        if stable is not None:
-            case = "odd_stable_point"
-            theta = _theta_at_m(par, ups, [(stable, -deg_t)], 0)
-        else:
-            # sigma has no rational fixed point, so infinity moves: kappa^-
-            # is infinity and kappa^+ = sigma(infinity) = a/c is finite
-            case = "case_2b"
-            theta = _theta_at_m(par, ups, [(Place.infinity(field), 1)],
-                                (deg_t + 1) // 2)
-            ell, c = _mirror_function(par)
-            unit_alpha = _unit_form_case_2b(problem.choices, ups, par, deg_t)
+        # sigma has no rational fixed point, so infinity moves: kappa^- is
+        # infinity and kappa^+ = sigma(infinity) = a/c is finite
+        case = "case_2b"
+        theta = _theta_at_m(par, ups, [(Place.infinity(field), 1)],
+                            (deg_t + 1) // 2)
+        ell, c = par.mirror
+        unit_alpha = _unit_form_case_2b(problem.choices, ups, par, deg_t)
     return _finish(problem, case, theta, c, ell, unit_alpha)
 
 
@@ -193,17 +192,6 @@ def _times(s, t, f):
     """The product s * t."""
     (u1, v1, n1), (u2, v2, n2) = s, t
     return u1 * u2 + v1 * v2 * f, u1 * v2 + v1 * u2, n1 * n2
-
-
-def _norm(t, f, message):
-    """The constant t * sigma(t) = (U^2 - V^2 f)/N^2; ArithmeticError(message)
-    when it is not constant."""
-    U, V, N = t
-    num, den = U * U - V * V * f, N * N
-    lam = num.leading() / den.leading()
-    if num != den * lam:
-        raise ArithmeticError(message)
-    return lam
 
 
 def _pair(t):
@@ -264,37 +252,6 @@ def _theta_at_m(par, ups, extra, e):
     if theta.degree_at_infinity() != net[Place.infinity(theta.field)]:
         raise ArithmeticError("theta divisor is not balanced (internal error)")
     return par.at_m(theta)
-
-
-def _stable_degree_one(fixed):
-    """The Galois-stable degree-one place to pile the poles on: the fixed
-    point over infinity (a pole of X) when there is one, else the branch
-    point with the smallest x-coordinate; None when sigma fixes none."""
-    over_inf = [place for place, xv in fixed if xv is None]
-    if over_inf:
-        return over_inf[0]
-    if fixed:
-        return min(fixed, key=lambda t: t[1].sort_key())[0]
-    return None
-
-
-def _mirror_function(par):
-    """l = 1/(m - sigma(infinity)), with div(l) = kappa^- - kappa^+ for
-    kappa^- = infinity, rescaled so that the constant c = l * sigma(l) is
-    the canonical square-class representative.  sigma moves infinity here,
-    so kappa^+ = sigma(infinity) is finite.  Built once per
-    parametrization, which keeps it as `mirror`."""
-    if par.mirror is None:
-        field = par.field
-        kappa_plus = Polynomial(field, [-value_at(par.sigma, Place.infinity(field)),
-                                        field.one])
-        U, V, N = par.at_m(RationalFunction(Polynomial.one(field), kappa_plus))
-        c0 = _norm((U, V, N), par.model.f,
-                   "l * sigma(l) is not constant (internal error)")
-        c_target = canonical_square_const(c0)
-        s = sqrt(c_target / c0)
-        par.mirror = (U * s, V * s, N), c_target
-    return par.mirror
 
 
 def _unit_form_case_2b(choices, ups, par, deg_t) -> RationalFunction:

@@ -108,12 +108,10 @@ def encode_place(p: Place) -> dict:
 
 
 def decode_place(field, data) -> Place:
-    if not isinstance(data, dict):
-        raise SchemaError("place must be an object")
-    if data.get("inf"):
+    if data == {"inf": True} and data["inf"] is True:   # not 1, which == True
         return Place.infinity(field)
-    if "poly" not in data:
-        raise SchemaError("place needs 'poly' or 'inf'")
+    if not isinstance(data, dict) or data.keys() != {"poly"}:
+        raise SchemaError("place must be {'inf': true} or {'poly': [...]}")
     poly = decode_poly(field, data["poly"])
     try:
         return Place.finite(poly, check=True)

@@ -13,6 +13,7 @@ odd order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (Element, FieldError, Polynomial, PrimeField,
                       RationalFunction, ResidueField, is_irreducible,
@@ -399,14 +400,14 @@ class ConicParametrization:
     degree one in m, and m expressed back as m = (P + y)/D with P, D in
     k[x], stored as the pair `m`.
 
-    The data the descent reads off the m-line are computed once per
+    Every value the descent reads off the m-line is built here, once per
     parametrization.  When it is built: `infinity_pullback`, the divisor of
-    poles of X as {place: mult}; `sigma_fixed_points`, the degree-one places
-    of the m-line that sigma fixes (the ramification points), each with the
-    value of X there (None at a pole of X); and `y_over_x`, the function Y/X
-    whose residues tell the poles of X apart.  On first use, `at_m` fills
-    `m_powers`, the payload pairs (A_i, B_i) with (P + y)^i = A_i + B_i y,
-    and the descent fills `mirror`, case_2b's mirror function."""
+    poles of X as {place: mult}, and `y_over_x`, the function Y/X whose
+    residues tell the poles of X apart.  On first use: `m_powers`, the
+    payload pairs (A_i, B_i) with (P + y)^i = A_i + B_i y that `at_m`
+    extends; `stable_place`, the odd case's Galois-stable point; and
+    `mirror`, case_2b's mirror function.  `upstairs_place` is the one map
+    from places of K to the m-line."""
 
     def __init__(self, model: QuadraticModel, point=None):
         field = model.field
@@ -448,10 +449,8 @@ class ConicParametrization:
                       Polynomial(field, [-x0, field.one]))
         self._check()
         self.infinity_pullback = pole_divisor(self.X, _q_hints(self.X.den))
-        self.sigma_fixed_points = self._fixed_points()
         self.y_over_x = self.Y / self.X
         self.m_powers = [([field._one_val()], [])]
-        self.mirror = None
 
     def _find_point(self, point):
         field = self.field
@@ -475,7 +474,8 @@ class ConicParametrization:
         return x0, y0
 
     def _check(self):
-        # Y(m)^2 = f(X(m)) and sigma is an involution with X o sigma = X
+        # Y(m)^2 = f(X(m)) and sigma is an involution other than the
+        # identity with X o sigma = X
         f = self.model.f
         lhs = self.Y * self.Y
         rhs = RationalFunction(f).compose(self.X)
@@ -484,23 +484,46 @@ class ConicParametrization:
         sig = self.sigma
         if self.X.compose(sig) != self.X:
             raise ArithmeticError("involution does not fix x")
-        if sig.compose(sig) != RationalFunction.x(self.field):
+        m = RationalFunction.x(self.field)
+        if sig == m:
+            raise ArithmeticError("sigma is the identity")
+        if sig.compose(sig) != m:
             raise ArithmeticError("sigma is not an involution")
 
-    def _fixed_points(self):
-        """[(place, X there or None)] over the degree-one places sigma fixes:
-        infinity when sigma has a constant denominator, and the zeros of
-        num(sigma) - m den(sigma)."""
-        sig = self.sigma
-        fix = sig.num - Polynomial.x(self.field) * sig.den
-        if fix.is_zero():
-            raise ArithmeticError("sigma is the identity")
-        places = [Place.infinity(self.field)] if sig.den.is_constant() else []
-        places += [place for place, _ in place_factors(fix, _q_hints(fix))
-                   if place.degree == 1]
-        return [(place, value_at(self.X, place)) for place in places]
+    # -- places and functions of the m-line -------------------------------------
 
-    # -- places of the m-line ---------------------------------------------------
+    @cached_property
+    def stable_place(self):
+        """The Galois-stable degree-one place of the m-line that takes
+        theta's poles in the odd case: the point above a degree-one branch
+        place b of K, where y = 0 (so rho = 0).  b is infinity when it
+        branches, else the root of f smallest by the field's sort key; None
+        when no branch place has degree one, and then sigma fixes no
+        rational point."""
+        ones = [b for b in self.model.branch_places() if b.degree == 1]
+        if not ones:
+            return None
+        # () sorts before every key, so infinity comes first
+        b = min(ones, key=lambda b: () if b.infinite else (-b.poly[0]).sort_key())
+        return self.upstairs_place(
+            b, self.field.zero if b.infinite else b.residue_field.zero)
+
+    @cached_property
+    def mirror(self):
+        """(l, c) for case_2b, where sigma moves infinity: the triple of
+        l = 1/(m - sigma(infinity)), with div(l) = kappa^- - kappa^+ for
+        kappa^- = infinity and the finite kappa^+ = sigma(infinity), rescaled
+        so that the constant c = l * sigma(l) is the canonical square-class
+        representative."""
+        field = self.field
+        kappa_plus = Polynomial(field, [-value_at(self.sigma, Place.infinity(field)),
+                                        field.one])
+        U, V, N = self.at_m(RationalFunction(Polynomial.one(field), kappa_plus))
+        c0 = _norm((U, V, N), self.model.f,
+                   "l * sigma(l) is not constant (internal error)")
+        c = canonical_square_const(c0)
+        s = sqrt(c / c0)
+        return (U * s, V * s, N), c
 
     def upstairs_place(self, place: Place, rho):
         """The place of the m-line above `place` selected by the residue rho
@@ -575,6 +598,18 @@ class ConicParametrization:
         a2, b2 = homogenized(rf.den)
         return (a1 * a2 - b1 * b2 * f, b1 * a2 - a1 * b2,
                 a2 * a2 - b2 * b2 * f)
+
+
+def _norm(t, f, message):
+    """The norm t * sigma(t) = (U^2 - V^2 f)/N^2 of t = (U + V y)/N in
+    K' = K(y), y^2 = f, which must be a constant; ArithmeticError(message)
+    when it is not."""
+    U, V, N = t
+    num, den = U * U - V * V * f, N * N
+    lam = num.leading() / den.leading()
+    if num != den * lam:
+        raise ArithmeticError(message)
+    return lam
 
 
 def _q_hints(poly: Polynomial):

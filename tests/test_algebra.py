@@ -295,6 +295,13 @@ def test_irreducibility_over_q():
     assert not is_irreducible(x ** 2 - 1)
     assert is_irreducible(x ** 3 - 3 * x - 1)
     assert not is_irreducible(x ** 3 - 1)
+    # degree >= 4 needs a prime modulo which f stays irreducible: x^4 - 2
+    # has one (5); a product of quadratics and x^4 + 1 (irreducible over Q)
+    # are reducible modulo every prime and refused
+    assert is_irreducible(x ** 4 - 2)
+    for f in ((x ** 2 + 1) * (x ** 2 + 2), x ** 4 + 1):
+        with pytest.raises(FieldError, match="no irreducibility certificate found over Q"):
+            is_irreducible(f)
 
 
 def test_rational_function_normalization():

@@ -212,6 +212,14 @@ def test_schema_errors_exit_2(capsys):
     assert main(["parshin", "cover", "--curve", '{"F": ["1/0", 0, 0, 0, 1]}',
                  "--point", '["0", "1"]']) == 2
     capsys.readouterr()
+    # a curve is {"F": [...]} with F squarefree, a point a pair
+    for curve, message in (('{}', "curve needs"), ('{"G": [1, 0, 1]}', "curve needs"),
+                           ('{"F": [1, 0, 0, 0, 2, 0, 0, 0, 1]}', "squarefree")):
+        assert main(["parshin", "cover", "--curve", curve, "--point", '["0", "1"]']) == 2
+        assert message in capsys.readouterr().err
+    for point in ('["0"]', '["0", "1", "2"]', '{"x": "0", "y": "1"}'):
+        assert main(["parshin", "cover", "--curve", octic, "--point", point]) == 2
+        assert "point must be [x, y]" in capsys.readouterr().err
     # a list-form F_{p^2} coefficient has exactly two integer entries
     for coeff in ('[1]', '["a", 1]', '[1, 2, 3]', '[1.5, 2]'):
         assert main(["parshin", "weierstrass", "--field", "5^2", "--g",
@@ -221,11 +229,24 @@ def test_schema_errors_exit_2(capsys):
                  '[[1, 2], "0", "0", "1"]', "--c", "1"]) == 0
     assert '"1+2*t"' in capsys.readouterr().out
     # family parameters: a missing one (an unknown one does not stand in for
-    # it) or a value that is not an element of the field
-    for params in ('{}', '{"e": 1}', '{"d": "x"}', '{"d": true}'):
-        assert main(["bitwists", "--tag", "R322", "--field", "5",
-                     "--params", params]) == 2
+    # it), one the family does not take, or a value that is not an element
+    # of the field; the optional d of R3322 and a of R332_CHAR2 are taken
+    for tag, field, params in (
+            ("R322", "5", '{}'), ("R322", "5", '{"e": 1}'), ("R322", "5", '{"d": "x"}'),
+            ("R322", "5", '{"d": true}'), ("R322", "5", '{"d": 2, "e": 1}'),
+            ("R3322", "5", '{"nu": 2, "dd": 2}'), ("R332_CHAR2", "2^2", '{"lam": "t", "b": "1"}')):
+        assert main(["bitwists", "--tag", tag, "--field", field, "--params", params]) == 2
         assert "schema error" in capsys.readouterr().err
+    for tag, field, params in (("R3322", "5", '{"nu": 2, "d": 2}'),
+                               ("R332_CHAR2", "2^2", '{"lam": "t", "a": "t"}')):
+        assert main(["bitwists", "--tag", tag, "--field", field, "--params", params]) == 0
+        capsys.readouterr()
+    # a place is exactly {"inf": true} or {"poly": [...]}
+    for places in ('[{"inf": "no", "poly": ["12", "1"]}]', '[{"inf": 1}]', '[{"inf": false}]',
+                   '[{"inf": true, "poly": ["12", "1"]}]'):
+        assert main(["descend", "--field", "13", "--closure", '{"kummer": ["0", "1"]}',
+                     "--places", places]) == 2
+        assert "place must be" in capsys.readouterr().err
     # a sign is the integer 1 or -1, not a JSON boolean or float
     for signs in ('[true]', '[1.0]'):
         assert main(["descend", "--field", "13", "--closure", '{"kummer": ["0", "1"]}',

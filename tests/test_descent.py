@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from cubica import descent
+from cubica import quadratic
 from cubica.acceptance import closure_menu, random_places, round_trip_failures
 from cubica.algebra import (QQ, FieldError, Polynomial, PrimeField,
                             RationalFunction, is_irreducible, smallest_nonsquare)
@@ -123,7 +123,7 @@ def test_enumerate_descents_builds_the_mirror_function_once(monkeypatch):
         builds.append(c)
         return canonical_square_const(c)
 
-    monkeypatch.setattr(descent, "canonical_square_const", counted)
+    monkeypatch.setattr(quadratic, "canonical_square_const", counted)
     M = QuadraticModel.kummer(f)
     T = random_places(M, field, random.Random(29), 3, (1,))
     results = enumerate_descents(M, T)
@@ -183,6 +183,29 @@ def test_construct_refuses_a_place_that_does_not_split(p):
                 construct(_one_choice(closure, place, rho))
     with pytest.raises(FieldError, match="does not split in the closure"):
         construct(_one_choice(closure, Place.infinity(field), field.one))
+
+
+def _malformed_problem(kind):
+    """An empty T, a repeated place of T, and a characteristic-2 closure."""
+    if kind == "char_2":
+        field = canonical_quadratic_field(PrimeField(2))
+        closure = QuadraticModel.artin_schreier_x(field)
+        place = Place.finite(x_of(field) - field.one)
+        return DescentProblem(closure, [UpstairsChoice(place, None)])
+    closure = QuadraticModel.kummer(x_of(F5))
+    place = Place.finite(x_of(F5) - 1)
+    choice = UpstairsChoice(place, closure.canonical_rho(place))
+    return DescentProblem(closure, [] if kind == "empty" else [choice, choice])
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("empty", "T must be nonempty"),
+    ("repeated", "places of T must be distinct"),
+    ("char_2", "characteristic-2 descent is not supported"),
+])
+def test_construct_refuses_a_malformed_problem(kind, message):
+    with pytest.raises(FieldError, match=message):
+        construct(_malformed_problem(kind))
 
 
 @pytest.mark.parametrize("p", [13, 101])

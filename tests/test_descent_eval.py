@@ -23,9 +23,9 @@ import pytest
 from cubica.acceptance import random_places
 from cubica.algebra import (Polynomial, PrimeField, QQ, RationalFunction,
                             is_square, smallest_nonsquare)
-from cubica.descent import (_norm, _pair, _sigma_quotient, construct,
-                            make_problem, norm_one_cube_reps, twists_descent)
-from cubica.quadratic import QuadraticModel
+from cubica.descent import (_pair, _sigma_quotient, construct, make_problem,
+                            norm_one_cube_reps, twists_descent)
+from cubica.quadratic import QuadraticModel, _norm
 
 FIELDS = {"F5": PrimeField(5), "F13": PrimeField(13),
           "F101": PrimeField(101), "Q": QQ}

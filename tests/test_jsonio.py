@@ -84,8 +84,11 @@ def test_place_round_trip_and_validation():
     assert decode_place(F5, encode_place(inf)) == inf
     with pytest.raises(SchemaError):
         decode_place(F5, {"poly": ["4", "0", "1"]})   # reducible
-    with pytest.raises(SchemaError):
-        decode_place(F5, {"nope": 1})
+    # exactly {"inf": true} or {"poly": [...]}
+    for bad in ({"nope": 1}, {"inf": "no", "poly": ["4", "1"]}, {"inf": 1},
+                {"inf": False}, {"inf": True, "poly": ["4", "1"]}, {}, [], "inf"):
+        with pytest.raises(SchemaError, match="place must be"):
+            decode_place(F5, bad)
 
 
 def test_model_round_trips():

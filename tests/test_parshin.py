@@ -252,6 +252,18 @@ def test_find_ptilde_rationality_obstruction():
         find_Ptilde(W, threeE)
 
 
+@pytest.mark.parametrize("F, point, message", [
+    ((1, 1, 0, 0, 0, 0, 0, 0, 1), (0, 1), "must be even"),        # x^8 + x + 1
+    ((-4, 0, 0, 0, 0, 0, 0, 0, 1), (1, 3), "not on the curve"),   # x^8 - 4 at x = 1 is -3
+], ids=["odd_model", "point_off_the_curve"])
+def test_parshin_cover_refuses_bad_input(F, point, message):
+    """The cover is built on an even model F(x) = G(x^2) through a point of
+    W; an odd model and a point off the curve are typed refusals."""
+    W = SplitCurve(Polynomial(QQ, list(F)))
+    with pytest.raises(FieldError, match=message):
+        parshin_cover(W, *point)
+
+
 def test_parshin_cover_refuses_negative_branch_square():
     """On x^8 + x^6 - 4x^2 + 83 at (1, -9) the tripled class asks for the
     square root of a negative rational: a typed refusal, not an isqrt

@@ -7,7 +7,7 @@ import pytest
 
 from cubica.algebra import (FieldError, Polynomial, PrimeField, QQ,
                             RationalFunction, ResidueField, is_irreducible,
-                            poly_factor)
+                            poly_factor, smallest_nonsquare)
 from cubica.acceptance import closure_menu
 from cubica.analyzer import analyze
 from cubica.function_field import Place, value_at
@@ -303,12 +303,17 @@ def test_upstairs_place_nonsquare_lc():
 @pytest.mark.parametrize("field", [PrimeField(p) for p in (5, 7, 11, 13)]
                          + [canonical_quadratic_field(F5)], ids=str)
 def test_sigma_fixed_points_match_a_scan(field):
-    """`sigma_fixed_points` against every degree-one place of the m-line
-    and infinity, each tested for sigma(m) = m by direct evaluation, on
-    each conic closure of `closure_menu`: one fixed point above each
-    degree-one branch place, with X there its x-coordinate (None at
-    infinity)."""
-    for model in closure_menu(field):
+    """Every degree-one place of the m-line and infinity, each tested for
+    sigma(m) = m by direct evaluation, on each conic closure of
+    `closure_menu` and on eps (x - 1)(x - 2), whose slope chart has rational
+    branch points: one fixed point above each degree-one branch place, with
+    X there its x-coordinate (None at infinity).  `stable_place` is the
+    scanned fixed point above infinity when infinity branches, else above
+    the root smallest by sort key, and None exactly when the scan is
+    empty."""
+    x = x_of(field)
+    eps = smallest_nonsquare(field)
+    for model in closure_menu(field) + [QuadraticModel.kummer(eps * (x - 1) * (x - 2))]:
         if model.is_constant_extension():
             continue
         par = model.parametrize()
@@ -321,12 +326,50 @@ def test_sigma_fixed_points_match_a_scan(field):
             den = sig.den.evaluate(v)
             if not den.is_zero() and sig.num.evaluate(v) == v * den:
                 xden = X.den.evaluate(v)
-                scan[Place.finite(x_of(field) - v, check=False)] = (
+                scan[Place.finite(x - v, check=False)] = (
                     None if xden.is_zero() else X.num.evaluate(v) / xden)
-        assert dict(par.sigma_fixed_points) == scan, model
         below = {None if b.infinite else -b.poly[0]
                  for b in model.branch_places() if b.degree == 1}
-        assert set(scan.values()) == below, model
+        assert set(scan.values()) == below and len(scan) == len(below), model
+        if not scan:
+            assert par.stable_place is None, model
+            continue
+        chosen = (None if None in below
+                  else min(below, key=lambda r: r.sort_key()))
+        assert par.stable_place in scan, model
+        assert scan[par.stable_place] == chosen, model
+
+
+def test_parametrization_check_refuses_an_identity_sigma():
+    """An identity sigma fixes X and is an involution; `_check` refuses it
+    by name, before anything reads its fixed points."""
+    par = QuadraticModel.kummer(x_of(F5) * (x_of(F5) - 1)).parametrize()
+    par._check()
+    par.sigma = RationalFunction.x(F5)
+    with pytest.raises(ArithmeticError, match="sigma is the identity"):
+        par._check()
+
+
+@pytest.mark.parametrize("coeffs, point, x_there", [
+    ((0, 1), None, "inf"),          # x: infinity branches
+    ((2, -3, 1), None, 1),          # square lc, roots 1 and 2
+    ((0, -6, 2), (6, 6), 0),        # slope chart, roots 0 and 3
+    ((-2, 0, 1), None, None),       # square lc, no rational root
+    ((2, 0, 2), (1, 2), None),      # slope chart, no rational root
+], ids=["degree_one", "square_lc", "slope", "square_lc_irrational", "slope_irrational"])
+def test_stable_place_over_q_is_fixed_by_sigma(coeffs, point, x_there):
+    """Over Q, where no scan exists: `stable_place` is a point of the
+    m-line that sigma fixes, X there is the x-coordinate of the branch
+    place it lies above (infinity when infinity branches, else the
+    smallest rational root), and it is None when f has no rational root
+    and even degree."""
+    par = QuadraticModel.kummer(Polynomial(QQ, list(coeffs))).parametrize(point)
+    stable = par.stable_place
+    if x_there is None:
+        assert stable is None
+        return
+    assert value_at(par.X, stable) == (None if x_there == "inf" else QQ(x_there))
+    assert value_at(par.sigma, stable) == (None if stable.infinite else -stable.poly[0])
 
 
 def _places_up_to_degree_three(field):
